@@ -1,152 +1,60 @@
-"""Column-entropy kernels.
+"""Column-entropy kernel.
 
-The per-column Shannon entropy of every map in a corpus is the numeric core
-of scoring, so it is batched into one flat pass: all encoded matrices are
-concatenated row-major into a single uint8 buffer and one kernel call emits
-the entropy of every column of every map.
-
-Two interchangeable backends exist:
-
-* a numba ``@njit`` kernel (default when numba imports), and
-* a pure-numpy kernel using a bincount-over-global-column-ids trick.
-
-numba is optional (install it with the ``numba`` extra). Set
-``GEMENTROPY_BACKEND=numpy`` or ``=numba`` to force one; ``auto`` (the
-default) prefers numba and falls back to numpy when numba does not import,
-while ``=numba`` without numba fails at import. Both are serial and
-deterministic; they agree to float rounding (checked by
-``tests/test_kernels.py::test_backends_agree``, which runs where numba is
-installed).
+Scoring needs the Shannon entropy of every column of every map's padded
+code matrix. All matrices are concatenated row-major into one flat uint8
+buffer of symbol indices, and one call counts them sparsely: each cell gets
+the key ``column * N_SYMBOLS + symbol``, one sort (``np.unique``) counts the
+distinct keys, and -p*log2(p) is summed over the nonzero counts only.
+Columns of three or more distinct symbols, whose sum depends on the order of
+its terms, are summed as dense rows of ``N_SYMBOLS`` terms (at most one row
+per three cells), so every value rounds as a dense per-column sum does.
+Memory is O(cells), whatever the number of columns.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .gem_io import N_SYMBOLS
-
-_ENV_VAR = "GEMENTROPY_BACKEND"
-
-
-def _select_backend() -> str:
-    choice = os.environ.get(_ENV_VAR, "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"{_ENV_VAR} must be 'auto', 'numba' or 'numpy', got {choice!r}"
-        )
-    if choice == "numpy":
-        return "numpy"
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        if choice == "numba":
-            raise ImportError(
-                f"{_ENV_VAR}=numba requested but numba is not installed"
-            )
-        return "numpy"
-    return "numba"
-
-
-_BACKEND = _select_backend()
-
-
-def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return _BACKEND
-
-
-def column_entropies_numpy(
-    flat: np.ndarray, heights: np.ndarray, widths: np.ndarray
-) -> np.ndarray:
-    """Pure-numpy batch kernel.
-
-    ``flat`` holds the row-major cells of every matrix back to back;
-    ``heights[k]``/``widths[k]`` are the k-th matrix's row and column counts.
-    Returns the concatenated per-column entropies (bits), ``sum(widths)``
-    values.
-    """
-    cells = heights * widths
-    col_offsets = np.concatenate(([0], np.cumsum(widths)))
-    total_cols = int(col_offsets[-1])
-    if total_cols == 0:
-        return np.zeros(0)
-    map_ids = np.repeat(np.arange(len(heights)), cells)
-    pos = np.arange(flat.shape[0]) - np.repeat(np.cumsum(cells) - cells, cells)
-    col_ids = col_offsets[:-1][map_ids] + pos % widths[map_ids]
-    counts = np.bincount(
-        col_ids * N_SYMBOLS + flat, minlength=total_cols * N_SYMBOLS
-    ).reshape(total_cols, N_SYMBOLS)
-    rows = np.repeat(heights, widths).astype(np.float64)
-    p = counts / rows[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(counts > 0, p * np.log2(p), 0.0)
-    return -terms.sum(axis=1)
-
-
-def _column_entropies_serial(flat, heights, widths, cell_offsets, col_offsets, out):
-    n_maps = heights.shape[0]
-    for k in range(n_maps):
-        m = heights[k]
-        n = widths[k]
-        base = cell_offsets[k]
-        cbase = col_offsets[k]
-        for j in range(n):
-            counts = np.zeros(N_SYMBOLS, dtype=np.int64)
-            for i in range(m):
-                counts[flat[base + i * n + j]] += 1
-            h = 0.0
-            for s in range(N_SYMBOLS):
-                c = counts[s]
-                if c > 0:
-                    pr = c / m
-                    h -= pr * np.log2(pr)
-            out[cbase + j] = h
-    return out
-
-
-try:
-    from numba import njit
-
-    _column_entropies_njit = njit(cache=True)(_column_entropies_serial)
-except ImportError:  # pragma: no cover - exercised only without numba
-    _column_entropies_njit = None
-
-
-def column_entropies_numba(
-    flat: np.ndarray, heights: np.ndarray, widths: np.ndarray
-) -> np.ndarray:
-    """Numba batch kernel; same contract as :func:`column_entropies_numpy`.
-
-    Raises ImportError when numba is not installed.
-    """
-    if _column_entropies_njit is None:
-        raise ImportError("numba is not installed")
-    cells = heights * widths
-    cell_offsets = np.concatenate(([0], np.cumsum(cells)))[:-1]
-    col_offsets = np.concatenate(([0], np.cumsum(widths)))
-    out = np.zeros(int(col_offsets[-1]))
-    if out.shape[0] == 0:
-        return out
-    _column_entropies_njit(
-        np.ascontiguousarray(flat),
-        heights.astype(np.int64),
-        widths.astype(np.int64),
-        cell_offsets.astype(np.int64),
-        col_offsets[:-1].astype(np.int64),
-        out,
-    )
-    return out
+from .gem_io import N_SYMBOLS, offsets
 
 
 def batch_column_entropies(
     flat: np.ndarray, heights: np.ndarray, widths: np.ndarray
 ) -> np.ndarray:
-    """Per-column entropies for a batch of matrices, via the active backend."""
-    if _BACKEND == "numba":
-        return column_entropies_numba(flat, heights, widths)
-    return column_entropies_numpy(flat, heights, widths)
+    """Per-column entropies (bits) of a batch of matrices.
+
+    ``flat`` holds the row-major cells of every matrix back to back;
+    ``heights[k]``/``widths[k]`` are the k-th matrix's row and column counts.
+    Returns the concatenated per-column entropies, ``sum(widths)`` values.
+    """
+    heights = np.asarray(heights, dtype=np.int64)
+    widths = np.asarray(widths, dtype=np.int64)
+    n_cols = int(widths.sum())
+    if n_cols == 0:
+        return np.zeros(0)
+    # column of every cell: its row's first column plus its place in the row
+    row_width = np.repeat(widths, heights)
+    row_cell = offsets(row_width)[:-1]
+    row_col = np.repeat(offsets(widths)[:-1], heights)
+    cell_col = np.arange(len(flat)) - np.repeat(row_cell - row_col, row_width)
+    keys, counts = np.unique(cell_col * N_SYMBOLS + flat, return_counts=True)
+    col = keys // N_SYMBOLS
+    p = counts / np.repeat(heights, widths)[col]
+    terms = p * np.log2(p)
+    sums = np.bincount(col, weights=terms, minlength=n_cols)
+    # One or two terms sum exactly in any order; three or more are summed as
+    # a dense row, because near-ties between maps' scores decide outlier
+    # ranks and cuts, which must not move with the rounding.
+    many = np.bincount(col, minlength=n_cols) > 2
+    if many.any():
+        dense_cols = np.flatnonzero(many)
+        in_dense = many[col]
+        dense = np.zeros((len(dense_cols), N_SYMBOLS))
+        dense[np.searchsorted(dense_cols, col[in_dense]), keys[in_dense] % N_SYMBOLS] = (
+            terms[in_dense]
+        )
+        sums[dense_cols] = dense.sum(axis=1)
+    return -sums
 
 
 def matrix_column_entropies(codes: np.ndarray) -> np.ndarray:

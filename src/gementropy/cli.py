@@ -44,14 +44,6 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
 def _write_table(out_dir: Path, name: str, fmt: str, header, rows) -> Path:
     """Write one report. CSV carries 6-significant-digit floats; JSON keeps
     full precision."""
@@ -61,8 +53,13 @@ def _write_table(out_dir: Path, name: str, fmt: str, header, rows) -> Path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_format_cell(cell) for cell in row])
+            writer.writerows(
+                [
+                    "" if cell is None else f"{cell:.6g}" if isinstance(cell, float) else str(cell)
+                    for cell in row
+                ]
+                for row in rows
+            )
     else:
         path = out_dir / f"{name}.json"
         records = [dict(zip(header, row)) for row in rows]
@@ -127,30 +124,17 @@ def _excluded_rows(excluded):
 def cmd_score(args) -> int:
     scores, normalized, excluded = _load_scored(args)
     header = ["source", "m", "m0", "v", "h_a", "h_b", "ur"]
-    with_weighted = bool(args.weights)
-    if with_weighted:
+    if args.weights:
         header.append("h_a_weighted")
-    with_adjusted = False
+    columns = [entropy.score_column(scores, name).tolist() for name in header]
     if normalized is not None:
-        header += ["z_alpha", "z_beta", "z_ur"]
-        with_adjusted = bool(args.frequencies) and any(
-            z.adjusted_z_alpha is not None for z in normalized
-        )
-        if with_adjusted:
-            header += ["adjusted_z_alpha", "adjusted_z_beta", "adjusted_z_ur"]
-    rows = []
-    for i, s in enumerate(scores):
-        row = [s.source, s.m, s.m0, s.v, s.h_a, s.h_b, s.ur]
-        if with_weighted:
-            row.append(s.h_a_weighted)
-        if normalized is not None:
-            z = normalized[i]
-            row += [z.z_alpha, z.z_beta, z.z_ur]
-            if with_adjusted:
-                row += [z.adjusted_z_alpha, z.adjusted_z_beta, z.adjusted_z_ur]
-        rows.append(row)
+        z_header = ["z_alpha", "z_beta", "z_ur"]
+        if args.frequencies and any(z.adjusted_z_alpha is not None for z in normalized):
+            z_header += ["adjusted_z_alpha", "adjusted_z_beta", "adjusted_z_ur"]
+        header += z_header
+        columns += [entropy.score_column(normalized, name).tolist() for name in z_header]
     out = Path(args.out)
-    path = _write_table(out, "scores", args.format, header, rows)
+    path = _write_table(out, "scores", args.format, header, zip(*columns))
     excl_path = _write_table(
         out,
         "excluded",
@@ -170,7 +154,7 @@ def cmd_stats(args) -> int:
     header = ["measure", "count", "mean", "std", "min", "q25", "q50", "q75", "max"]
     rows = []
     for field in ("h_a", "h_b", "ur"):
-        st = analysis.descriptive_stats([getattr(s, field) for s in scores])
+        st = analysis.descriptive_stats(getattr(scores, field))
         rows.append(
             [field, st.count, st.mean, st.std, st.min, st.q25, st.q50, st.q75, st.max]
         )

@@ -1,29 +1,46 @@
-"""Entropic complexity measures of a map.
+"""Entropic complexity measures of a map, computed a corpus at a time.
 
 Three per-map measures, all in bits:
 
 * alphabet entropy: sum of the Shannon entropies of the columns of the
   map's padded code matrix (character-variation complexity);
-* row entropy: log2 of the number of valid representations of the source
+* row entropy: log2 of the number of valid representations v of the source
   code (one stand-alone pick, or one full selection across a scenario's
   choice lists);
 * the uncertainty-rate baseline log2(m) used by prior work for comparison.
 
-Plus corpus-level z-score normalization and the optional frequency
-adjustment.
+:func:`score_maps` scores a whole :class:`~gementropy.gem_io.MapTable`: it
+lays the padded code matrices of every scored map into one flat buffer,
+calls the column kernel once and sums each map's columns; m, m0 and v come
+from the table. It returns a :class:`ScoreTable` of columns, which
+:func:`normalize_scores` turns into corpus z-scores (a :class:`ZScoreTable`).
+Both tables read as sequences of :class:`MapScores` and
+:class:`NormalizedScores` built on access. Plus single-map helpers and the
+optional frequency adjustment.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
 from .errors import DegenerateMeasureError, EmptyMapError
-from .gem_io import ALPHABET, PAD_CHAR, CodeMatrix, MapRecord, build_matrix, encode_codes
+from .gem_io import (
+    ALPHABET,
+    MAX_CODE,
+    PAD_CHAR,
+    CodeMatrix,
+    MapRecord,
+    MapTable,
+    RowTable,
+    encode_codes,
+    offsets,
+)
 
 # Positive per-position weights, one per matrix column.
 WeightVector = Sequence[float]
@@ -54,6 +71,58 @@ class NormalizedScores:
     adjusted_z_alpha: float | None = None
     adjusted_z_beta: float | None = None
     adjusted_z_ur: float | None = None
+
+
+class _Columns(RowTable):
+    """A dataclass of one array per leading field of the row type ``_type``
+    (None for an absent optional field), read as rows of ``_type``."""
+
+    _type: type
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def _rows(self, part: slice):
+        columns = [getattr(self, f.name) for f in fields(self)]
+        return itertools.starmap(
+            self._type,
+            zip(*(itertools.repeat(None) if c is None else c[part].tolist() for c in columns)),
+        )
+
+
+@dataclass(eq=False, repr=False)
+class ScoreTable(_Columns):
+    """Raw measures of the scored maps, one array per :class:`MapScores`
+    field; ``v`` is int64, or Python ints when a count exceeds int64."""
+
+    _type = MapScores
+    source: np.ndarray
+    m: np.ndarray
+    m0: np.ndarray
+    v: np.ndarray
+    h_a: np.ndarray
+    h_b: np.ndarray
+    ur: np.ndarray
+    h_a_weighted: np.ndarray | None = None
+
+
+@dataclass(eq=False, repr=False)
+class ZScoreTable(_Columns):
+    """Corpus z-scores, one array per :class:`NormalizedScores` field."""
+
+    _type = NormalizedScores
+    source: np.ndarray
+    z_alpha: np.ndarray
+    z_beta: np.ndarray
+    z_ur: np.ndarray
+
+
+def score_column(scores: Sequence, name: str) -> np.ndarray:
+    """One field of every score: the array of a :class:`ScoreTable` or
+    :class:`ZScoreTable`, or gathered from a sequence of score objects."""
+    if isinstance(scores, _Columns):
+        return getattr(scores, name)
+    return np.array([getattr(s, name) for s in scores])
 
 
 def column_entropy(column: Sequence[str]) -> float:
@@ -126,94 +195,69 @@ def ur_measure(m: int) -> float:
 
 
 def score_map(record: MapRecord, weights: WeightVector | None = None) -> MapScores:
-    """Compute all raw measures of one map. Raises for no-match maps."""
-    if record.m == 0:
+    """All raw measures of one map (:func:`score_maps` on a batch of one).
+    Raises for no-match maps."""
+    scores, _ = score_maps([record], weights)
+    if not scores:
         raise EmptyMapError(record.source)
-    matrix = build_matrix(record)
-    cols = _kernels.matrix_column_entropies(matrix.codes)
-    h_a = float(np.sum(cols))
-    h_a_weighted = None
-    if weights is not None:
-        w = _check_weights(weights, matrix.n)
-        h_a_weighted = float(np.dot(w, cols) / np.sum(w))
-    v = count_valid_representations(record)
-    return MapScores(
-        source=record.source,
-        m=record.m,
-        m0=record.m0,
-        v=v,
-        h_a=h_a,
-        h_b=row_entropy(v),
-        ur=ur_measure(record.m),
-        h_a_weighted=h_a_weighted,
-    )
+    return scores[0]
 
 
 def score_maps(
     records: Sequence[MapRecord], weights: WeightVector | None = None
-) -> tuple[list[MapScores], list[MapRecord]]:
+) -> tuple[ScoreTable, MapTable]:
     """Score every map of a corpus in one batched kernel pass.
 
-    Returns (scores for maps with m >= 1, excluded no-match records). When
-    ``weights`` is given it must cover the widest map; each map uses its
-    first n positions.
+    ``records`` is a :class:`MapTable` or any sequence of records. Returns
+    (scores for maps with m >= 1, excluded no-match maps). When ``weights``
+    is given it must cover the widest map; each map uses its first n
+    positions.
     """
-    included = [r for r in records if r.m > 0]
-    excluded = [r for r in records if r.m == 0]
-    if not included:
-        return [], excluded
-
-    targets_per_map = [[e.target for e in r.entries] for r in included]
-    widths = np.array(
-        [max(len(t) for t in targets) for targets in targets_per_map],
-        dtype=np.int64,
-    )
-    heights = np.array([len(targets) for targets in targets_per_map], dtype=np.int64)
+    maps = records if isinstance(records, MapTable) else MapTable.from_records(records)
+    scored = maps.m > 0
+    excluded = maps.select(~scored)
+    maps = maps.select(scored)
+    heights = maps.m
+    widths = np.maximum.reduceat(
+        maps.lines.target_len[maps.rows], maps.starts[:-1]
+    ).astype(np.int64)
 
     if weights is not None:
         wfull = np.asarray(weights, dtype=np.float64)
         if wfull.ndim != 1 or not np.all(wfull > 0):
             raise ValueError("weights must be a flat list of positive numbers")
-        widest = int(widths.max())
+        widest = int(widths.max(initial=0))
         if wfull.shape[0] < widest:
             raise ValueError(
                 f"{wfull.shape[0]} weights cannot cover the widest map "
                 f"({widest} positions)"
             )
 
-    joined = "".join(
-        code.ljust(int(n), PAD_CHAR)
-        for targets, n in zip(targets_per_map, widths)
-        for code in targets
-    )
-    flat = encode_codes([joined], len(joined)).reshape(-1) if joined else np.zeros(0, np.uint8)
-
+    # each map's rows cut to its own width, row-major
+    targets = maps.lines.targets[maps.rows]
+    flat = targets[np.arange(MAX_CODE) < np.repeat(widths, heights)[:, None]]
     cols = _kernels.batch_column_entropies(flat, heights, widths)
-    starts = np.concatenate(([0], np.cumsum(widths)))[:-1]
-    h_a_all = np.add.reduceat(cols, starts)
+    col_starts = offsets(widths)[:-1]
+    h_a = np.add.reduceat(cols, col_starts)
 
-    h_w_all = None
+    h_a_weighted = None
     if weights is not None:
-        flat_w = np.concatenate([wfull[: int(n)] for n in widths])
-        h_w_all = np.add.reduceat(cols * flat_w, starts) / np.add.reduceat(
-            flat_w, starts
+        flat_w = wfull[np.arange(len(cols)) - np.repeat(col_starts, widths)]
+        h_a_weighted = np.add.reduceat(cols * flat_w, col_starts) / np.add.reduceat(
+            flat_w, col_starts
         )
 
-    scores = []
-    for i, record in enumerate(included):
-        v = count_valid_representations(record)
-        scores.append(
-            MapScores(
-                source=record.source,
-                m=record.m,
-                m0=record.m0,
-                v=v,
-                h_a=float(h_a_all[i]),
-                h_b=row_entropy(v),
-                ur=ur_measure(record.m),
-                h_a_weighted=float(h_w_all[i]) if h_w_all is not None else None,
-            )
-        )
+    scores = ScoreTable(
+        source=maps.source,
+        m=heights,
+        m0=maps.m0,
+        v=maps.v,
+        h_a=h_a,
+        # v >= 1 and m >= 1 for every scored map
+        h_b=np.array(list(map(math.log2, maps.v.tolist())), dtype=np.float64),
+        ur=np.array(list(map(math.log2, heights.tolist())), dtype=np.float64),
+        h_a_weighted=h_a_weighted,
+    )
     return scores, excluded
 
 
@@ -222,34 +266,27 @@ _MEASURES = (("h_a", "z_alpha"), ("h_b", "z_beta"), ("ur", "z_ur"))
 
 def normalize_scores(
     scores: Sequence[MapScores], denominator: str = "std"
-) -> list[NormalizedScores]:
+) -> ZScoreTable:
     """Center each measure over the corpus and divide by its spread.
 
-    ``denominator`` is ``"std"`` (sample standard deviation, n-1) or
-    ``"variance"`` (sample variance). Excluded maps must already be removed;
-    a constant measure raises DegenerateMeasureError.
+    ``scores`` is a :class:`ScoreTable` or any sequence of
+    :class:`MapScores`. ``denominator`` is ``"std"`` (sample standard
+    deviation, n-1) or ``"variance"`` (sample variance). Excluded maps must
+    already be removed; a constant measure raises DegenerateMeasureError.
     """
     if denominator not in ("std", "variance"):
         raise ValueError(f"denominator must be 'std' or 'variance', got {denominator!r}")
     if len(scores) < 2:
         raise ValueError("normalization needs at least 2 scored maps")
     z_columns = {}
-    for field, _ in _MEASURES:
-        values = np.array([getattr(s, field) for s in scores], dtype=np.float64)
+    for field, z_name in _MEASURES:
+        values = np.array(score_column(scores, field), dtype=np.float64)
         var = float(np.var(values, ddof=1))
         denom = math.sqrt(var) if denominator == "std" else var
         if denom == 0.0:
             raise DegenerateMeasureError(field)
-        z_columns[field] = (values - values.mean()) / denom
-    return [
-        NormalizedScores(
-            source=s.source,
-            z_alpha=float(z_columns["h_a"][i]),
-            z_beta=float(z_columns["h_b"][i]),
-            z_ur=float(z_columns["ur"][i]),
-        )
-        for i, s in enumerate(scores)
-    ]
+        z_columns[z_name] = (values - values.mean()) / denom
+    return ZScoreTable(source=score_column(scores, "source"), **z_columns)
 
 
 def adjust_by_frequency(z: NormalizedScores, p: float) -> NormalizedScores:

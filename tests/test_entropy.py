@@ -1,10 +1,11 @@
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
 
-from gementropy import entropy, gem_io
+from gementropy import cli, entropy, gem_io
 from gementropy._kernels import matrix_column_entropies
 from gementropy.entropy import (
     MapScores,
@@ -276,6 +277,25 @@ class TestScoreMaps:
             n = max(len(e.target) for e in record.entries)
             single = score_map(record, weights[:n])
             assert got.h_a_weighted == pytest.approx(single.h_a_weighted, abs=1e-12)
+
+    def test_v_beyond_int64(self, tmp_path):
+        # scenario 1 with 9 choice lists of 160 codes: v = 160**9 > 2**63 - 1
+        text = "".join(
+            f"BIG C{c}{k:03d} 1011{c}\n" for c in range(1, 10) for k in range(160)
+        )
+        v = 160**9
+        assert v > 2**63 - 1
+        scores, _ = score_maps(gem_io.group_maps(gem_io.parse_gem_file(text.encode())))
+        assert scores[0].v == v
+        assert scores[0].h_b == math.log2(v)
+
+        gems = tmp_path / "gems.txt"
+        gems.write_text(text)
+        assert cli.main(["score", "--gems", str(gems), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "scores.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["v"] == str(v)
+        assert row["h_b"] == f"{math.log2(v):.6g}"
 
     def test_all_excluded(self):
         records = gem_io.group_maps(

@@ -34,7 +34,7 @@ class TestParseFlag:
     def test_no_map(self):
         assert parse_flag("11000") == Flag(True, True, False, 0, 0)
 
-    @pytest.mark.parametrize("text", ["1000", "100000", "1000x", "", "1 000"])
+    @pytest.mark.parametrize("text", ["1000", "100000", "1000x", "", "1 000", "1011\u0661"])
     def test_malformed_text(self, text):
         with pytest.raises(ParseError):
             parse_flag(text)
@@ -130,6 +130,50 @@ class TestParseGemFile:
         assert [(e.source, e.target, e.flag) for e in reparsed] == [
             (e.source, e.target, e.flag) for e in entries
         ]
+
+
+class TestAsciiGrammar:
+    """Codes, flag digits and field separators are ASCII only."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "\ufb01x A1 00000",  # LATIN SMALL LIGATURE FI upper-cases to "FI"
+            "stra\u00dfe1 A1 00000",  # sharp s upper-cases to "SS"
+            "X\u2003A1 00000",  # EM SPACE between the fields
+            "X A1 0000\u0661",  # ARABIC-INDIC DIGIT ONE as the choice list
+        ],
+    )
+    def test_non_ascii_line_rejected(self, line):
+        text = f"0052 02H43JZ 10000\n{line}\n"
+        with pytest.raises(ParseError, match=r"^gems\.txt:2: "):
+            parse_gem_file(io.StringIO(text), "gems.txt")
+
+    def test_side_table_code_must_be_ascii(self):
+        with pytest.raises(ParseError, match=r"descriptions\.csv:2: "):
+            load_descriptions(
+                io.StringIO("code,description\n\ufb01x,fixation\n"), "descriptions.csv"
+            )
+
+
+class TestByteOrderMark:
+    def test_crosswalk_path(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbfX A1 00000\nX A2 00000\n")
+        assert [e.source for e in parse_gem_file(path)] == ["X", "X"]
+
+    def test_crosswalk_bytes(self):
+        entries = parse_gem_file("\ufeffX A1 00000\n".encode("utf-8"))
+        assert entries[0].source == "X" and entries[0].line_number == 1
+
+    def test_side_table_path(self, tmp_path):
+        path = tmp_path / "descriptions.csv"
+        path.write_bytes("\ufeffcode,description\n86,incision\n".encode("utf-8"))
+        assert load_descriptions(path) == {"86": "incision"}
+
+    def test_side_table_bytes(self):
+        data = "\ufeffcode,probability\n86,0.5\n".encode("utf-8")
+        assert load_frequencies(data) == {"86": 0.5}
 
 
 class TestGroupMaps:

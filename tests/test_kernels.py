@@ -1,9 +1,4 @@
-"""Backend parity and selection for the column-entropy kernels.
-
-numba is optional. Cases that call the numba kernel skip on the numba import
-(``needs_numba``) and run unchanged wherever numba is installed; everything
-else runs everywhere.
-"""
+"""The sparse column-entropy kernel against a naive per-column oracle."""
 
 import math
 import os
@@ -12,19 +7,9 @@ import sys
 from collections import Counter
 
 import numpy as np
-import pytest
 
 from gementropy import _kernels
 from gementropy.gem_io import N_SYMBOLS
-
-try:
-    import numba  # noqa: F401
-except ImportError:
-    HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = True
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba is not installed")
 
 
 def _random_batch(rng, n_maps=40):
@@ -35,7 +20,7 @@ def _random_batch(rng, n_maps=40):
 
 
 def _python_oracle(flat, heights, widths):
-    """Naive per-column entropy, independent of both kernels."""
+    """Naive per-column entropy, independent of the kernel."""
     out = []
     pos = 0
     for m, n in zip(heights, widths):
@@ -48,42 +33,17 @@ def _python_oracle(flat, heights, widths):
     return np.array(out)
 
 
-@needs_numba
-def test_backends_agree():
-    rng = np.random.default_rng(100)
-    for _ in range(10):
-        flat, heights, widths = _random_batch(rng)
-        a = _kernels.column_entropies_numpy(flat, heights, widths)
-        b = _kernels.column_entropies_numba(flat, heights, widths)
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize(
-    "kernel",
-    [
-        pytest.param(_kernels.column_entropies_numpy, id="numpy"),
-        pytest.param(_kernels.column_entropies_numba, id="numba", marks=needs_numba),
-    ],
-)
-def test_kernel_matches_python_oracle(kernel):
+def test_kernel_matches_python_oracle():
     rng = np.random.default_rng(101)
     flat, heights, widths = _random_batch(rng, n_maps=20)
-    got = kernel(flat, heights, widths)
+    got = _kernels.batch_column_entropies(flat, heights, widths)
     np.testing.assert_allclose(got, _python_oracle(flat, heights, widths), atol=1e-12)
 
 
 def test_empty_batch():
     empty = np.zeros(0, dtype=np.uint8)
     none = np.zeros(0, dtype=np.int64)
-    assert _kernels.column_entropies_numpy(empty, none, none).shape == (0,)
     assert _kernels.batch_column_entropies(empty, none, none).shape == (0,)
-
-
-@needs_numba
-def test_empty_batch_numba():
-    empty = np.zeros(0, dtype=np.uint8)
-    none = np.zeros(0, dtype=np.int64)
-    assert _kernels.column_entropies_numba(empty, none, none).shape == (0,)
 
 
 def test_matrix_helper_single_map():
@@ -94,49 +54,9 @@ def test_matrix_helper_single_map():
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("choice", ["numpy", pytest.param("numba", marks=needs_numba)])
-def test_env_flag_selects_backend(choice):
-    env = dict(os.environ, GEMENTROPY_BACKEND=choice)
-    out = subprocess.run(
-        [sys.executable, "-c", "import gementropy; print(gementropy.active_backend())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == choice
-
-
-def test_env_flag_rejects_unknown():
-    env = dict(os.environ, GEMENTROPY_BACKEND="fortran")
-    out = subprocess.run(
-        [sys.executable, "-c", "import gementropy"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode != 0
-    assert "GEMENTROPY_BACKEND" in out.stderr
-
-
-@pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed")
-def test_env_flag_numba_refused_without_numba():
-    env = dict(os.environ, GEMENTROPY_BACKEND="numba")
-    out = subprocess.run(
-        [sys.executable, "-c", "import gementropy"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode != 0
-    assert "GEMENTROPY_BACKEND" in out.stderr
-    assert "not installed" in out.stderr
-
-
 def test_numpy_backend_runs_full_pipeline(tmp_path):
     gems = tmp_path / "gems.txt"
     gems.write_text("A1 X1 00000\nA2 Y12 00000\nA2 Y34 10000\n")
-    env = dict(os.environ, GEMENTROPY_BACKEND="numpy")
     out = subprocess.run(
         [
             sys.executable,
@@ -148,7 +68,7 @@ def test_numpy_backend_runs_full_pipeline(tmp_path):
             "--out",
             str(tmp_path),
         ],
-        env=env,
+        env=dict(os.environ),
         capture_output=True,
         text=True,
     )
