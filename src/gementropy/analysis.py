@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import NormalizedScores
-from .gem_io import UNCLASSIFIED, ClassDef, assign_class
+from .entropy import NormalizedScores, score_column
+from .gem_io import UNCLASSIFIED, ClassDef, assign_classes
 
 RANK_MEASURES = ("z_alpha", "z_beta", "z_ur", "total")
 OUTLIER_MEASURES = ("z_alpha", "z_beta", "z_ur")
@@ -112,22 +112,24 @@ def aggregate_by_class(
 ) -> list[ClassScore]:
     """Sum each map's z triple into its clinical class.
 
-    Maps outside every range land in an ``unclassified`` bucket. Only classes
-    with at least one member are returned, in first-member order.
+    ``normalized`` is a :class:`~gementropy.entropy.ZScoreTable` or any
+    sequence of :class:`NormalizedScores`. Maps outside every range land in
+    an ``unclassified`` bucket. Only classes with at least one member are
+    returned, in first-member order; sums add in map order.
     """
-    labels = {d.id: d.label for d in defs}
-    labels[UNCLASSIFIED] = "Unclassified"
-    buckets: dict[str, ClassScore] = {}
-    for z in normalized:
-        class_id = assign_class(z.source, defs)
-        bucket = buckets.get(class_id)
-        if bucket is None:
-            bucket = buckets[class_id] = ClassScore(class_id, labels[class_id])
-        bucket.sum_z_alpha += z.z_alpha
-        bucket.sum_z_beta += z.z_beta
-        bucket.sum_z_ur += z.z_ur
-        bucket.members.append((z.source, z.z_alpha, z.z_beta, z.z_ur))
-    return list(buckets.values())
+    sources = score_column(normalized, "source")
+    zs = [score_column(normalized, name) for name in ("z_alpha", "z_beta", "z_ur")]
+    index = assign_classes(sources.tolist(), defs)
+    sums = [np.bincount(index, weights=z, minlength=len(defs) + 1).tolist() for z in zs]
+    ids = [d.id for d in defs] + [UNCLASSIFIED]
+    labels = [d.label for d in defs] + ["Unclassified"]
+    rows = list(zip(sources.tolist(), *(z.tolist() for z in zs)))
+    present, first = np.unique(index, return_index=True)
+    out = []
+    for k in present[np.argsort(first)].tolist():
+        members = [rows[i] for i in np.flatnonzero(index == k).tolist()]
+        out.append(ClassScore(ids[k], labels[k], *(s[k] for s in sums), members))
+    return out
 
 
 def rank_classes(scores: Sequence[ClassScore], measure: str) -> RankTable:

@@ -115,10 +115,13 @@ def _load_scored(args, normalize=True, strict=False):
 
 
 def _excluded_rows(excluded):
-    return [
-        (r.source, len(r.entries), r.entries[0].line_number if r.entries else "")
-        for r in excluded
-    ]
+    """(source, entry count, first line) of each excluded map; a map read
+    from a file has at least one line."""
+    starts = excluded.starts
+    first_line = excluded.lines.line[excluded.rows[starts[:-1]]]
+    return zip(
+        excluded.source.tolist(), (starts[1:] - starts[:-1]).tolist(), first_line.tolist()
+    )
 
 
 def cmd_score(args) -> int:
@@ -337,7 +340,8 @@ def cmd_textnet(args) -> int:
             f"{prefix}_centrality",
             args.format,
             ["word", "centrality"],
-            sorted(centrality.items(), key=lambda item: (-item[1], item[0])),
+            # words tied in exact arithmetic can differ in the last bits
+            sorted(centrality.items(), key=lambda item: (-round(item[1], 12), item[0])),
         ),
     ]
     out.mkdir(parents=True, exist_ok=True)

@@ -721,23 +721,37 @@ def _ranges_overlap(ra: tuple[str, str], rb: tuple[str, str]) -> bool:
     return la <= hb[:k] and lb[:k] <= ha
 
 
-def assign_class(code: str, defs: Sequence[ClassDef]) -> str:
-    """Return the id of the class whose range covers the code's leading
-    prefix, or ``"unclassified"``.
+def assign_classes(codes: Sequence[str], defs: Sequence[ClassDef]) -> np.ndarray:
+    """Index into ``defs`` of the class of each code, ``len(defs)`` for a code
+    outside every range; the first class whose range covers a code wins.
 
-    Bounds are right-padded with '0' to a common length k and compared
-    lexicographically against the code's first k characters (themselves
-    '0'-padded when the code is shorter).
+    A range (low, high) covers a code when the code's first k characters
+    ('0'-padded when shorter) lie between the bounds right-padded with '0'
+    to their common length k. Since '0' and 'Z' are the least and greatest
+    code characters, that holds exactly when the code, upper-cased and
+    right-padded with '0' to 8 characters, lies in the interval
+    [low padded with '0', high padded with '0' to k and then with 'Z'].
+    Codes are alphanumeric.
     """
-    code = code.upper()
-    for cdef in defs:
+    keys = np.array([code.upper().ljust(MAX_CODE, "0") for code in codes], dtype="S8")
+    out = np.full(len(keys), len(defs), dtype=np.intp)
+    for i, cdef in enumerate(defs):
         for low, high in cdef.ranges:
             plow, phigh = _padded_bounds(low, high)
-            k = len(plow)
-            prefix = code[:k].ljust(k, "0")
-            if plow <= prefix <= phigh:
-                return cdef.id
-    return UNCLASSIFIED
+            lo = plow.ljust(MAX_CODE, "0").encode()
+            hi = phigh.ljust(MAX_CODE, "Z").encode()
+            out[(out == len(defs)) & (keys >= lo) & (keys <= hi)] = i
+    return out
+
+
+def assign_class(code: str, defs: Sequence[ClassDef]) -> str:
+    """Return the id of the first class whose range covers the code's
+    leading prefix, or ``"unclassified"``: :func:`assign_classes` on one
+    code, where range (low, high) is the interval of 8-character codes
+    [low padded with '0', high padded with '0' to the longer bound's length
+    and then with 'Z']."""
+    i = int(assign_classes([code], defs)[0])
+    return defs[i].id if i < len(defs) else UNCLASSIFIED
 
 
 def load_descriptions(source, filename: str | None = None) -> dict[str, str]:

@@ -125,11 +125,14 @@ def eigenvector_centrality(
 ) -> dict[str, float]:
     """Eigenvector centrality of the largest component via power iteration.
 
-    The adjacency is scaled by its largest row sum so the tolerance is
-    scale-free, and the iteration runs on the shifted operator (A + I) so
-    bipartite components still converge. Stops once the scaled residual
-    ||A x - lambda x|| falls below ``tolerance``. The returned scores have
-    unit Euclidean norm over the component; words outside it score 0.
+    The adjacency is held as a symmetric edge list, its weights divided by
+    the largest weighted degree so the tolerance is scale-free, and each
+    step is one ``bincount`` over the edge ends: memory grows with the
+    edges, not with the words squared. The iteration runs on the shifted
+    operator (A + I) so bipartite components still converge, and stops once
+    the scaled residual ||A x - lambda x|| falls below ``tolerance``. The
+    returned scores have unit Euclidean norm over the component; words
+    outside it score 0.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -139,21 +142,22 @@ def eigenvector_centrality(
         return scores
     index = {w: i for i, w in enumerate(component)}
     n = len(component)
-    adjacency = np.zeros((n, n))
-    for (a, b), weight in graph.edges.items():
-        if a in index and b in index:
-            adjacency[index[a], index[b]] = weight
-            adjacency[index[b], index[a]] = weight
-    scale = float(adjacency.sum(axis=1).max())
+    # an edge with one end in the component has both ends in it
+    edges = [(index[a], index[b], w) for (a, b), w in graph.edges.items() if a in index]
+    ends_a, ends_b, weight = np.array(edges, dtype=np.float64).reshape(-1, 3).T
+    rows = np.concatenate([ends_a, ends_b]).astype(np.intp)
+    cols = np.concatenate([ends_b, ends_a]).astype(np.intp)
+    weights = np.concatenate([weight, weight])
+    scale = float(np.bincount(rows, weights=weights, minlength=n).max())
     if scale == 0.0:  # single isolated word
         scores[component[0]] = 1.0
         return scores
-    adjacency /= scale
+    weights /= scale
 
     x = np.full(n, 1.0 / np.sqrt(n))
     residual = np.inf
     for _ in range(max_iterations):
-        y = adjacency @ x
+        y = np.bincount(rows, weights=weights * x[cols], minlength=n)
         lam = float(x @ y)
         residual = float(np.linalg.norm(y - lam * x))
         if residual <= tolerance:

@@ -445,6 +445,28 @@ class TestTextnet:
         csv_edges = {(r["word_a"], r["word_b"], r["weight"]) for r in edges}
         assert dot_edges == csv_edges
 
+    def test_tied_words_listed_alphabetically(self, workspace):
+        # bladder, joint and vein share every description, so their
+        # centralities tie in exact arithmetic; computed, they can differ in
+        # the last bits
+        (workspace / "descriptions.csv").write_text(
+            "code,description\n"
+            "0052,embolism vein joint chronic bladder\n"
+            "0614,bladder joint vein embolism\n"
+            "0651,embolism chronic\n"
+        )
+        for fmt in ("csv", "json"):
+            args = ["textnet", "--gems", workspace / "gems.txt", "--top-fraction", "1.0",
+                    "--descriptions", workspace / "descriptions.csv", "--out", workspace,
+                    "--format", fmt]
+            assert _run(args) == 0
+        cents = _read_csv(workspace / "textnet_z_alpha_centrality.csv")
+        words = ["embolism", "bladder", "joint", "vein", "chronic"]
+        assert [r["word"] for r in cents] == words
+        assert len({r["centrality"] for r in cents[1:4]}) == 1
+        records = json.loads((workspace / "textnet_z_alpha_centrality.json").read_text())
+        assert [r["word"] for r in records] == words
+
     def test_missing_description_warns(self, workspace, capsys):
         (workspace / "部分.csv").write_text(
             "code,description\n0052,electrode implantation procedure text\n"
