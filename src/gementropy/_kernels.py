@@ -54,7 +54,7 @@ def batch_column_entropies(
             terms[in_dense]
         )
         sums[dense_cols] = dense.sum(axis=1)
-    return -sums
+    return 0.0 - sums  # not -sums: a constant column has entropy +0.0, not -0.0
 
 
 def matrix_column_entropies(codes: np.ndarray) -> np.ndarray:

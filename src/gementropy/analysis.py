@@ -191,9 +191,11 @@ def detect_outliers(
 ) -> list[tuple[str, float]]:
     """Maps whose score strictly exceeds a threshold, highest first.
 
-    In ``top_fraction`` mode the threshold is the smallest value keeping at
-    most that fraction of maps, so at most floor(fraction * N) are returned
-    (fewer under ties at the cut).
+    ``normalized`` is a :class:`~gementropy.entropy.ZScoreTable` or any
+    sequence of :class:`NormalizedScores`. In ``top_fraction`` mode the
+    threshold is the smallest value keeping at most that fraction of maps,
+    so at most floor(fraction * N) are returned (fewer under ties at the
+    cut).
     """
     if (threshold is None) == (top_fraction is None):
         raise ValueError("supply exactly one of threshold or top_fraction")
@@ -201,10 +203,9 @@ def detect_outliers(
         raise ValueError(f"measure must be one of {OUTLIER_MEASURES}, got {measure!r}")
     if not normalized:
         raise ValueError("no scores to scan for outliers")
-    scored = sorted(
-        ((z.source, getattr(z, measure)) for z in normalized),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
+    sources = score_column(normalized, "source").tolist()
+    values = score_column(normalized, measure).tolist()
+    scored = sorted(zip(sources, values), key=lambda pair: (-pair[1], pair[0]))
     if top_fraction is not None:
         if not 0.0 < top_fraction <= 1.0:
             raise ValueError(f"top_fraction {top_fraction} outside (0, 1]")

@@ -2,6 +2,9 @@
 analysis -> deterministic CSV/JSON reports.
 
 Subcommands: score, stats, rank, corr, outliers, textnet, verify-example.
+Only ``score`` takes ``--weights`` (adds ``h_a_weighted``) and ``--frequencies``
+(adds the frequency-adjusted z-scores); ``rank``, ``outliers`` and ``textnet``
+report plain z-scores and take ``--denominator`` alone.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, entropy, gem_io, textnet
-from .errors import DegenerateMeasureError, GemError
+from .errors import GemError
 
 # Reference map shipped with the tool: source code 0052 of the 2015
 # ICD-9-CM Vol.3 -> ICD-10-PCS crosswalk, whose measures are known exactly.
@@ -79,39 +82,19 @@ def _parse_weights(text: str) -> list[float]:
     return weights
 
 
-def _load_scored(args, normalize=True, strict=False):
-    """Parse, group, score and (when requested) normalize one crosswalk file.
-
-    Returns (scores, normalized-or-None, excluded records). With
-    ``strict=False`` an impossible normalization (too few maps, constant
-    measure) degrades to a warning; commands that cannot work without
-    z-scores pass ``strict=True``.
-    """
+def _score(args, weights=None):
+    """Parse, group and score one crosswalk file: (scores, excluded maps)."""
     entries = gem_io.parse_gem_file(args.gems)
-    records = gem_io.group_maps(entries)
-    weights = _parse_weights(args.weights) if getattr(args, "weights", None) else None
-    scores, excluded = entropy.score_maps(records, weights)
-    if not normalize:
-        return scores, None, excluded
-    normalized = None
-    if len(scores) >= 2:
-        try:
-            normalized = entropy.normalize_scores(scores, args.denominator)
-        except DegenerateMeasureError:
-            if strict:
-                raise
-            _warn("a measure is constant across all maps; normalization skipped")
-    elif scores:
-        if strict:
-            raise GemError("need at least 2 scored maps to normalize")
-        _warn("fewer than 2 scored maps; normalization skipped")
-    if normalized is not None and getattr(args, "frequencies", None):
-        freqs = gem_io.load_frequencies(args.frequencies)
-        normalized = [
-            entropy.adjust_by_frequency(z, freqs[z.source]) if z.source in freqs else z
-            for z in normalized
-        ]
-    return scores, normalized, excluded
+    return entropy.score_maps(gem_io.group_maps(entries), weights)
+
+
+def _normalize(scores, denominator: str) -> entropy.ZScoreTable:
+    """Corpus z-scores; too few maps or a constant measure is an error."""
+    if not scores:
+        raise GemError("no scorable maps in the input file")
+    if len(scores) < 2:
+        raise GemError("need at least 2 scored maps to normalize")
+    return entropy.normalize_scores(scores, denominator)
 
 
 def _excluded_rows(excluded):
@@ -125,14 +108,24 @@ def _excluded_rows(excluded):
 
 
 def cmd_score(args) -> int:
-    scores, normalized, excluded = _load_scored(args)
+    weights = _parse_weights(args.weights) if args.weights else None
+    scores, excluded = _score(args, weights)
+    freqs = gem_io.load_frequencies(args.frequencies) if args.frequencies else None
     header = ["source", "m", "m0", "v", "h_a", "h_b", "ur"]
-    if args.weights:
+    if weights is not None:
         header.append("h_a_weighted")
     columns = [entropy.score_column(scores, name).tolist() for name in header]
+    normalized = None
+    if scores:
+        try:
+            normalized = _normalize(scores, args.denominator)
+        except GemError as exc:
+            _warn(f"{exc}; normalization skipped")
     if normalized is not None:
+        if freqs is not None:
+            normalized = entropy.adjust_by_frequency(normalized, freqs)
         z_header = ["z_alpha", "z_beta", "z_ur"]
-        if args.frequencies and any(z.adjusted_z_alpha is not None for z in normalized):
+        if normalized.adjusted_z_alpha is not None:
             z_header += ["adjusted_z_alpha", "adjusted_z_beta", "adjusted_z_ur"]
         header += z_header
         columns += [entropy.score_column(normalized, name).tolist() for name in z_header]
@@ -151,7 +144,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    scores, _, excluded = _load_scored(args, normalize=False)
+    scores, excluded = _score(args)
     if not scores:
         raise GemError("no scorable maps in the input file")
     header = ["measure", "count", "mean", "std", "min", "q25", "q50", "q75", "max"]
@@ -173,9 +166,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    scores, normalized, _ = _load_scored(args, strict=True)
-    if normalized is None:
-        raise GemError("no scorable maps in the input file")
+    normalized = _normalize(_score(args)[0], args.denominator)
     defs = gem_io.load_class_defs(args.classes)
     class_scores = analysis.aggregate_by_class(normalized, defs)
     info = {cs.class_id: cs for cs in class_scores}
@@ -224,18 +215,28 @@ def cmd_rank(args) -> int:
 
 def _read_rank_file(path: str) -> analysis.RankTable:
     p = Path(path)
-    if p.suffix.lower() == ".json":
-        with open(p, encoding="utf-8") as fh:
-            records = json.load(fh)
-        pairs = [(str(r["class_id"]), float(r["score"])) for r in records]
-    else:
-        with open(p, encoding="utf-8", newline="") as fh:
+    with open(p, encoding="utf-8", newline="") as fh:
+        if p.suffix.lower() == ".json":
+            try:
+                records = json.load(fh)
+            except ValueError as exc:
+                raise GemError(f"{path}: rank file is not valid JSON: {exc}") from None
+            if not isinstance(records, list):
+                raise GemError(f"{path}: rank file must hold a list of records")
+            located = [(f": record {i}", record) for i, record in enumerate(records)]
+        else:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"class_id", "score"} <= set(
                 reader.fieldnames
             ):
                 raise GemError(f"{path}: rank file needs class_id and score columns")
-            pairs = [(row["class_id"], float(row["score"])) for row in reader]
+            located = [(f":{reader.line_num}", row) for row in reader]
+    pairs = []
+    for where, record in located:
+        try:
+            pairs.append((str(record["class_id"]), float(record["score"])))
+        except (KeyError, TypeError, ValueError):
+            raise GemError(f"{path}{where}: needs a class_id and a numeric score") from None
     if not pairs:
         raise GemError(f"{path}: rank file is empty")
     ordered = sorted(pairs, key=lambda pair: (-pair[1], pair[0]))
@@ -264,20 +265,15 @@ def cmd_corr(args) -> int:
     return 0
 
 
-def _select_outliers(args, normalized):
+def _select_outliers(args):
+    normalized = _normalize(_score(args)[0], args.denominator)
     return analysis.detect_outliers(
-        normalized,
-        args.measure,
-        threshold=args.threshold,
-        top_fraction=args.top_fraction,
+        normalized, args.measure, threshold=args.threshold, top_fraction=args.top_fraction
     )
 
 
 def cmd_outliers(args) -> int:
-    _, normalized, _ = _load_scored(args, strict=True)
-    if normalized is None:
-        raise GemError("no scorable maps in the input file")
-    outliers = _select_outliers(args, normalized)
+    outliers = _select_outliers(args)
     descriptions = (
         gem_io.load_descriptions(args.descriptions) if args.descriptions else None
     )
@@ -295,10 +291,7 @@ def cmd_outliers(args) -> int:
 
 
 def cmd_textnet(args) -> int:
-    _, normalized, _ = _load_scored(args, strict=True)
-    if normalized is None:
-        raise GemError("no scorable maps in the input file")
-    outliers = _select_outliers(args, normalized)
+    outliers = _select_outliers(args)
     descriptions = gem_io.load_descriptions(args.descriptions)
     missing = [source for source, _ in outliers if source not in descriptions]
     if missing:
@@ -402,19 +395,12 @@ def _add_io_options(parser, gems=True):
     parser.add_argument("--out", default=".", help="output directory")
 
 
-def _add_scoring_options(parser):
-    parser.add_argument(
-        "--weights",
-        help="comma-separated positive per-position weights covering the widest code",
-    )
+def _add_denominator_option(parser):
     parser.add_argument(
         "--denominator",
         choices=("std", "variance"),
         default="std",
         help="z-score denominator (sample std or sample variance)",
-    )
-    parser.add_argument(
-        "--frequencies", help="code,probability CSV for frequency adjustment"
     )
 
 
@@ -443,17 +429,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="per-map measures and z-scores")
     _add_io_options(p)
-    _add_scoring_options(p)
+    p.add_argument(
+        "--weights",
+        help="finite positive weights, comma-separated, one per position of the widest code",
+    )
+    _add_denominator_option(p)
+    p.add_argument("--frequencies", help="code,probability CSV; adds adjusted z-scores")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("stats", help="descriptive statistics of the raw measures")
     _add_io_options(p)
-    p.set_defaults(func=cmd_stats, weights=None, denominator="std", frequencies=None)
+    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("rank", help="clinical-class rankings per measure")
     _add_io_options(p)
     p.add_argument("--classes", required=True, help="low,high,label CSV of classes")
-    _add_scoring_options(p)
+    _add_denominator_option(p)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("corr", help="Kendall tau matrix between rank files")
@@ -463,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("outliers", help="maps whose z-score exceeds a threshold")
     _add_io_options(p)
-    _add_scoring_options(p)
+    _add_denominator_option(p)
     _add_outlier_options(p)
     p.add_argument("--descriptions", help="code,description CSV")
     p.set_defaults(func=cmd_outliers)
@@ -472,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         "textnet", help="word co-occurrence network of outlier descriptions"
     )
     _add_io_options(p)
-    _add_scoring_options(p)
+    _add_denominator_option(p)
     _add_outlier_options(p)
     p.add_argument("--descriptions", required=True, help="code,description CSV")
     p.set_defaults(func=cmd_textnet)

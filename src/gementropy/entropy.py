@@ -15,8 +15,9 @@ calls the column kernel once and sums each map's columns; m, m0 and v come
 from the table. It returns a :class:`ScoreTable` of columns, which
 :func:`normalize_scores` turns into corpus z-scores (a :class:`ZScoreTable`).
 Both tables read as sequences of :class:`MapScores` and
-:class:`NormalizedScores` built on access. Plus single-map helpers and the
-optional frequency adjustment.
+:class:`NormalizedScores` built on access; :func:`adjust_by_frequency` adds
+the optional frequency-adjusted columns to a :class:`ZScoreTable`. Plus
+single-map helpers.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .gem_io import (
     offsets,
 )
 
-# Positive per-position weights, one per matrix column.
+# Finite positive per-position weights, one per matrix column.
 WeightVector = Sequence[float]
 
 
@@ -108,13 +109,17 @@ class ScoreTable(_Columns):
 
 @dataclass(eq=False, repr=False)
 class ZScoreTable(_Columns):
-    """Corpus z-scores, one array per :class:`NormalizedScores` field."""
+    """Corpus z-scores, one array per :class:`NormalizedScores` field; the
+    adjusted ones come from :func:`adjust_by_frequency` (None: no frequency)."""
 
     _type = NormalizedScores
     source: np.ndarray
     z_alpha: np.ndarray
     z_beta: np.ndarray
     z_ur: np.ndarray
+    adjusted_z_alpha: np.ndarray | None = None
+    adjusted_z_beta: np.ndarray | None = None
+    adjusted_z_ur: np.ndarray | None = None
 
 
 def score_column(scores: Sequence, name: str) -> np.ndarray:
@@ -150,8 +155,8 @@ def _check_weights(weights: WeightVector, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] != n:
         raise ValueError(f"expected {n} weights, got {w.shape}")
-    if not np.all(w > 0):
-        raise ValueError("weights must all be positive")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("weights must all be finite and positive")
     return w
 
 
@@ -224,8 +229,8 @@ def score_maps(
 
     if weights is not None:
         wfull = np.asarray(weights, dtype=np.float64)
-        if wfull.ndim != 1 or not np.all(wfull > 0):
-            raise ValueError("weights must be a flat list of positive numbers")
+        if wfull.ndim != 1 or not np.all(np.isfinite(wfull) & (wfull > 0)):
+            raise ValueError("weights must be a flat list of finite positive numbers")
         widest = int(widths.max(initial=0))
         if wfull.shape[0] < widest:
             raise ValueError(
@@ -289,13 +294,29 @@ def normalize_scores(
     return ZScoreTable(source=score_column(scores, "source"), **z_columns)
 
 
-def adjust_by_frequency(z: NormalizedScores, p: float) -> NormalizedScores:
-    """Scale the z-scores by the probability of the clinical concept."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    return replace(
-        z,
-        adjusted_z_alpha=z.z_alpha * p,
-        adjusted_z_beta=z.z_beta * p,
-        adjusted_z_ur=z.z_ur * p,
-    )
+def adjust_by_frequency(
+    z: NormalizedScores | ZScoreTable, p: float | Mapping[str, float]
+) -> NormalizedScores | ZScoreTable:
+    """Scale z-scores by the probability, in [0, 1], of each map's concept.
+
+    ``z`` is a :class:`NormalizedScores` and ``p`` its probability, or a
+    :class:`ZScoreTable` and ``p`` maps sources to probabilities; maps it
+    lacks keep None adjusted scores (the table is returned as is if all do).
+    """
+    if one := isinstance(z, NormalizedScores):
+        p = {z.source: p}
+        z = ZScoreTable(*(np.array([v]) for v in (z.source, z.z_alpha, z.z_beta, z.z_ur)))
+    covered = np.array([source in p for source in z.source.tolist()])
+    if not covered.any():
+        return z
+    probs = np.array([p[source] for source in z.source[covered].tolist()], dtype=np.float64)
+    bad = ~((probs >= 0.0) & (probs <= 1.0))
+    if bad.any():
+        raise ValueError(f"probability {probs[bad][0]} outside [0, 1]")
+    adjusted = {}
+    for name in ("z_alpha", "z_beta", "z_ur"):
+        column = np.full(len(z), None, dtype=object)
+        column[covered] = (getattr(z, name)[covered] * probs).tolist()
+        adjusted[f"adjusted_{name}"] = column
+    table = replace(z, **adjusted)
+    return table[0] if one else table

@@ -660,25 +660,29 @@ def _read_csv(source, filename, expected_header):
             stream.close()
 
 
-def _padded_bounds(low: str, high: str) -> tuple[str, str]:
+def _range_interval(low: str, high: str) -> tuple[bytes, bytes]:
+    """The closed interval of 8-character codes a class range covers: [low
+    padded with '0', high padded with '0' to the longer bound's length k,
+    then with 'Z']. A code's first k characters ('0'-padded) lie between the
+    bounds '0'-padded to k exactly when the code, '0'-padded, lies in it."""
     k = max(len(low), len(high))
-    return low.ljust(k, "0"), high.ljust(k, "0")
+    return low.ljust(MAX_CODE, "0").encode(), high.ljust(k, "0").ljust(MAX_CODE, "Z").encode()
 
 
 def load_class_defs(source, filename: str | None = None) -> list[ClassDef]:
     """Load clinical class definitions from `low,high,label` CSV rows.
 
     Rows sharing a label merge into one class with several ranges. Ranges of
-    different classes must not overlap (prefix-interval comparison after
-    right-padding bounds with '0').
+    different classes must not overlap: no code may lie in both ranges'
+    intervals (see :func:`assign_classes`).
     """
     filename, rows = _read_csv(source, filename, ("low", "high", "label"))
-    by_label: dict[str, list[tuple[str, str]]] = {}
+    by_label: dict[str, list[tuple[tuple[str, str], tuple[bytes, bytes]]]] = {}
     for line_number, (low, high, label) in rows:
         low = _validate_code(low, "range low", filename, line_number)
         high = _validate_code(high, "range high", filename, line_number)
-        plow, phigh = _padded_bounds(low, high)
-        if plow > phigh:
+        interval = _range_interval(low, high)
+        if interval[0] > interval[1]:
             raise StructuralError(
                 f"range low {low!r} exceeds high {high!r} after padding",
                 filename,
@@ -686,22 +690,23 @@ def load_class_defs(source, filename: str | None = None) -> list[ClassDef]:
             )
         if not label:
             raise ParseError("class label is empty", filename, line_number)
-        by_label.setdefault(label, []).append((low, high))
+        by_label.setdefault(label, []).append(((low, high), interval))
 
     defs = [
         ClassDef(
-            id="+".join(f"{low}-{high}" for low, high in ranges),
+            id="+".join(f"{low}-{high}" for (low, high), _ in ranges),
             label=label,
-            ranges=tuple(ranges),
+            ranges=tuple(r for r, _ in ranges),
         )
         for label, ranges in by_label.items()
     ]
 
-    for i, a in enumerate(defs):
-        for b in defs[i + 1 :]:
-            for ra in a.ranges:
-                for rb in b.ranges:
-                    if _ranges_overlap(ra, rb):
+    classes = list(zip(defs, by_label.values()))
+    for i, (a, a_ranges) in enumerate(classes):
+        for b, b_ranges in classes[i + 1 :]:
+            for ra, (lo_a, hi_a) in a_ranges:
+                for rb, (lo_b, hi_b) in b_ranges:
+                    if max(lo_a, lo_b) <= min(hi_a, hi_b):
                         raise StructuralError(
                             f"class {a.id!r} ({a.label}) overlaps class "
                             f"{b.id!r} ({b.label}) on ranges {ra} and {rb}"
@@ -709,37 +714,19 @@ def load_class_defs(source, filename: str | None = None) -> list[ClassDef]:
     return defs
 
 
-def _ranges_overlap(ra: tuple[str, str], rb: tuple[str, str]) -> bool:
-    # A code matches a range via its first k characters, so two ranges admit
-    # a common code iff the shorter range intersects the longer one's bounds
-    # truncated to the shorter prefix length.
-    la, ha = _padded_bounds(*ra)
-    lb, hb = _padded_bounds(*rb)
-    if len(la) > len(lb):
-        la, ha, lb, hb = lb, hb, la, ha
-    k = len(la)
-    return la <= hb[:k] and lb[:k] <= ha
-
-
 def assign_classes(codes: Sequence[str], defs: Sequence[ClassDef]) -> np.ndarray:
     """Index into ``defs`` of the class of each code, ``len(defs)`` for a code
     outside every range; the first class whose range covers a code wins.
 
-    A range (low, high) covers a code when the code's first k characters
-    ('0'-padded when shorter) lie between the bounds right-padded with '0'
-    to their common length k. Since '0' and 'Z' are the least and greatest
-    code characters, that holds exactly when the code, upper-cased and
-    right-padded with '0' to 8 characters, lies in the interval
-    [low padded with '0', high padded with '0' to k and then with 'Z'].
-    Codes are alphanumeric.
+    A range covers a code when the code, upper-cased and right-padded with
+    '0' to 8 characters, lies in the range's interval (see
+    :func:`_range_interval`). Codes are alphanumeric.
     """
     keys = np.array([code.upper().ljust(MAX_CODE, "0") for code in codes], dtype="S8")
     out = np.full(len(keys), len(defs), dtype=np.intp)
     for i, cdef in enumerate(defs):
         for low, high in cdef.ranges:
-            plow, phigh = _padded_bounds(low, high)
-            lo = plow.ljust(MAX_CODE, "0").encode()
-            hi = phigh.ljust(MAX_CODE, "Z").encode()
+            lo, hi = _range_interval(low, high)
             out[(out == len(defs)) & (keys >= lo) & (keys <= hi)] = i
     return out
 
@@ -747,9 +734,7 @@ def assign_classes(codes: Sequence[str], defs: Sequence[ClassDef]) -> np.ndarray
 def assign_class(code: str, defs: Sequence[ClassDef]) -> str:
     """Return the id of the first class whose range covers the code's
     leading prefix, or ``"unclassified"``: :func:`assign_classes` on one
-    code, where range (low, high) is the interval of 8-character codes
-    [low padded with '0', high padded with '0' to the longer bound's length
-    and then with 'Z']."""
+    code."""
     i = int(assign_classes([code], defs)[0])
     return defs[i].id if i < len(defs) else UNCLASSIFIED
 

@@ -2,15 +2,17 @@
 centrality kernel against the loops they replaced.
 
 The oracles below are the per-code range scan behind ``assign_class``, the
-per-map ``aggregate_by_class`` loop and the dense power iteration of
+prefix-truncation overlap test of ``load_class_defs``, the per-map
+``aggregate_by_class`` loop and the dense power iteration of
 ``eigenvector_centrality``, frozen as they were before the rewrite. Class
-assignment and the class sums must match exactly; centralities, whose sums
-now run in another order, within 1e-12.
+assignment, range checks and the class sums must match exactly;
+centralities, whose sums now run in another order, within 1e-12.
 """
 
 from __future__ import annotations
 
 import io
+import operator
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from gementropy import analysis, gem_io, textnet
 from gementropy.entropy import NormalizedScores, ZScoreTable
-from gementropy.errors import ConvergenceError, GemError
+from gementropy.errors import ConvergenceError, GemError, StructuralError
 from gementropy.gem_io import UNCLASSIFIED, ClassDef
 from gementropy.textnet import WordGraph
 
@@ -43,6 +45,18 @@ def _oracle_assign_class(code, defs):
             if plow <= prefix <= phigh:
                 return cdef.id
     return UNCLASSIFIED
+
+
+def _oracle_ranges_overlap(ra, rb):
+    # A code matches a range via its first k characters, so two ranges admit
+    # a common code iff the shorter range intersects the longer one's bounds
+    # truncated to the shorter prefix length.
+    la, ha = _oracle_padded_bounds(*ra)
+    lb, hb = _oracle_padded_bounds(*rb)
+    if len(la) > len(lb):
+        la, ha, lb, hb = lb, hb, la, ha
+    k = len(la)
+    return la <= hb[:k] and lb[:k] <= ha
 
 
 def _oracle_aggregate(normalized, defs):
@@ -173,14 +187,44 @@ def test_assign_classes_matches_range_scan(case):
 def test_aggregate_matches_per_map_loop(case):
     defs, _, table = case
     expected = _oracle_aggregate(list(table), defs)
-    # the columns of a ZScoreTable, and a plain list of scores as
-    # ``rank --frequencies`` passes
+    # the columns of a ZScoreTable, and a plain list of scores
     for normalized in (table, list(table)):
         got = analysis.aggregate_by_class(normalized, defs)
         assert [
             (cs.class_id, cs.label, cs.sum_z_alpha, cs.sum_z_beta, cs.sum_z_ur, cs.members)
             for cs in got
         ] == expected
+
+
+@st.composite
+def _range(draw):
+    """A range whose bounds often share the least and greatest code
+    characters; mostly ordered, sometimes inverted."""
+    bound = st.one_of(_bound, st.text("09AZ", min_size=1, max_size=4))
+    low, high = draw(bound), draw(bound)
+    if draw(st.integers(0, 3)) and operator.gt(*_oracle_padded_bounds(low, high)):
+        low, high = high, low
+    return low, high
+
+
+@settings(max_examples=500, deadline=None)
+@given(_range(), _range())
+def test_range_checks_match_prefix_rule(ra, rb):
+    """``load_class_defs`` rejects an inverted range and two overlapping
+    classes exactly as the padded-prefix comparison did."""
+    if any(operator.gt(*_oracle_padded_bounds(*r)) for r in (ra, rb)):
+        expected = "exceeds"
+    elif _oracle_ranges_overlap(ra, rb):
+        expected = "overlaps"
+    else:
+        expected = None
+    try:
+        gem_io.load_class_defs(_class_csv([(*ra, "A"), (*rb, "B")]))
+    except StructuralError as err:
+        got = "exceeds" if "exceeds" in str(err) else "overlaps"
+    else:
+        got = None
+    assert got == expected
 
 
 def test_first_overlapping_class_wins():

@@ -53,16 +53,25 @@ def _read_csv(path):
 
 class TestScore:
     def test_scores_and_exclusions(self, workspace):
-        assert _run(["score", "--gems", workspace / "gems.txt", "--out", workspace]) == 0
-        rows = _read_csv(workspace / "scores.csv")
-        assert [r["source"] for r in rows] == ["0052", "0614", "0651"]
-        first = rows[0]
-        assert (first["m"], first["m0"], first["v"]) == ("8", "3", "9")
-        assert float(first["h_a"]) == pytest.approx(4.26, abs=0.01)
-        assert "z_alpha" in rows[0]
-        excluded = _read_csv(workspace / "excluded.csv")
-        assert [r["source"] for r in excluded] == ["0099"]
-        assert excluded[0]["first_line"] == "12"
+        for denominator in ("std", "variance"):
+            args = ["score", "--gems", workspace / "gems.txt", "--out", workspace]
+            if denominator == "variance":
+                args += ["--denominator", "variance"]
+            assert _run(args) == 0
+            rows = _read_csv(workspace / "scores.csv")
+            assert [r["source"] for r in rows] == ["0052", "0614", "0651"]
+            first = rows[0]
+            assert (first["m"], first["m0"], first["v"]) == ("8", "3", "9")
+            assert float(first["h_a"]) == pytest.approx(4.26, abs=0.01)
+            h_a = [float(r["h_a"]) for r in rows]
+            mean = sum(h_a) / len(h_a)
+            var = sum((x - mean) ** 2 for x in h_a) / (len(h_a) - 1)
+            spread = var if denominator == "variance" else var**0.5
+            for r, x in zip(rows, h_a):
+                assert float(r["z_alpha"]) == pytest.approx((x - mean) / spread, rel=1e-4)
+            excluded = _read_csv(workspace / "excluded.csv")
+            assert [r["source"] for r in excluded] == ["0099"]
+            assert excluded[0]["first_line"] == "12"
 
     def test_single_map_skips_normalization(self, workspace, capsys):
         (workspace / "one.txt").write_text("0052 02H43JZ 10000\n")
@@ -71,6 +80,15 @@ class TestScore:
         assert "normalization skipped" in err
         rows = _read_csv(workspace / "scores.csv")
         assert "z_alpha" not in rows[0]
+        # one row: every column is constant, so H(A) is 0, not -0
+        assert rows[0]["h_a"] == "0"
+
+    def test_bad_frequency_file_rejected_without_z_scores(self, workspace, capsys):
+        (workspace / "one.txt").write_text("0052 02H43JZ 10000\n")
+        (workspace / "freq.csv").write_text("code,probability\n0052,7\n")
+        args = ["score", "--gems", workspace / "one.txt", "--out", workspace]
+        assert _run(args + ["--frequencies", workspace / "freq.csv"]) == 2
+        assert "freq.csv:2" in capsys.readouterr().err
 
     def test_only_no_map_rows(self, workspace):
         (workspace / "nomap.txt").write_text("A1 NODX 11000\nB2 NOPCS 11000\n")
@@ -125,6 +143,14 @@ class TestScore:
         assert code == 2
         assert "widest" in capsys.readouterr().err
 
+    def test_infinite_weight_rejected(self, workspace, capsys):
+        code = _run(
+            ["score", "--gems", workspace / "gems.txt", "--out", workspace,
+             "--weights", "1,1,1,1,1,1,inf"]
+        )
+        assert code == 2
+        assert "finite positive" in capsys.readouterr().err
+
     def test_frequency_adjustment(self, workspace):
         (workspace / "freq.csv").write_text(
             "code,probability\n0052,0.0\n0614,1.0\n"
@@ -150,6 +176,16 @@ class TestScore:
         )
         # no frequency for 0651: adjusted fields stay empty
         assert rows["0651"]["adjusted_z_alpha"] == ""
+        args = ["score", "--gems", workspace / "gems.txt", "--out", workspace,
+                "--frequencies", workspace / "freq.csv", "--format", "json"]
+        assert _run(args) == 0
+        records = json.loads((workspace / "scores.json").read_text())
+        assert [r["adjusted_z_beta"] for r in records][::2] == [0.0, None]
+        # a file that covers no scored map adds no adjusted columns
+        (workspace / "freq.csv").write_text("code,probability\n9999,0.5\n")
+        assert _run(args) == 0
+        records = json.loads((workspace / "scores.json").read_text())
+        assert "adjusted_z_alpha" not in records[0]
 
     def test_parse_error_exit_code(self, workspace, capsys):
         (workspace / "bad.txt").write_text("0052 02H43JZ\n")
@@ -329,6 +365,27 @@ class TestCorr:
         err = capsys.readouterr().err
         assert "B" in err and "C" in err
 
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("bad.json", '[{"class_id": "A", "score": 1}, {"score": 2}]', "record 1"),
+            ("bad.json", '{"class_id": "A", "score": 1}', "list of records"),
+            ("bad.csv", "rank,class_id,score\n1,A,3\n2,B\n", "bad.csv:3"),
+            ("bad.csv", "rank,class_id,score\n1,A,high\n", "bad.csv:2"),
+        ],
+        ids=["json-missing-key", "json-object", "csv-missing-cell", "csv-non-numeric"],
+    )
+    def test_malformed_rank_file(self, tmp_path, capsys, name, text, where):
+        self._write_rank(tmp_path / "good.csv", {"A": 3.0, "B": 1.0})
+        (tmp_path / name).write_text(text)
+        assert (
+            _run(["corr", tmp_path / "good.csv", tmp_path / name, "--out", tmp_path])
+            == 2
+        )
+        err = capsys.readouterr().err
+        assert str(tmp_path / name) in err and where in err
+        assert "Traceback" not in err
+
     def test_json_rank_files(self, tmp_path):
         records = [
             {"class_id": "A", "score": 3.0},
@@ -342,6 +399,30 @@ class TestCorr:
             )
             == 0
         )
+
+
+# the options each command needs besides --gems and --out
+_REQUIRED = {
+    "rank": ["--classes", "classes.csv"],
+    "outliers": ["--top-fraction", "0.5"],
+    "textnet": ["--top-fraction", "0.5", "--descriptions", "descriptions.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED))
+@pytest.mark.parametrize(
+    "option, value", [("--weights", "1,1,1,1,1,1,1"), ("--frequencies", "freq.csv")]
+)
+def test_score_only_options_rejected(workspace, capsys, command, option, value):
+    """Only ``score`` reports weighted H(A) and adjusted z-scores."""
+    (workspace / "freq.csv").write_text("code,probability\n0052,0.5\n")
+    args = [command, "--gems", workspace / "gems.txt", "--out", workspace]
+    args += [workspace / a if a.endswith(".csv") else a for a in _REQUIRED[command]]
+    assert _run(args) == 0
+    with pytest.raises(SystemExit) as exc:
+        _run(args + [option, workspace / value if value.endswith(".csv") else value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 class TestOutliers:

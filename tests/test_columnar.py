@@ -306,4 +306,6 @@ def test_kernel_rounds_as_dense_rows():
         got = _kernels.batch_column_entropies(flat, heights, widths)
         want = oracle_kernel(flat, heights, widths)
         assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # equal nonzero values share their sign; a zero entropy is +0.0,
+        # where the dense kernel gave -0.0
+        assert not np.signbit(got).any()

@@ -9,6 +9,7 @@ from gementropy import cli, entropy, gem_io
 from gementropy._kernels import matrix_column_entropies
 from gementropy.entropy import (
     MapScores,
+    NormalizedScores,
     adjust_by_frequency,
     alphabet_entropy,
     column_entropy,
@@ -113,6 +114,12 @@ class TestWeightedAlphabetEntropy:
         matrix = gem_io.build_matrix(reference_record)
         with pytest.raises(ValueError):
             weighted_alphabet_entropy(matrix, [1.0] * 6 + [0.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_weight(self, reference_record, bad):
+        matrix = gem_io.build_matrix(reference_record)
+        with pytest.raises(ValueError, match="finite and positive"):
+            weighted_alphabet_entropy(matrix, [1.0] * 6 + [bad])
 
     def test_bounded_by_column_extremes(self):
         rng = np.random.default_rng(17)
@@ -261,6 +268,17 @@ class TestScoreMaps:
         assert [s.source for s in scores] == ["A1", "A3"]
         assert [r.source for r in excluded] == ["A2"]
 
+    @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+    def test_weights_finite_positive(self, bad):
+        records = gem_io.group_maps(gem_io.parse_gem_file(io.StringIO("A1 X1 00000\n")))
+        with pytest.raises(ValueError, match="finite positive"):
+            score_maps(records, weights=[1.0, bad])
+
+    def test_constant_column_entropy_is_positive_zero(self):
+        scores, _ = score_maps([_record("X 0JH63XZ 00000\n")], weights=[1.0] * 7)
+        for value in (scores[0].h_a, scores[0].h_a_weighted):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_weights_cover_widest(self):
         text = "A1 X1 00000\nA2 Y1234567 00000\n"
         records = gem_io.group_maps(gem_io.parse_gem_file(io.StringIO(text)))
@@ -371,7 +389,7 @@ class TestAdjustByFrequency:
         adjusted = adjust_by_frequency(z, 0.5)
         assert adjusted.adjusted_z_alpha == pytest.approx(z.z_alpha * 0.5)
 
-    @pytest.mark.parametrize("p", [-0.1, 1.1, 2.0])
+    @pytest.mark.parametrize("p", [-0.1, 1.1, 2.0, math.nan])
     def test_rejects_bad_probability(self, p):
         with pytest.raises(ValueError):
             adjust_by_frequency(self._z(), p)
@@ -389,3 +407,23 @@ class TestAdjustByFrequency:
             ):
                 assert abs(scaled) <= abs(raw) + 1e-15
                 assert scaled * raw >= 0.0
+
+    def test_table_scales_covered_maps(self):
+        zs = normalize_scores(_scores_from_values([1.0, 2.0, 3.0, 5.0]))
+        freqs = {"S0": 0.25, "S2": 0.3, "other": 0.5}
+        expected = [
+            NormalizedScores(z.source, z.z_alpha, z.z_beta, z.z_ur,
+                             *(x * freqs[z.source] for x in (z.z_alpha, z.z_beta, z.z_ur)))
+            if z.source in freqs else z
+            for z in zs
+        ]
+        assert list(adjust_by_frequency(zs, freqs)) == expected
+
+    def test_table_untouched_without_coverage(self):
+        zs = normalize_scores(_scores_from_values([1.0, 2.0, 3.0]))
+        assert adjust_by_frequency(zs, {"other": 0.5}) is zs
+
+    def test_table_rejects_bad_probability(self):
+        zs = normalize_scores(_scores_from_values([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="outside"):
+            adjust_by_frequency(zs, {"S1": 1.5})
