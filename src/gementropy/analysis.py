@@ -199,6 +199,8 @@ def detect_outliers(
     """
     if (threshold is None) == (top_fraction is None):
         raise ValueError("supply exactly one of threshold or top_fraction")
+    if threshold is not None and math.isnan(threshold):
+        raise ValueError("threshold must be a number, got nan")
     if measure not in OUTLIER_MEASURES:
         raise ValueError(f"measure must be one of {OUTLIER_MEASURES}, got {measure!r}")
     if not normalized:

@@ -13,8 +13,12 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+import numpy as np
 
 from . import analysis, entropy, gem_io, textnet
 from .errors import GemError
@@ -47,28 +51,76 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _write_table(out_dir: Path, name: str, fmt: str, header, rows) -> Path:
-    """Write one report. CSV carries 6-significant-digit floats; JSON keeps
-    full precision."""
+_json_cell = json.JSONEncoder().encode
+_needs_quotes = re.compile('[,"\r\n]').search
+
+
+def _csv_cell(value) -> str:
+    text = "" if value is None else f"{value:.6g}" if isinstance(value, float) else str(value)
+    if _needs_quotes(text) is None:
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
+
+
+def _cell_texts(column, fmt: str) -> list[str]:
+    """The text of every cell of one column; a float64 or int64 array is
+    formatted once per distinct value (floats by bit pattern, so -0.0 and
+    NaN keep their own text)."""
+    cell = _csv_cell if fmt == "csv" else _json_cell
+    if isinstance(column, np.ndarray) and column.dtype in (np.float64, np.int64):
+        floats = column.dtype == np.float64
+        distinct, inverse = np.unique(
+            column.view(np.int64) if floats else column, return_inverse=True
+        )
+        values = (distinct.view(np.float64) if floats else distinct).tolist()
+        return np.array(list(map(cell, values)), dtype=object)[inverse.ravel()].tolist()
+    cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    if set(map(type, cells)) <= {str}:  # strings only: no per-cell dispatch
+        if fmt == "json":
+            return list(map(encode_basestring_ascii, cells))
+        if _needs_quotes("".join(cells)) is None:
+            return cells
+    return list(map(cell, cells))
+
+
+def _write_report(out_dir: Path, name: str, fmt: str, columns) -> Path:
+    """Write one report from named columns: a mapping from header to a numpy
+    array or a sequence, in column order (or (header, column) pairs where a
+    header repeats; JSON then keeps its first place and its last column).
+
+    A cell is written as ``csv.writer`` and ``json.dump(indent=2)`` write
+    it: a CSV float has 6 significant digits (``f"{x:.6g}"``: ``nan``,
+    ``inf``, ``-0``) and a JSON float keeps ``repr`` precision (``NaN``,
+    ``Infinity``, ``-Infinity``); an int is written exactly; None is ``""``
+    in CSV and ``null`` in JSON; a CSV string is quoted as QUOTE_MINIMAL
+    quotes it, and a JSON string is escaped to ASCII. An empty JSON report
+    is ``[]``.
+    """
+    pairs = list(columns.items()) if isinstance(columns, dict) else list(columns)
     out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"{name}.{fmt}"
     if fmt == "csv":
-        path = out_dir / f"{name}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(
-                [
-                    "" if cell is None else f"{cell:.6g}" if isinstance(cell, float) else str(cell)
-                    for cell in row
-                ]
-                for row in rows
+        header = [_csv_cell(key) for key, _ in pairs]
+        texts = [_cell_texts(column, fmt) for _, column in pairs]
+        if len(texts) == 1:  # csv.writer quotes a row of one empty field
+            header, texts[0] = (
+                ['""' if t == "" else t for t in part] for part in (header, texts[0])
             )
-    else:
-        path = out_dir / f"{name}.json"
-        records = [dict(zip(header, row)) for row in rows]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(records, fh, indent=2)
-            fh.write("\n")
+        lines = [",".join(header), *map(",".join, zip(*texts))]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+        return path
+    merged = dict(pairs)
+    # one record of json.dump(indent=2), a %s slot per cell ("%" in keys escaped)
+    template = "  {\n%s\n  }" % ",\n".join(
+        "    %s: %%s" % _json_cell(key).replace("%", "%%") for key in merged
+    )
+    records = map(template.__mod__, zip(*(_cell_texts(c, fmt) for c in merged.values())))
+    body = ",\n".join(records)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"[\n{body}\n]\n" if body else "[]\n")
     return path
 
 
@@ -97,24 +149,30 @@ def _normalize(scores, denominator: str) -> entropy.ZScoreTable:
     return entropy.normalize_scores(scores, denominator)
 
 
-def _excluded_rows(excluded):
-    """(source, entry count, first line) of each excluded map; a map read
+def _excluded_columns(excluded) -> dict:
+    """Source, entry count and first line of each excluded map; a map read
     from a file has at least one line."""
     starts = excluded.starts
-    first_line = excluded.lines.line[excluded.rows[starts[:-1]]]
-    return zip(
-        excluded.source.tolist(), (starts[1:] - starts[:-1]).tolist(), first_line.tolist()
-    )
+    return {
+        "source": excluded.source,
+        "entry_count": starts[1:] - starts[:-1],
+        "first_line": excluded.lines.line[excluded.rows[starts[:-1]]],
+    }
+
+
+def _columns(names, rows) -> dict:
+    """Named columns of a list of rows."""
+    return dict(zip(names, zip(*rows))) or dict.fromkeys(names, ())
 
 
 def cmd_score(args) -> int:
     weights = _parse_weights(args.weights) if args.weights else None
     scores, excluded = _score(args, weights)
     freqs = gem_io.load_frequencies(args.frequencies) if args.frequencies else None
-    header = ["source", "m", "m0", "v", "h_a", "h_b", "ur"]
+    names = ["source", "m", "m0", "v", "h_a", "h_b", "ur"]
     if weights is not None:
-        header.append("h_a_weighted")
-    columns = [entropy.score_column(scores, name).tolist() for name in header]
+        names.append("h_a_weighted")
+    columns = {name: entropy.score_column(scores, name) for name in names}
     normalized = None
     if scores:
         try:
@@ -124,20 +182,13 @@ def cmd_score(args) -> int:
     if normalized is not None:
         if freqs is not None:
             normalized = entropy.adjust_by_frequency(normalized, freqs)
-        z_header = ["z_alpha", "z_beta", "z_ur"]
+        z_names = ["z_alpha", "z_beta", "z_ur"]
         if normalized.adjusted_z_alpha is not None:
-            z_header += ["adjusted_z_alpha", "adjusted_z_beta", "adjusted_z_ur"]
-        header += z_header
-        columns += [entropy.score_column(normalized, name).tolist() for name in z_header]
+            z_names += ["adjusted_z_alpha", "adjusted_z_beta", "adjusted_z_ur"]
+        columns.update((name, entropy.score_column(normalized, name)) for name in z_names)
     out = Path(args.out)
-    path = _write_table(out, "scores", args.format, header, zip(*columns))
-    excl_path = _write_table(
-        out,
-        "excluded",
-        args.format,
-        ["source", "entry_count", "first_line"],
-        _excluded_rows(excluded),
-    )
+    path = _write_report(out, "scores", args.format, columns)
+    excl_path = _write_report(out, "excluded", args.format, _excluded_columns(excluded))
     print(f"scored {len(scores)} maps -> {path}")
     print(f"excluded {len(excluded)} no-match maps -> {excl_path}")
     return 0
@@ -147,19 +198,19 @@ def cmd_stats(args) -> int:
     scores, excluded = _score(args)
     if not scores:
         raise GemError("no scorable maps in the input file")
-    header = ["measure", "count", "mean", "std", "min", "q25", "q50", "q75", "max"]
-    rows = []
-    for field in ("h_a", "h_b", "ur"):
-        st = analysis.descriptive_stats(getattr(scores, field))
-        rows.append(
-            [field, st.count, st.mean, st.std, st.min, st.q25, st.q50, st.q75, st.max]
-        )
-    path = _write_table(Path(args.out), "stats", args.format, header, rows)
-    for row in rows:
+    stats = {
+        field: analysis.descriptive_stats(getattr(scores, field))
+        for field in ("h_a", "h_b", "ur")
+    }
+    columns = {"measure": list(stats)}
+    for name in ("count", "mean", "std", "min", "q25", "q50", "q75", "max"):
+        columns[name] = [getattr(st, name) for st in stats.values()]
+    path = _write_report(Path(args.out), "stats", args.format, columns)
+    for field, st in stats.items():
         print(
-            f"{row[0]}: count={row[1]} mean={row[2]:.2f} std={row[3]:.2f} "
-            f"min={row[4]:.2f} q25={row[5]:.2f} q50={row[6]:.2f} "
-            f"q75={row[7]:.2f} max={row[8]:.2f}"
+            f"{field}: count={st.count} mean={st.mean:.2f} std={st.std:.2f} "
+            f"min={st.min:.2f} q25={st.q25:.2f} q50={st.q50:.2f} "
+            f"q75={st.q75:.2f} max={st.max:.2f}"
         )
     print(f"({len(excluded)} no-match maps excluded) -> {path}")
     return 0
@@ -175,40 +226,23 @@ def cmd_rank(args) -> int:
     for measure in analysis.RANK_MEASURES:
         table = analysis.rank_classes(class_scores, measure)
         avg = table.average_ranks()
-        rows = [
-            (
-                rank,
-                class_id,
-                info[class_id].label,
-                score,
-                avg[class_id],
-                len(info[class_id].members),
-            )
-            for class_id, score, rank in table.rows
-        ]
-        paths.append(
-            _write_table(
-                out,
-                f"rank_{measure}",
-                args.format,
-                ["rank", "class_id", "label", "score", "avg_rank", "member_count"],
-                rows,
-            )
-        )
-    member_rows = [
-        (cs.class_id, source, za, zb, zur)
-        for cs in class_scores
-        for source, za, zb, zur in cs.members
-    ]
-    paths.append(
-        _write_table(
-            out,
-            "class_members",
-            args.format,
-            ["class_id", "source", "z_alpha", "z_beta", "z_ur"],
-            member_rows,
-        )
+        class_ids, scores, ranks = zip(*table.rows)
+        columns = {
+            "rank": ranks,
+            "class_id": class_ids,
+            "label": [info[c].label for c in class_ids],
+            "score": scores,
+            "avg_rank": [avg[c] for c in class_ids],
+            "member_count": [len(info[c].members) for c in class_ids],
+        }
+        paths.append(_write_report(out, f"rank_{measure}", args.format, columns))
+    columns = _columns(
+        ("class_id", "source", "z_alpha", "z_beta", "z_ur"),
+        [(cs.class_id, *member) for cs in class_scores for member in cs.members],
     )
+    for name in ("z_alpha", "z_beta", "z_ur"):
+        columns[name] = np.array(columns[name], dtype=np.float64)
+    paths.append(_write_report(out, "class_members", args.format, columns))
     print(f"ranked {len(class_scores)} classes -> {', '.join(str(p) for p in paths)}")
     return 0
 
@@ -226,17 +260,24 @@ def _read_rank_file(path: str) -> analysis.RankTable:
             located = [(f": record {i}", record) for i, record in enumerate(records)]
         else:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"class_id", "score"} <= set(
-                reader.fieldnames
-            ):
+            try:
+                fields = reader.fieldnames
+                located = [(f":{reader.line_num}", row) for row in reader]
+            except csv.Error as exc:
+                raise GemError(f"{path}:{reader.reader.line_num}: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise GemError(f"{path}: not UTF-8: {exc.reason}") from None
+            if fields is None or not {"class_id", "score"} <= set(fields):
                 raise GemError(f"{path}: rank file needs class_id and score columns")
-            located = [(f":{reader.line_num}", row) for row in reader]
     pairs = []
     for where, record in located:
         try:
-            pairs.append((str(record["class_id"]), float(record["score"])))
+            class_id, score = record["class_id"], float(record["score"])
         except (KeyError, TypeError, ValueError):
             raise GemError(f"{path}{where}: needs a class_id and a numeric score") from None
+        if not isinstance(class_id, str):
+            raise GemError(f"{path}{where}: class_id must be a string, got {class_id!r}")
+        pairs.append((class_id, score))
     if not pairs:
         raise GemError(f"{path}: rank file is empty")
     ordered = sorted(pairs, key=lambda pair: (-pair[1], pair[0]))
@@ -249,18 +290,12 @@ def _read_rank_file(path: str) -> analysis.RankTable:
 def cmd_corr(args) -> int:
     tables = [_read_rank_file(path) for path in args.rank_files]
     labels = [t.measure for t in tables]
-    header = ["ranking"] + labels
-    rows = []
-    for i, a in enumerate(tables):
-        row = [labels[i]]
-        for b in tables:
-            row.append(analysis.kendall_tau(a, b))
-        rows.append(row)
-    path = _write_table(Path(args.out), "corr", args.format, header, rows)
-    for row in rows:
-        print(
-            row[0] + ": " + "  ".join(f"{tau:6.3f}" for tau in row[1:])
-        )
+    taus = [[analysis.kendall_tau(a, b) for b in tables] for a in tables]
+    # a list of pairs, since rank files from different directories share names
+    columns = [("ranking", labels), *zip(labels, zip(*taus))]
+    path = _write_report(Path(args.out), "corr", args.format, columns)
+    for label, row in zip(labels, taus):
+        print(label + ": " + "  ".join(f"{tau:6.3f}" for tau in row))
     print(f"-> {path}")
     return 0
 
@@ -277,15 +312,10 @@ def cmd_outliers(args) -> int:
     descriptions = (
         gem_io.load_descriptions(args.descriptions) if args.descriptions else None
     )
-    header = ["source", "score"]
-    rows = [[source, score] for source, score in outliers]
+    columns = _columns(("source", "score"), outliers)
     if descriptions is not None:
-        header.append("description")
-        for row in rows:
-            row.append(descriptions.get(row[0], ""))
-    path = _write_table(
-        Path(args.out), f"outliers_{args.measure}", args.format, header, rows
-    )
+        columns["description"] = [descriptions.get(s, "") for s in columns["source"]]
+    path = _write_report(Path(args.out), f"outliers_{args.measure}", args.format, columns)
     print(f"{len(outliers)} outliers on {args.measure} -> {path}")
     return 0
 
@@ -306,36 +336,20 @@ def cmd_textnet(args) -> int:
 
     out = Path(args.out)
     prefix = f"textnet_{args.measure}"
-    paths = [
-        _write_table(
-            out,
-            f"outliers_{args.measure}",
-            args.format,
-            ["source", "score"],
-            [(source, score) for source, score in outliers],
+    reports = {
+        f"outliers_{args.measure}": _columns(("source", "score"), outliers),
+        f"{prefix}_edges": _columns(("word_a", "word_b", "weight"), textnet.edge_rows(graph)),
+        f"{prefix}_word_frequencies": _columns(
+            ("word", "count"), textnet.word_frequencies(graph)
         ),
-        _write_table(
-            out,
-            f"{prefix}_edges",
-            args.format,
-            ["word_a", "word_b", "weight"],
-            textnet.edge_rows(graph),
-        ),
-        _write_table(
-            out,
-            f"{prefix}_word_frequencies",
-            args.format,
-            ["word", "count"],
-            textnet.word_frequencies(graph),
-        ),
-        _write_table(
-            out,
-            f"{prefix}_centrality",
-            args.format,
-            ["word", "centrality"],
+        f"{prefix}_centrality": _columns(
+            ("word", "centrality"),
             # words tied in exact arithmetic can differ in the last bits
             sorted(centrality.items(), key=lambda item: (-round(item[1], 12), item[0])),
         ),
+    }
+    paths = [
+        _write_report(out, name, args.format, columns) for name, columns in reports.items()
     ]
     out.mkdir(parents=True, exist_ok=True)
     dot_path = out / f"{prefix}_graph.dot"

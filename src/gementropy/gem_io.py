@@ -620,20 +620,27 @@ def build_matrix(record: MapRecord) -> CodeMatrix:
 
 
 def _read_csv(source, filename, expected_header):
-    close = False
+    """(filename, [(line, stripped cells)]) of a side table's non-blank rows,
+    each numbered by the line it starts on. ``source`` is a path, bytes or a
+    text stream; undecodable bytes and malformed CSV raise a ParseError."""
     if isinstance(source, (str, Path)):
         filename = filename or str(source)
-        stream = open(source, "r", encoding="utf-8-sig", newline="")
-        close = True
-    elif isinstance(source, (bytes, bytearray)):
-        stream = io.StringIO(source.decode("utf-8-sig"))
-    else:
-        stream = source
-    try:
-        reader = csv.reader(stream)
+        source = Path(source).read_bytes()
+    if isinstance(source, (bytes, bytearray)):
         try:
-            header = next(reader)
-        except StopIteration:
+            source = io.StringIO(bytes(source).decode("utf-8-sig"), newline="")
+        except UnicodeDecodeError as exc:
+            data, at = exc.object, exc.start  # past a BOM, if one was skipped
+            raise ParseError(
+                f"not UTF-8: {exc.reason} (byte 0x{data[at]:02x})",
+                filename,
+                data.count(b"\n", 0, at) + 1,
+            ) from None
+    reader = csv.reader(source)
+    start = 1
+    try:
+        header = next(reader, None)
+        if header is None:
             raise ParseError("file is empty, expected a header row", filename, 1)
         got = [h.strip().lower() for h in header]
         if got != list(expected_header):
@@ -644,20 +651,22 @@ def _read_csv(source, filename, expected_header):
                 1,
             )
         rows = []
-        for line_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(
-                    f"expected {len(expected_header)} columns, got {len(row)}",
-                    filename,
-                    line_number,
-                )
-            rows.append((line_number, [cell.strip() for cell in row]))
-        return filename, rows
-    finally:
-        if close:
-            stream.close()
+        start = reader.line_num + 1
+        for row in reader:
+            if row and any(cell.strip() for cell in row):
+                if len(row) != len(expected_header):
+                    raise ParseError(
+                        f"expected {len(expected_header)} columns, got {len(row)}",
+                        filename,
+                        start,
+                    )
+                rows.append((start, [cell.strip() for cell in row]))
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(str(exc), filename, start) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason}", filename) from None
+    return filename, rows
 
 
 def _range_interval(low: str, high: str) -> tuple[bytes, bytes]:

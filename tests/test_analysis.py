@@ -268,6 +268,10 @@ class TestDetectOutliers:
         with pytest.raises(ValueError):
             detect_outliers([_z("A", 1.0)], "z_alpha", top_fraction=fraction)
 
+    def test_nan_threshold(self):
+        with pytest.raises(ValueError, match="threshold must be a number"):
+            detect_outliers([_z("A", 1.0)], "z_alpha", threshold=float("nan"))
+
     def test_exactly_one_mode_required(self):
         zs = [_z("A", 1.0)]
         with pytest.raises(ValueError):

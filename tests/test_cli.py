@@ -372,8 +372,12 @@ class TestCorr:
             ("bad.json", '{"class_id": "A", "score": 1}', "list of records"),
             ("bad.csv", "rank,class_id,score\n1,A,3\n2,B\n", "bad.csv:3"),
             ("bad.csv", "rank,class_id,score\n1,A,high\n", "bad.csv:2"),
+            ("bad.csv", "rank,class_id,score\n1,A,3\n2,B," + "9" * 200_000, "bad.csv:3"),
         ],
-        ids=["json-missing-key", "json-object", "csv-missing-cell", "csv-non-numeric"],
+        ids=[
+            "json-missing-key", "json-object", "csv-missing-cell", "csv-non-numeric",
+            "csv-field-too-large",
+        ],
     )
     def test_malformed_rank_file(self, tmp_path, capsys, name, text, where):
         self._write_rank(tmp_path / "good.csv", {"A": 3.0, "B": 1.0})
@@ -385,6 +389,16 @@ class TestCorr:
         err = capsys.readouterr().err
         assert str(tmp_path / name) in err and where in err
         assert "Traceback" not in err
+
+    def test_null_class_id_rejected(self, tmp_path, capsys):
+        self._write_rank(tmp_path / "named.csv", {"None": 1.0, "B": 2.0})
+        records = [{"class_id": None, "score": 1}, {"class_id": "B", "score": 2}]
+        (tmp_path / "null.json").write_text(json.dumps(records))
+        args = ["corr", tmp_path / "named.csv", tmp_path / "null.json", "--out", tmp_path]
+        assert _run(args) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'null.json'}: record 0: class_id must be a string" in err
+        assert not (tmp_path / "corr.csv").exists()
 
     def test_json_rank_files(self, tmp_path):
         records = [
@@ -425,7 +439,38 @@ def test_score_only_options_rejected(workspace, capsys, command, option, value):
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
+class TestSideTables:
+    """A malformed description, class or frequency file fails with exit 2
+    and its file and line on stderr."""
+
+    def _outliers(self, workspace, data):
+        (workspace / "side.csv").write_bytes(data)
+        args = ["outliers", "--gems", workspace / "gems.txt", "--threshold", "0"]
+        return _run(args + ["--descriptions", workspace / "side.csv", "--out", workspace])
+
+    @pytest.mark.parametrize(
+        "data, line, message",
+        [
+            (b'code,description\nA10,"a\nb"\nB20,x,y\n', 4, "expected 2 columns, got 3"),
+            (b"code,description\n0052,ok\n0614,caf\xff\n", 3, "not UTF-8"),
+            (b"code,description\n0052,ok\n0614," + b"x" * 200_000 + b"\n", 3, "field limit"),
+        ],
+        ids=["row-after-multiline-field", "not-utf8", "csv-error"],
+    )
+    def test_error_names_file_and_line(self, workspace, capsys, data, line, message):
+        assert self._outliers(workspace, data) == 2
+        err = capsys.readouterr().err
+        assert f"{workspace / 'side.csv'}:{line}: " in err and message in err
+        assert "Traceback" not in err
+
+
 class TestOutliers:
+    def test_nan_threshold_rejected(self, workspace, capsys):
+        args = ["outliers", "--gems", workspace / "gems.txt", "--threshold", "nan"]
+        assert _run(args + ["--out", workspace]) == 2
+        assert "threshold must be a number" in capsys.readouterr().err
+        assert not (workspace / "outliers_z_alpha.csv").exists()
+
     def test_threshold_above_max_empty(self, workspace):
         assert (
             _run(

@@ -156,6 +156,24 @@ class TestAsciiGrammar:
             )
 
 
+class TestSideTableErrors:
+    def test_rows_numbered_by_first_line(self):
+        text = 'code,description\nA1,"two\nlines"\n\nB2,one\n'
+        assert gem_io._read_csv(io.StringIO(text), "d.csv", ("code", "description")) == (
+            "d.csv",
+            [(2, ["A1", "two\nlines"]), (5, ["B2", "one"])],
+        )
+
+    def test_undecodable_byte_after_bom(self):
+        data = b"\xef\xbb\xbfcode,description\n86,ok\n\n87,caf\xe9\n"
+        with pytest.raises(ParseError, match=r"^d\.csv:4: not UTF-8: .*0xe9"):
+            load_descriptions(data, "d.csv")
+
+    def test_csv_error_from_stream(self):
+        with pytest.raises(ParseError, match=r"^f\.csv:2: new-line character"):
+            load_frequencies(io.StringIO("code,probability\n86,0.5\rx\n"), "f.csv")
+
+
 class TestByteOrderMark:
     def test_crosswalk_path(self, tmp_path):
         path = tmp_path / "bom.txt"
