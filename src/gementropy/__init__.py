@@ -62,50 +62,3 @@ from .textnet import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ClassDef",
-    "ClassScore",
-    "CodeMatrix",
-    "ConvergenceError",
-    "DegenerateMeasureError",
-    "EmptyMapError",
-    "Flag",
-    "GemEntry",
-    "GemError",
-    "MapRecord",
-    "MapScores",
-    "NormalizedScores",
-    "ParseError",
-    "RankTable",
-    "Stats",
-    "StructuralError",
-    "WordGraph",
-    "adjust_by_frequency",
-    "aggregate_by_class",
-    "alphabet_entropy",
-    "assign_class",
-    "build_cooccurrence_graph",
-    "build_matrix",
-    "column_entropy",
-    "count_valid_representations",
-    "descriptive_stats",
-    "detect_outliers",
-    "eigenvector_centrality",
-    "group_maps",
-    "kendall_tau",
-    "load_class_defs",
-    "load_descriptions",
-    "load_frequencies",
-    "normalize_scores",
-    "parse_flag",
-    "parse_gem_file",
-    "rank_classes",
-    "row_entropy",
-    "score_map",
-    "score_maps",
-    "tokenize",
-    "ur_measure",
-    "weighted_alphabet_entropy",
-    "word_frequencies",
-]

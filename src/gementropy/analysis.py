@@ -60,8 +60,9 @@ class ClassScore:
 class RankTable:
     """Classes ordered by one measure, best (highest score) first.
 
-    ``rows`` holds (class_id, score, display rank 1..k); display ties break
-    by class id, while correlation uses the scores themselves so tied
+    ``measure`` names the ranking: its measure, or the file it was read
+    from. ``rows`` holds (class_id, score, display rank 1..k); display ties
+    break by class id, while correlation uses the scores themselves so tied
     classes stay tied.
     """
 
@@ -146,7 +147,7 @@ def rank_classes(scores: Sequence[ClassScore], measure: str) -> RankTable:
     return RankTable(measure=measure, rows=rows)
 
 
-def _tau_b(xs: np.ndarray, ys: np.ndarray) -> float:
+def _tau_b(xs: np.ndarray, ys: np.ndarray, pair: str) -> float:
     """Tau-b from vectorized pair signs.
 
     The single-sqrt denominator keeps identical and reversed tie-free
@@ -163,7 +164,7 @@ def _tau_b(xs: np.ndarray, ys: np.ndarray) -> float:
     not_tied_x = int(np.sum(dx != 0))
     not_tied_y = int(np.sum(dy != 0))
     if not_tied_x == 0 or not_tied_y == 0:
-        raise ValueError("tau undefined: one ranking is constant")
+        raise ValueError(f"{pair}: tau undefined: one ranking is constant")
     denom = math.sqrt(float(not_tied_x) * float(not_tied_y))
     return (concordant - discordant) / denom
 
@@ -172,15 +173,16 @@ def kendall_tau(rank_a: RankTable, rank_b: RankTable) -> float:
     """Tie-corrected Kendall tau-b between two rankings of the same classes."""
     a_scores = rank_a.scores()
     b_scores = rank_b.scores()
+    pair = f"{rank_a.measure} and {rank_b.measure}"
     if set(a_scores) != set(b_scores):
         diff = sorted(set(a_scores) ^ set(b_scores))
-        raise ValueError(f"rankings cover different classes: {diff}")
+        raise ValueError(f"{pair}: rankings cover different classes: {diff}")
     if len(a_scores) < 2:
-        raise ValueError("need at least 2 classes to correlate")
+        raise ValueError(f"{pair}: need at least 2 classes to correlate")
     keys = sorted(a_scores)
     xs = np.array([a_scores[k] for k in keys], dtype=np.float64)
     ys = np.array([b_scores[k] for k in keys], dtype=np.float64)
-    return _tau_b(xs, ys)
+    return _tau_b(xs, ys, pair)
 
 
 def detect_outliers(
@@ -205,14 +207,16 @@ def detect_outliers(
         raise ValueError(f"measure must be one of {OUTLIER_MEASURES}, got {measure!r}")
     if not normalized:
         raise ValueError("no scores to scan for outliers")
-    sources = score_column(normalized, "source").tolist()
-    values = score_column(normalized, measure).tolist()
-    scored = sorted(zip(sources, values), key=lambda pair: (-pair[1], pair[0]))
+    sources = score_column(normalized, "source")
+    values = score_column(normalized, measure)
+    order = np.lexsort((sources, -values))
     if top_fraction is not None:
         if not 0.0 < top_fraction <= 1.0:
             raise ValueError(f"top_fraction {top_fraction} outside (0, 1]")
-        allowed = int(top_fraction * len(scored))
-        if allowed >= len(scored):
-            return scored
-        threshold = scored[allowed][1]
-    return [pair for pair in scored if pair[1] > threshold]
+        allowed = int(top_fraction * len(order))
+        if allowed < len(order):
+            threshold = values[order[allowed]]
+    if threshold is not None:
+        # highest first, so the maps above the threshold lead the order
+        order = order[: np.count_nonzero(values > threshold)]
+    return list(zip(sources[order].tolist(), values[order].tolist()))

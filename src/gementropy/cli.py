@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -277,6 +278,8 @@ def _read_rank_file(path: str) -> analysis.RankTable:
             raise GemError(f"{path}{where}: needs a class_id and a numeric score") from None
         if not isinstance(class_id, str):
             raise GemError(f"{path}{where}: class_id must be a string, got {class_id!r}")
+        if not math.isfinite(score):
+            raise GemError(f"{path}{where}: score must be finite, got {record['score']!r}")
         pairs.append((class_id, score))
     if not pairs:
         raise GemError(f"{path}: rank file is empty")
@@ -284,14 +287,19 @@ def _read_rank_file(path: str) -> analysis.RankTable:
     rows = tuple(
         (class_id, score, rank) for rank, (class_id, score) in enumerate(ordered, 1)
     )
-    return analysis.RankTable(measure=p.stem, rows=rows)
+    return analysis.RankTable(measure=path, rows=rows)
 
 
 def cmd_corr(args) -> int:
-    tables = [_read_rank_file(path) for path in args.rank_files]
-    labels = [t.measure for t in tables]
+    paths = args.rank_files
+    for path in paths:
+        if paths.count(path) > 1:
+            raise GemError(f"{path}: rank file given more than once")
+    tables = [_read_rank_file(path) for path in paths]
+    labels = [Path(path).stem for path in paths]
+    if len({"ranking", *labels}) <= len(labels):  # stems collide: label by path
+        labels = list(paths)
     taus = [[analysis.kendall_tau(a, b) for b in tables] for a in tables]
-    # a list of pairs, since rank files from different directories share names
     columns = [("ranking", labels), *zip(labels, zip(*taus))]
     path = _write_report(Path(args.out), "corr", args.format, columns)
     for label, row in zip(labels, taus):
@@ -336,17 +344,16 @@ def cmd_textnet(args) -> int:
 
     out = Path(args.out)
     prefix = f"textnet_{args.measure}"
+    words, counts, (a, b) = graph.words, graph.counts, graph.edges.T
+    values = np.array(list(centrality.values()))
+    # words tied in exact arithmetic can differ in the last bits
+    ranked = np.argsort([-round(v, 12) for v in values.tolist()], kind="stable")
+    by_count = np.argsort(-counts, kind="stable")
     reports = {
         f"outliers_{args.measure}": _columns(("source", "score"), outliers),
-        f"{prefix}_edges": _columns(("word_a", "word_b", "weight"), textnet.edge_rows(graph)),
-        f"{prefix}_word_frequencies": _columns(
-            ("word", "count"), textnet.word_frequencies(graph)
-        ),
-        f"{prefix}_centrality": _columns(
-            ("word", "centrality"),
-            # words tied in exact arithmetic can differ in the last bits
-            sorted(centrality.items(), key=lambda item: (-round(item[1], 12), item[0])),
-        ),
+        f"{prefix}_edges": {"word_a": words[a], "word_b": words[b], "weight": graph.weights},
+        f"{prefix}_word_frequencies": {"word": words[by_count], "count": counts[by_count]},
+        f"{prefix}_centrality": {"word": words[ranked], "centrality": values[ranked]},
     }
     paths = [
         _write_report(out, name, args.format, columns) for name, columns in reports.items()
@@ -356,7 +363,7 @@ def cmd_textnet(args) -> int:
     dot_path.write_text(textnet.to_dot(graph), encoding="utf-8")
     paths.append(dot_path)
     print(
-        f"{len(outliers)} outliers, {len(graph.nodes)} words, "
+        f"{len(outliers)} outliers, {len(words)} words, "
         f"{len(graph.edges)} edges -> {', '.join(str(p) for p in paths)}"
     )
     return 0

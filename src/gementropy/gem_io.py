@@ -748,8 +748,36 @@ def assign_class(code: str, defs: Sequence[ClassDef]) -> str:
     return defs[i].id if i < len(defs) else UNCLASSIFIED
 
 
+def _well_formed_descriptions(data: bytes) -> dict[str, str] | None:
+    """The table of a description file that passes every check, read in one
+    pass without line numbers; None if any check fails."""
+    try:  # a decode error is a ValueError, and so is a file without a header
+        header, *rows = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
+    except (ValueError, csv.Error):
+        return None
+    rows = [row for row in rows if row]
+    if [h.strip().lower() for h in header] != ["code", "description"] or set(map(len, rows)) - {2}:
+        return None
+    codes = [row[0].strip() for row in rows]
+    # cell by cell: a quoted newline must not split one bad cell into two codes
+    if not all(map(_CODE_RE.fullmatch, codes)):  # a blank row fails here too
+        return None
+    table = dict(zip(map(str.upper, codes), [row[1].strip() for row in rows]))
+    return table if len(table) == len(codes) else None
+
+
 def load_descriptions(source, filename: str | None = None) -> dict[str, str]:
-    """Load a `code,description` CSV into a lookup table."""
+    """Load a `code,description` CSV into a lookup table.
+
+    A path or bytes is checked in one pass; if a check fails (or for a text
+    stream), the numbered row reader runs instead and names the failing line.
+    """
+    if isinstance(source, (str, Path)):
+        filename, source = filename or str(source), Path(source).read_bytes()
+    if isinstance(source, (bytes, bytearray)):
+        table = _well_formed_descriptions(bytes(source))
+        if table is not None:
+            return table
     filename, rows = _read_csv(source, filename, ("code", "description"))
     table: dict[str, str] = {}
     for line_number, (code, description) in rows:

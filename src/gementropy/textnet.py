@@ -5,14 +5,24 @@ description-level word co-occurrence graph, and computes word frequencies
 and eigenvector centrality over the graph's largest component. Community
 detection and rendering are left to external tools; the graph exports in
 DOT and edge-list CSV for that purpose.
+
+The graph is a :class:`WordGraph` of arrays: the words sorted, and each
+edge a pair of word indices. Every token gets its word's index, and one
+``np.unique`` counts the word pairs as int64 keys ``a * n + b``, so the
+edges come out in lexicographic order, the order of every report. The
+power iteration sums in floating point and reads the edges in the order
+they first occur instead: description by description, each description's
+pairs in ``itertools.combinations`` order of its sorted words; any other
+order moves centralities in the last bits. The largest component comes from
+min-label propagation over the edges; of equal-sized components, the one
+holding the alphabetically first word wins.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,17 +54,35 @@ def default_stopwords() -> frozenset[str]:
     return _default_stopwords
 
 
-@dataclass
+@dataclass(frozen=True)
 class WordGraph:
-    """Word co-occurrence graph at description level.
+    """Word co-occurrence graph at description level, as arrays.
 
-    Node counts are the number of descriptions containing the word; an edge
-    weight is the number of descriptions containing both endpoints. Edge
-    keys are sorted (a, b) pairs; no self-loops.
+    ``words`` holds the distinct words, sorted, and ``counts`` the number of
+    descriptions containing each. ``edges`` holds one (a, b) row of word
+    indices per co-occurring pair, a < b, in lexicographic order, and
+    ``weights`` the number of descriptions containing both ends;
+    ``first_order`` lists the edge indices in the order the edges first
+    occur. No self-loops.
     """
 
-    nodes: dict[str, int] = field(default_factory=dict)
-    edges: dict[tuple[str, str], int] = field(default_factory=dict)
+    words: np.ndarray
+    counts: np.ndarray
+    edges: np.ndarray
+    weights: np.ndarray
+    first_order: np.ndarray
+
+    @classmethod
+    def from_dicts(cls, nodes: dict[str, int], edges: dict[tuple[str, str], int]) -> WordGraph:
+        """The graph of word counts and of edge weights keyed by sorted (a, b)
+        word pairs, the edges first occurring in the order of ``edges``."""
+        words = np.array(sorted(nodes), dtype=object)
+        index = {w: i for i, w in enumerate(words)}
+        ends = np.array([(index[a], index[b]) for a, b in edges], dtype=np.intp).reshape(-1, 2)
+        lexical = np.lexsort(ends.T[::-1])
+        weights = np.array(list(edges.values()), dtype=np.int64)[lexical]
+        counts = np.array([nodes[w] for w in words], dtype=np.int64)
+        return cls(words, counts, ends[lexical], weights, np.argsort(lexical))
 
 
 def tokenize(
@@ -81,41 +109,52 @@ def tokenize(
 
 def build_cooccurrence_graph(token_lists: Iterable[Sequence[str]]) -> WordGraph:
     """Connect all unordered word pairs that share a description."""
-    graph = WordGraph()
-    for tokens in token_lists:
-        unique = sorted(dict.fromkeys(tokens))
-        for w in unique:
-            graph.nodes[w] = graph.nodes.get(w, 0) + 1
-        for pair in combinations(unique, 2):
-            graph.edges[pair] = graph.edges.get(pair, 0) + 1
-    return graph
+    token_lists = [list(tokens) for tokens in token_lists]
+    sizes = np.array([len(tokens) for tokens in token_lists], dtype=np.intp)
+    flat = [w for tokens in token_lists for w in tokens]
+    words = np.array(sorted(set(flat)), dtype=object)
+    index = dict(zip(words.tolist(), range(len(words))))
+    word_id = np.fromiter(map(index.__getitem__, flat), np.intp, len(flat))
+    n = max(len(words), 1)
+    # one sorted key per (description, word): a description's distinct words
+    # in alphabetical order, descriptions in input order (a plain np.unique
+    # would import numpy.ma, 19 ms, on its first call)
+    keys = np.sort(np.repeat(np.arange(len(sizes)), sizes) * n + word_id)
+    description, ids = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    # each word pairs with the later words of its description, which gives
+    # the pairs of every description in itertools.combinations order: the
+    # k-th pair overall is (t, t + 1 + k - the pairs of the words before t)
+    position = np.arange(len(ids))
+    run_end = np.flatnonzero(np.diff(description, append=-1)) + 1
+    partners = np.repeat(run_end, np.diff(np.r_[0, run_end])) - position - 1
+    before = np.cumsum(partners) - partners
+    pair_keys = ids[np.repeat(position, partners)] * n
+    pair_keys += ids[np.arange(len(pair_keys)) + np.repeat(position + 1 - before, partners)]
+    keys, first, weights = np.unique(pair_keys, return_index=True, return_counts=True)
+    return WordGraph(
+        words,
+        np.bincount(ids, minlength=len(words)),
+        np.stack(np.divmod(keys, n), axis=1),
+        weights,
+        np.argsort(first),
+    )
 
 
-def largest_component(graph: WordGraph) -> list[str]:
-    """Nodes of the largest connected component, sorted; ties pick the
-    component holding the alphabetically first word."""
-    adjacency: dict[str, set[str]] = {w: set() for w in graph.nodes}
-    for (a, b) in graph.edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    best: list[str] = []
-    visited: set[str] = set()
-    for start in sorted(graph.nodes):
-        if start in visited:
-            continue
-        component = []
-        stack = [start]
-        visited.add(start)
-        while stack:
-            node = stack.pop()
-            component.append(node)
-            for neighbor in adjacency[node]:
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    stack.append(neighbor)
-        if len(component) > len(best):
-            best = component
-    return sorted(best)
+def largest_component(graph: WordGraph) -> np.ndarray:
+    """Word indices of the largest connected component, ascending; ties pick
+    the component holding the alphabetically first word."""
+    a, b = graph.edges.T
+    label = np.arange(len(graph.words))
+    # hook the larger label an edge joins to the smaller, then point every
+    # word at its root, until both ends of every edge share a label; each
+    # component is then labelled by its first word
+    while not np.array_equal(label[a], label[b]):
+        la, lb = label[a], label[b]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while not np.array_equal(root := label[label], label):
+            label = root
+    # argmax takes the first of equal sizes: the alphabetically first word's
+    return np.flatnonzero(label == np.argmax(np.bincount(label, minlength=1)))
 
 
 def eigenvector_centrality(
@@ -127,31 +166,30 @@ def eigenvector_centrality(
 
     The adjacency is held as a symmetric edge list, its weights divided by
     the largest weighted degree so the tolerance is scale-free, and each
-    step is one ``bincount`` over the edge ends: memory grows with the
-    edges, not with the words squared. The iteration runs on the shifted
-    operator (A + I) so bipartite components still converge, and stops once
-    the scaled residual ||A x - lambda x|| falls below ``tolerance``. The
-    returned scores have unit Euclidean norm over the component; words
+    step is one ``bincount`` over the edge ends, taken in first-occurrence
+    order: memory grows with the edges, not with the words squared. The
+    iteration runs on the shifted operator (A + I) so bipartite components
+    still converge, and stops once the scaled residual ||A x - lambda x||
+    falls below ``tolerance``. The returned scores, keyed in the order of
+    ``graph.words``, have unit Euclidean norm over the component; words
     outside it score 0.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    scores = {w: 0.0 for w in graph.nodes}
     component = largest_component(graph)
-    if not component:
-        return scores
-    index = {w: i for i, w in enumerate(component)}
+    scores = np.zeros(len(graph.words))
     n = len(component)
-    # an edge with one end in the component has both ends in it
-    edges = [(index[a], index[b], w) for (a, b), w in graph.edges.items() if a in index]
-    ends_a, ends_b, weight = np.array(edges, dtype=np.float64).reshape(-1, 3).T
-    rows = np.concatenate([ends_a, ends_b]).astype(np.intp)
-    cols = np.concatenate([ends_b, ends_a]).astype(np.intp)
-    weights = np.concatenate([weight, weight])
-    scale = float(np.bincount(rows, weights=weights, minlength=n).max())
-    if scale == 0.0:  # single isolated word
-        scores[component[0]] = 1.0
-        return scores
+    position = np.full(len(graph.words), -1)
+    position[component] = np.arange(n)
+    # the edges in first-occurrence order; one end in the component means both
+    ends = position[graph.edges[graph.first_order]]
+    inside = ends[:, 0] >= 0
+    rows, cols = np.concatenate([ends[inside], ends[inside, ::-1]]).T.copy()
+    weights = np.tile(graph.weights[graph.first_order][inside].astype(np.float64), 2)
+    scale = float(np.bincount(rows, weights=weights, minlength=n).max(initial=0.0))
+    if scale == 0.0:  # no words, or a single isolated word
+        scores[component] = 1.0
+        return dict(zip(graph.words.tolist(), scores.tolist()))
     weights /= scale
 
     x = np.full(n, 1.0 / np.sqrt(n))
@@ -161,30 +199,31 @@ def eigenvector_centrality(
         lam = float(x @ y)
         residual = float(np.linalg.norm(y - lam * x))
         if residual <= tolerance:
-            for w, i in index.items():
-                scores[w] = float(x[i])
-            return scores
+            scores[component] = x
+            return dict(zip(graph.words.tolist(), scores.tolist()))
         x = y + x  # shifted update keeps the dominant eigenvalue unique
         x /= np.linalg.norm(x)
     raise ConvergenceError(residual, max_iterations)
 
 
 def word_frequencies(graph: WordGraph) -> list[tuple[str, int]]:
-    """Node counts, most frequent first, ties alphabetical."""
-    return sorted(graph.nodes.items(), key=lambda item: (-item[1], item[0]))
+    """Word counts, most frequent first, ties alphabetical."""
+    order = np.argsort(-graph.counts, kind="stable")
+    return list(zip(graph.words[order].tolist(), graph.counts[order].tolist()))
 
 
 def edge_rows(graph: WordGraph) -> list[tuple[str, str, int]]:
-    """Edges as (word_a, word_b, weight) rows in deterministic order."""
-    return [(a, b, w) for (a, b), w in sorted(graph.edges.items())]
+    """Edges as (word_a, word_b, weight) rows in lexicographic order."""
+    a, b = graph.edges.T
+    return list(zip(graph.words[a].tolist(), graph.words[b].tolist(), graph.weights.tolist()))
 
 
 def to_dot(graph: WordGraph) -> str:
     """Render the graph in DOT for external layout/community tools."""
-    lines = ["graph words {"]
-    for word, count in sorted(graph.nodes.items()):
-        lines.append(f'  "{word}" [count={count}];')
-    for (a, b), weight in sorted(graph.edges.items()):
-        lines.append(f'  "{a}" -- "{b}" [weight={weight}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    words, (a, b) = graph.words, graph.edges.T
+    nodes = map('  "{}" [count={}];'.format, words.tolist(), graph.counts.tolist())
+    edges = map(
+        '  "{}" -- "{}" [weight={}];'.format,
+        words[a].tolist(), words[b].tolist(), graph.weights.tolist(),
+    )
+    return "\n".join(["graph words {", *nodes, *edges, "}"]) + "\n"

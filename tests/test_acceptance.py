@@ -249,7 +249,7 @@ def test_criterion_6_centrality_checks():
         for _ in range(n):
             a, b = rng.choice(n, size=2, replace=False)
             edges[tuple(sorted((words[a], words[b])))] = 1
-        graph = textnet.WordGraph(nodes={w: 1 for w in words}, edges=edges)
+        graph = textnet.WordGraph.from_dicts(nodes={w: 1 for w in words}, edges=edges)
         centrality = textnet.eigenvector_centrality(graph)
 
         x = np.array([centrality[w] for w in words])

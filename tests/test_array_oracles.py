@@ -1,17 +1,24 @@
-"""Differential checks of vectorized class assignment and the edge-list
-centrality kernel against the loops they replaced.
+"""Differential checks of the vectorized paths against the loops they
+replaced.
 
-The oracles below are the per-code range scan behind ``assign_class``, the
-prefix-truncation overlap test of ``load_class_defs``, the per-map
-``aggregate_by_class`` loop and the dense power iteration of
-``eigenvector_centrality``, frozen as they were before the rewrite. Class
-assignment, range checks and the class sums must match exactly;
-centralities, whose sums now run in another order, within 1e-12.
+The oracles below are frozen as they were before each rewrite: the per-code
+range scan behind ``assign_class``, the prefix-truncation overlap test of
+``load_class_defs``, the per-map ``aggregate_by_class`` loop, the dense
+power iteration of ``eigenvector_centrality``, the dict word graph of the
+text network (its ``combinations`` loop, depth-first component search,
+edge-list centrality kernel and report rows), the row sort of
+``detect_outliers`` and the numbered per-row reader of
+``load_descriptions``. Class assignment, range checks, class sums, graphs,
+components, reports, outlier lists and description tables must match
+exactly, and centralities bit for bit; against the dense power iteration,
+whose sums run in another order, centralities match within 1e-12.
 """
 
 from __future__ import annotations
 
+import csv
 import io
+import itertools
 import operator
 import tracemalloc
 
@@ -21,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gementropy import analysis, gem_io, textnet
+from gementropy.analysis import OUTLIER_MEASURES
 from gementropy.entropy import NormalizedScores, ZScoreTable
 from gementropy.errors import ConvergenceError, GemError, StructuralError
 from gementropy.gem_io import UNCLASSIFIED, ClassDef
@@ -74,15 +82,54 @@ def _oracle_aggregate(normalized, defs):
     return [tuple(b) for b in buckets.values()]
 
 
-def _oracle_centrality(graph, tolerance=1e-10, max_iterations=1000):
-    scores = {w: 0.0 for w in graph.nodes}
-    component = textnet.largest_component(graph)
+def _oracle_graph(token_lists):
+    """Word -> description count, and sorted (a, b) -> weight with the
+    edges in the order they first occur."""
+    nodes, edges = {}, {}
+    for tokens in token_lists:
+        unique = sorted(dict.fromkeys(tokens))
+        for w in unique:
+            nodes[w] = nodes.get(w, 0) + 1
+        for pair in itertools.combinations(unique, 2):
+            edges[pair] = edges.get(pair, 0) + 1
+    return nodes, edges
+
+
+def _oracle_largest_component(nodes, edges):
+    adjacency = {w: set() for w in nodes}
+    for (a, b) in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    best = []
+    visited = set()
+    for start in sorted(nodes):
+        if start in visited:
+            continue
+        component = []
+        stack = [start]
+        visited.add(start)
+        while stack:
+            node = stack.pop()
+            component.append(node)
+            for neighbor in adjacency[node]:
+                if neighbor not in visited:
+                    visited.add(neighbor)
+                    stack.append(neighbor)
+        if len(component) > len(best):
+            best = component
+    return sorted(best)
+
+
+def _oracle_centrality(nodes, edges, tolerance=1e-10, max_iterations=1000):
+    """The dense power iteration."""
+    scores = {w: 0.0 for w in nodes}
+    component = _oracle_largest_component(nodes, edges)
     if not component:
         return scores
     index = {w: i for i, w in enumerate(component)}
     n = len(component)
     adjacency = np.zeros((n, n))
-    for (a, b), weight in graph.edges.items():
+    for (a, b), weight in edges.items():
         if a in index and b in index:
             adjacency[index[a], index[b]] = weight
             adjacency[index[b], index[a]] = weight
@@ -104,6 +151,81 @@ def _oracle_centrality(graph, tolerance=1e-10, max_iterations=1000):
         x = y + x
         x /= np.linalg.norm(x)
     raise ConvergenceError(residual, max_iterations)
+
+
+def _oracle_edge_list_centrality(nodes, edges, tolerance=1e-10, max_iterations=1000):
+    """The edge-list power iteration over the dict graph, which sums over
+    the edges in their insertion order."""
+    scores = {w: 0.0 for w in nodes}
+    component = _oracle_largest_component(nodes, edges)
+    if not component:
+        return scores
+    index = {w: i for i, w in enumerate(component)}
+    n = len(component)
+    rows = [(index[a], index[b], w) for (a, b), w in edges.items() if a in index]
+    ends_a, ends_b, weight = np.array(rows, dtype=np.float64).reshape(-1, 3).T
+    rows = np.concatenate([ends_a, ends_b]).astype(np.intp)
+    cols = np.concatenate([ends_b, ends_a]).astype(np.intp)
+    weights = np.concatenate([weight, weight])
+    scale = float(np.bincount(rows, weights=weights, minlength=n).max())
+    if scale == 0.0:
+        scores[component[0]] = 1.0
+        return scores
+    weights /= scale
+    x = np.full(n, 1.0 / np.sqrt(n))
+    residual = np.inf
+    for _ in range(max_iterations):
+        y = np.bincount(rows, weights=weights * x[cols], minlength=n)
+        lam = float(x @ y)
+        residual = float(np.linalg.norm(y - lam * x))
+        if residual <= tolerance:
+            for w, i in index.items():
+                scores[w] = float(x[i])
+            return scores
+        x = y + x
+        x /= np.linalg.norm(x)
+    raise ConvergenceError(residual, max_iterations)
+
+
+def _oracle_word_frequencies(nodes):
+    return sorted(nodes.items(), key=lambda item: (-item[1], item[0]))
+
+
+def _oracle_edge_rows(edges):
+    return [(a, b, w) for (a, b), w in sorted(edges.items())]
+
+
+def _oracle_to_dot(nodes, edges):
+    lines = ["graph words {"]
+    for word, count in sorted(nodes.items()):
+        lines.append(f'  "{word}" [count={count}];')
+    for (a, b), weight in sorted(edges.items()):
+        lines.append(f'  "{a}" -- "{b}" [weight={weight}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_detect_outliers(normalized, measure, threshold=None, top_fraction=None):
+    sources = [z.source for z in normalized]
+    values = [getattr(z, measure) for z in normalized]
+    scored = sorted(zip(sources, values), key=lambda pair: (-pair[1], pair[0]))
+    if top_fraction is not None:
+        allowed = int(top_fraction * len(scored))
+        if allowed >= len(scored):
+            return scored
+        threshold = scored[allowed][1]
+    return [pair for pair in scored if pair[1] > threshold]
+
+
+def _oracle_load_descriptions(source, filename=None):
+    filename, rows = gem_io._read_csv(source, filename, ("code", "description"))
+    table = {}
+    for line_number, (code, description) in rows:
+        code = gem_io._validate_code(code, "described", filename, line_number)
+        if code in table:
+            raise gem_io.ParseError(f"duplicate code {code}", filename, line_number)
+        table[code] = description
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +366,20 @@ def test_first_overlapping_class_wins():
 @st.composite
 def _weighted_graphs(draw):
     """Random weighted graphs over up to 30 words, usually of several
-    components, some without any edge."""
+    components, some without any edge: (nodes, edges) dicts."""
     n = draw(st.integers(1, 30))
     words = [f"w{i:02d}" for i in range(n)]
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
     edges = draw(st.dictionaries(pairs, st.integers(1, 20), max_size=3 * n)) if n > 1 else {}
-    return WordGraph(
-        nodes=dict.fromkeys(words, 1),
-        edges={(words[a], words[b]): w for (a, b), w in edges.items()},
-    )
+    return dict.fromkeys(words, 1), {(words[a], words[b]): w for (a, b), w in edges.items()}
 
 
 @settings(max_examples=200, deadline=None)
 @given(_weighted_graphs(), st.integers(1, 300))
-def test_centrality_matches_dense_power_iteration(graph, max_iterations):
+def test_centrality_matches_dense_power_iteration(dicts, max_iterations):
+    graph = WordGraph.from_dicts(*dicts)
     try:
-        expected = _oracle_centrality(graph, max_iterations=max_iterations)
+        expected = _oracle_centrality(*dicts, max_iterations=max_iterations)
     except ConvergenceError:
         with pytest.raises(ConvergenceError):
             textnet.eigenvector_centrality(graph, max_iterations=max_iterations)
@@ -279,7 +399,7 @@ def test_centrality_memory_grows_with_edges():
     for a, b in np.sort(rng.integers(0, n, size=(3 * n, 2)), axis=1).tolist():
         if a != b:
             edges[(words[a], words[b])] = edges.get((words[a], words[b]), 0) + 1
-    graph = WordGraph(nodes=dict.fromkeys(words, 1), edges=edges)
+    graph = WordGraph.from_dicts(dict.fromkeys(words, 1), edges)
     tracemalloc.start()
     try:
         scores = textnet.eigenvector_centrality(graph)
@@ -288,3 +408,167 @@ def test_centrality_memory_grows_with_edges():
         tracemalloc.stop()
     assert all(v > 0 for v in scores.values())
     assert peak < 20e6
+
+
+# ---------------------------------------------------------------------------
+# Text network graph
+
+# words that sort in every way against each other: prefixes, case, non-ASCII
+_WORDS = ["a", "ab", "b", "ba", "bb", "c", "d", "x", "y", "Z", "é", ""]
+_token_lists = st.lists(
+    st.lists(st.one_of(st.sampled_from(_WORDS), st.text(max_size=3)), max_size=6),
+    max_size=12,
+)
+
+
+def _bits(scores, words):
+    return np.array([scores[w] for w in words], dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_token_lists, st.integers(1, 300))
+def test_graph_matches_dict_graph(token_lists, max_iterations):
+    """Random descriptions, empty, one-word and repeating ones among them,
+    so graphs of several components, tied component sizes and isolated
+    words; centralities bit-equal to the edge-list kernel over the dict."""
+    nodes, edges = _oracle_graph(token_lists)
+    graph = textnet.build_cooccurrence_graph(token_lists)
+    rows = textnet.edge_rows(graph)
+    assert textnet.word_frequencies(graph) == _oracle_word_frequencies(nodes)
+    assert rows == _oracle_edge_rows(edges)
+    assert len(graph.edges) == len(edges)
+    assert [rows[i] for i in graph.first_order] == [(*pair, w) for pair, w in edges.items()]
+    component = graph.words[textnet.largest_component(graph)].tolist()
+    assert component == _oracle_largest_component(nodes, edges)
+    assert textnet.to_dot(graph) == _oracle_to_dot(nodes, edges)
+    rebuilt = WordGraph.from_dicts(nodes, edges)
+    for name in ("words", "counts", "edges", "weights", "first_order"):
+        assert getattr(rebuilt, name).tolist() == getattr(graph, name).tolist()
+    try:
+        expected = _oracle_edge_list_centrality(nodes, edges, max_iterations=max_iterations)
+    except ConvergenceError as err:
+        with pytest.raises(ConvergenceError) as raised:
+            textnet.eigenvector_centrality(graph, max_iterations=max_iterations)
+        assert str(raised.value) == str(err)
+        return
+    got = textnet.eigenvector_centrality(graph, max_iterations=max_iterations)
+    assert list(got) == sorted(expected)
+    assert _bits(got, expected) == _bits(expected, expected)
+
+
+def test_graph_memory_grows_with_pairs():
+    # 5,000 descriptions of 15 words from a 5,000-word vocabulary: 75,000
+    # tokens, 525,000 word pairs, 514,132 edges; 40.0 MB measured (the
+    # graph's own arrays take 16.4 MB; a dense adjacency, 200 MB)
+    rng = np.random.default_rng(8)
+    vocabulary = [f"w{i:04d}" for i in range(5_000)]
+    token_lists = [
+        [vocabulary[i] for i in rng.choice(5_000, size=15, replace=False)] for _ in range(5_000)
+    ]
+    tracemalloc.start()
+    try:
+        graph = textnet.build_cooccurrence_graph(token_lists)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph.edges) > 500_000
+    assert peak < 50e6
+
+
+# ---------------------------------------------------------------------------
+# Outlier cut
+
+_tied_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5, -3.0, 5e-324]),
+    st.floats(-4, 4, width=16),
+)
+
+
+@st.composite
+def _scores_with_ties(draw):
+    n = draw(st.integers(1, 40))
+    codes = st.text("AB09", min_size=1, max_size=3)
+    sources = draw(st.lists(codes, min_size=n, max_size=n, unique=True))
+    z = [np.array(draw(st.lists(_tied_values, min_size=n, max_size=n))) for _ in range(3)]
+    return ZScoreTable(np.array(sources), *z)
+
+
+_cuts = st.one_of(
+    st.tuples(
+        st.just("threshold"),
+        st.one_of(st.sampled_from([-5.0, -0.0, 0.0, 1.0, np.inf, -np.inf]), _tied_values),
+    ),
+    st.tuples(
+        st.just("top_fraction"),
+        st.one_of(st.sampled_from([0.05, 0.2, 1.0]), st.floats(0, 1, exclude_min=True)),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scores_with_ties(), st.sampled_from(OUTLIER_MEASURES), _cuts)
+def test_outliers_match_row_sort(table, measure, cut):
+    """Tied values, -0.0 beside 0.0 included: the same list, signs too."""
+    kwargs = dict([cut])
+    expected = repr(_oracle_detect_outliers(list(table), measure, **kwargs))
+    for normalized in (table, list(table)):
+        assert repr(analysis.detect_outliers(normalized, measure, **kwargs)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Description files
+
+_BAD_CODES = ["A1\r\nB2", "ABCDEFGHI", "A1\nB2", "A1\rB2", "A1 B2", "", "NODX", "é1", "A-1"]
+_descriptions = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['a "quoted" one', "x,y", "line\nbreak", "cr\rhere", "  padded  ", ""]),
+)
+_INSERTS = [b",", b'"', b"\r", b"\n", b"\x00", b"\xff", b" "]
+
+
+@st.composite
+def _description_files(draw):
+    """A `code,description` file, mostly well formed, then mutated: bytes
+    inserted, lines dropped, duplicated or blanked, a BOM prefixed."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    headers = [["code", "description"]] * 3 + [[" Code", "DESCRIPTION "], ["code", "desc"]]
+    writer.writerow(draw(st.sampled_from(headers)))
+    codes = st.text("AB019ab", min_size=1, max_size=4)
+    codes = draw(st.lists(codes, max_size=10, unique_by=str.upper))
+    if codes and draw(st.booleans()):
+        codes[draw(st.integers(0, len(codes) - 1))] = draw(st.sampled_from(_BAD_CODES))
+    codes = [f" {c} " if draw(st.integers(0, 4)) == 0 else c for c in codes]
+    writer.writerows((code, draw(_descriptions)) for code in codes)
+    lines = buf.getvalue().encode("utf-8").splitlines(keepends=True)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["insert", "drop", "duplicate", "blank", "column"]))
+        if op == "insert":
+            line = lines[at] if at < len(lines) else b""
+            cut = draw(st.integers(0, len(line)))
+            lines[at : at + 1] = [line[:cut] + draw(st.sampled_from(_INSERTS)) + line[cut:]]
+        elif op == "blank":
+            lines.insert(at, draw(st.sampled_from([b"\n", b",\n", b" , \n", b" \n"])))
+        elif at < len(lines):
+            lines[at : at + 1] = {
+                "drop": [],
+                "duplicate": [lines[at]] * 2,
+                "column": [lines[at].rstrip(b"\r\n") + b",extra\n"],
+            }[op]
+    data = b"".join(lines)
+    return (b"\xef\xbb\xbf" + data) if draw(st.booleans()) else data
+
+
+def _outcome(load, data):
+    try:
+        return list(load(data, "d.csv").items())
+    except GemError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_description_files())
+def test_descriptions_match_numbered_reader(data):
+    """The same table in the same order, or the same error type and text."""
+    assert _outcome(gem_io.load_descriptions, data) == _outcome(_oracle_load_descriptions, data)

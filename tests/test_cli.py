@@ -373,10 +373,21 @@ class TestCorr:
             ("bad.csv", "rank,class_id,score\n1,A,3\n2,B\n", "bad.csv:3"),
             ("bad.csv", "rank,class_id,score\n1,A,high\n", "bad.csv:2"),
             ("bad.csv", "rank,class_id,score\n1,A,3\n2,B," + "9" * 200_000, "bad.csv:3"),
+            ("bad.csv", "rank,class_id,score\n1,A,3\n2,B,nan\n",
+             "bad.csv:3: score must be finite"),
+            ("bad.csv", "rank,class_id,score\n1,A,inf\n2,B,1\n",
+             "bad.csv:2: score must be finite"),
+            ("bad.csv", "rank,class_id,score\n1,A,3\n2,B,-inf\n",
+             "bad.csv:3: score must be finite"),
+            ("bad.json", '[{"class_id": "A", "score": NaN}, {"class_id": "B", "score": 1}]',
+             "record 0: score must be finite"),
+            ("bad.json", '[{"class_id": "A", "score": 1}, {"class_id": "B", "score": Infinity}]',
+             "record 1: score must be finite"),
         ],
         ids=[
             "json-missing-key", "json-object", "csv-missing-cell", "csv-non-numeric",
-            "csv-field-too-large",
+            "csv-field-too-large", "csv-nan", "csv-inf", "csv-minus-inf", "json-nan",
+            "json-infinity",
         ],
     )
     def test_malformed_rank_file(self, tmp_path, capsys, name, text, where):
@@ -389,6 +400,48 @@ class TestCorr:
         err = capsys.readouterr().err
         assert str(tmp_path / name) in err and where in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ({"A": 1.0, "B": 2.0}, {"A": 1.0, "D": 2.0}, "cover different classes: ['B', 'D']"),
+            ({"A": 1.0, "B": 2.0}, {"A": 1.0, "B": 1.0}, "one ranking is constant"),
+        ],
+        ids=["different-classes", "constant"],
+    )
+    def test_uncorrelatable_files_both_named(self, tmp_path, capsys, first, second, message):
+        self._write_rank(tmp_path / "r1.csv", first)
+        self._write_rank(tmp_path / "r2.csv", second)
+        assert _run(["corr", tmp_path / "r1.csv", tmp_path / "r2.csv", "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'r1.csv'} and {tmp_path / 'r2.csv'}: " in err and message in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_files_sharing_a_stem(self, tmp_path, capsys, fmt):
+        """Rank files of one name from two directories keep both columns,
+        labelled by their paths as given."""
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        self._write_rank(tmp_path / "a" / "r.csv", {"A": 3.0, "B": 2.0, "C": 1.0})
+        self._write_rank(tmp_path / "b" / "r.csv", {"A": 1.0, "B": 2.0, "C": 3.0})
+        first, second = str(tmp_path / "a" / "r.csv"), str(tmp_path / "b" / "r.csv")
+        args = ["corr", first, second, "--format", fmt, "--out", tmp_path]
+        assert _run(args) == 0
+        if fmt == "csv":
+            rows = _read_csv(tmp_path / "corr.csv")
+        else:
+            rows = json.loads((tmp_path / "corr.json").read_text())
+        assert [list(row) for row in rows] == [["ranking", first, second]] * 2
+        assert [row["ranking"] for row in rows] == [first, second]
+        assert [float(row[second]) for row in rows] == [-1.0, 1.0]
+        assert [float(row[first]) for row in rows] == [1.0, -1.0]
+        assert f"{first}:  1.000  -1.000" in capsys.readouterr().out
+
+    def test_same_file_twice_rejected(self, tmp_path, capsys):
+        self._write_rank(tmp_path / "r.csv", {"A": 3.0, "B": 2.0})
+        assert _run(["corr", tmp_path / "r.csv", tmp_path / "r.csv", "--out", tmp_path]) == 2
+        assert f"{tmp_path / 'r.csv'}: rank file given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "corr.csv").exists()
 
     def test_null_class_id_rejected(self, tmp_path, capsys):
         self._write_rank(tmp_path / "named.csv", {"None": 1.0, "B": 2.0})

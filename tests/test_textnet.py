@@ -15,6 +15,18 @@ from gementropy.textnet import (
     word_frequencies,
 )
 
+EMPTY = WordGraph.from_dicts({}, {})
+
+
+def _nodes(graph):
+    """Word -> description count."""
+    return dict(word_frequencies(graph))
+
+
+def _edges(graph):
+    """(word_a, word_b) -> weight."""
+    return {(a, b): w for a, b, w in edge_rows(graph)}
+
 
 class TestTokenize:
     def test_residuals_and_stopwords_removed(self):
@@ -51,23 +63,23 @@ class TestTokenize:
 class TestGraph:
     def test_single_pair(self):
         g = build_cooccurrence_graph([["a", "b"]])
-        assert g.nodes == {"a": 1, "b": 1}
-        assert g.edges == {("a", "b"): 1}
+        assert _nodes(g) == {"a": 1, "b": 1}
+        assert _edges(g) == {("a", "b"): 1}
 
     def test_repeated_pair_weights(self):
         g = build_cooccurrence_graph([["a", "b"], ["a", "b"]])
-        assert g.edges[("a", "b")] == 2
+        assert _edges(g)[("a", "b")] == 2
 
     def test_triangle(self):
         g = build_cooccurrence_graph([["a", "b", "c"]])
-        assert set(g.edges) == {("a", "b"), ("a", "c"), ("b", "c")}
-        assert all(w == 1 for w in g.edges.values())
+        assert set(_edges(g)) == {("a", "b"), ("a", "c"), ("b", "c")}
+        assert all(w == 1 for w in _edges(g).values())
 
     def test_permutation_invariant(self):
         lists = [["a", "b"], ["b", "c", "d"], ["a", "d"]]
         g1 = build_cooccurrence_graph(lists)
         g2 = build_cooccurrence_graph(list(reversed(lists)))
-        assert g1.nodes == g2.nodes and g1.edges == g2.edges
+        assert _nodes(g1) == _nodes(g2) and _edges(g1) == _edges(g2)
 
     def test_edge_weight_bounded_by_endpoint_frequency(self):
         rng = np.random.default_rng(60)
@@ -77,16 +89,30 @@ class TestGraph:
             for _ in range(30)
         ]
         g = build_cooccurrence_graph(lists)
-        for (a, b), weight in g.edges.items():
-            assert weight <= min(g.nodes[a], g.nodes[b])
+        nodes = _nodes(g)
+        for (a, b), weight in _edges(g).items():
+            assert weight <= min(nodes[a], nodes[b])
 
     def test_no_self_loops(self):
         g = build_cooccurrence_graph([["a", "a", "b"]])
-        assert ("a", "a") not in g.edges
+        assert ("a", "a") not in _edges(g)
 
     def test_largest_component(self):
         g = build_cooccurrence_graph([["a", "b", "c"], ["x", "y"]])
-        assert largest_component(g) == ["a", "b", "c"]
+        assert g.words[largest_component(g)].tolist() == ["a", "b", "c"]
+
+    def test_component_size_tie_goes_to_first_word(self):
+        for lists in ([["x", "z"], ["b", "y"]], [["b", "y"], ["x", "z"]]):
+            g = build_cooccurrence_graph(lists)
+            assert g.words[largest_component(g)].tolist() == ["b", "y"]
+
+    def test_edges_in_lexicographic_and_first_occurrence_order(self):
+        g = build_cooccurrence_graph([["c", "d"], ["b", "a", "c"]])
+        assert edge_rows(g) == [("a", "b", 1), ("a", "c", 1), ("b", "c", 1), ("c", "d", 1)]
+        assert [edge_rows(g)[i][:2] for i in g.first_order] == [
+            ("c", "d"), ("a", "b"), ("a", "c"), ("b", "c")
+        ]
+        assert len(g.edges) == 4
 
 
 class TestEigenvectorCentrality:
@@ -127,9 +153,9 @@ class TestEigenvectorCentrality:
 
     def test_weight_scale_invariance(self):
         g1 = build_cooccurrence_graph([["a", "b"], ["b", "c"], ["a", "b"]])
-        g2 = WordGraph(
-            nodes=dict(g1.nodes),
-            edges={pair: w * 1000 for pair, w in g1.edges.items()},
+        g2 = WordGraph.from_dicts(
+            nodes=_nodes(g1),
+            edges={pair: w * 1000 for pair, w in _edges(g1).items()},
         )
         s1 = eigenvector_centrality(g1)
         s2 = eigenvector_centrality(g2)
@@ -148,10 +174,10 @@ class TestEigenvectorCentrality:
                 lists.append(list(pair))
             g = build_cooccurrence_graph(lists)
             scores = eigenvector_centrality(g)
-            index = sorted(g.nodes)
+            index = sorted(_nodes(g))
             x = np.array([scores[w] for w in index])
             adjacency = np.zeros((n, n))
-            for (a, b), w in g.edges.items():
+            for (a, b), w in _edges(g).items():
                 ia, ib = index.index(a), index.index(b)
                 adjacency[ia, ib] = adjacency[ib, ia] = w
             lam = x @ adjacency @ x
@@ -164,10 +190,10 @@ class TestEigenvectorCentrality:
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
-            eigenvector_centrality(WordGraph(), tolerance=0.0)
+            eigenvector_centrality(EMPTY, tolerance=0.0)
 
     def test_empty_graph(self):
-        assert eigenvector_centrality(WordGraph()) == {}
+        assert eigenvector_centrality(EMPTY) == {}
 
 
 class TestExports:
@@ -176,7 +202,7 @@ class TestExports:
         assert word_frequencies(g) == [("a", 2), ("b", 1)]
 
     def test_word_frequencies_empty(self):
-        assert word_frequencies(WordGraph()) == []
+        assert word_frequencies(EMPTY) == []
 
     def test_frequency_tie_order(self):
         g = build_cooccurrence_graph([["b", "a"]])
