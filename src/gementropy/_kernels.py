@@ -56,12 +56,3 @@ def batch_column_entropies(
         sums[dense_cols] = dense.sum(axis=1)
     return 0.0 - sums  # not -sums: a constant column has entropy +0.0, not -0.0
 
-
-def matrix_column_entropies(codes: np.ndarray) -> np.ndarray:
-    """Per-column entropies of a single (m, n) symbol matrix."""
-    m, n = codes.shape
-    return batch_column_entropies(
-        codes.reshape(-1),
-        np.array([m], dtype=np.int64),
-        np.array([n], dtype=np.int64),
-    )

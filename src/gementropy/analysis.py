@@ -88,6 +88,21 @@ class RankTable:
         return out
 
 
+def _quartiles(arr: np.ndarray) -> np.ndarray:
+    """``np.quantile(arr, [0.25, 0.5, 0.75], method="linear")`` of a sorted
+    array without NaN, bit for bit, without the ``numpy.ma`` import of its
+    first call: numpy's indices (n-1)q and its ``_lerp``."""
+    virtual = (len(arr) - 1) * np.array([0.25, 0.5, 0.75])
+    # past the last index (n = 1) numpy takes the last value at both ends
+    below = np.where(virtual >= len(arr) - 1, -1, np.floor(virtual).astype(np.intp))
+    above = np.where(below == -1, -1, below + 1)
+    arr = arr.copy()  # numpy partitions a copy, which can swap 0.0 and -0.0
+    arr.partition(sorted({0, -1, *below.tolist(), *above.tolist()}))
+    a, b, t = arr[below], arr[above], virtual - below
+    # _lerp counts from the upper end when t >= 0.5
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+
+
 def descriptive_stats(values: Sequence[float]) -> Stats:
     """Summary statistics: sample std (n-1), linear-interpolation quartiles."""
     arr = np.asarray(values, dtype=np.float64)
@@ -95,7 +110,7 @@ def descriptive_stats(values: Sequence[float]) -> Stats:
         raise ValueError("cannot summarize an empty list")
     # sorting fixes the reduction order, making results permutation-invariant
     arr = np.sort(arr)
-    q25, q50, q75 = np.quantile(arr, [0.25, 0.5, 0.75], method="linear")
+    q25, q50, q75 = _quartiles(arr)
     return Stats(
         count=int(arr.size),
         mean=float(arr.mean()),

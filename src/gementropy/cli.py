@@ -283,6 +283,8 @@ def _read_rank_file(path: str) -> analysis.RankTable:
         pairs.append((class_id, score))
     if not pairs:
         raise GemError(f"{path}: rank file is empty")
+    if len(pairs) < 2:
+        raise GemError(f"{path}: need at least 2 classes to correlate, got 1")
     ordered = sorted(pairs, key=lambda pair: (-pair[1], pair[0]))
     rows = tuple(
         (class_id, score, rank) for rank, (class_id, score) in enumerate(ordered, 1)
@@ -373,17 +375,13 @@ def run_reference_example():
     """Score the bundled reference map; returns (name, expected, actual,
     tolerance, ok) checks."""
     entries = gem_io.parse_gem_file(io.StringIO(REFERENCE_MAP_LINES), "<reference>")
-    records = gem_io.group_maps(entries)
-    record = records[0]
-    scores = entropy.score_map(record)
+    maps = gem_io.group_maps(entries)
+    scores, _ = entropy.score_maps(maps)
     checks = []
     for name, (expected, tol) in REFERENCE_MAP_EXPECTED.items():
-        actual = getattr(scores, name)
+        actual = getattr(scores[0], name)
         checks.append((name, expected, actual, tol, abs(actual - expected) <= tol))
-    matrix = gem_io.build_matrix(record)
-    from ._kernels import matrix_column_entropies
-
-    cols = matrix_column_entropies(matrix.codes)
+    cols, _ = entropy.column_entropies(maps)
     for j, expected in enumerate(REFERENCE_COLUMN_ENTROPIES, start=1):
         actual = float(cols[j - 1])
         checks.append(

@@ -9,15 +9,15 @@ Three per-map measures, all in bits:
   choice lists);
 * the uncertainty-rate baseline log2(m) used by prior work for comparison.
 
-:func:`score_maps` scores a whole :class:`~gementropy.gem_io.MapTable`: it
-lays the padded code matrices of every scored map into one flat buffer,
-calls the column kernel once and sums each map's columns; m, m0 and v come
-from the table. It returns a :class:`ScoreTable` of columns, which
-:func:`normalize_scores` turns into corpus z-scores (a :class:`ZScoreTable`).
-Both tables read as sequences of :class:`MapScores` and
-:class:`NormalizedScores` built on access; :func:`adjust_by_frequency` adds
-the optional frequency-adjusted columns to a :class:`ZScoreTable`. Plus
-single-map helpers.
+:func:`column_entropies` lays the padded code matrices of every map of a
+:class:`~gementropy.gem_io.MapTable` into one flat buffer and calls the
+column kernel once. :func:`score_maps` scores a whole table: it sums each
+scored map's columns, and m, m0 and v come from the table. It returns a
+:class:`ScoreTable` of columns, which :func:`normalize_scores` turns into
+corpus z-scores (a :class:`ZScoreTable`). Both tables read as sequences of
+:class:`MapScores` and :class:`NormalizedScores` built on access;
+:func:`adjust_by_frequency` adds the optional frequency-adjusted columns to
+a :class:`ZScoreTable`. A single map is scored as a table of one.
 """
 
 from __future__ import annotations
@@ -30,18 +30,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateMeasureError, EmptyMapError
-from .gem_io import (
-    ALPHABET,
-    MAX_CODE,
-    PAD_CHAR,
-    CodeMatrix,
-    MapRecord,
-    MapTable,
-    RowTable,
-    encode_codes,
-    offsets,
-)
+from .errors import DegenerateMeasureError
+from .gem_io import MAX_CODE, MapTable, RowTable, offsets
 
 # Finite positive per-position weights, one per matrix column.
 WeightVector = Sequence[float]
@@ -130,102 +120,38 @@ def score_column(scores: Sequence, name: str) -> np.ndarray:
     return np.array([getattr(s, name) for s in scores])
 
 
-def column_entropy(column: Sequence[str]) -> float:
-    """Shannon entropy (bits) of one column of alphabets.
+def column_entropies(maps: MapTable) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column entropies (bits) of every map's padded code matrix, in one
+    kernel call, and each map's width n.
 
-    Probabilities are empirical frequencies count/m with 0*log(0) = 0.
+    Map k's matrix has its m target codes as rows, in entry order
+    (duplicates kept), right-padded with the pad symbol, which counts as an
+    ordinary alphabet, to n, the longest code of the map. Its columns are
+    ``cols[sum(widths[:k]):][:widths[k]]``. Every map must have m >= 1.
     """
-    chars = list(column)
-    if not chars:
-        raise ValueError("column is empty")
-    valid = set(ALPHABET + PAD_CHAR)
-    for c in chars:
-        if c not in valid:
-            raise ValueError(f"alphabet {c!r} outside [A-Z0-9] and pad")
-    codes = encode_codes(chars, 1)
-    return float(_kernels.matrix_column_entropies(codes)[0])
-
-
-def alphabet_entropy(matrix: CodeMatrix) -> float:
-    """Sum of column entropies over all n columns of the matrix."""
-    return float(np.sum(_kernels.matrix_column_entropies(matrix.codes)))
-
-
-def _check_weights(weights: WeightVector, n: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] != n:
-        raise ValueError(f"expected {n} weights, got {w.shape}")
-    if not np.all(np.isfinite(w) & (w > 0)):
-        raise ValueError("weights must all be finite and positive")
-    return w
-
-
-def weighted_alphabet_entropy(matrix: CodeMatrix, weights: WeightVector) -> float:
-    """Weighted average of the column entropies: sum(w_j * H_j) / sum(w_j)."""
-    w = _check_weights(weights, matrix.n)
-    cols = _kernels.matrix_column_entropies(matrix.codes)
-    return float(np.dot(w, cols) / np.sum(w))
-
-
-def count_valid_representations(record: MapRecord) -> int:
-    """Number of valid representations of the source code.
-
-    Each stand-alone code counts once; each scenario contributes the product
-    of its choice-list sizes. Stand-alone-only maps give v = m0 = m; no-match
-    maps give 0.
-    """
-    if record.m == 0:
-        return 0
-    v = record.m0
-    for scenario in record.scenarios:
-        product = 1
-        for choice_list in scenario:
-            product *= len(choice_list)
-        v += product
-    return v
-
-
-def row_entropy(v: int) -> float:
-    """log2 of the number of valid representations; undefined for v = 0."""
-    if v < 1:
-        raise EmptyMapError(message=f"row entropy undefined for v = {v}")
-    return math.log2(v)
-
-
-def ur_measure(m: int) -> float:
-    """Prior-work uncertainty-rate baseline log2(m); undefined for m = 0."""
-    if m < 1:
-        raise EmptyMapError(message=f"UR undefined for m = {m}")
-    return math.log2(m)
-
-
-def score_map(record: MapRecord, weights: WeightVector | None = None) -> MapScores:
-    """All raw measures of one map (:func:`score_maps` on a batch of one).
-    Raises for no-match maps."""
-    scores, _ = score_maps([record], weights)
-    if not scores:
-        raise EmptyMapError(record.source)
-    return scores[0]
-
-
-def score_maps(
-    records: Sequence[MapRecord], weights: WeightVector | None = None
-) -> tuple[ScoreTable, MapTable]:
-    """Score every map of a corpus in one batched kernel pass.
-
-    ``records`` is a :class:`MapTable` or any sequence of records. Returns
-    (scores for maps with m >= 1, excluded no-match maps). When ``weights``
-    is given it must cover the widest map; each map uses its first n
-    positions.
-    """
-    maps = records if isinstance(records, MapTable) else MapTable.from_records(records)
-    scored = maps.m > 0
-    excluded = maps.select(~scored)
-    maps = maps.select(scored)
     heights = maps.m
     widths = np.maximum.reduceat(
         maps.lines.target_len[maps.rows], maps.starts[:-1]
     ).astype(np.int64)
+    # each map's rows cut to its own width, row-major
+    targets = maps.lines.targets[maps.rows]
+    flat = targets[np.arange(MAX_CODE) < np.repeat(widths, heights)[:, None]]
+    return _kernels.batch_column_entropies(flat, heights, widths), widths
+
+
+def score_maps(
+    maps: MapTable, weights: WeightVector | None = None
+) -> tuple[ScoreTable, MapTable]:
+    """Score every map of a corpus in one batched kernel pass.
+
+    Returns (scores for maps with m >= 1, excluded no-match maps). When
+    ``weights`` is given it must cover the widest map; each map uses its
+    first n positions.
+    """
+    scored = maps.m > 0
+    excluded = maps.select(~scored)
+    maps = maps.select(scored)
+    cols, widths = column_entropies(maps)
 
     if weights is not None:
         wfull = np.asarray(weights, dtype=np.float64)
@@ -238,10 +164,6 @@ def score_maps(
                 f"({widest} positions)"
             )
 
-    # each map's rows cut to its own width, row-major
-    targets = maps.lines.targets[maps.rows]
-    flat = targets[np.arange(MAX_CODE) < np.repeat(widths, heights)[:, None]]
-    cols = _kernels.batch_column_entropies(flat, heights, widths)
     col_starts = offsets(widths)[:-1]
     h_a = np.add.reduceat(cols, col_starts)
 
@@ -254,13 +176,13 @@ def score_maps(
 
     scores = ScoreTable(
         source=maps.source,
-        m=heights,
+        m=maps.m,
         m0=maps.m0,
         v=maps.v,
         h_a=h_a,
         # v >= 1 and m >= 1 for every scored map
         h_b=np.array(list(map(math.log2, maps.v.tolist())), dtype=np.float64),
-        ur=np.array(list(map(math.log2, heights.tolist())), dtype=np.float64),
+        ur=np.array(list(map(math.log2, maps.m.tolist())), dtype=np.float64),
         h_a_weighted=h_a_weighted,
     )
     return scores, excluded

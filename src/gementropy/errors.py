@@ -5,20 +5,20 @@ class GemError(Exception):
     """Base class for all gementropy errors."""
 
 
+def _located(message, filename, line):
+    """The message behind a ``file:line: `` prefix; an absent part is left
+    out, and so is the prefix when both are."""
+    prefix = "".join(f"{part}:" for part in (filename, line) if part is not None)
+    return f"{prefix} {message}" if prefix else message
+
+
 class ParseError(GemError):
     """A line or field could not be parsed. Carries file/line context."""
 
     def __init__(self, message, filename=None, line=None):
         self.filename = filename
         self.line = line
-        prefix = ""
-        if filename is not None:
-            prefix = f"{filename}:"
-        if line is not None:
-            prefix += f"{line}:"
-        if prefix:
-            prefix += " "
-        super().__init__(prefix + message)
+        super().__init__(_located(message, filename, line))
 
 
 class StructuralError(GemError):
@@ -29,25 +29,7 @@ class StructuralError(GemError):
         self.filename = filename
         self.line = line
         self.source = source
-        prefix = ""
-        if filename is not None:
-            prefix = f"{filename}:"
-        if line is not None:
-            prefix += f"{line}:"
-        if prefix:
-            prefix += " "
-        super().__init__(prefix + message)
-
-
-class EmptyMapError(GemError):
-    """A map with no valid target codes (m = 0) was scored or used where a
-    non-empty map is required; callers must exclude such maps."""
-
-    def __init__(self, source=None, message=None):
-        self.source = source
-        if message is None:
-            message = f"map {source!r} has no target codes (m = 0) and must be excluded"
-        super().__init__(message)
+        super().__init__(_located(message, filename, line))
 
 
 class DegenerateMeasureError(GemError):

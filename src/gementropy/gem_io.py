@@ -25,16 +25,16 @@ source.
 
 Both tables are sized sequences that build :class:`GemEntry` and
 :class:`MapRecord` objects on access, so per-object code reads them like
-lists while scoring reads the arrays. Lists of entries or records convert to
-the same tables (:meth:`GemLines.from_entries`, :meth:`MapTable.from_records`),
-so there is one ingestion path.
+lists while scoring reads the arrays. A list of entries converts to a
+:class:`GemLines` table through the file reader
+(:meth:`GemLines.from_entries`), so there is one ingestion path.
 
 The grammar is ASCII: codes are 1-8 characters of [A-Za-z0-9] (upper-cased),
 flags are 5 ASCII digits, fields are separated by ASCII whitespace, lines
 end at LF, CRLF or CR, and a leading UTF-8 byte order mark is skipped.
 
 Also here: the CSV side tables (clinical class ranges, code descriptions,
-code frequencies) and the padded character matrix of one map.
+code frequencies).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyMapError, ParseError, StructuralError
+from .errors import ParseError, StructuralError
 
 # Code alphabet: digits, uppercase letters, plus one padding symbol that can
 # never occur in a code. Symbol indices are stable: '0'-'9' -> 0-9,
@@ -135,35 +135,6 @@ class MapRecord:
     def is_excluded(self) -> bool:
         """True for no-match sources (m = 0), which cannot be scored."""
         return self.m == 0
-
-
-@dataclass
-class CodeMatrix:
-    """Target codes of one map as an m x n matrix of symbol indices.
-
-    Every row is one target code in file order (duplicates kept); n is the
-    longest raw code length in the map and shorter codes are right-padded
-    with the pad symbol, which counts as an ordinary alphabet.
-    """
-
-    codes: np.ndarray  # (m, n) uint8 symbol indices
-    pad: str = PAD_CHAR
-
-    def __post_init__(self):
-        self.codes.setflags(write=False)
-
-    @property
-    def m(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.codes.shape[1]
-
-    def row_strings(self) -> list[str]:
-        """Rows rendered back to padded text, mostly for debugging."""
-        table = ALPHABET + PAD_CHAR
-        return ["".join(table[s] for s in row) for row in self.codes]
 
 
 @dataclass(frozen=True)
@@ -519,15 +490,6 @@ class MapTable(RowTable):
             self.v[keep],
         )
 
-    @classmethod
-    def from_records(cls, records: Iterable[MapRecord]) -> MapTable:
-        """The maps of already-built records, one map per record, in order."""
-        records = list(records)
-        sizes = [len(r.entries) for r in records]
-        lines = GemLines.from_entries(e for r in records for e in r.entries)
-        map_id = np.repeat(np.arange(len(records)), sizes)
-        return _build_maps(lines, map_id, offsets(sizes)[:-1])
-
 
 def _build_maps(lines: GemLines, map_id: np.ndarray, first_row: np.ndarray) -> MapTable:
     """Group the rows by ``map_id`` (maps numbered in output order; map k's
@@ -596,27 +558,6 @@ def group_maps(entries: Iterable[GemEntry]) -> MapTable:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return _build_maps(lines, rank[inverse.reshape(-1)], first[order])
-
-
-def encode_codes(codes: Sequence[str], width: int) -> np.ndarray:
-    """Encode codes into a (len(codes), width) uint8 symbol matrix,
-    right-padding shorter codes with the pad symbol."""
-    joined = "".join(code.ljust(width, PAD_CHAR) for code in codes)
-    raw = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
-    return _CHAR_TO_SYMBOL[raw].reshape(len(codes), width)
-
-
-def build_matrix(record: MapRecord) -> CodeMatrix:
-    """Build the padded character matrix for one map.
-
-    Rows are the map's target codes in file order (duplicates kept); the
-    width is the longest raw code length in the map.
-    """
-    if record.m == 0:
-        raise EmptyMapError(record.source)
-    targets = [e.target for e in record.entries]
-    width = max(len(t) for t in targets)
-    return CodeMatrix(encode_codes(targets, width))
 
 
 def _read_csv(source, filename, expected_header):

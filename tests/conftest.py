@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gementropy import gem_io
+from gementropy import entropy, gem_io
 from gementropy.cli import REFERENCE_MAP_LINES
 from gementropy.gem_io import NO_MATCH_SENTINELS, Flag, GemEntry
 
@@ -24,8 +24,13 @@ def reference_entries():
 
 
 @pytest.fixture
-def reference_record(reference_entries):
-    return gem_io.group_maps(reference_entries)[0]
+def reference_maps(reference_entries):
+    return gem_io.group_maps(reference_entries)
+
+
+@pytest.fixture
+def reference_record(reference_maps):
+    return reference_maps[0]
 
 
 def random_code(rng: np.random.Generator, max_len: int = 8) -> str:
@@ -72,8 +77,16 @@ def make_map_entries(
     ]
 
 
-def make_map_record(rng: np.random.Generator, source: str = "SRC", **kwargs):
-    return gem_io.group_maps(make_map_entries(rng, source, **kwargs))[0]
+def make_map(rng: np.random.Generator, source: str = "SRC", **kwargs):
+    """A :class:`~gementropy.gem_io.MapTable` of one random map."""
+    return gem_io.group_maps(make_map_entries(rng, source, **kwargs))
+
+
+def score_one(maps, weights=None):
+    """The scores of a table of one scorable map."""
+    scores, excluded = entropy.score_maps(maps, weights)
+    assert len(scores) == 1 and len(excluded) == 0
+    return scores[0]
 
 
 def brute_force_valid_representations(record) -> int:

@@ -13,25 +13,19 @@ import time
 import numpy as np
 import pytest
 
-from gementropy import analysis, entropy, gem_io, textnet
+from gementropy import analysis, textnet
 from gementropy.analysis import RankTable, kendall_tau
 from gementropy.cli import REFERENCE_MAP_LINES
-from gementropy.entropy import (
-    MapScores,
-    count_valid_representations,
-    normalize_scores,
-    score_map,
-    score_maps,
-    weighted_alphabet_entropy,
-)
+from gementropy.entropy import MapScores, column_entropies, normalize_scores, score_maps
 from gementropy.errors import DegenerateMeasureError
-from gementropy.gem_io import build_matrix, group_maps, parse_gem_file
-from gementropy._kernels import matrix_column_entropies
+from gementropy.gem_io import group_maps, parse_gem_file
 
 from conftest import (
     brute_force_valid_representations,
-    make_map_record,
+    make_map,
+    make_map_entries,
     require_gem_file,
+    score_one,
 )
 
 
@@ -42,14 +36,10 @@ def _score_file(path):
 
 
 def test_criterion_1_worked_example_golden():
-    # warm the jit kernel so the timed run measures the example, not compilation
-    score_map(group_maps(parse_gem_file(io.StringIO("X A1 00000\n")))[0])
-
     started = time.perf_counter()
-    records = group_maps(parse_gem_file(io.StringIO(REFERENCE_MAP_LINES)))
-    record = records[0]
-    scores = score_map(record)
-    columns = matrix_column_entropies(build_matrix(record).codes)
+    maps = group_maps(parse_gem_file(io.StringIO(REFERENCE_MAP_LINES)))
+    scores = score_one(maps)
+    columns, _ = column_entropies(maps)
     elapsed = time.perf_counter() - started
 
     assert (scores.m, scores.m0, scores.v) == (8, 3, 9)
@@ -69,13 +59,12 @@ def test_criterion_2_combinatorics_oracle():
     rng = np.random.default_rng(202)
     started = time.perf_counter()
     for i in range(1000):
-        record = make_map_record(rng, source=f"S{i}")
+        maps = make_map(rng, source=f"S{i}")
+        record = maps[0]
         assert record.m <= 20
         assert len(record.scenarios) <= 3
         assert all(len(cl) <= 4 for sc in record.scenarios for cl in sc)
-        assert count_valid_representations(record) == (
-            brute_force_valid_representations(record)
-        )
+        assert maps.v[0] == brute_force_valid_representations(record)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     print(
@@ -89,11 +78,10 @@ def test_criterion_3_entropy_property_suite():
 
     # row permutation invariance
     for i in range(500):
-        record = make_map_record(rng)
-        shuffled = list(record.entries)
+        entries = make_map_entries(rng, "SRC")
+        shuffled = list(entries)
         rng.shuffle(shuffled)
-        permuted = group_maps(shuffled)[0]
-        a, b = score_map(record), score_map(permuted)
+        a, b = score_one(group_maps(entries)), score_one(group_maps(shuffled))
         assert (a.h_a, a.h_b, a.ur, a.v, a.m, a.m0) == (
             b.h_a,
             b.h_b,
@@ -105,24 +93,23 @@ def test_criterion_3_entropy_property_suite():
 
     # H(B) equals UR whenever the map has no combinations
     for i in range(500):
-        record = make_map_record(rng, max_scenarios=0)
-        scores = score_map(record)
-        assert record.m == record.m0
+        maps = make_map(rng, max_scenarios=0)
+        scores = score_one(maps)
+        assert maps.m[0] == maps.m0[0]
         assert scores.h_b == scores.ur
 
     # one-row maps score zero everywhere
     for i in range(500):
         text = f"X {'ABC123'[: rng.integers(1, 7)]} 00000\n"
-        scores = score_map(group_maps(parse_gem_file(io.StringIO(text)))[0])
+        scores = score_one(group_maps(parse_gem_file(io.StringIO(text))))
         assert (scores.h_a, scores.h_b, scores.ur) == (0.0, 0.0, 0.0)
 
     # uniform weights reduce the weighted entropy to H(A)/n
     for i in range(500):
-        record = make_map_record(rng)
-        matrix = build_matrix(record)
-        weighted = weighted_alphabet_entropy(matrix, [1.0] * matrix.n)
-        scores = score_map(record)
-        assert abs(weighted - scores.h_a / matrix.n) <= 1e-12
+        maps = make_map(rng)
+        (n,) = column_entropies(maps)[1]
+        scores = score_one(maps, [1.0] * n)
+        assert abs(scores.h_a_weighted - scores.h_a / n) <= 1e-12
 
     print(
         "\nPASS criterion 3: permutation invariance, H(B)=UR for m=m0, "

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gementropy import analysis
 from gementropy.analysis import (
@@ -50,6 +52,29 @@ class TestDescriptiveStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             descriptive_stats([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1.0]),
+                st.floats(allow_nan=False),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example([math.inf])
+    @example([-0.0])
+    @example([0.0, -0.0, -0.0])
+    @example([-math.inf, 2.0, 2.0, math.inf])
+    def test_quartiles_match_numpy(self, values):
+        """The quartiles are ``np.quantile``'s linear ones bit for bit (numpy
+        is the oracle here), ties, signed zeros and infinities included."""
+        with np.errstate(all="ignore"):  # inf - inf, as numpy computes it
+            want = np.quantile(np.sort(values), [0.25, 0.5, 0.75], method="linear")
+            got = descriptive_stats(values)
+        assert np.array([got.q25, got.q50, got.q75]).tobytes() == want.tobytes()
 
     def test_permutation_invariant_and_ordered(self):
         rng = np.random.default_rng(50)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,6 +224,21 @@ class TestStats:
         rows = _read_csv(workspace / "stats.csv")
         assert all(r["count"] == "1" for r in rows)
 
+    def test_numpy_ma_not_imported(self, workspace):
+        """``np.quantile`` imports ``numpy.ma`` on its first call; ``stats``
+        takes its quartiles without it."""
+        argv = ["stats", "--gems", str(workspace / "gems.txt"), "--out", str(workspace)]
+        code = (
+            "import sys; from gementropy import cli; "
+            f"rc = cli.main({argv!r}); print(rc, 'numpy.ma' in sys.modules)"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.stdout.splitlines()[-1] == "0 False", out.stderr
+
 
 class TestRank:
     def test_rank_files(self, workspace):
@@ -354,6 +373,15 @@ class TestCorr:
         self._write_rank(tmp_path / "r1.csv", {"A": 1.0, "B": 2.0})
         with pytest.raises(SystemExit):
             _run(["corr", tmp_path / "r1.csv", "--out", tmp_path])
+
+    def test_single_class_file_named(self, tmp_path, capsys):
+        self._write_rank(tmp_path / "r1.csv", {"A": 1.0})
+        self._write_rank(tmp_path / "r2.csv", {"A": 1.0})
+        assert _run(["corr", tmp_path / "r1.csv", tmp_path / "r2.csv", "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'r1.csv'}: need at least 2 classes to correlate" in err
+        assert " and " not in err
+        assert not (tmp_path / "corr.csv").exists()
 
     def test_mismatched_class_sets(self, tmp_path, capsys):
         self._write_rank(tmp_path / "r1.csv", {"A": 1.0, "B": 2.0})

@@ -22,14 +22,7 @@ from hypothesis import strategies as st
 
 from gementropy import _kernels, entropy, gem_io
 from gementropy.errors import GemError, ParseError, StructuralError
-from gementropy.gem_io import (
-    N_SYMBOLS,
-    NO_MATCH_SENTINELS,
-    Flag,
-    GemEntry,
-    MapRecord,
-    encode_codes,
-)
+from gementropy.gem_io import N_SYMBOLS, NO_MATCH_SENTINELS, Flag, GemEntry, MapRecord
 
 from conftest import make_map_entries, random_code
 
@@ -136,6 +129,16 @@ def oracle_group(entries):
     return records
 
 
+def oracle_encode(codes, width):
+    """Codes as a (len(codes), width) uint8 matrix of symbol indices
+    ('0'-'9' -> 0-9, 'A'-'Z' -> 10-35, pad '*' -> 36), right-padded."""
+    table = np.full(256, 255, dtype=np.uint8)
+    for i, c in enumerate("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ*"):
+        table[ord(c)] = i
+    joined = "".join(code.ljust(width, "*") for code in codes)
+    return table[np.frombuffer(joined.encode("ascii"), dtype=np.uint8)].reshape(len(codes), width)
+
+
 def oracle_kernel(flat, heights, widths):
     """The dense kernel: a full (columns x 37) count array."""
     cells = heights * widths
@@ -162,7 +165,7 @@ def oracle_score(records):
     widths = np.array([max(len(t) for t in ts) for ts in targets], dtype=np.int64)
     heights = np.array([len(ts) for ts in targets], dtype=np.int64)
     joined = "".join(c.ljust(int(n), "*") for ts, n in zip(targets, widths) for c in ts)
-    flat = encode_codes([joined], len(joined)).reshape(-1) if joined else np.zeros(0, np.uint8)
+    flat = oracle_encode([joined], len(joined)).reshape(-1) if joined else np.zeros(0, np.uint8)
     cols = oracle_kernel(flat, heights, widths)
     h_a = np.add.reduceat(cols, np.concatenate(([0], np.cumsum(widths)))[:-1]) if len(cols) else []
     rows = []

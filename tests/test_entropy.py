@@ -1,56 +1,66 @@
 import csv
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gementropy import cli, entropy, gem_io
-from gementropy._kernels import matrix_column_entropies
+from gementropy import cli, gem_io
 from gementropy.entropy import (
     MapScores,
     NormalizedScores,
     adjust_by_frequency,
-    alphabet_entropy,
-    column_entropy,
-    count_valid_representations,
+    column_entropies,
     normalize_scores,
-    row_entropy,
-    score_map,
     score_maps,
-    ur_measure,
-    weighted_alphabet_entropy,
 )
-from gementropy.errors import DegenerateMeasureError, EmptyMapError
+from gementropy.errors import DegenerateMeasureError, ParseError
 
-from conftest import brute_force_valid_representations, make_map_record
+from conftest import (
+    brute_force_valid_representations,
+    make_map,
+    make_map_entries,
+    score_one,
+)
 
 
-def _record(text):
-    return gem_io.group_maps(gem_io.parse_gem_file(io.StringIO(text)))[0]
+def _maps(text):
+    return gem_io.group_maps(gem_io.parse_gem_file(io.StringIO(text)))
+
+
+def _column(chars):
+    """Entropy of one column: a map of one-character codes."""
+    cols, _ = column_entropies(_maps("".join(f"X {c} 10000\n" for c in chars)))
+    return float(cols[0])
 
 
 class TestColumnEntropy:
     def test_five_three_split(self):
-        h = column_entropy(list("HHHHHPPP"))
+        h = _column("HHHHHPPP")
         assert h == pytest.approx(0.95, abs=0.01)
         # frozen from -(5/8)log2(5/8) - (3/8)log2(3/8)
         assert h == pytest.approx(0.9544340029249649, abs=1e-12)
 
     def test_constant_column(self):
-        assert column_entropy(list("ZZZZZZZZ")) == 0.0
+        assert _column("ZZZZZZZZ") == 0.0
 
     def test_half_quarter_quarter(self):
         # oracle: -(1/2 log2 1/2 + 2 * 1/4 log2 1/4) = 1.5
-        assert column_entropy(list("AABC")) == pytest.approx(1.5, abs=1e-12)
+        assert _column("AABC") == pytest.approx(1.5, abs=1e-12)
 
     def test_empty_column(self):
-        with pytest.raises(ValueError):
-            column_entropy([])
+        # a column needs a map of m >= 1; a table without maps has none
+        cols, widths = column_entropies(_maps(""))
+        assert cols.shape == (0,) and widths.shape == (0,)
 
     def test_invalid_alphabet(self):
-        with pytest.raises(ValueError):
-            column_entropy(["a", "?"])
+        # a code symbol outside [A-Z0-9] never reaches a column: the reader
+        # rejects its line
+        with pytest.raises(ParseError):
+            _column("a?")
 
     def test_bounded_by_log2_m(self):
         rng = np.random.default_rng(21)
@@ -58,87 +68,79 @@ class TestColumnEntropy:
         for _ in range(200):
             m = int(rng.integers(1, 30))
             column = [chars[i] for i in rng.integers(0, len(chars), m)]
-            h = column_entropy(column)
+            h = _column(column)
             assert 0.0 <= h <= math.log2(m) + 1e-12
 
 
 class TestAlphabetEntropy:
-    def test_reference_map(self, reference_record):
-        matrix = gem_io.build_matrix(reference_record)
-        assert alphabet_entropy(matrix) == pytest.approx(4.26, abs=0.01)
+    def test_reference_map(self, reference_maps):
+        assert score_one(reference_maps).h_a == pytest.approx(4.26, abs=0.01)
 
     def test_single_row(self):
-        matrix = gem_io.build_matrix(_record("X 0JH63XZ 00000\n"))
-        assert alphabet_entropy(matrix) == 0.0
+        assert score_one(_maps("X 0JH63XZ 00000\n")).h_a == 0.0
 
     def test_two_identical_rows(self):
-        matrix = gem_io.build_matrix(_record("X A1 00000\nX A1 10000\n"))
-        assert alphabet_entropy(matrix) == 0.0
+        assert score_one(_maps("X A1 00000\nX A1 10000\n")).h_a == 0.0
 
     def test_upper_bound(self):
         rng = np.random.default_rng(33)
         for _ in range(100):
-            record = make_map_record(rng)
-            matrix = gem_io.build_matrix(record)
-            h = alphabet_entropy(matrix)
-            assert 0.0 <= h <= matrix.n * math.log2(matrix.m) + 1e-9
+            maps = make_map(rng)
+            (n,) = column_entropies(maps)[1]
+            h = score_one(maps).h_a
+            assert 0.0 <= h <= n * math.log2(maps.m[0]) + 1e-9
 
 
 class TestWeightedAlphabetEntropy:
-    def test_uniform_weights_reduce_to_mean(self, reference_record):
-        matrix = gem_io.build_matrix(reference_record)
-        expected = alphabet_entropy(matrix) / matrix.n
-        got = weighted_alphabet_entropy(matrix, [1.0] * matrix.n)
+    def test_uniform_weights_reduce_to_mean(self, reference_maps):
+        expected = score_one(reference_maps).h_a / 7
+        got = score_one(reference_maps, [1.0] * 7).h_a_weighted
         assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_descending_weights_oracle(self, reference_record):
+    def test_descending_weights_oracle(self, reference_maps):
         # oracle: direct sum(w_j * H_j) / sum(w_j) over the column entropies
-        matrix = gem_io.build_matrix(reference_record)
         weights = [7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0]
-        cols = matrix_column_entropies(matrix.codes)
+        cols, _ = column_entropies(reference_maps)
         expected = sum(w * h for w, h in zip(weights, cols)) / sum(weights)
-        got = weighted_alphabet_entropy(matrix, weights)
+        got = score_one(reference_maps, weights).h_a_weighted
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.513, abs=0.01)
 
     def test_single_row_zero(self):
-        matrix = gem_io.build_matrix(_record("X 0JH63XZ 00000\n"))
-        assert weighted_alphabet_entropy(matrix, [3.0] * 7) == 0.0
+        assert score_one(_maps("X 0JH63XZ 00000\n"), [3.0] * 7).h_a_weighted == 0.0
 
-    def test_length_mismatch(self, reference_record):
-        matrix = gem_io.build_matrix(reference_record)
+    def test_length_mismatch(self, reference_maps):
+        # fewer weights than the map's 7 columns; more are allowed, each map
+        # using its first n
         with pytest.raises(ValueError):
-            weighted_alphabet_entropy(matrix, [1.0] * 3)
+            score_maps(reference_maps, [1.0] * 3)
 
-    def test_nonpositive_weight(self, reference_record):
-        matrix = gem_io.build_matrix(reference_record)
+    def test_nonpositive_weight(self, reference_maps):
         with pytest.raises(ValueError):
-            weighted_alphabet_entropy(matrix, [1.0] * 6 + [0.0])
+            score_maps(reference_maps, [1.0] * 6 + [0.0])
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    def test_non_finite_weight(self, reference_record, bad):
-        matrix = gem_io.build_matrix(reference_record)
-        with pytest.raises(ValueError, match="finite and positive"):
-            weighted_alphabet_entropy(matrix, [1.0] * 6 + [bad])
+    def test_non_finite_weight(self, reference_maps, bad):
+        with pytest.raises(ValueError, match="finite positive"):
+            score_maps(reference_maps, [1.0] * 6 + [bad])
 
     def test_bounded_by_column_extremes(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
-            record = make_map_record(rng)
-            matrix = gem_io.build_matrix(record)
-            weights = rng.uniform(0.1, 5.0, matrix.n)
-            cols = matrix_column_entropies(matrix.codes)
-            got = weighted_alphabet_entropy(matrix, weights)
+            maps = make_map(rng)
+            cols, (n,) = column_entropies(maps)
+            weights = rng.uniform(0.1, 5.0, n)
+            got = score_one(maps, weights).h_a_weighted
             assert cols.min() - 1e-12 <= got <= cols.max() + 1e-12
 
 
 class TestValidRepresentations:
-    def test_reference_map(self, reference_record):
-        assert count_valid_representations(reference_record) == 9
+    def test_reference_map(self, reference_maps):
+        assert reference_maps.v[0] == 9
 
     def test_standalone_only(self):
         text = "".join(f"X C{i} 10000\n" for i in range(5))
-        assert count_valid_representations(_record(text)) == 5
+        assert _maps(text).v[0] == 5
 
     def test_two_scenarios(self):
         # m0=1; scenario 1 lists (2,2); scenario 2 list (3) -> 1 + 4 + 3
@@ -147,45 +149,56 @@ class TestValidRepresentations:
             "X B1 10111\nX B2 10111\nX C1 10112\nX C2 10112\n"
             "X D1 10121\nX D2 10121\nX D3 10121\n"
         )
-        record = _record(text)
-        assert count_valid_representations(record) == 8
-        assert brute_force_valid_representations(record) == 8
+        maps = _maps(text)
+        assert maps.v[0] == 8
+        assert brute_force_valid_representations(maps[0]) == 8
 
     def test_no_match_map(self):
-        assert count_valid_representations(_record("X NODX 11000\n")) == 0
+        assert _maps("X NODX 11000\n").v[0] == 0
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            record = make_map_record(rng)
-            assert count_valid_representations(record) == (
-                brute_force_valid_representations(record)
-            )
+            maps = make_map(rng)
+            assert maps.v[0] == brute_force_valid_representations(maps[0])
+
+
+def _standalone(m):
+    """A map of m stand-alone codes: v = m."""
+    return _maps("".join(f"X C{i} 10000\n" for i in range(m)))
 
 
 class TestLogMeasures:
-    def test_row_entropy_values(self):
-        assert row_entropy(9) == pytest.approx(3.17, abs=0.01)
-        assert row_entropy(1) == 0.0
-        assert row_entropy(1977) == pytest.approx(10.95, abs=0.01)
+    def test_row_entropy_values(self, reference_maps):
+        assert score_one(reference_maps).h_b == pytest.approx(3.17, abs=0.01)
+        assert score_one(_standalone(1)).h_b == 0.0
+        assert score_one(_standalone(1977)).h_b == pytest.approx(10.95, abs=0.01)
 
     def test_row_entropy_zero(self):
-        with pytest.raises(EmptyMapError):
-            row_entropy(0)
+        # H(B) is undefined for v = 0: a no-match map is excluded unscored
+        maps = _maps("X NODX 11000\n")
+        scores, excluded = score_maps(maps)
+        assert maps.v[0] == 0
+        assert len(scores) == 0 and list(excluded.v) == [0]
 
-    def test_ur_values(self):
-        assert ur_measure(8) == 3.0
-        assert ur_measure(1) == 0.0
-        assert ur_measure(243) == pytest.approx(7.92, abs=0.01)
+    def test_ur_values(self, reference_maps):
+        assert score_one(reference_maps).ur == 3.0
+        assert score_one(_standalone(1)).ur == 0.0
+        assert score_one(_standalone(243)).ur == pytest.approx(7.92, abs=0.01)
 
     def test_ur_zero(self):
-        with pytest.raises(EmptyMapError):
-            ur_measure(0)
+        # UR is undefined for m = 0: a no-match map is excluded unscored
+        maps = _maps("X NOPCS 11000\nY NODX 10000\n")
+        scores, excluded = score_maps(maps)
+        assert list(maps.m) == [0, 0]
+        assert len(scores) == 0 and list(excluded.m) == [0, 0]
 
 
 class TestScoreMap:
-    def test_reference_map(self, reference_record):
-        s = score_map(reference_record)
+    """One map, scored as a batch of one."""
+
+    def test_reference_map(self, reference_maps):
+        s = score_one(reference_maps)
         assert (s.m, s.m0, s.v) == (8, 3, 9)
         assert s.h_a == pytest.approx(4.26, abs=0.01)
         assert s.h_b == pytest.approx(3.17, abs=0.01)
@@ -193,43 +206,42 @@ class TestScoreMap:
         assert s.h_a_weighted is None
 
     def test_one_to_one(self):
-        s = score_map(_record("X 0JH63XZ 00000\n"))
+        s = score_one(_maps("X 0JH63XZ 00000\n"))
         assert (s.h_a, s.h_b, s.ur, s.v) == (0.0, 0.0, 0.0, 1)
 
     def test_four_distinct_single_chars(self):
         # uniform 4-symbol column: every measure is log2(4) = 2
-        s = score_map(_record("X A 10000\nX B 10000\nX C 10000\nX D 10000\n"))
+        s = score_one(_maps("X A 10000\nX B 10000\nX C 10000\nX D 10000\n"))
         assert s.h_a == pytest.approx(2.0, abs=1e-12)
         assert s.h_b == 2.0
         assert s.ur == 2.0
 
     def test_excluded_map_signal(self):
-        record = _record("0099 NOPCS 11000\n")
-        with pytest.raises(EmptyMapError) as err:
-            score_map(record)
-        assert err.value.source == "0099"
+        scores, excluded = score_maps(_maps("0099 NOPCS 11000\n"))
+        assert len(scores) == 0
+        assert list(excluded.source) == ["0099"]
 
-    def test_weighted_field(self, reference_record):
-        s = score_map(reference_record, weights=[1.0] * 7)
+    def test_weighted_field(self, reference_maps):
+        s = score_one(reference_maps, weights=[1.0] * 7)
         assert s.h_a_weighted == pytest.approx(s.h_a / 7, abs=1e-12)
 
     def test_h_b_equals_ur_without_combinations(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            record = make_map_record(rng, max_scenarios=0)
-            s = score_map(record)
-            assert record.m == record.m0
+            maps = make_map(rng, max_scenarios=0)
+            s = score_one(maps)
+            assert maps.m[0] == maps.m0[0]
             assert s.v == s.m
             assert s.h_b == s.ur
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            record = make_map_record(rng)
-            shuffled = list(record.entries)
+            entries = make_map_entries(rng, "SRC")
+            shuffled = list(entries)
             rng.shuffle(shuffled)
-            permuted = gem_io.group_maps(shuffled)[0]
-            a, b = score_map(record), score_map(permuted)
+            a = score_one(gem_io.group_maps(entries))
+            b = score_one(gem_io.group_maps(shuffled))
             assert (a.m, a.m0, a.v) == (b.m, b.m0, b.v)
             assert a.h_a == b.h_a
             assert (a.h_b, a.ur) == (b.h_b, b.ur)
@@ -245,21 +257,36 @@ class TestScoreMap:
             "X B1 10112\nX B2 10112\n"
             "X C1 10111\nX C2 10111\nX C3 10111\n"
         )
-        a, b = score_map(_record(base)), score_map(_record(swapped))
+        a, b = score_one(_maps(base)), score_one(_maps(swapped))
         assert (a.v, a.h_a, a.h_b, a.ur) == (b.v, b.h_a, b.h_b, b.ur)
 
 
+def _corpus(rng, n_maps, **kwargs):
+    """Entry lists of random maps S0, S1, ..., one list per map."""
+    return [make_map_entries(rng, f"S{i}", **kwargs) for i in range(n_maps)]
+
+
+def _bits(row):
+    """A score row with every float as its bit pattern."""
+    return tuple(x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(row))
+
+
+def _alone_and_in_batch(seed, weights):
+    rng = np.random.default_rng(seed)
+    corpus = _corpus(rng, int(rng.integers(1, 30)))
+    weights = list(rng.uniform(0.5, 3.0, 8)) if weights else None
+    batch, excluded = score_maps(gem_io.group_maps([e for m in corpus for e in m]), weights)
+    assert len(batch) == len(corpus) and len(excluded) == 0
+    for entries, got in zip(corpus, batch):
+        assert _bits(got) == _bits(score_one(gem_io.group_maps(entries), weights))
+
+
 class TestScoreMaps:
-    def test_matches_per_map_scoring(self):
-        rng = np.random.default_rng(8)
-        records = [make_map_record(rng, source=f"S{i}") for i in range(50)]
-        batch, excluded = score_maps(records)
-        assert excluded == []
-        for record, got in zip(records, batch):
-            single = score_map(record)
-            assert got.source == single.source
-            assert got.h_a == pytest.approx(single.h_a, abs=1e-12)
-            assert (got.v, got.h_b, got.ur) == (single.v, single.h_b, single.ur)
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_map_scoring(self, seed):
+        """A map scores the same alone as inside a batch, bit for bit."""
+        _alone_and_in_batch(seed, weights=False)
 
     def test_separates_excluded(self):
         text = "A1 X1 00000\nA2 NODX 11000\nA3 Y1 00000\n"
@@ -275,7 +302,7 @@ class TestScoreMaps:
             score_maps(records, weights=[1.0, bad])
 
     def test_constant_column_entropy_is_positive_zero(self):
-        scores, _ = score_maps([_record("X 0JH63XZ 00000\n")], weights=[1.0] * 7)
+        scores, _ = score_maps(_maps("X 0JH63XZ 00000\n"), weights=[1.0] * 7)
         for value in (scores[0].h_a, scores[0].h_a_weighted):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
@@ -285,16 +312,12 @@ class TestScoreMaps:
         with pytest.raises(ValueError, match="widest"):
             score_maps(records, weights=[1.0, 1.0])
 
-    def test_weighted_matches_per_map(self):
-        rng = np.random.default_rng(9)
-        records = [make_map_record(rng, source=f"S{i}") for i in range(30)]
-        widest = max(len(e.target) for r in records for e in r.entries)
-        weights = list(rng.uniform(0.5, 3.0, widest))
-        batch, _ = score_maps(records, weights)
-        for record, got in zip(records, batch):
-            n = max(len(e.target) for e in record.entries)
-            single = score_map(record, weights[:n])
-            assert got.h_a_weighted == pytest.approx(single.h_a_weighted, abs=1e-12)
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_weighted_matches_per_map(self, seed):
+        """``h_a_weighted`` too is the same alone as inside a batch, each map
+        using the first n of the corpus's weights."""
+        _alone_and_in_batch(seed, weights=True)
 
     def test_v_beyond_int64(self, tmp_path):
         # scenario 1 with 9 choice lists of 160 codes: v = 160**9 > 2**63 - 1
@@ -321,6 +344,67 @@ class TestScoreMaps:
         )
         scores, excluded = score_maps(records)
         assert scores == [] and len(excluded) == 1
+
+
+def _corpus_text(rng, corpus):
+    """Crosswalk text of the maps' entries with no-match maps mixed in."""
+    lines = [e.to_line() for entries in corpus for e in entries]
+    for i in range(int(rng.integers(0, 4))):
+        lines.insert(int(rng.integers(0, len(lines) + 1)), f"N{i} NODX 11000")
+    return "\n".join(lines) + "\n"
+
+
+class TestCorpusProperties:
+    """Properties of whole corpora of random maps from the conftest
+    generators."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_reordering_maps_keeps_each_maps_scores(self, seed):
+        rng = np.random.default_rng(seed)
+        corpus = _corpus(rng, int(rng.integers(2, 30)))
+        weights = list(rng.uniform(0.5, 3.0, 8))
+        reordered = [corpus[i] for i in rng.permutation(len(corpus))]
+        by_source = []
+        for maps in (corpus, reordered):
+            scores, _ = score_maps(gem_io.group_maps([e for m in maps for e in m]), weights)
+            by_source.append({s.source: _bits(s) for s in scores})
+        assert by_source[0] == by_source[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_column_entropies_bounded(self, seed):
+        """Each column entropy lies in [0, log2 min(m, 37)]: a column holds m
+        symbols of at most 37 kinds (36 code characters and the pad)."""
+        rng = np.random.default_rng(seed)
+        corpus = _corpus(rng, int(rng.integers(1, 20)), max_m=80, max_list_size=12)
+        maps = gem_io.group_maps([e for m in corpus for e in m])
+        cols, widths = column_entropies(maps)
+        bound = np.log2(np.minimum(np.repeat(maps.m, widths), 37))
+        assert len(cols) == widths.sum()
+        assert not np.signbit(cols).any()
+        assert np.all(cols <= bound + 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_h_b_equals_ur_without_combinations(self, seed):
+        rng = np.random.default_rng(seed)
+        corpus = _corpus(rng, int(rng.integers(1, 30)), max_scenarios=0)
+        lines = gem_io.parse_gem_file(_corpus_text(rng, corpus).encode())
+        scores, _ = score_maps(gem_io.group_maps(lines))
+        assert np.array_equal(scores.v, scores.m)
+        assert np.array_equal(scores.h_b, scores.ur)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_scored_map_has_a_representation(self, seed):
+        rng = np.random.default_rng(seed)
+        corpus = _corpus(rng, int(rng.integers(1, 30)))
+        lines = gem_io.parse_gem_file(_corpus_text(rng, corpus).encode())
+        scores, excluded = score_maps(gem_io.group_maps(lines))
+        assert len(scores) == len(corpus)
+        assert np.all(scores.v >= 1)
+        assert np.all(excluded.v == 0)
 
 
 def _scores_from_values(values):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from gementropy import gem_io
-from gementropy.errors import EmptyMapError, ParseError, StructuralError
+from gementropy.entropy import column_entropies, score_maps
+from gementropy.errors import ParseError, StructuralError
 from gementropy.gem_io import (
     ClassDef,
     Flag,
     assign_class,
-    build_matrix,
     group_maps,
     load_class_defs,
     load_descriptions,
@@ -260,48 +260,65 @@ class TestGroupMaps:
         assert scored + no_match == 3
 
 
+def _maps(text):
+    return group_maps(parse_gem_file(io.StringIO(text)))
+
+
 class TestBuildMatrix:
-    def test_reference_matrix_unpadded(self, reference_record):
-        matrix = build_matrix(reference_record)
-        assert (matrix.m, matrix.n) == (8, 7)
-        assert matrix.row_strings()[0] == "02H43JZ"
-        assert all("*" not in row for row in matrix.row_strings())
+    """The padded code matrix of each map, as ``column_entropies`` lays it
+    out: its rows are the map's codes, its width the longest code."""
+
+    def test_reference_matrix_unpadded(self, reference_maps):
+        cols, widths = column_entropies(reference_maps)
+        assert (reference_maps.m[0], len(cols), list(widths)) == (8, 7, [7])
+        targets = [e.target for e in reference_maps[0].entries]
+        assert targets[0] == "02H43JZ"
+        assert {len(t) for t in targets} == {7}
 
     def test_padding_to_max_length(self):
-        text = "X E10 00000\nX E1065 10000\n"
-        matrix = build_matrix(group_maps(parse_gem_file(io.StringIO(text)))[0])
-        assert matrix.n == 5
-        assert matrix.row_strings() == ["E10**", "E1065"]
+        # rows E10** and E1065: the pad counts as a symbol of its own
+        cols, widths = column_entropies(_maps("X E10 00000\nX E1065 10000\n"))
+        assert list(widths) == [5]
+        assert list(cols) == [0.0, 0.0, 0.0, 1.0, 1.0]
 
     def test_singleton(self):
-        matrix = build_matrix(group_maps(parse_gem_file(io.StringIO("X 86 00000\n")))[0])
-        assert (matrix.m, matrix.n) == (1, 2)
+        cols, widths = column_entropies(_maps("X 86 00000\n"))
+        assert (list(widths), list(cols)) == ([2], [0.0, 0.0])
 
     def test_empty_map_rejected(self):
-        record = group_maps(parse_gem_file(io.StringIO("X NODX 11000\n")))[0]
-        with pytest.raises(EmptyMapError):
-            build_matrix(record)
+        # a no-match map has no rows to lay out: scoring excludes it
+        maps = _maps("X NODX 11000\n")
+        scores, excluded = score_maps(maps)
+        assert len(scores) == 0 and list(excluded.source) == ["X"]
 
-    def test_duplicate_rows_kept(self, reference_record):
-        rows = build_matrix(reference_record).row_strings()
-        assert rows.count("02H43KZ") == 2
+    def test_duplicate_rows_kept(self, reference_maps):
+        targets = [e.target for e in reference_maps[0].entries]
+        assert targets.count("02H43KZ") == 2
+        # column 3 is H five times and P three times; without the duplicate
+        # rows it would be 3 and 3, 1 bit
+        cols, _ = column_entropies(reference_maps)
+        assert cols[2] == pytest.approx(0.9544340029249649, abs=1e-12)
 
     def test_row_order_follows_file_order(self):
         rng = np.random.default_rng(3)
         entries = make_map_entries(rng, "SRC")
-        record = group_maps(entries)[0]
-        rows = build_matrix(record).row_strings()
-        width = max(len(e.target) for e in entries)
-        assert rows == [e.target.ljust(width, "*") for e in entries]
+        maps = group_maps(entries)
+        _, widths = column_entropies(maps)
+        assert [e.target for e in maps[0].entries] == [e.target for e in entries]
+        assert list(widths) == [max(len(e.target) for e in entries)]
 
     def test_permuting_lines_permutes_rows_identically(self):
         rng = np.random.default_rng(5)
         entries = make_map_entries(rng, "SRC")
         order = rng.permutation(len(entries))
         shuffled = [entries[i] for i in order]
-        rows_a = build_matrix(group_maps(entries)[0]).row_strings()
-        rows_b = build_matrix(group_maps(shuffled)[0]).row_strings()
-        assert rows_b == [rows_a[i] for i in order]
+        maps_a, maps_b = group_maps(entries), group_maps(shuffled)
+        rows_a = [e.target for e in maps_a[0].entries]
+        assert [e.target for e in maps_b[0].entries] == [rows_a[i] for i in order]
+        cols_a, widths_a = column_entropies(maps_a)
+        cols_b, widths_b = column_entropies(maps_b)
+        assert list(widths_a) == list(widths_b)
+        assert cols_a.tobytes() == cols_b.tobytes()
 
 
 CLASS_CSV = """\

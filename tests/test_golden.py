@@ -6,7 +6,8 @@ classes-textnet shape of ``perfbench/corpus.py`` (with its class ranges and
 descriptions), a few descriptions that need CSV quoting or JSON escaping,
 and a ``code,probability`` file covering about 70% of the maps.
 ``tests/golden/reports/<format>/<run>`` holds the files each run of
-``RUNS`` writes, in CSV and JSON.
+``RUNS`` writes, in CSV and JSON, and ``tests/golden/verify_example.txt`` the
+standard output of ``gementropy verify-example``.
 
 These files pin the report format. When a change to it is intended,
 regenerate the reports from the repository root with
@@ -20,6 +21,7 @@ generator in ``perfbench/corpus.py`` or ``build_corpus`` does).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import shutil
@@ -90,6 +92,14 @@ def test_reports_match_golden(tmp_path, run, fmt):
         assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
 
 
+def test_verify_example_matches_golden(capsys):
+    """``verify-example`` prints the checks of the reference map 0052 as
+    ``golden/verify_example.txt`` holds them."""
+    assert cli.main(["verify-example"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (GOLDEN / "verify_example.txt").read_bytes()
+
+
 def build_corpus() -> None:
     """Write the corpus inputs: perfbench's classes-textnet generator (300
     maps, seed 7) plus ODD_DESCRIPTIONS and a frequency file."""
@@ -119,13 +129,18 @@ def build_corpus() -> None:
 
 
 def regenerate() -> None:
-    """Rewrite every golden report with the current code."""
+    """Rewrite every golden report and ``verify_example.txt`` with the
+    current code."""
     for fmt in FORMATS:
         for run in RUNS:
             out = REPORTS / fmt / run
             shutil.rmtree(out, ignore_errors=True)
             if cli.main(_argv(run, fmt, out)) != 0:
                 raise SystemExit(f"run {run} ({fmt}) failed")
+    with open(GOLDEN / "verify_example.txt", "w", encoding="utf-8", newline="") as fh:
+        with contextlib.redirect_stdout(fh):
+            if cli.main(["verify-example"]) != 0:
+                raise SystemExit("verify-example failed")
 
 
 if __name__ == "__main__":

@@ -47,9 +47,10 @@ def test_empty_batch():
 
 
 def test_matrix_helper_single_map():
+    """A batch of one (m, n) matrix."""
     rng = np.random.default_rng(102)
     codes = rng.integers(0, N_SYMBOLS, (12, 5)).astype(np.uint8)
-    got = _kernels.matrix_column_entropies(codes)
+    got = _kernels.batch_column_entropies(codes.reshape(-1), np.array([12]), np.array([5]))
     expected = _python_oracle(codes.reshape(-1), [12], [5])
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
