@@ -1,14 +1,16 @@
 """Column-entropy kernel.
 
 Scoring needs the Shannon entropy of every column of every map's padded
-code matrix. All matrices are concatenated row-major into one flat uint8
-buffer of symbol indices, and one call counts them sparsely: each cell gets
-the key ``column * N_SYMBOLS + symbol``, one sort (``np.unique``) counts the
+code matrix. A batch of matrices is concatenated row-major into one flat
+uint8 buffer of symbol indices, and one call counts them sparsely: each cell
+gets the key ``column * N_SYMBOLS + symbol``, one sort (``np.unique``) counts the
 distinct keys, and -p*log2(p) is summed over the nonzero counts only.
 Columns of three or more distinct symbols, whose sum depends on the order of
 its terms, are summed as dense rows of ``N_SYMBOLS`` terms (at most one row
 per three cells), so every value rounds as a dense per-column sum does.
-Memory is O(cells), whatever the number of columns.
+A call's working arrays take about 70 bytes per cell of its batch, whatever
+the number of columns; :func:`gementropy.entropy.column_entropies` bounds
+them by calling the kernel on blocks of maps.
 """
 
 from __future__ import annotations

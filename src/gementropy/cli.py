@@ -52,6 +52,11 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+# Report rows formatted per block: the cell texts of 8,192 rows of ten
+# columns take 3-5 MB, where 69,823 rows at once took 20 MB (CSV) and 44 MB
+# (JSON).
+_REPORT_BLOCK = 8192
+
 _json_cell = json.JSONEncoder().encode
 _needs_quotes = re.compile('[,"\r\n]').search
 
@@ -86,6 +91,21 @@ def _cell_texts(column, fmt: str) -> list[str]:
     return list(map(cell, cells))
 
 
+def _text_blocks(columns: list, fmt: str):
+    """The cell texts of the columns, ``_REPORT_BLOCK`` rows at a time."""
+    n_rows = min(map(len, columns), default=0)
+    for lo in range(0, n_rows, _REPORT_BLOCK):
+        yield [_cell_texts(column[lo : lo + _REPORT_BLOCK], fmt) for column in columns]
+
+
+def _csv_text(rows, width: int) -> str:
+    """The CSV lines of rows of ``width`` cell texts."""
+    lines = map(",".join, rows)
+    if width == 1:  # csv.writer quotes a row of one empty field
+        lines = ('""' if line == "" else line for line in lines)
+    return "\n".join(lines) + "\n"
+
+
 def _write_report(out_dir: Path, name: str, fmt: str, columns) -> Path:
     """Write one report from named columns: a mapping from header to a numpy
     array or a sequence, in column order (or (header, column) pairs where a
@@ -97,31 +117,28 @@ def _write_report(out_dir: Path, name: str, fmt: str, columns) -> Path:
     ``Infinity``, ``-Infinity``); an int is written exactly; None is ``""``
     in CSV and ``null`` in JSON; a CSV string is quoted as QUOTE_MINIMAL
     quotes it, and a JSON string is escaped to ASCII. An empty JSON report
-    is ``[]``.
+    is ``[]``. Rows are formatted and written ``_REPORT_BLOCK`` at a time.
     """
     pairs = list(columns.items()) if isinstance(columns, dict) else list(columns)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.{fmt}"
     if fmt == "csv":
-        header = [_csv_cell(key) for key, _ in pairs]
-        texts = [_cell_texts(column, fmt) for _, column in pairs]
-        if len(texts) == 1:  # csv.writer quotes a row of one empty field
-            header, texts[0] = (
-                ['""' if t == "" else t for t in part] for part in (header, texts[0])
-            )
-        lines = [",".join(header), *map(",".join, zip(*texts))]
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(_csv_text([[_csv_cell(key) for key, _ in pairs]], len(pairs)))
+            for texts in _text_blocks([column for _, column in pairs], fmt):
+                fh.write(_csv_text(zip(*texts), len(pairs)))
         return path
     merged = dict(pairs)
     # one record of json.dump(indent=2), a %s slot per cell ("%" in keys escaped)
     template = "  {\n%s\n  }" % ",\n".join(
         "    %s: %%s" % _json_cell(key).replace("%", "%%") for key in merged
     )
-    records = map(template.__mod__, zip(*(_cell_texts(c, fmt) for c in merged.values())))
-    body = ",\n".join(records)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"[\n{body}\n]\n" if body else "[]\n")
+        opening = "[\n"
+        for texts in _text_blocks(list(merged.values()), fmt):
+            fh.write(opening + ",\n".join(map(template.__mod__, zip(*texts))))
+            opening = ",\n"
+        fh.write("[]\n" if opening == "[\n" else "\n]\n")
     return path
 
 

@@ -9,12 +9,13 @@ Three per-map measures, all in bits:
   choice lists);
 * the uncertainty-rate baseline log2(m) used by prior work for comparison.
 
-:func:`column_entropies` lays the padded code matrices of every map of a
-:class:`~gementropy.gem_io.MapTable` into one flat buffer and calls the
-column kernel once. :func:`score_maps` scores a whole table: it sums each
-scored map's columns, and m, m0 and v come from the table. It returns a
-:class:`ScoreTable` of columns, which :func:`normalize_scores` turns into
-corpus z-scores (a :class:`ZScoreTable`). Both tables read as sequences of
+:func:`column_entropies` lays the padded code matrices of the maps of a
+:class:`~gementropy.gem_io.MapTable` into flat buffers, ``_KERNEL_BLOCK``
+maps at a time, and calls the column kernel on each. :func:`score_maps`
+scores a whole table: it sums each scored map's columns, and m, m0 and v
+come from the table. It returns a :class:`ScoreTable` of columns, which
+:func:`normalize_scores` turns into corpus z-scores (a
+:class:`ZScoreTable`). Both tables read as sequences of
 :class:`MapScores` and :class:`NormalizedScores` built on access;
 :func:`adjust_by_frequency` adds the optional frequency-adjusted columns to
 a :class:`ZScoreTable`. A single map is scored as a table of one.
@@ -35,6 +36,11 @@ from .gem_io import MAX_CODE, MapTable, RowTable, offsets
 
 # Finite positive per-position weights, one per matrix column.
 WeightVector = Sequence[float]
+
+# Maps per kernel call: the kernel's working arrays take about 70 bytes per
+# cell, a few MB for a block of maps of a few rows each, where 69,823 maps
+# in one call took 47 MB.
+_KERNEL_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -121,22 +127,29 @@ def score_column(scores: Sequence, name: str) -> np.ndarray:
 
 
 def column_entropies(maps: MapTable) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column entropies (bits) of every map's padded code matrix, in one
-    kernel call, and each map's width n.
+    """Per-column entropies (bits) of every map's padded code matrix, one
+    kernel call per block of maps, and each map's width n.
 
     Map k's matrix has its m target codes as rows, in entry order
     (duplicates kept), right-padded with the pad symbol, which counts as an
     ordinary alphabet, to n, the longest code of the map. Its columns are
     ``cols[sum(widths[:k]):][:widths[k]]``. Every map must have m >= 1.
+    A column's entropy depends on its own cells alone, so the blocks give
+    the values of one call bit for bit.
     """
-    heights = maps.m
     widths = np.maximum.reduceat(
         maps.lines.target_len[maps.rows], maps.starts[:-1]
     ).astype(np.int64)
-    # each map's rows cut to its own width, row-major
-    targets = maps.lines.targets[maps.rows]
-    flat = targets[np.arange(MAX_CODE) < np.repeat(widths, heights)[:, None]]
-    return _kernels.batch_column_entropies(flat, heights, widths), widths
+    cols = [np.zeros(0)]
+    for k in range(0, len(maps), _KERNEL_BLOCK):
+        heights = maps.m[k : k + _KERNEL_BLOCK]
+        block_widths = widths[k : k + _KERNEL_BLOCK]
+        rows = maps.rows[maps.starts[k] : maps.starts[k + len(heights)]]
+        # each map's rows cut to its own width, row-major
+        cut = np.arange(MAX_CODE) < np.repeat(block_widths, heights)[:, None]
+        flat = maps.lines.targets[rows][cut]
+        cols.append(_kernels.batch_column_entropies(flat, heights, block_widths))
+    return np.concatenate(cols), widths
 
 
 def score_maps(

@@ -2,13 +2,14 @@ import csv
 import dataclasses
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gementropy import cli, gem_io
+from gementropy import _kernels, cli, entropy, gem_io
 from gementropy.entropy import (
     MapScores,
     NormalizedScores,
@@ -279,6 +280,28 @@ def _alone_and_in_batch(seed, weights):
     assert len(batch) == len(corpus) and len(excluded) == 0
     for entries, got in zip(corpus, batch):
         assert _bits(got) == _bits(score_one(gem_io.group_maps(entries), weights))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 2, 3]))
+def test_kernel_blocks_match_one_call(seed, block):
+    """Kernel calls on blocks of 1-3 maps give the columns of one call bit
+    for bit, +0.0 for a constant column included."""
+    rng = np.random.default_rng(seed)
+    entries = [e for m in _corpus(rng, int(rng.integers(1, 12)), max_m=6) for e in m]
+    flag = gem_io.Flag(False, False, False, 0, 0)
+    entries += [gem_io.GemEntry("C", "A1", flag, 0)] * int(rng.integers(1, 4))
+    maps = gem_io.group_maps(entries)
+    with mock.patch.object(entropy, "_KERNEL_BLOCK", len(maps)):
+        want, want_widths = column_entropies(maps)
+    kernel = mock.Mock(wraps=_kernels.batch_column_entropies)
+    with mock.patch.object(entropy, "_KERNEL_BLOCK", block), mock.patch.object(
+        _kernels, "batch_column_entropies", kernel
+    ):
+        got, widths = column_entropies(maps)
+    assert kernel.call_count == -(-len(maps) // block)
+    assert got.tobytes() == want.tobytes() and np.array_equal(widths, want_widths)
+    assert (got == 0).any() and not np.signbit(got).any()
 
 
 class TestScoreMaps:

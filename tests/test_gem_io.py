@@ -1,11 +1,16 @@
+import dataclasses
 import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gementropy import gem_io
 from gementropy.entropy import column_entropies, score_maps
-from gementropy.errors import ParseError, StructuralError
+from gementropy.errors import GemError, ParseError, StructuralError
 from gementropy.gem_io import (
     ClassDef,
     Flag,
@@ -192,6 +197,115 @@ class TestByteOrderMark:
     def test_side_table_bytes(self):
         data = "\ufeffcode,probability\n86,0.5\n".encode("utf-8")
         assert load_frequencies(data) == {"86": 0.5}
+
+
+# ---------------------------------------------------------------------------
+# Parse blocks: a crosswalk read in blocks of a few bytes reads as in one block
+
+_CODE = st.text("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcxyz", min_size=1, max_size=8)
+_LINE = st.one_of(
+    st.builds("{} {} {}".format, _CODE, _CODE, st.sampled_from(["00000", "10000"])),
+    st.sampled_from(["0052 02H43KZ 10111", "x nodx 11000", " A1\tb2  10112 "]),
+    st.sampled_from(["", " ", "\t\x0b "]),  # blank lines
+)
+_BREAK = st.sampled_from(["\n", "\r\n", "\r"])
+_BAD_LINE = st.sampled_from([
+    "X1", "X1 A1 00000 Z", "X.1 A1 00000", "X1 A\u00e91 00000", "ABCDEFGHI A1 00000",
+    "X1 A1 0000x", "X1 A1 20000", "X1 A1 10102", "X1 NODX 10111", "X1 A1 01000",
+])
+
+
+@st.composite
+def _crosswalk_text(draw, min_lines=0):
+    """Crosswalk lines with LF, CRLF and lone CR endings mixed, blank lines
+    among them (a lone CR before a blank line's LF makes a CRLF), and a last
+    line with or without a break."""
+    lines = draw(st.lists(st.tuples(_LINE, _BREAK), min_size=min_lines, max_size=25))
+    last = draw(st.one_of(st.just(""), _LINE))
+    return "".join(line + end for line, end in lines) + last
+
+
+def _parsed(data: bytes, block: int = gem_io._PARSE_BLOCK):
+    """The columns parsed from ``data`` with ``block`` bytes per parse block
+    (by default, one block here), or the error's type, text and line."""
+    with mock.patch.object(gem_io, "_PARSE_BLOCK", block):
+        try:
+            lines = parse_gem_file(data, "gems.txt")
+        except GemError as err:
+            return type(err), str(err), err.line
+    return [
+        (a.dtype, a.shape, a.tobytes())
+        for a in (getattr(lines, f.name) for f in dataclasses.fields(lines))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_crosswalk_text(), st.booleans())
+def test_parse_blocks_read_as_one(text, bom):
+    data = b"\xef\xbb\xbf" * bom + text.encode()
+    want = _parsed(data)
+    assert isinstance(want, list)
+    for block in (1, 7, 64):
+        assert _parsed(data, block) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_crosswalk_text(min_lines=1), _BAD_LINE, _BREAK, _crosswalk_text(), st.booleans())
+def test_parse_blocks_fail_as_one(head, bad, end, tail, bom):
+    # the bad line follows at least one line break, so blocks of 1 and 7
+    # bytes put it past the first block
+    data = b"\xef\xbb\xbf" * bom + (head + bad + end + tail).encode()
+    want = _parsed(data)
+    assert isinstance(want, tuple)
+    for block in (1, 7, 64):
+        assert _parsed(data, block) == want
+
+
+def _generated_crosswalk(n_lines: int) -> bytes:
+    """A valid crosswalk of ``n_lines`` lines: maps of about two rows of
+    3-7 character targets."""
+    rng = np.random.default_rng(n_lines)
+    chars = np.array(list("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"))
+    map_of_line = np.cumsum(rng.random(n_lines) < 0.5)
+    lengths = rng.integers(3, 8, n_lines)
+    cells = chars[rng.integers(0, 36, (n_lines, 7))]
+    return "".join(
+        f"S{m:07d} {''.join(row[:k])} 10000\n"
+        for m, row, k in zip(map_of_line.tolist(), cells.tolist(), lengths.tolist())
+    ).encode()
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak of the memory it allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _transients(n_lines: int) -> tuple[int, int]:
+    """Peak memory of parsing and of the column entropies of a generated
+    crosswalk, beyond what each returns and the blocks' parts that are
+    concatenated into it (as large again)."""
+    data = _generated_crosswalk(n_lines)
+    lines, parse_peak = _traced_peak(lambda: parse_gem_file(data))
+    lines_bytes = sum(getattr(lines, f.name).nbytes for f in dataclasses.fields(lines))
+    maps = group_maps(lines)
+    (cols, widths), kernel_peak = _traced_peak(lambda: column_entropies(maps))
+    return parse_peak - 2 * lines_bytes, kernel_peak - 2 * cols.nbytes - widths.nbytes
+
+
+def test_parse_and_kernel_memory_bounded_by_blocks():
+    # 30,000 lines span 3 parse blocks and 2 kernel blocks, 120,000 lines
+    # four times as many. Read in one block, both transients grew fourfold
+    # (parsing 5.4 -> 21 MB, the kernel 17 -> 68 MB); in blocks they may
+    # differ by a slack of 2 MB, as blocks end where line breaks and maps do.
+    small, large = _transients(30_000), _transients(120_000)
+    for a, b in zip(small, large):
+        assert b <= a + 2_000_000
 
 
 class TestGroupMaps:

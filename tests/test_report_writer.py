@@ -9,12 +9,18 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gementropy import cli
 from gementropy.cli import _write_report
+
+# rows per formatting block: the default, and sizes that cut small tables
+BLOCKS = (cli._REPORT_BLOCK, 1, 2, 7)
 
 
 def _write_table_oracle(out_dir: Path, name: str, fmt: str, header, rows) -> Path:
@@ -93,22 +99,42 @@ def tables(draw):
     return header, columns
 
 
+def _check_against_oracle(tmp: Path, header, columns):
+    """Every format and block size writes the oracle's bytes."""
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    for fmt in ("csv", "json"):
+        want = _write_table_oracle(tmp / "old", "t", fmt, header, rows).read_bytes()
+        for block in BLOCKS:
+            with mock.patch.object(cli, "_REPORT_BLOCK", block):
+                got = _write_report(tmp / "new", "t", fmt, list(zip(header, columns)))
+                assert got.read_bytes() == want
+                if len(set(header)) == len(header):
+                    as_dict = _write_report(tmp / "dict", "t", fmt, dict(zip(header, columns)))
+                    assert as_dict.read_bytes() == want
+
+
 @settings(max_examples=400, deadline=None)
 @given(tables())
 def test_writer_matches_row_writer(table):
-    header, columns = table
-    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        for fmt in ("csv", "json"):
-            got = _write_report(tmp / "new", "t", fmt, list(zip(header, columns)))
-            want = _write_table_oracle(tmp / "old", "t", fmt, header, rows)
-            assert got.read_bytes() == want.read_bytes()
-            if len(set(header)) == len(header):
-                as_dict = _write_report(tmp / "dict", "t", fmt, dict(zip(header, columns)))
-                assert as_dict.read_bytes() == want.read_bytes()
+        _check_against_oracle(Path(tmp), *table)
+
+
+@pytest.mark.parametrize(
+    "header, columns",
+    [
+        (["a"], [np.zeros(0)]),  # no rows
+        (["a", ""], [[], ()]),
+        ([""], [["", "", "x", "", "", "", "", ""]]),  # one column: "" is quoted
+        (["", ""], [[""] * 3, [""] * 3]),
+    ],
+)
+def test_edge_tables_match_row_writer(tmp_path, header, columns):
+    _check_against_oracle(tmp_path, header, columns)
 
 
 def test_empty_json_report(tmp_path):
-    path = _write_report(tmp_path, "t", "json", {"a": np.zeros(0)})
-    assert path.read_text() == "[]\n"
+    for block in BLOCKS:
+        with mock.patch.object(cli, "_REPORT_BLOCK", block):
+            path = _write_report(tmp_path, "t", "json", {"a": np.zeros(0)})
+        assert path.read_text() == "[]\n"
