@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import NormalizedScores, score_column
+from .entropy import ZScoreTable
 from .gem_io import UNCLASSIFIED, ClassDef, assign_classes
 
 RANK_MEASURES = ("z_alpha", "z_beta", "z_ur", "total")
@@ -123,18 +123,15 @@ def descriptive_stats(values: Sequence[float]) -> Stats:
     )
 
 
-def aggregate_by_class(
-    normalized: Sequence[NormalizedScores], defs: Sequence[ClassDef]
-) -> list[ClassScore]:
+def aggregate_by_class(normalized: ZScoreTable, defs: Sequence[ClassDef]) -> list[ClassScore]:
     """Sum each map's z triple into its clinical class.
 
-    ``normalized`` is a :class:`~gementropy.entropy.ZScoreTable` or any
-    sequence of :class:`NormalizedScores`. Maps outside every range land in
-    an ``unclassified`` bucket. Only classes with at least one member are
-    returned, in first-member order; sums add in map order.
+    Maps outside every range land in an ``unclassified`` bucket. Only
+    classes with at least one member are returned, in first-member order;
+    sums add in map order.
     """
-    sources = score_column(normalized, "source")
-    zs = [score_column(normalized, name) for name in ("z_alpha", "z_beta", "z_ur")]
+    sources = normalized.source
+    zs = [normalized.z_alpha, normalized.z_beta, normalized.z_ur]
     index = assign_classes(sources.tolist(), defs)
     sums = [np.bincount(index, weights=z, minlength=len(defs) + 1).tolist() for z in zs]
     ids = [d.id for d in defs] + [UNCLASSIFIED]
@@ -201,18 +198,17 @@ def kendall_tau(rank_a: RankTable, rank_b: RankTable) -> float:
 
 
 def detect_outliers(
-    normalized: Sequence[NormalizedScores],
+    normalized: ZScoreTable,
     measure: str,
     threshold: float | None = None,
     top_fraction: float | None = None,
 ) -> list[tuple[str, float]]:
-    """Maps whose score strictly exceeds a threshold, highest first.
+    """Maps whose z-score on ``measure`` strictly exceeds a threshold,
+    highest first.
 
-    ``normalized`` is a :class:`~gementropy.entropy.ZScoreTable` or any
-    sequence of :class:`NormalizedScores`. In ``top_fraction`` mode the
-    threshold is the smallest value keeping at most that fraction of maps,
-    so at most floor(fraction * N) are returned (fewer under ties at the
-    cut).
+    In ``top_fraction`` mode the threshold is the smallest value keeping at
+    most that fraction of maps, so at most floor(fraction * N) are returned
+    (fewer under ties at the cut).
     """
     if (threshold is None) == (top_fraction is None):
         raise ValueError("supply exactly one of threshold or top_fraction")
@@ -222,8 +218,8 @@ def detect_outliers(
         raise ValueError(f"measure must be one of {OUTLIER_MEASURES}, got {measure!r}")
     if not normalized:
         raise ValueError("no scores to scan for outliers")
-    sources = score_column(normalized, "source")
-    values = score_column(normalized, measure)
+    sources = normalized.source
+    values = getattr(normalized, measure)
     order = np.lexsort((sources, -values))
     if top_fraction is not None:
         if not 0.0 < top_fraction <= 1.0:

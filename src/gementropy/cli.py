@@ -190,7 +190,7 @@ def cmd_score(args) -> int:
     names = ["source", "m", "m0", "v", "h_a", "h_b", "ur"]
     if weights is not None:
         names.append("h_a_weighted")
-    columns = {name: entropy.score_column(scores, name) for name in names}
+    columns = {name: getattr(scores, name) for name in names}
     normalized = None
     if scores:
         try:
@@ -203,7 +203,7 @@ def cmd_score(args) -> int:
         z_names = ["z_alpha", "z_beta", "z_ur"]
         if normalized.adjusted_z_alpha is not None:
             z_names += ["adjusted_z_alpha", "adjusted_z_beta", "adjusted_z_ur"]
-        columns.update((name, entropy.score_column(normalized, name)) for name in z_names)
+        columns.update((name, getattr(normalized, name)) for name in z_names)
     out = Path(args.out)
     path = _write_report(out, "scores", args.format, columns)
     excl_path = _write_report(out, "excluded", args.format, _excluded_columns(excluded))
@@ -267,7 +267,7 @@ def cmd_rank(args) -> int:
 
 def _read_rank_file(path: str) -> analysis.RankTable:
     p = Path(path)
-    with open(p, encoding="utf-8", newline="") as fh:
+    with open(p, encoding="utf-8-sig", newline="") as fh:
         if p.suffix.lower() == ".json":
             try:
                 records = json.load(fh)
@@ -287,7 +287,7 @@ def _read_rank_file(path: str) -> analysis.RankTable:
                 raise GemError(f"{path}: not UTF-8: {exc.reason}") from None
             if fields is None or not {"class_id", "score"} <= set(fields):
                 raise GemError(f"{path}: rank file needs class_id and score columns")
-    pairs = []
+    pairs = {}
     for where, record in located:
         try:
             class_id, score = record["class_id"], float(record["score"])
@@ -297,12 +297,14 @@ def _read_rank_file(path: str) -> analysis.RankTable:
             raise GemError(f"{path}{where}: class_id must be a string, got {class_id!r}")
         if not math.isfinite(score):
             raise GemError(f"{path}{where}: score must be finite, got {record['score']!r}")
-        pairs.append((class_id, score))
+        if class_id in pairs:
+            raise GemError(f"{path}{where}: class_id {class_id!r} is listed twice")
+        pairs[class_id] = score
     if not pairs:
         raise GemError(f"{path}: rank file is empty")
     if len(pairs) < 2:
         raise GemError(f"{path}: need at least 2 classes to correlate, got 1")
-    ordered = sorted(pairs, key=lambda pair: (-pair[1], pair[0]))
+    ordered = sorted(pairs.items(), key=lambda pair: (-pair[1], pair[0]))
     rows = tuple(
         (class_id, score, rank) for rank, (class_id, score) in enumerate(ordered, 1)
     )

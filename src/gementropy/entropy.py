@@ -118,14 +118,6 @@ class ZScoreTable(_Columns):
     adjusted_z_ur: np.ndarray | None = None
 
 
-def score_column(scores: Sequence, name: str) -> np.ndarray:
-    """One field of every score: the array of a :class:`ScoreTable` or
-    :class:`ZScoreTable`, or gathered from a sequence of score objects."""
-    if isinstance(scores, _Columns):
-        return getattr(scores, name)
-    return np.array([getattr(s, name) for s in scores])
-
-
 def column_entropies(maps: MapTable) -> tuple[np.ndarray, np.ndarray]:
     """Per-column entropies (bits) of every map's padded code matrix, one
     kernel call per block of maps, and each map's width n.
@@ -204,15 +196,12 @@ def score_maps(
 _MEASURES = (("h_a", "z_alpha"), ("h_b", "z_beta"), ("ur", "z_ur"))
 
 
-def normalize_scores(
-    scores: Sequence[MapScores], denominator: str = "std"
-) -> ZScoreTable:
+def normalize_scores(scores: ScoreTable, denominator: str = "std") -> ZScoreTable:
     """Center each measure over the corpus and divide by its spread.
 
-    ``scores`` is a :class:`ScoreTable` or any sequence of
-    :class:`MapScores`. ``denominator`` is ``"std"`` (sample standard
-    deviation, n-1) or ``"variance"`` (sample variance). Excluded maps must
-    already be removed; a constant measure raises DegenerateMeasureError.
+    ``denominator`` is ``"std"`` (sample standard deviation, n-1) or
+    ``"variance"`` (sample variance). Excluded maps must already be removed;
+    a constant measure raises DegenerateMeasureError.
     """
     if denominator not in ("std", "variance"):
         raise ValueError(f"denominator must be 'std' or 'variance', got {denominator!r}")
@@ -220,27 +209,21 @@ def normalize_scores(
         raise ValueError("normalization needs at least 2 scored maps")
     z_columns = {}
     for field, z_name in _MEASURES:
-        values = np.array(score_column(scores, field), dtype=np.float64)
+        values = getattr(scores, field)
         var = float(np.var(values, ddof=1))
         denom = math.sqrt(var) if denominator == "std" else var
         if denom == 0.0:
             raise DegenerateMeasureError(field)
         z_columns[z_name] = (values - values.mean()) / denom
-    return ZScoreTable(source=score_column(scores, "source"), **z_columns)
+    return ZScoreTable(source=scores.source, **z_columns)
 
 
-def adjust_by_frequency(
-    z: NormalizedScores | ZScoreTable, p: float | Mapping[str, float]
-) -> NormalizedScores | ZScoreTable:
+def adjust_by_frequency(z: ZScoreTable, p: Mapping[str, float]) -> ZScoreTable:
     """Scale z-scores by the probability, in [0, 1], of each map's concept.
 
-    ``z`` is a :class:`NormalizedScores` and ``p`` its probability, or a
-    :class:`ZScoreTable` and ``p`` maps sources to probabilities; maps it
-    lacks keep None adjusted scores (the table is returned as is if all do).
+    ``p`` maps sources to probabilities; maps it lacks keep None adjusted
+    scores (the table is returned as is if all do).
     """
-    if one := isinstance(z, NormalizedScores):
-        p = {z.source: p}
-        z = ZScoreTable(*(np.array([v]) for v in (z.source, z.z_alpha, z.z_beta, z.z_ur)))
     covered = np.array([source in p for source in z.source.tolist()])
     if not covered.any():
         return z
@@ -253,5 +236,4 @@ def adjust_by_frequency(
         column = np.full(len(z), None, dtype=object)
         column[covered] = (getattr(z, name)[covered] * probs).tolist()
         adjusted[f"adjusted_{name}"] = column
-    table = replace(z, **adjusted)
-    return table[0] if one else table
+    return replace(z, **adjusted)

@@ -29,9 +29,7 @@ source.
 
 Both tables are sized sequences that build :class:`GemEntry` and
 :class:`MapRecord` objects on access, so per-object code reads them like
-lists while scoring reads the arrays. A list of entries converts to a
-:class:`GemLines` table through the file reader
-(:meth:`GemLines.from_entries`), so there is one ingestion path.
+lists while scoring reads the arrays.
 
 The grammar is ASCII: codes are 1-8 characters of [A-Za-z0-9] (upper-cased),
 flags are 5 ASCII digits, fields are separated by ASCII whitespace, lines
@@ -117,14 +115,6 @@ class GemEntry:
         """True when this entry marks data loss (no target-system match)."""
         return self.flag.no_map or self.target in NO_MATCH_SENTINELS
 
-    def to_line(self) -> str:
-        f = self.flag
-        digits = (
-            f"{int(f.approximate)}{int(f.no_map)}{int(f.combination)}"
-            f"{f.scenario}{f.choice_list}"
-        )
-        return f"{self.source} {self.target} {digits}"
-
 
 @dataclass(frozen=True)
 class MapRecord:
@@ -156,9 +146,7 @@ class ClassDef:
 
 class RowTable(Sequence):
     """Equal-length columns read as a sequence of row objects, each built
-    when it is accessed. Compares equal to any sequence of equal rows."""
-
-    __hash__ = None
+    when it is accessed."""
 
     def _rows(self, part: slice) -> Iterable:
         """The row objects of a slice of the table."""
@@ -172,11 +160,6 @@ class RowTable(Sequence):
 
     def __iter__(self):
         return iter(self._rows(slice(None)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} of {len(self)} rows>"
@@ -232,20 +215,6 @@ class GemLines(RowTable):
         """Rows whose target is a no-match sentinel code."""
         keys = self.targets.view("<u8")[:, 0]
         return (keys == _SENTINEL_KEYS[0]) | (keys == _SENTINEL_KEYS[1])
-
-    @classmethod
-    def from_entries(cls, entries: Iterable[GemEntry]) -> GemLines:
-        """Rows of already-built entries, through the same reader as files.
-
-        Each entry is re-read from :meth:`GemEntry.to_line`, so it obeys the
-        file grammar; an invalid entry raises the reader's error with its
-        position (1-based) as line. The rows keep the entries' line numbers.
-        """
-        entries = list(entries)
-        data = "\n".join(e.to_line() for e in entries).encode("utf-8", "surrogatepass")
-        lines = _read_lines(data, None)
-        lines.line = np.array([e.line_number for e in entries], dtype=np.int64)
-        return lines
 
 
 def parse_flag(text: str, filename=None, line=None) -> Flag:
@@ -547,7 +516,7 @@ def _build_maps(lines: GemLines, map_id: np.ndarray, first_row: np.ndarray) -> M
     gap[map_keys] = scen_keys[map_first + n_scen - 1] % 10 != n_scen
     gap[scen_map[keys[scen_first + n_lists - 1] % 10 != n_lists]] = True
     bad = ~excluded & ((n_no_match > 0) | gap)
-    source = np.array(_strings(lines.sources[first_row]), dtype="U8")
+    source = lines.sources[first_row].view("S8")[:, 0].astype("U8")
     if bad.any():
         k = int(np.argmax(bad))
         _make_record(str(source[k]), lines._rows(rows[map_id[rows] == k]))
@@ -570,16 +539,14 @@ def _build_maps(lines: GemLines, map_id: np.ndarray, first_row: np.ndarray) -> M
     return MapTable(lines, rows, offsets(sizes), source, m, m0, v)
 
 
-def group_maps(entries: Iterable[GemEntry]) -> MapTable:
-    """Group entries by source code into a :class:`MapTable`.
+def group_maps(lines: GemLines) -> MapTable:
+    """Group the rows of a crosswalk by source code into a :class:`MapTable`.
 
-    ``entries`` is a :class:`GemLines` table or any iterable of entries.
     Maps follow first-appearance order; entry order inside a map is
     preserved. Stand-alone entries (no combination flag) fill
     ``standalone_codes``; combination entries are bucketed by their
     (scenario, choice list) digits, which must number contiguously from 1.
     """
-    lines = entries if isinstance(entries, GemLines) else GemLines.from_entries(entries)
     keys = lines.sources.view("<u8")[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
@@ -707,14 +674,6 @@ def assign_classes(codes: Sequence[str], defs: Sequence[ClassDef]) -> np.ndarray
             lo, hi = _range_interval(low, high)
             out[(out == len(defs)) & (keys >= lo) & (keys <= hi)] = i
     return out
-
-
-def assign_class(code: str, defs: Sequence[ClassDef]) -> str:
-    """Return the id of the first class whose range covers the code's
-    leading prefix, or ``"unclassified"``: :func:`assign_classes` on one
-    code."""
-    i = int(assign_classes([code], defs)[0])
-    return defs[i].id if i < len(defs) else UNCLASSIFIED
 
 
 def _well_formed_descriptions(data: bytes) -> dict[str, str] | None:

@@ -20,6 +20,7 @@ holding the alphabetically first word wins.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -32,26 +33,18 @@ from .errors import ConvergenceError
 MIN_TOKEN_LENGTH = 3
 
 # Words common in code descriptions that carry no theme.
-DEFAULT_RESIDUALS = frozenset({"other", "unspecified", "specified", "nec", "nos"})
+RESIDUALS = frozenset({"other", "unspecified", "specified", "nec", "nos"})
 
 _WORD_RE = re.compile(r"[a-z]+")
 
-_default_stopwords: frozenset[str] | None = None
 
-
-def default_stopwords() -> frozenset[str]:
-    """English stopword list shipped with the package."""
-    global _default_stopwords
-    if _default_stopwords is None:
-        text = (
-            resources.files("gementropy")
-            .joinpath("data/stopwords.txt")
-            .read_text(encoding="utf-8")
-        )
-        _default_stopwords = frozenset(
-            w.strip() for w in text.splitlines() if w.strip() and not w.startswith("#")
-        )
-    return _default_stopwords
+@functools.cache
+def _dropped_words() -> frozenset[str]:
+    """The English stopword list shipped with the package, plus the
+    residual words."""
+    text = resources.files("gementropy").joinpath("data/stopwords.txt").read_text(encoding="utf-8")
+    stopwords = (w.strip() for w in text.splitlines() if w.strip() and not w.startswith("#"))
+    return RESIDUALS.union(stopwords)
 
 
 @dataclass(frozen=True)
@@ -72,37 +65,19 @@ class WordGraph:
     weights: np.ndarray
     first_order: np.ndarray
 
-    @classmethod
-    def from_dicts(cls, nodes: dict[str, int], edges: dict[tuple[str, str], int]) -> WordGraph:
-        """The graph of word counts and of edge weights keyed by sorted (a, b)
-        word pairs, the edges first occurring in the order of ``edges``."""
-        words = np.array(sorted(nodes), dtype=object)
-        index = {w: i for i, w in enumerate(words)}
-        ends = np.array([(index[a], index[b]) for a, b in edges], dtype=np.intp).reshape(-1, 2)
-        lexical = np.lexsort(ends.T[::-1])
-        weights = np.array(list(edges.values()), dtype=np.int64)[lexical]
-        counts = np.array([nodes[w] for w in words], dtype=np.int64)
-        return cls(words, counts, ends[lexical], weights, np.argsort(lexical))
 
-
-def tokenize(
-    description: str,
-    stopwords: Iterable[str] | None = None,
-    residuals: Iterable[str] | None = None,
-    min_length: int = MIN_TOKEN_LENGTH,
-) -> list[str]:
+def tokenize(description: str) -> list[str]:
     """Extract the content words of one description.
 
     Lowercases, strips punctuation/digits, drops tokens shorter than
-    ``min_length``, removes stopwords and residual words, and collapses
-    repeats to their first occurrence.
+    ``MIN_TOKEN_LENGTH``, removes the shipped stopwords and the
+    ``RESIDUALS``, and collapses repeats to their first occurrence.
     """
-    stop = default_stopwords() if stopwords is None else set(stopwords)
-    residual = DEFAULT_RESIDUALS if residuals is None else set(residuals)
+    dropped = _dropped_words()
     seen = dict.fromkeys(
         w
         for w in _WORD_RE.findall(description.lower())
-        if len(w) >= min_length and w not in stop and w not in residual
+        if len(w) >= MIN_TOKEN_LENGTH and w not in dropped
     )
     return list(seen)
 

@@ -1,8 +1,10 @@
 """Shared fixtures: the bundled reference map, synthetic map generators,
-and discovery of the optional 2015 GEM data files."""
+tables built from rows, and discovery of the optional 2015 GEM data
+files."""
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import itertools
 import os
@@ -14,6 +16,7 @@ import pytest
 from gementropy import entropy, gem_io
 from gementropy.cli import REFERENCE_MAP_LINES
 from gementropy.gem_io import NO_MATCH_SENTINELS, Flag, GemEntry
+from gementropy.textnet import WordGraph
 
 CODE_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -77,9 +80,28 @@ def make_map_entries(
     ]
 
 
+def gem_line(entry: GemEntry) -> str:
+    """The crosswalk line of an entry: ``SOURCE TARGET FLAG5``."""
+    f = entry.flag
+    digits = (
+        f"{int(f.approximate)}{int(f.no_map)}{int(f.combination)}"
+        f"{f.scenario}{f.choice_list}"
+    )
+    return f"{entry.source} {entry.target} {digits}"
+
+
+def gem_lines(entries) -> gem_io.GemLines:
+    """The rows of a list of entries, read by the crosswalk reader from
+    their lines; the rows keep the entries' line numbers."""
+    entries = list(entries)
+    lines = gem_io.parse_gem_file("\n".join(map(gem_line, entries)).encode())
+    lines.line = np.array([e.line_number for e in entries], dtype=np.int64)
+    return lines
+
+
 def make_map(rng: np.random.Generator, source: str = "SRC", **kwargs):
     """A :class:`~gementropy.gem_io.MapTable` of one random map."""
-    return gem_io.group_maps(make_map_entries(rng, source, **kwargs))
+    return gem_io.group_maps(gem_lines(make_map_entries(rng, source, **kwargs)))
 
 
 def score_one(maps, weights=None):
@@ -87,6 +109,31 @@ def score_one(maps, weights=None):
     scores, excluded = entropy.score_maps(maps, weights)
     assert len(scores) == 1 and len(excluded) == 0
     return scores[0]
+
+
+def table_of(table_type, rows):
+    """A :class:`~gementropy.entropy.ScoreTable` or
+    :class:`~gementropy.entropy.ZScoreTable` of score rows: one array per
+    field, and None for an optional field that no row sets."""
+    rows = list(rows)
+    columns = {}
+    for field in dataclasses.fields(table_type):
+        values = [getattr(row, field.name) for row in rows]
+        if field.default is dataclasses.MISSING or any(v is not None for v in values):
+            columns[field.name] = np.array(values)
+    return table_type(**columns)
+
+
+def word_graph(nodes: dict[str, int], edges: dict[tuple[str, str], int]) -> WordGraph:
+    """The graph of word counts and of edge weights keyed by sorted (a, b)
+    word pairs, the edges first occurring in the order of ``edges``."""
+    words = np.array(sorted(nodes), dtype=object)
+    index = {w: i for i, w in enumerate(words)}
+    ends = np.array([(index[a], index[b]) for a, b in edges], dtype=np.intp).reshape(-1, 2)
+    lexical = np.lexsort(ends.T[::-1])
+    weights = np.array(list(edges.values()), dtype=np.int64)[lexical]
+    counts = np.array([nodes[w] for w in words], dtype=np.int64)
+    return WordGraph(words, counts, ends[lexical], weights, np.argsort(lexical))
 
 
 def brute_force_valid_representations(record) -> int:

@@ -16,16 +16,25 @@ import pytest
 from gementropy import analysis, textnet
 from gementropy.analysis import RankTable, kendall_tau
 from gementropy.cli import REFERENCE_MAP_LINES
-from gementropy.entropy import MapScores, column_entropies, normalize_scores, score_maps
+from gementropy.entropy import (
+    MapScores,
+    ScoreTable,
+    column_entropies,
+    normalize_scores,
+    score_maps,
+)
 from gementropy.errors import DegenerateMeasureError
 from gementropy.gem_io import group_maps, parse_gem_file
 
 from conftest import (
     brute_force_valid_representations,
+    gem_lines,
     make_map,
     make_map_entries,
     require_gem_file,
     score_one,
+    table_of,
+    word_graph,
 )
 
 
@@ -81,7 +90,8 @@ def test_criterion_3_entropy_property_suite():
         entries = make_map_entries(rng, "SRC")
         shuffled = list(entries)
         rng.shuffle(shuffled)
-        a, b = score_one(group_maps(entries)), score_one(group_maps(shuffled))
+        a = score_one(group_maps(gem_lines(entries)))
+        b = score_one(group_maps(gem_lines(shuffled)))
         assert (a.h_a, a.h_b, a.ur, a.v, a.m, a.m0) == (
             b.h_a,
             b.h_b,
@@ -121,7 +131,7 @@ def test_criterion_4_normalization_suite():
     rng = np.random.default_rng(404)
     for trial in range(20):
         n = int(rng.integers(2, 3000))
-        scores = [
+        scores = table_of(ScoreTable, [
             MapScores(
                 source=f"S{i}",
                 m=1,
@@ -132,7 +142,7 @@ def test_criterion_4_normalization_suite():
                 ur=float(rng.uniform(0.0, 12.0)),
             )
             for i in range(n)
-        ]
+        ])
         if any(
             np.ptp([getattr(s, f) for s in scores]) == 0 for f in ("h_a", "h_b", "ur")
         ):
@@ -143,10 +153,10 @@ def test_criterion_4_normalization_suite():
             assert abs(column.mean()) < 1e-9
             assert abs(column.std(ddof=1) - 1.0) < 1e-9
 
-    constant = [
+    constant = table_of(ScoreTable, [
         MapScores(source=f"S{i}", m=1, m0=1, v=1, h_a=2.0, h_b=float(i), ur=float(i))
         for i in range(10)
-    ]
+    ])
     with pytest.raises(DegenerateMeasureError):
         normalize_scores(constant, "std")
 
@@ -236,7 +246,7 @@ def test_criterion_6_centrality_checks():
         for _ in range(n):
             a, b = rng.choice(n, size=2, replace=False)
             edges[tuple(sorted((words[a], words[b])))] = 1
-        graph = textnet.WordGraph.from_dicts(nodes={w: 1 for w in words}, edges=edges)
+        graph = word_graph(nodes={w: 1 for w in words}, edges=edges)
         centrality = textnet.eigenvector_centrality(graph)
 
         x = np.array([centrality[w] for w in words])

@@ -16,12 +16,19 @@ from gementropy.analysis import (
     kendall_tau,
     rank_classes,
 )
-from gementropy.entropy import NormalizedScores
+from gementropy.entropy import NormalizedScores, ZScoreTable
 from gementropy.gem_io import load_class_defs
+
+from conftest import table_of
 
 
 def _z(source, za, zb=0.0, zur=0.0):
     return NormalizedScores(source=source, z_alpha=za, z_beta=zb, z_ur=zur)
+
+
+def _zs(rows):
+    """A z-score table of the rows."""
+    return table_of(ZScoreTable, rows)
 
 
 def _table(scores_by_class, measure="z_alpha"):
@@ -95,7 +102,7 @@ CLASS_CSV = "low,high,label\n00,04,Low Ops\n05,09,High Ops\n"
 class TestAggregateByClass:
     def test_single_bucket_sums(self):
         defs = load_class_defs(io.StringIO(CLASS_CSV))
-        zs = [_z("0011", 1.0, 2.0, 3.0), _z("0022", 0.5, 0.5, 0.5)]
+        zs = _zs([_z("0011", 1.0, 2.0, 3.0), _z("0022", 0.5, 0.5, 0.5)])
         scores = aggregate_by_class(zs, defs)
         assert len(scores) == 1
         cs = scores[0]
@@ -104,18 +111,18 @@ class TestAggregateByClass:
 
     def test_triple_totals(self):
         defs = load_class_defs(io.StringIO(CLASS_CSV))
-        scores = aggregate_by_class([_z("0011", 1.0, 2.0, 3.0)], defs)
+        scores = aggregate_by_class(_zs([_z("0011", 1.0, 2.0, 3.0)]), defs)
         assert scores[0].total == 6.0
 
     def test_cancellation(self):
         defs = load_class_defs(io.StringIO(CLASS_CSV))
-        zs = [_z("0011", 1.0), _z("0022", -1.0)]
+        zs = _zs([_z("0011", 1.0), _z("0022", -1.0)])
         scores = aggregate_by_class(zs, defs)
         assert scores[0].sum_z_alpha == 0.0
 
     def test_unclassified_bucket(self):
         defs = load_class_defs(io.StringIO(CLASS_CSV))
-        zs = [_z("0011", 1.0), _z("9911", 2.0)]
+        zs = _zs([_z("0011", 1.0), _z("9911", 2.0)])
         scores = {cs.class_id: cs for cs in aggregate_by_class(zs, defs)}
         assert set(scores) == {"00-04", "unclassified"}
         assert scores["unclassified"].members == [("9911", 2.0, 0.0, 0.0)]
@@ -123,10 +130,10 @@ class TestAggregateByClass:
     def test_member_counts_cover_all_maps(self):
         defs = load_class_defs(io.StringIO(CLASS_CSV))
         rng = np.random.default_rng(51)
-        zs = [
+        zs = _zs([
             _z(f"{rng.integers(0, 100):02d}{i:02d}", float(rng.normal()))
             for i in range(60)
-        ]
+        ])
         scores = aggregate_by_class(zs, defs)
         assert sum(len(cs.members) for cs in scores) == len(zs)
 
@@ -252,11 +259,11 @@ class TestKendallTau:
 
 class TestDetectOutliers:
     def test_threshold_above_max(self):
-        zs = [_z("A", 1.0), _z("B", 2.0)]
+        zs = _zs([_z("A", 1.0), _z("B", 2.0)])
         assert detect_outliers(zs, "z_alpha", threshold=5.0) == []
 
     def test_strictly_greater(self):
-        zs = [_z("a", 3.0), _z("b", 2.0), _z("c", 1.0)]
+        zs = _zs([_z("a", 3.0), _z("b", 2.0), _z("c", 1.0)])
         assert detect_outliers(zs, "z_alpha", threshold=1.5) == [
             ("a", 3.0),
             ("b", 2.0),
@@ -266,7 +273,7 @@ class TestDetectOutliers:
 
     def test_threshold_set_semantics(self):
         rng = np.random.default_rng(56)
-        zs = [_z(f"S{i}", float(rng.normal())) for i in range(100)]
+        zs = _zs([_z(f"S{i}", float(rng.normal())) for i in range(100)])
         t = 0.3
         got = {s for s, _ in detect_outliers(zs, "z_alpha", threshold=t)}
         assert got == {z.source for z in zs if z.z_alpha > t}
@@ -274,38 +281,38 @@ class TestDetectOutliers:
     def test_top_fraction_bound(self):
         rng = np.random.default_rng(57)
         for n in (5, 37, 100):
-            zs = [_z(f"S{i}", float(rng.normal())) for i in range(n)]
+            zs = _zs([_z(f"S{i}", float(rng.normal())) for i in range(n)])
             for fraction in (0.01, 0.1, 0.5, 1.0):
                 got = detect_outliers(zs, "z_alpha", top_fraction=fraction)
                 assert len(got) <= math.ceil(fraction * n)
 
     def test_top_fraction_full(self):
-        zs = [_z("A", 1.0), _z("B", 2.0)]
+        zs = _zs([_z("A", 1.0), _z("B", 2.0)])
         assert len(detect_outliers(zs, "z_alpha", top_fraction=1.0)) == 2
 
     def test_other_measures(self):
-        zs = [_z("A", 0.0, 5.0, -5.0), _z("B", 0.0, 1.0, 1.0)]
+        zs = _zs([_z("A", 0.0, 5.0, -5.0), _z("B", 0.0, 1.0, 1.0)])
         assert detect_outliers(zs, "z_beta", threshold=2.0) == [("A", 5.0)]
         assert detect_outliers(zs, "z_ur", threshold=0.0) == [("B", 1.0)]
 
     @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
     def test_bad_fraction(self, fraction):
         with pytest.raises(ValueError):
-            detect_outliers([_z("A", 1.0)], "z_alpha", top_fraction=fraction)
+            detect_outliers(_zs([_z("A", 1.0)]), "z_alpha", top_fraction=fraction)
 
     def test_nan_threshold(self):
         with pytest.raises(ValueError, match="threshold must be a number"):
-            detect_outliers([_z("A", 1.0)], "z_alpha", threshold=float("nan"))
+            detect_outliers(_zs([_z("A", 1.0)]), "z_alpha", threshold=float("nan"))
 
     def test_exactly_one_mode_required(self):
-        zs = [_z("A", 1.0)]
+        zs = _zs([_z("A", 1.0)])
         with pytest.raises(ValueError):
             detect_outliers(zs, "z_alpha")
         with pytest.raises(ValueError):
             detect_outliers(zs, "z_alpha", threshold=1.0, top_fraction=0.5)
 
     def test_descending_with_deterministic_ties(self):
-        zs = [_z("B", 2.0), _z("A", 2.0), _z("C", 3.0)]
+        zs = _zs([_z("B", 2.0), _z("A", 2.0), _z("C", 3.0)])
         assert detect_outliers(zs, "z_alpha", threshold=0.0) == [
             ("C", 3.0),
             ("A", 2.0),

@@ -2,7 +2,7 @@
 replaced.
 
 The oracles below are frozen as they were before each rewrite: the per-code
-range scan behind ``assign_class``, the prefix-truncation overlap test of
+range scan of ``assign_classes``, the prefix-truncation overlap test of
 ``load_class_defs``, the per-map ``aggregate_by_class`` loop, the dense
 power iteration of ``eigenvector_centrality``, the dict word graph of the
 text network (its ``combinations`` loop, depth-first component search,
@@ -32,7 +32,8 @@ from gementropy.analysis import OUTLIER_MEASURES
 from gementropy.entropy import NormalizedScores, ZScoreTable
 from gementropy.errors import ConvergenceError, GemError, StructuralError
 from gementropy.gem_io import UNCLASSIFIED, ClassDef
-from gementropy.textnet import WordGraph
+
+from conftest import table_of, word_graph
 
 # ---------------------------------------------------------------------------
 # Frozen oracles
@@ -301,7 +302,7 @@ def test_assign_classes_matches_range_scan(case):
     ids = [d.id for d in defs] + [UNCLASSIFIED]
     expected = [_oracle_assign_class(c, defs) for c in codes]
     assert [ids[i] for i in gem_io.assign_classes(codes, defs)] == expected
-    assert [gem_io.assign_class(c, defs) for c in codes] == expected
+    assert [ids[gem_io.assign_classes([c], defs)[0]] for c in codes] == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -309,13 +310,11 @@ def test_assign_classes_matches_range_scan(case):
 def test_aggregate_matches_per_map_loop(case):
     defs, _, table = case
     expected = _oracle_aggregate(list(table), defs)
-    # the columns of a ZScoreTable, and a plain list of scores
-    for normalized in (table, list(table)):
-        got = analysis.aggregate_by_class(normalized, defs)
-        assert [
-            (cs.class_id, cs.label, cs.sum_z_alpha, cs.sum_z_beta, cs.sum_z_ur, cs.members)
-            for cs in got
-        ] == expected
+    got = analysis.aggregate_by_class(table, defs)
+    assert [
+        (cs.class_id, cs.label, cs.sum_z_alpha, cs.sum_z_beta, cs.sum_z_ur, cs.members)
+        for cs in got
+    ] == expected
 
 
 @st.composite
@@ -354,7 +353,9 @@ def test_first_overlapping_class_wins():
         ClassDef("wide", "Wide", (("A", "C"),)),
         ClassDef("narrow", "Narrow", (("B10", "B19"),)),
     ]
-    zs = [NormalizedScores("B15", 1.0, 2.0, 3.0), NormalizedScores("D1", 4.0, 5.0, 6.0)]
+    zs = table_of(
+        ZScoreTable, [NormalizedScores("B15", 1.0, 2.0, 3.0), NormalizedScores("D1", 4.0, 5.0, 6.0)]
+    )
     got = analysis.aggregate_by_class(zs, defs)
     assert [(cs.class_id, cs.total) for cs in got] == [("wide", 6.0), (UNCLASSIFIED, 15.0)]
 
@@ -377,7 +378,7 @@ def _weighted_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_weighted_graphs(), st.integers(1, 300))
 def test_centrality_matches_dense_power_iteration(dicts, max_iterations):
-    graph = WordGraph.from_dicts(*dicts)
+    graph = word_graph(*dicts)
     try:
         expected = _oracle_centrality(*dicts, max_iterations=max_iterations)
     except ConvergenceError:
@@ -399,7 +400,7 @@ def test_centrality_memory_grows_with_edges():
     for a, b in np.sort(rng.integers(0, n, size=(3 * n, 2)), axis=1).tolist():
         if a != b:
             edges[(words[a], words[b])] = edges.get((words[a], words[b]), 0) + 1
-    graph = WordGraph.from_dicts(dict.fromkeys(words, 1), edges)
+    graph = word_graph(dict.fromkeys(words, 1), edges)
     tracemalloc.start()
     try:
         scores = textnet.eigenvector_centrality(graph)
@@ -441,7 +442,7 @@ def test_graph_matches_dict_graph(token_lists, max_iterations):
     component = graph.words[textnet.largest_component(graph)].tolist()
     assert component == _oracle_largest_component(nodes, edges)
     assert textnet.to_dot(graph) == _oracle_to_dot(nodes, edges)
-    rebuilt = WordGraph.from_dicts(nodes, edges)
+    rebuilt = word_graph(nodes, edges)
     for name in ("words", "counts", "edges", "weights", "first_order"):
         assert getattr(rebuilt, name).tolist() == getattr(graph, name).tolist()
     try:
@@ -511,8 +512,7 @@ def test_outliers_match_row_sort(table, measure, cut):
     """Tied values, -0.0 beside 0.0 included: the same list, signs too."""
     kwargs = dict([cut])
     expected = repr(_oracle_detect_outliers(list(table), measure, **kwargs))
-    for normalized in (table, list(table)):
-        assert repr(analysis.detect_outliers(normalized, measure, **kwargs)) == expected
+    assert repr(analysis.detect_outliers(table, measure, **kwargs)) == expected
 
 
 # ---------------------------------------------------------------------------

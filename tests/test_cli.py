@@ -430,6 +430,41 @@ class TestCorr:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("r2.csv", "class_id,score\nC,3\nB,2\nA,1\n"),
+            ("r2.json", '[{"class_id": "C", "score": 3}, {"class_id": "B", "score": 2}, '
+             '{"class_id": "A", "score": 1}]'),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_byte_order_mark_skipped(self, tmp_path, name, text):
+        self._write_rank(tmp_path / "r1.csv", {"A": 3.0, "B": 2.0, "C": 1.0})
+        (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert _run(["corr", tmp_path / "r1.csv", tmp_path / name, "--out", tmp_path]) == 0
+        rows = _read_csv(tmp_path / "corr.csv")
+        assert float(rows[0]["r2"]) == -1.0
+
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("dup.csv", "class_id,score\na,1\na,5\nb,2\nc,3\n", ":3: "),
+            ("dup.json", '[{"class_id": "a", "score": 1}, {"class_id": "a", "score": 5}, '
+             '{"class_id": "b", "score": 2}, {"class_id": "c", "score": 3}]', ": record 1: "),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_class_listed_twice_rejected(self, tmp_path, capsys, name, text, where):
+        """A ranking that lists a class twice is not a ranking: no tau is
+        computed from either of its scores."""
+        self._write_rank(tmp_path / "good.csv", {"a": 3.0, "b": 2.0, "c": 1.0})
+        (tmp_path / name).write_text(text)
+        assert _run(["corr", tmp_path / "good.csv", tmp_path / name, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / name}{where}class_id 'a' is listed twice" in err
+        assert not (tmp_path / "corr.csv").exists()
+
+    @pytest.mark.parametrize(
         "first, second, message",
         [
             ({"A": 1.0, "B": 2.0}, {"A": 1.0, "D": 2.0}, "cover different classes: ['B', 'D']"),

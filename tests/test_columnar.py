@@ -24,7 +24,7 @@ from gementropy import _kernels, entropy, gem_io
 from gementropy.errors import GemError, ParseError, StructuralError
 from gementropy.gem_io import N_SYMBOLS, NO_MATCH_SENTINELS, Flag, GemEntry, MapRecord
 
-from conftest import make_map_entries, random_code
+from conftest import gem_line, make_map_entries, random_code
 
 # ---------------------------------------------------------------------------
 # Frozen oracle: the object path
@@ -195,9 +195,9 @@ def _corpus_lines(rng):
                 lines.append(f"{source} {target} {'11000' if rng.random() < 0.7 else '10000'}")
             continue
         entries = make_map_entries(rng, source, max_m=12)
-        lines.extend(e.to_line() for e in entries)
+        lines.extend(map(gem_line, entries))
         if rng.random() < 0.3:
-            lines.append(entries[int(rng.integers(0, len(entries)))].to_line())
+            lines.append(gem_line(entries[int(rng.integers(0, len(entries)))]))
     if rng.random() < 0.5:
         lines = [lines[i] for i in rng.permutation(len(lines))]
     return lines
@@ -266,7 +266,7 @@ def test_columnar_path_matches_object_path(seed):
     expected, expected_excluded = oracle_score(records)
 
     lines, maps, scores, excluded = _columnar(text)
-    assert lines == entries
+    assert list(lines) == entries
     assert list(maps.source) == [r.source for r in records]
     assert list(maps) == records
     assert [(s.source, s.m, s.m0, s.v) for s in scores] == [row[:4] for row in expected]

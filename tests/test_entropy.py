@@ -13,6 +13,8 @@ from gementropy import _kernels, cli, entropy, gem_io
 from gementropy.entropy import (
     MapScores,
     NormalizedScores,
+    ScoreTable,
+    ZScoreTable,
     adjust_by_frequency,
     column_entropies,
     normalize_scores,
@@ -22,9 +24,12 @@ from gementropy.errors import DegenerateMeasureError, ParseError
 
 from conftest import (
     brute_force_valid_representations,
+    gem_line,
+    gem_lines,
     make_map,
     make_map_entries,
     score_one,
+    table_of,
 )
 
 
@@ -241,8 +246,8 @@ class TestScoreMap:
             entries = make_map_entries(rng, "SRC")
             shuffled = list(entries)
             rng.shuffle(shuffled)
-            a = score_one(gem_io.group_maps(entries))
-            b = score_one(gem_io.group_maps(shuffled))
+            a = score_one(gem_io.group_maps(gem_lines(entries)))
+            b = score_one(gem_io.group_maps(gem_lines(shuffled)))
             assert (a.m, a.m0, a.v) == (b.m, b.m0, b.v)
             assert a.h_a == b.h_a
             assert (a.h_b, a.ur) == (b.h_b, b.ur)
@@ -276,10 +281,12 @@ def _alone_and_in_batch(seed, weights):
     rng = np.random.default_rng(seed)
     corpus = _corpus(rng, int(rng.integers(1, 30)))
     weights = list(rng.uniform(0.5, 3.0, 8)) if weights else None
-    batch, excluded = score_maps(gem_io.group_maps([e for m in corpus for e in m]), weights)
+    batch, excluded = score_maps(
+        gem_io.group_maps(gem_lines(e for m in corpus for e in m)), weights
+    )
     assert len(batch) == len(corpus) and len(excluded) == 0
     for entries, got in zip(corpus, batch):
-        assert _bits(got) == _bits(score_one(gem_io.group_maps(entries), weights))
+        assert _bits(got) == _bits(score_one(gem_io.group_maps(gem_lines(entries)), weights))
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,7 +298,7 @@ def test_kernel_blocks_match_one_call(seed, block):
     entries = [e for m in _corpus(rng, int(rng.integers(1, 12)), max_m=6) for e in m]
     flag = gem_io.Flag(False, False, False, 0, 0)
     entries += [gem_io.GemEntry("C", "A1", flag, 0)] * int(rng.integers(1, 4))
-    maps = gem_io.group_maps(entries)
+    maps = gem_io.group_maps(gem_lines(entries))
     with mock.patch.object(entropy, "_KERNEL_BLOCK", len(maps)):
         want, want_widths = column_entropies(maps)
     kernel = mock.Mock(wraps=_kernels.batch_column_entropies)
@@ -366,12 +373,12 @@ class TestScoreMaps:
             gem_io.parse_gem_file(io.StringIO("A1 NODX 11000\n"))
         )
         scores, excluded = score_maps(records)
-        assert scores == [] and len(excluded) == 1
+        assert list(scores) == [] and len(excluded) == 1
 
 
 def _corpus_text(rng, corpus):
     """Crosswalk text of the maps' entries with no-match maps mixed in."""
-    lines = [e.to_line() for entries in corpus for e in entries]
+    lines = [gem_line(e) for entries in corpus for e in entries]
     for i in range(int(rng.integers(0, 4))):
         lines.insert(int(rng.integers(0, len(lines) + 1)), f"N{i} NODX 11000")
     return "\n".join(lines) + "\n"
@@ -390,7 +397,8 @@ class TestCorpusProperties:
         reordered = [corpus[i] for i in rng.permutation(len(corpus))]
         by_source = []
         for maps in (corpus, reordered):
-            scores, _ = score_maps(gem_io.group_maps([e for m in maps for e in m]), weights)
+            lines = gem_lines(e for m in maps for e in m)
+            scores, _ = score_maps(gem_io.group_maps(lines), weights)
             by_source.append({s.source: _bits(s) for s in scores})
         assert by_source[0] == by_source[1]
 
@@ -401,7 +409,7 @@ class TestCorpusProperties:
         symbols of at most 37 kinds (36 code characters and the pad)."""
         rng = np.random.default_rng(seed)
         corpus = _corpus(rng, int(rng.integers(1, 20)), max_m=80, max_list_size=12)
-        maps = gem_io.group_maps([e for m in corpus for e in m])
+        maps = gem_io.group_maps(gem_lines(e for m in corpus for e in m))
         cols, widths = column_entropies(maps)
         bound = np.log2(np.minimum(np.repeat(maps.m, widths), 37))
         assert len(cols) == widths.sum()
@@ -431,10 +439,10 @@ class TestCorpusProperties:
 
 
 def _scores_from_values(values):
-    return [
+    return table_of(ScoreTable, [
         MapScores(source=f"S{i}", m=1, m0=1, v=1, h_a=x, h_b=x + 1, ur=2 * x + 1)
         for i, x in enumerate(values)
-    ]
+    ])
 
 
 class TestNormalizeScores:
@@ -476,37 +484,42 @@ class TestNormalizeScores:
             assert abs(col.std(ddof=1) - 1.0) < 1e-9
 
 
+def _adjust(z, p):
+    """One map's z-scores scaled by its probability, as a table of one."""
+    return adjust_by_frequency(table_of(ZScoreTable, [z]), {z.source: p})[0]
+
+
 class TestAdjustByFrequency:
     def _z(self):
         return normalize_scores(_scores_from_values([1.0, 2.0, 3.0]))[2]
 
     def test_zero_probability_zeroes(self):
-        adjusted = adjust_by_frequency(self._z(), 0.0)
+        adjusted = _adjust(self._z(), 0.0)
         assert adjusted.adjusted_z_alpha == 0.0
         assert adjusted.adjusted_z_beta == 0.0
         assert adjusted.adjusted_z_ur == 0.0
 
     def test_identity(self):
         z = self._z()
-        adjusted = adjust_by_frequency(z, 1.0)
+        adjusted = _adjust(z, 1.0)
         assert adjusted.adjusted_z_alpha == z.z_alpha
 
     def test_linear_scaling(self):
         z = self._z()
-        adjusted = adjust_by_frequency(z, 0.5)
+        adjusted = _adjust(z, 0.5)
         assert adjusted.adjusted_z_alpha == pytest.approx(z.z_alpha * 0.5)
 
     @pytest.mark.parametrize("p", [-0.1, 1.1, 2.0, math.nan])
     def test_rejects_bad_probability(self, p):
         with pytest.raises(ValueError):
-            adjust_by_frequency(self._z(), p)
+            _adjust(self._z(), p)
 
     def test_preserves_sign_never_grows(self):
         rng = np.random.default_rng(12)
         zs = normalize_scores(_scores_from_values(list(rng.normal(0, 3, 50))))
         for z in zs:
             p = float(rng.uniform(0, 1))
-            adj = adjust_by_frequency(z, p)
+            adj = _adjust(z, p)
             for raw, scaled in (
                 (z.z_alpha, adj.adjusted_z_alpha),
                 (z.z_beta, adj.adjusted_z_beta),

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_map_entries, random_code
+from conftest import gem_line, make_map_entries, random_code
 from gementropy import entropy, gem_io
 from gementropy.errors import GemError
 
@@ -52,7 +52,7 @@ def _crosswalk_lines(seed: int) -> list[bytes]:
     rng = np.random.default_rng(seed)
     maps = int(rng.integers(1, 6))
     entries = [e for i in range(maps) for e in make_map_entries(rng, f"S{i}", max_m=6)]
-    lines = [e.to_line().encode() + b"\n" for e in entries]
+    lines = [gem_line(e).encode() + b"\n" for e in entries]
     if rng.integers(0, 2):
         lines.append(b"NM1 NoDx 11000\n")
     return lines

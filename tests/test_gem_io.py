@@ -12,9 +12,10 @@ from gementropy import gem_io
 from gementropy.entropy import column_entropies, score_maps
 from gementropy.errors import GemError, ParseError, StructuralError
 from gementropy.gem_io import (
+    UNCLASSIFIED,
     ClassDef,
     Flag,
-    assign_class,
+    assign_classes,
     group_maps,
     load_class_defs,
     load_descriptions,
@@ -23,7 +24,14 @@ from gementropy.gem_io import (
     parse_gem_file,
 )
 
-from conftest import make_map_entries
+from conftest import gem_line, gem_lines, make_map_entries
+
+
+def _class_ids(codes, defs):
+    """The id of the class of each code, ``unclassified`` outside every
+    range."""
+    ids = [d.id for d in defs] + [UNCLASSIFIED]
+    return [ids[i] for i in assign_classes(codes, defs)]
 
 
 class TestParseFlag:
@@ -67,12 +75,12 @@ class TestParseFlag:
 class TestParseGemFile:
     def test_single_line(self):
         entries = parse_gem_file(io.StringIO("0052 02H43JZ 10000\n"))
-        assert entries == [
+        assert list(entries) == [
             gem_io.GemEntry("0052", "02H43JZ", Flag(True, False, False, 0, 0), 1)
         ]
 
     def test_empty_stream(self):
-        assert parse_gem_file(io.StringIO("")) == []
+        assert list(parse_gem_file(io.StringIO(""))) == []
 
     def test_reference_fixture_order(self, reference_entries):
         assert len(reference_entries) == 8
@@ -125,12 +133,12 @@ class TestParseGemFile:
         raw_lines = [l for l in REFERENCE_MAP_LINES.splitlines() if l.strip()]
         assert len(raw_lines) == len(reference_entries)
         for raw, entry in zip(raw_lines, reference_entries):
-            assert entry.to_line() == " ".join(raw.split())
+            assert gem_line(entry) == " ".join(raw.split())
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(7)
         entries = make_map_entries(rng, "ABC1")
-        text = "\n".join(e.to_line() for e in entries)
+        text = "\n".join(map(gem_line, entries))
         reparsed = parse_gem_file(io.StringIO(text))
         assert [(e.source, e.target, e.flag) for e in reparsed] == [
             (e.source, e.target, e.flag) for e in entries
@@ -358,7 +366,7 @@ class TestGroupMaps:
             new = make_map_entries(rng, f"S{i}", line_start=line)
             entries.extend(new)
             line += len(new)
-        records = group_maps(entries)
+        records = group_maps(gem_lines(entries))
         assert sum(r.m for r in records) == len(entries)
         for r in records:
             in_lists = len(r.standalone_codes) + sum(
@@ -416,7 +424,7 @@ class TestBuildMatrix:
     def test_row_order_follows_file_order(self):
         rng = np.random.default_rng(3)
         entries = make_map_entries(rng, "SRC")
-        maps = group_maps(entries)
+        maps = group_maps(gem_lines(entries))
         _, widths = column_entropies(maps)
         assert [e.target for e in maps[0].entries] == [e.target for e in entries]
         assert list(widths) == [max(len(e.target) for e in entries)]
@@ -426,7 +434,7 @@ class TestBuildMatrix:
         entries = make_map_entries(rng, "SRC")
         order = rng.permutation(len(entries))
         shuffled = [entries[i] for i in order]
-        maps_a, maps_b = group_maps(entries), group_maps(shuffled)
+        maps_a, maps_b = group_maps(gem_lines(entries)), group_maps(gem_lines(shuffled))
         rows_a = [e.target for e in maps_a[0].entries]
         assert [e.target for e in maps_b[0].entries] == [rows_a[i] for i in order]
         cols_a, widths_a = column_entropies(maps_a)
@@ -447,33 +455,33 @@ class TestClassDefs:
     def test_load_and_assign(self):
         defs = load_class_defs(io.StringIO(CLASS_CSV))
         assert [d.id for d in defs] == ["76-84", "E000-E999", "O00-O9A"]
-        assert assign_class("7655", defs) == "76-84"
+        assert _class_ids(["7655"], defs) == ["76-84"]
 
     def test_assign_spec_examples(self):
         defs = load_class_defs(io.StringIO(CLASS_CSV))
-        assert assign_class("E9990", defs) == "E000-E999"
-        assert assign_class("O9A12", defs) == "O00-O9A"
+        assert _class_ids(["E9990"], defs) == ["E000-E999"]
+        assert _class_ids(["O9A12"], defs) == ["O00-O9A"]
 
     def test_unclassified_with_no_defs(self):
-        assert assign_class("0052", []) == "unclassified"
+        assert _class_ids(["0052"], []) == ["unclassified"]
 
     def test_padded_bound_oracle(self):
         # exhaustive check of 3-character prefixes against the padded bounds
         defs = load_class_defs(io.StringIO("low,high,label\nO00,O9A,PC\n"))
         chars = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        for second in chars:
-            for third in chars:
-                prefix = f"O{second}{third}"
-                expected = "O00" <= prefix <= "O9A"
-                got = assign_class(prefix + "12", defs) == "O00-O9A"
-                assert got == expected, prefix
+        prefixes = [f"O{second}{third}" for second in chars for third in chars]
+        class_ids = _class_ids([prefix + "12" for prefix in prefixes], defs)
+        for prefix, class_id in zip(prefixes, class_ids):
+            expected = "O00" <= prefix <= "O9A"
+            got = class_id == "O00-O9A"
+            assert got == expected, prefix
 
     def test_multiple_ranges_share_label(self):
         csv_text = "low,high,label\n800,829,Injury\n990,995,Injury\n"
         defs = load_class_defs(io.StringIO(csv_text))
         assert len(defs) == 1
         assert defs[0].ranges == (("800", "829"), ("990", "995"))
-        assert assign_class("9914", defs) == defs[0].id
+        assert _class_ids(["9914"], defs) == [defs[0].id]
 
     def test_overlap_rejected_listing_both(self):
         csv_text = "low,high,label\n76,84,A\n80,90,B\n"
@@ -502,11 +510,11 @@ class TestClassDefs:
             matches = [
                 d.id
                 for d in defs
-                if assign_class(code, [d]) != "unclassified"
+                if _class_ids([code], [d]) != ["unclassified"]
             ]
             assert len(matches) <= 1
             expected = matches[0] if matches else "unclassified"
-            assert assign_class(code, defs) == expected
+            assert _class_ids([code], defs) == [expected]
 
 
 class TestSideTables:

@@ -5,7 +5,6 @@ import pytest
 
 from gementropy.errors import ConvergenceError
 from gementropy.textnet import (
-    WordGraph,
     build_cooccurrence_graph,
     edge_rows,
     eigenvector_centrality,
@@ -15,7 +14,9 @@ from gementropy.textnet import (
     word_frequencies,
 )
 
-EMPTY = WordGraph.from_dicts({}, {})
+from conftest import word_graph
+
+EMPTY = build_cooccurrence_graph([])
 
 
 def _nodes(graph):
@@ -50,11 +51,6 @@ class TestTokenize:
 
     def test_min_length(self):
         assert tokenize("of am by rib") == ["rib"]
-        assert tokenize("of am by rib", min_length=2) == ["of", "am", "by", "rib"]
-
-    def test_custom_word_sets(self):
-        got = tokenize("repair of graft", stopwords={"repair"}, residuals={"graft"})
-        assert got == []
 
     def test_unspecified_is_residual(self):
         assert tokenize("unspecified site, nec nos") == ["site"]
@@ -153,7 +149,7 @@ class TestEigenvectorCentrality:
 
     def test_weight_scale_invariance(self):
         g1 = build_cooccurrence_graph([["a", "b"], ["b", "c"], ["a", "b"]])
-        g2 = WordGraph.from_dicts(
+        g2 = word_graph(
             nodes=_nodes(g1),
             edges={pair: w * 1000 for pair, w in _edges(g1).items()},
         )
