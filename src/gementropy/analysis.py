@@ -3,18 +3,29 @@
 Descriptive statistics over the raw measures, aggregation of z-scores into
 clinical classes, class rankings per measure, Kendall tau-b agreement
 between rankings, and outlier isolation.
+
+Importing this module loads only the standard library: the three array
+functions (``descriptive_stats``, ``aggregate_by_class`` and
+``detect_outliers``) import numpy and the scoring layers when they are
+called, so ``gementropy corr`` runs without them. Kendall tau-b is Knight's
+O(n log n) method in plain Python (W. R. Knight, JASA 61, 1966): sort the
+(x, y) pairs, count the discordant pairs as the inversions of a bottom-up
+merge sort of the y values, and count the x, y and joint ties from sorted
+runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .entropy import ZScoreTable
-from .gem_io import UNCLASSIFIED, ClassDef, assign_classes
+    from .entropy import ZScoreTable
+    from .gem_io import ClassDef
 
 RANK_MEASURES = ("z_alpha", "z_beta", "z_ur", "total")
 OUTLIER_MEASURES = ("z_alpha", "z_beta", "z_ur")
@@ -92,6 +103,8 @@ def _quartiles(arr: np.ndarray) -> np.ndarray:
     """``np.quantile(arr, [0.25, 0.5, 0.75], method="linear")`` of a sorted
     array without NaN, bit for bit, without the ``numpy.ma`` import of its
     first call: numpy's indices (n-1)q and its ``_lerp``."""
+    import numpy as np
+
     virtual = (len(arr) - 1) * np.array([0.25, 0.5, 0.75])
     # past the last index (n = 1) numpy takes the last value at both ends
     below = np.where(virtual >= len(arr) - 1, -1, np.floor(virtual).astype(np.intp))
@@ -105,6 +118,8 @@ def _quartiles(arr: np.ndarray) -> np.ndarray:
 
 def descriptive_stats(values: Sequence[float]) -> Stats:
     """Summary statistics: sample std (n-1), linear-interpolation quartiles."""
+    import numpy as np
+
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty list")
@@ -128,8 +143,13 @@ def aggregate_by_class(normalized: ZScoreTable, defs: Sequence[ClassDef]) -> lis
 
     Maps outside every range land in an ``unclassified`` bucket. Only
     classes with at least one member are returned, in first-member order;
-    sums add in map order.
+    sums add in map order, and so do the members, which one stable sort of
+    the class index gathers.
     """
+    import numpy as np
+
+    from .gem_io import UNCLASSIFIED, assign_classes
+
     sources = normalized.source
     zs = [normalized.z_alpha, normalized.z_beta, normalized.z_ur]
     index = assign_classes(sources.tolist(), defs)
@@ -137,10 +157,13 @@ def aggregate_by_class(normalized: ZScoreTable, defs: Sequence[ClassDef]) -> lis
     ids = [d.id for d in defs] + [UNCLASSIFIED]
     labels = [d.label for d in defs] + ["Unclassified"]
     rows = list(zip(sources.tolist(), *(z.tolist() for z in zs)))
+    by_class = np.argsort(index, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(index, minlength=len(defs) + 1)).tolist()
     present, first = np.unique(index, return_index=True)
     out = []
     for k in present[np.argsort(first)].tolist():
-        members = [rows[i] for i in np.flatnonzero(index == k).tolist()]
+        start = ends[k - 1] if k else 0
+        members = [rows[i] for i in by_class[start : ends[k]]]
         out.append(ClassScore(ids[k], labels[k], *(s[k] for s in sums), members))
     return out
 
@@ -159,24 +182,62 @@ def rank_classes(scores: Sequence[ClassScore], measure: str) -> RankTable:
     return RankTable(measure=measure, rows=rows)
 
 
-def _tau_b(xs: np.ndarray, ys: np.ndarray, pair: str) -> float:
-    """Tau-b from vectorized pair signs.
+def _tied_pairs(ordered: Sequence) -> int:
+    """Pairs of equal items in a sorted sequence, from its runs."""
+    runs = (sum(1 for _ in run) for _, run in itertools.groupby(ordered))
+    return sum(k * (k - 1) // 2 for k in runs)
 
-    The single-sqrt denominator keeps identical and reversed tie-free
-    rankings at exactly +/-1.0 (sqrt of a representable perfect square is
-    exact), which successive divisions would lose to rounding.
+
+def _inversions(values: list) -> int:
+    """Pairs i < j with values[i] > values[j], counted while a bottom-up
+    merge sort sorts ``values`` in place."""
+    n = len(values)
+    count = 0
+    width = 1
+    while width < n:
+        merged = []
+        for lo in range(0, n, 2 * width):
+            i, mid = lo, min(lo + width, n)
+            j, hi = mid, min(lo + 2 * width, n)
+            while i < mid and j < hi:
+                if values[j] < values[i]:  # passes every left item still unmerged
+                    merged.append(values[j])
+                    count += mid - i
+                    j += 1
+                else:
+                    merged.append(values[i])
+                    i += 1
+            merged += values[i:mid]
+            merged += values[j:hi]
+        values[:] = merged
+        width *= 2
+    return count
+
+
+def _tau_b(xs: Sequence[float], ys: Sequence[float], pair: str) -> float:
+    """Tau-b of two finite score lists by Knight's counts.
+
+    Sorted by (x, y), a pair is discordant exactly when its y values are
+    inverted, and ties are runs of the sorted x, y and (x, y) lists; 0.0
+    and -0.0 compare equal, so they tie. The counts are the integers the
+    n x n pair signs give. The single-sqrt denominator keeps identical and
+    reversed tie-free rankings at exactly +/-1.0 (sqrt of a representable
+    perfect square is exact), which successive divisions would lose to
+    rounding.
     """
-    n = xs.size
-    upper = np.triu_indices(n, k=1)
-    dx = np.sign(xs[:, None] - xs[None, :])[upper]
-    dy = np.sign(ys[:, None] - ys[None, :])[upper]
-    product = dx * dy
-    concordant = int(np.sum(product > 0))
-    discordant = int(np.sum(product < 0))
-    not_tied_x = int(np.sum(dx != 0))
-    not_tied_y = int(np.sum(dy != 0))
+    n = len(xs)
+    pairs = sorted(zip(xs, ys))
+    all_pairs = n * (n - 1) // 2
+    tied_x = _tied_pairs([x for x, _ in pairs])
+    tied_xy = _tied_pairs(pairs)
+    ys_by_x = [y for _, y in pairs]
+    discordant = _inversions(ys_by_x)
+    tied_y = _tied_pairs(ys_by_x)
+    not_tied_x = all_pairs - tied_x
+    not_tied_y = all_pairs - tied_y
     if not_tied_x == 0 or not_tied_y == 0:
         raise ValueError(f"{pair}: tau undefined: one ranking is constant")
+    concordant = all_pairs - tied_x - tied_y + tied_xy - discordant
     denom = math.sqrt(float(not_tied_x) * float(not_tied_y))
     return (concordant - discordant) / denom
 
@@ -192,8 +253,10 @@ def kendall_tau(rank_a: RankTable, rank_b: RankTable) -> float:
     if len(a_scores) < 2:
         raise ValueError(f"{pair}: need at least 2 classes to correlate")
     keys = sorted(a_scores)
-    xs = np.array([a_scores[k] for k in keys], dtype=np.float64)
-    ys = np.array([b_scores[k] for k in keys], dtype=np.float64)
+    xs = [a_scores[k] for k in keys]
+    ys = [b_scores[k] for k in keys]
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError(f"{pair}: scores must be finite")
     return _tau_b(xs, ys, pair)
 
 
@@ -210,6 +273,8 @@ def detect_outliers(
     most that fraction of maps, so at most floor(fraction * N) are returned
     (fewer under ties at the cut).
     """
+    import numpy as np
+
     if (threshold is None) == (top_fraction is None):
         raise ValueError("supply exactly one of threshold or top_fraction")
     if threshold is not None and math.isnan(threshold):

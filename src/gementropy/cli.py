@@ -5,6 +5,13 @@ Subcommands: score, stats, rank, corr, outliers, textnet, verify-example.
 Only ``score`` takes ``--weights`` (adds ``h_a_weighted``) and ``--frequencies``
 (adds the frequency-adjusted z-scores); ``rank``, ``outliers`` and ``textnet``
 report plain z-scores and take ``--denominator`` alone.
+
+Importing this module loads only the standard library. Each command imports
+the layers it runs when it starts, through the package (``from . import
+gem_io``), so a layer's functions are looked up on its module at call time.
+``corr`` loads ``analysis`` alone, whose Kendall tau-b needs no numpy, so a
+``corr`` process never imports numpy; the report writer uses numpy only for
+columns that already are numpy arrays.
 """
 
 from __future__ import annotations
@@ -14,15 +21,17 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import analysis, entropy, gem_io, textnet
 from .errors import GemError
+
+if TYPE_CHECKING:
+    from . import analysis, entropy
 
 # Reference map shipped with the tool: source code 0052 of the 2015
 # ICD-9-CM Vol.3 -> ICD-10-PCS crosswalk, whose measures are known exactly.
@@ -75,14 +84,16 @@ def _cell_texts(column, fmt: str) -> list[str]:
     formatted once per distinct value (floats by bit pattern, so -0.0 and
     NaN keep their own text)."""
     cell = _csv_cell if fmt == "csv" else _json_cell
-    if isinstance(column, np.ndarray) and column.dtype in (np.float64, np.int64):
+    np = sys.modules.get("numpy")  # not loaded: no column is an array
+    is_array = np is not None and isinstance(column, np.ndarray)
+    if is_array and column.dtype in (np.float64, np.int64):
         floats = column.dtype == np.float64
         distinct, inverse = np.unique(
             column.view(np.int64) if floats else column, return_inverse=True
         )
         values = (distinct.view(np.float64) if floats else distinct).tolist()
         return np.array(list(map(cell, values)), dtype=object)[inverse.ravel()].tolist()
-    cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    cells = column.tolist() if is_array else list(column)
     if set(map(type, cells)) <= {str}:  # strings only: no per-cell dispatch
         if fmt == "json":
             return list(map(encode_basestring_ascii, cells))
@@ -154,12 +165,16 @@ def _parse_weights(text: str) -> list[float]:
 
 def _score(args, weights=None):
     """Parse, group and score one crosswalk file: (scores, excluded maps)."""
+    from . import entropy, gem_io
+
     entries = gem_io.parse_gem_file(args.gems)
     return entropy.score_maps(gem_io.group_maps(entries), weights)
 
 
 def _normalize(scores, denominator: str) -> entropy.ZScoreTable:
     """Corpus z-scores; too few maps or a constant measure is an error."""
+    from . import entropy
+
     if not scores:
         raise GemError("no scorable maps in the input file")
     if len(scores) < 2:
@@ -184,6 +199,8 @@ def _columns(names, rows) -> dict:
 
 
 def cmd_score(args) -> int:
+    from . import entropy, gem_io
+
     weights = _parse_weights(args.weights) if args.weights else None
     scores, excluded = _score(args, weights)
     freqs = gem_io.load_frequencies(args.frequencies) if args.frequencies else None
@@ -213,6 +230,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import analysis
+
     scores, excluded = _score(args)
     if not scores:
         raise GemError("no scorable maps in the input file")
@@ -235,6 +254,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    import numpy as np
+
+    from . import analysis, gem_io
+
     normalized = _normalize(_score(args)[0], args.denominator)
     defs = gem_io.load_class_defs(args.classes)
     class_scores = analysis.aggregate_by_class(normalized, defs)
@@ -266,6 +289,8 @@ def cmd_rank(args) -> int:
 
 
 def _read_rank_file(path: str) -> analysis.RankTable:
+    from . import analysis
+
     p = Path(path)
     with open(p, encoding="utf-8-sig", newline="") as fh:
         if p.suffix.lower() == ".json":
@@ -311,16 +336,32 @@ def _read_rank_file(path: str) -> analysis.RankTable:
     return analysis.RankTable(measure=path, rows=rows)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file (``r.csv`` and ``./r.csv`` do); a
+    path that cannot be read is compared as text, and fails when read."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return a == b
+
+
 def cmd_corr(args) -> int:
+    from . import analysis
+
     paths = args.rank_files
-    for path in paths:
-        if paths.count(path) > 1:
+    for i, path in enumerate(paths):
+        if any(_same_file(path, other) for other in paths[:i]):
             raise GemError(f"{path}: rank file given more than once")
     tables = [_read_rank_file(path) for path in paths]
     labels = [Path(path).stem for path in paths]
     if len({"ranking", *labels}) <= len(labels):  # stems collide: label by path
         labels = list(paths)
-    taus = [[analysis.kendall_tau(a, b) for b in tables] for a in tables]
+    # tau is symmetric: compute each unordered pair once, the diagonal too,
+    # where a constant ranking is rejected
+    taus = [[0.0] * len(tables) for _ in tables]
+    for i, a in enumerate(tables):
+        for j in range(i, len(tables)):
+            taus[i][j] = taus[j][i] = analysis.kendall_tau(a, tables[j])
     columns = [("ranking", labels), *zip(labels, zip(*taus))]
     path = _write_report(Path(args.out), "corr", args.format, columns)
     for label, row in zip(labels, taus):
@@ -330,6 +371,8 @@ def cmd_corr(args) -> int:
 
 
 def _select_outliers(args):
+    from . import analysis
+
     normalized = _normalize(_score(args)[0], args.denominator)
     return analysis.detect_outliers(
         normalized, args.measure, threshold=args.threshold, top_fraction=args.top_fraction
@@ -337,6 +380,8 @@ def _select_outliers(args):
 
 
 def cmd_outliers(args) -> int:
+    from . import gem_io
+
     outliers = _select_outliers(args)
     descriptions = (
         gem_io.load_descriptions(args.descriptions) if args.descriptions else None
@@ -350,6 +395,10 @@ def cmd_outliers(args) -> int:
 
 
 def cmd_textnet(args) -> int:
+    import numpy as np
+
+    from . import gem_io, textnet
+
     outliers = _select_outliers(args)
     descriptions = gem_io.load_descriptions(args.descriptions)
     missing = [source for source, _ in outliers if source not in descriptions]
@@ -393,6 +442,8 @@ def cmd_textnet(args) -> int:
 def run_reference_example():
     """Score the bundled reference map; returns (name, expected, actual,
     tolerance, ok) checks."""
+    from . import entropy, gem_io
+
     entries = gem_io.parse_gem_file(io.StringIO(REFERENCE_MAP_LINES), "<reference>")
     maps = gem_io.group_maps(entries)
     scores, _ = entropy.score_maps(maps)
@@ -443,9 +494,11 @@ def _add_denominator_option(parser):
 
 
 def _add_outlier_options(parser):
+    from .analysis import OUTLIER_MEASURES
+
     parser.add_argument(
         "--measure",
-        choices=analysis.OUTLIER_MEASURES,
+        choices=OUTLIER_MEASURES,
         default="z_alpha",
         help="normalized measure to scan",
     )

@@ -3,14 +3,15 @@ replaced.
 
 The oracles below are frozen as they were before each rewrite: the per-code
 range scan of ``assign_classes``, the prefix-truncation overlap test of
-``load_class_defs``, the per-map ``aggregate_by_class`` loop, the dense
-power iteration of ``eigenvector_centrality``, the dict word graph of the
+``load_class_defs``, the per-map ``aggregate_by_class`` loop and its
+per-class member gather, the n x n pair signs of the Kendall tau-b, the
+dense power iteration of ``eigenvector_centrality``, the dict word graph of the
 text network (its ``combinations`` loop, depth-first component search,
 edge-list centrality kernel and report rows), the row sort of
 ``detect_outliers`` and the numbered per-row reader of
 ``load_descriptions``. Class assignment, range checks, class sums, graphs,
 components, reports, outlier lists and description tables must match
-exactly, and centralities bit for bit; against the dense power iteration,
+exactly, and taus and centralities bit for bit; against the dense power iteration,
 whose sums run in another order, centralities match within 1e-12.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import operator
 import tracemalloc
 
@@ -28,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gementropy import analysis, gem_io, textnet
-from gementropy.analysis import OUTLIER_MEASURES
+from gementropy.analysis import OUTLIER_MEASURES, ClassScore, RankTable
 from gementropy.entropy import NormalizedScores, ZScoreTable
 from gementropy.errors import ConvergenceError, GemError, StructuralError
 from gementropy.gem_io import UNCLASSIFIED, ClassDef
@@ -81,6 +83,44 @@ def _oracle_aggregate(normalized, defs):
         bucket[4] += z.z_ur
         bucket[5].append((z.source, z.z_alpha, z.z_beta, z.z_ur))
     return [tuple(b) for b in buckets.values()]
+
+
+def _oracle_aggregate_per_class(normalized, defs):
+    """``aggregate_by_class`` gathering each class's members with its own
+    ``np.flatnonzero(index == k)``."""
+    sources = normalized.source
+    zs = [normalized.z_alpha, normalized.z_beta, normalized.z_ur]
+    index = gem_io.assign_classes(sources.tolist(), defs)
+    sums = [np.bincount(index, weights=z, minlength=len(defs) + 1).tolist() for z in zs]
+    ids = [d.id for d in defs] + [UNCLASSIFIED]
+    labels = [d.label for d in defs] + ["Unclassified"]
+    rows = list(zip(sources.tolist(), *(z.tolist() for z in zs)))
+    present, first = np.unique(index, return_index=True)
+    out = []
+    for k in present[np.argsort(first)].tolist():
+        members = [rows[i] for i in np.flatnonzero(index == k).tolist()]
+        out.append(ClassScore(ids[k], labels[k], *(s[k] for s in sums), members))
+    return out
+
+
+def _oracle_tau_b(xs, ys, pair):
+    """Tau-b from vectorized pair signs, over every pair of an n x n grid."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    n = xs.size
+    upper = np.triu_indices(n, k=1)
+    with np.errstate(over="ignore"):  # a difference past the float range is still signed
+        dx = np.sign(xs[:, None] - xs[None, :])[upper]
+        dy = np.sign(ys[:, None] - ys[None, :])[upper]
+    product = dx * dy
+    concordant = int(np.sum(product > 0))
+    discordant = int(np.sum(product < 0))
+    not_tied_x = int(np.sum(dx != 0))
+    not_tied_y = int(np.sum(dy != 0))
+    if not_tied_x == 0 or not_tied_y == 0:
+        raise ValueError(f"{pair}: tau undefined: one ranking is constant")
+    denom = math.sqrt(float(not_tied_x) * float(not_tied_y))
+    return (concordant - discordant) / denom
 
 
 def _oracle_graph(token_lists):
@@ -315,6 +355,98 @@ def test_aggregate_matches_per_map_loop(case):
         (cs.class_id, cs.label, cs.sum_z_alpha, cs.sum_z_beta, cs.sum_z_ur, cs.members)
         for cs in got
     ] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_classes_and_scores())
+def test_aggregate_matches_per_class_gather(case):
+    """Members in map order and sums bit for bit (``repr`` tells -0.0 from
+    0.0)."""
+    defs, _, table = case
+    expected = _oracle_aggregate_per_class(table, defs)
+    assert repr(analysis.aggregate_by_class(table, defs)) == repr(expected)
+
+
+# ---------------------------------------------------------------------------
+# Kendall tau-b
+
+# few distinct values, so ties are common; 0.0 and -0.0 tie
+_score = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _rank_table(name, scores):
+    return RankTable(name, tuple((f"c{i:03d}", score, 0) for i, score in enumerate(scores)))
+
+
+def _tau_outcome(tau, *args):
+    try:
+        return tau(*args).hex()
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(2, 60).flatmap(lambda n: st.tuples(*[st.tuples(_score, _score)] * n)))
+def test_tau_matches_pair_signs(pairs):
+    """The same tau bit for bit, or the same error, on rankings of 2-60
+    classes."""
+    xs, ys = map(list, zip(*pairs))
+    a, b = _rank_table("a", xs), _rank_table("b", ys)
+    expected = _tau_outcome(_oracle_tau_b, xs, ys, "a and b")
+    assert _tau_outcome(analysis.kendall_tau, a, b) == expected
+    assert _tau_outcome(analysis.kendall_tau, b, a) == _tau_outcome(
+        _oracle_tau_b, ys, xs, "b and a"
+    )
+
+
+@pytest.mark.parametrize(
+    "xs, ys, expected",
+    [
+        ([0.0, -0.0], [1.0, 2.0], "a and b: tau undefined: one ranking is constant"),
+        ([1.0, 2.0], [-0.0, 0.0], "a and b: tau undefined: one ranking is constant"),
+        ([1.0, 2.0], [3.0, 4.0], (1.0).hex()),
+        ([1.0, 2.0], [4.0, 3.0], (-1.0).hex()),
+        # one x tie, two concordant pairs: 2 / sqrt(2 * 3)
+        ([0.0, -0.0, 1.0], [5.0, 6.0, 7.0], (2 / math.sqrt(6)).hex()),
+    ],
+    ids=["zeros-tie-x", "zeros-tie-y", "two-concordant", "two-discordant", "signed-zero-ties"],
+)
+def test_tau_small_cases(xs, ys, expected):
+    assert _tau_outcome(analysis.kendall_tau, _rank_table("a", xs), _rank_table("b", ys)) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tau_rejects_non_finite_scores(bad):
+    a, b = _rank_table("a", [1.0, bad, 3.0]), _rank_table("b", [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="a and b: scores must be finite"):
+        analysis.kendall_tau(a, b)
+
+
+def _tau_peak(n):
+    """``tracemalloc`` peak of one tau over n tied and untied classes, past
+    the memory its two tables hold."""
+    rng = np.random.default_rng(n)
+    a = _rank_table("a", rng.normal(size=n).tolist())
+    b = _rank_table("b", rng.integers(0, n // 10, size=n).astype(float).tolist())
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        analysis.kendall_tau(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base
+
+
+def test_tau_memory_grows_linearly():
+    # four times the classes: about four times the memory, where the n x n
+    # pair signs took sixteen (8,000 classes: 32 million pairs, over 1 GB)
+    small, large = _tau_peak(2_000), _tau_peak(8_000)
+    assert large < 5 * small
+    assert large < 8_000 * 1_000
 
 
 @st.composite

@@ -240,6 +240,55 @@ class TestStats:
         assert out.stdout.splitlines()[-1] == "0 False", out.stderr
 
 
+def _fresh_python(code):
+    """Standard output lines of ``code`` run by a fresh interpreter that
+    imports gementropy from this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+def test_corr_runs_without_numpy(tmp_path):
+    """Importing the CLI loads no numpy, and neither does a whole ``corr``
+    run: its Kendall tau-b and report writer are plain Python."""
+    (tmp_path / "r1.csv").write_text("class_id,score\nA,3\nB,2\nC,1\n")
+    (tmp_path / "r2.json").write_text(
+        json.dumps([{"class_id": c, "score": s} for c, s in (("A", 1), ("B", 3), ("C", 2))])
+    )
+    argv = ["corr", str(tmp_path / "r1.csv"), str(tmp_path / "r2.json"), "--out", str(tmp_path)]
+    code = (
+        "import sys; from gementropy import cli; print('numpy' in sys.modules); "
+        f"rc = cli.main({argv!r}); print(rc, 'numpy' in sys.modules)"
+    )
+    lines = _fresh_python(code)
+    assert lines[0] == "False" and lines[-1] == "0 False"
+    assert (tmp_path / "corr.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["gem_io", "_kernels", "entropy", "analysis", "textnet"])
+def test_package_attribute_loads_layer(name):
+    """``getattr(gementropy, name)`` imports a layer nothing has loaded yet,
+    as a tracer that wraps the layers' functions looks them up."""
+    code = (
+        "import sys, gementropy; "
+        f"loaded = 'gementropy.{name}' in sys.modules; "
+        f"module = getattr(gementropy, {name!r}); "
+        f"print(loaded, module is sys.modules['gementropy.{name}'], module.__name__)"
+    )
+    assert _fresh_python(code) == [f"False True gementropy.{name}"]
+
+
+def test_package_attribute_unknown_name():
+    import gementropy
+
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        gementropy.nope
+
+
 class TestRank:
     def test_rank_files(self, workspace):
         assert (
@@ -504,6 +553,16 @@ class TestCorr:
         self._write_rank(tmp_path / "r.csv", {"A": 3.0, "B": 2.0})
         assert _run(["corr", tmp_path / "r.csv", tmp_path / "r.csv", "--out", tmp_path]) == 2
         assert f"{tmp_path / 'r.csv'}: rank file given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "corr.csv").exists()
+
+    def test_same_file_two_spellings_rejected(self, tmp_path, capsys, monkeypatch):
+        """One file under two names is still one ranking given twice."""
+        self._write_rank(tmp_path / "r.csv", {"A": 3.0, "B": 2.0, "C": 1.0})
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        for other in ("./r.csv", str(tmp_path / "r.csv"), "sub/../r.csv"):
+            assert _run(["corr", "r.csv", other, "--out", tmp_path]) == 2
+            assert f"{other}: rank file given more than once" in capsys.readouterr().err
         assert not (tmp_path / "corr.csv").exists()
 
     def test_null_class_id_rejected(self, tmp_path, capsys):
