@@ -2,7 +2,10 @@
 
 Descriptive statistics over the raw measures, aggregation of z-scores into
 clinical classes, class rankings per measure, Kendall tau-b agreement
-between rankings, and outlier isolation.
+between rankings, and outlier isolation. Results are columns and indices:
+``aggregate_by_class`` returns a :class:`ClassTable`, ``rank_classes`` the
+order of its classes and ``detect_outliers`` the indices of the selected
+maps, which the reports read from the z-score table they already hold.
 
 Importing this module loads only the standard library: the three array
 functions (``descriptive_stats``, ``aggregate_by_class`` and
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -45,58 +48,43 @@ class Stats:
     max: float
 
 
-@dataclass
-class ClassScore:
-    """Summed z-scores of every map assigned to one clinical class."""
+@dataclass(frozen=True, eq=False)
+class ClassTable:
+    """Summed z-scores of the maps of each clinical class that has any, in
+    first-member order.
 
-    class_id: str
-    label: str
-    sum_z_alpha: float = 0.0
-    sum_z_beta: float = 0.0
-    sum_z_ur: float = 0.0
-    # (source, z_alpha, z_beta, z_ur) per member map, for box-plot exports
-    members: list[tuple[str, float, float, float]] = field(default_factory=list)
+    ``ids`` and ``labels`` are lists (a ``<U`` array would drop trailing
+    NULs) and the sums float64 arrays. ``members`` holds map indices, class
+    by class and in map order within a class: class k's members are
+    ``members[starts[k]:starts[k + 1]]``.
+    """
 
-    @property
-    def total(self) -> float:
-        return self.sum_z_alpha + self.sum_z_beta + self.sum_z_ur
+    ids: list[str]
+    labels: list[str]
+    sum_z_alpha: np.ndarray
+    sum_z_beta: np.ndarray
+    sum_z_ur: np.ndarray
+    members: np.ndarray
+    starts: np.ndarray
 
-    def value(self, measure: str) -> float:
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def value(self, measure: str) -> np.ndarray:
+        """The class sums of one of ``RANK_MEASURES``; ``total`` adds the
+        three."""
         if measure == "total":
-            return self.total
+            return self.sum_z_alpha + self.sum_z_beta + self.sum_z_ur
         return getattr(self, f"sum_{measure}")
 
 
 @dataclass(frozen=True)
 class RankTable:
-    """Classes ordered by one measure, best (highest score) first.
+    """One ranking for :func:`kendall_tau`: its name (its measure, or the
+    file it was read from) and each class's score."""
 
-    ``measure`` names the ranking: its measure, or the file it was read
-    from. ``rows`` holds (class_id, score, display rank 1..k); display ties
-    break by class id, while correlation uses the scores themselves so tied
-    classes stay tied.
-    """
-
-    measure: str
-    rows: tuple[tuple[str, float, int], ...]
-
-    def scores(self) -> dict[str, float]:
-        return {class_id: score for class_id, score, _ in self.rows}
-
-    def average_ranks(self) -> dict[str, float]:
-        """Ranks with tied scores sharing the average of their positions."""
-        out = {}
-        i = 0
-        rows = self.rows
-        while i < len(rows):
-            j = i
-            while j < len(rows) and rows[j][1] == rows[i][1]:
-                j += 1
-            avg = (i + 1 + j) / 2.0
-            for k in range(i, j):
-                out[rows[k][0]] = avg
-            i = j
-        return out
+    name: str
+    scores: dict[str, float]
 
 
 def _quartiles(arr: np.ndarray) -> np.ndarray:
@@ -138,48 +126,55 @@ def descriptive_stats(values: Sequence[float]) -> Stats:
     )
 
 
-def aggregate_by_class(normalized: ZScoreTable, defs: Sequence[ClassDef]) -> list[ClassScore]:
+def aggregate_by_class(normalized: ZScoreTable, defs: Sequence[ClassDef]) -> ClassTable:
     """Sum each map's z triple into its clinical class.
 
     Maps outside every range land in an ``unclassified`` bucket. Only
-    classes with at least one member are returned, in first-member order;
-    sums add in map order, and so do the members, which one stable sort of
-    the class index gathers.
+    classes with at least one member are kept, in first-member order; sums
+    add in map order, and one stable sort of the maps by class gathers the
+    members, also in map order.
     """
     import numpy as np
 
     from .gem_io import UNCLASSIFIED, assign_classes
 
-    sources = normalized.source
-    zs = [normalized.z_alpha, normalized.z_beta, normalized.z_ur]
-    index = assign_classes(sources.tolist(), defs)
-    sums = [np.bincount(index, weights=z, minlength=len(defs) + 1).tolist() for z in zs]
+    index = assign_classes(normalized.source.tolist(), defs)
+    present, first = np.unique(index, return_index=True)
+    kept = present[np.argsort(first)].tolist()
+    place = np.empty(len(defs) + 1, dtype=np.intp)
+    place[kept] = np.arange(len(kept))
+    place = place[index]  # each map's class, numbered in first-member order
     ids = [d.id for d in defs] + [UNCLASSIFIED]
     labels = [d.label for d in defs] + ["Unclassified"]
-    rows = list(zip(sources.tolist(), *(z.tolist() for z in zs)))
-    by_class = np.argsort(index, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(index, minlength=len(defs) + 1)).tolist()
-    present, first = np.unique(index, return_index=True)
-    out = []
-    for k in present[np.argsort(first)].tolist():
-        start = ends[k - 1] if k else 0
-        members = [rows[i] for i in by_class[start : ends[k]]]
-        out.append(ClassScore(ids[k], labels[k], *(s[k] for s in sums), members))
-    return out
+    zs = (normalized.z_alpha, normalized.z_beta, normalized.z_ur)
+    return ClassTable(
+        [ids[k] for k in kept],
+        [labels[k] for k in kept],
+        *(np.bincount(place, weights=z) for z in zs),
+        np.argsort(place, kind="stable"),
+        np.concatenate([[0], np.cumsum(np.bincount(place))]),
+    )
 
 
-def rank_classes(scores: Sequence[ClassScore], measure: str) -> RankTable:
-    """Order classes by one measure, highest first; display ties break by id."""
+def rank_classes(classes: ClassTable, measure: str) -> list[int]:
+    """The order of the classes by one measure: highest first, ties by class
+    id (0.0 and -0.0 tie)."""
     if measure not in RANK_MEASURES:
         raise ValueError(f"measure must be one of {RANK_MEASURES}, got {measure!r}")
-    if not scores:
+    if not len(classes):
         raise ValueError("no class scores to rank")
-    ordered = sorted(scores, key=lambda cs: (-cs.value(measure), cs.class_id))
-    rows = tuple(
-        (cs.class_id, cs.value(measure), rank)
-        for rank, cs in enumerate(ordered, start=1)
-    )
-    return RankTable(measure=measure, rows=rows)
+    values, ids = classes.value(measure).tolist(), classes.ids
+    return sorted(range(len(ids)), key=lambda k: (-values[k], ids[k]))
+
+
+def average_ranks(ordered: Sequence[float]) -> list[float]:
+    """The rank of each score of a ranking, highest first: positions 1..n,
+    with tied scores sharing the average of their positions."""
+    out: list[float] = []
+    for _, run in itertools.groupby(ordered):
+        i, j = len(out), len(out) + sum(1 for _ in run)
+        out += [(i + 1 + j) / 2.0] * (j - i)
+    return out
 
 
 def _tied_pairs(ordered: Sequence) -> int:
@@ -244,9 +239,9 @@ def _tau_b(xs: Sequence[float], ys: Sequence[float], pair: str) -> float:
 
 def kendall_tau(rank_a: RankTable, rank_b: RankTable) -> float:
     """Tie-corrected Kendall tau-b between two rankings of the same classes."""
-    a_scores = rank_a.scores()
-    b_scores = rank_b.scores()
-    pair = f"{rank_a.measure} and {rank_b.measure}"
+    a_scores = rank_a.scores
+    b_scores = rank_b.scores
+    pair = f"{rank_a.name} and {rank_b.name}"
     if set(a_scores) != set(b_scores):
         diff = sorted(set(a_scores) ^ set(b_scores))
         raise ValueError(f"{pair}: rankings cover different classes: {diff}")
@@ -265,9 +260,9 @@ def detect_outliers(
     measure: str,
     threshold: float | None = None,
     top_fraction: float | None = None,
-) -> list[tuple[str, float]]:
-    """Maps whose z-score on ``measure`` strictly exceeds a threshold,
-    highest first.
+) -> np.ndarray:
+    """The indices of the maps whose z-score on ``measure`` strictly exceeds
+    a threshold, highest first, ties by source.
 
     In ``top_fraction`` mode the threshold is the smallest value keeping at
     most that fraction of maps, so at most floor(fraction * N) are returned
@@ -295,4 +290,4 @@ def detect_outliers(
     if threshold is not None:
         # highest first, so the maps above the threshold lead the order
         order = order[: np.count_nonzero(values > threshold)]
-    return list(zip(sources[order].tolist(), values[order].tolist()))
+    return order

@@ -4,7 +4,9 @@ analysis -> deterministic CSV/JSON reports.
 Subcommands: score, stats, rank, corr, outliers, textnet, verify-example.
 Only ``score`` takes ``--weights`` (adds ``h_a_weighted``) and ``--frequencies``
 (adds the frequency-adjusted z-scores); ``rank``, ``outliers`` and ``textnet``
-report plain z-scores and take ``--denominator`` alone.
+report plain z-scores and take ``--denominator`` alone. The analysis layer
+returns columns and indices, so ``rank``, ``outliers`` and ``textnet`` write
+their reports by indexing the z-score table and the class table.
 
 Importing this module loads only the standard library. Each command imports
 the layers it runs when it starts, through the package (``from . import
@@ -193,11 +195,6 @@ def _excluded_columns(excluded) -> dict:
     }
 
 
-def _columns(names, rows) -> dict:
-    """Named columns of a list of rows."""
-    return dict(zip(names, zip(*rows))) or dict.fromkeys(names, ())
-
-
 def cmd_score(args) -> int:
     from . import entropy, gem_io
 
@@ -254,46 +251,45 @@ def cmd_stats(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    import numpy as np
-
     from . import analysis, gem_io
 
     normalized = _normalize(_score(args)[0], args.denominator)
     defs = gem_io.load_class_defs(args.classes)
-    class_scores = analysis.aggregate_by_class(normalized, defs)
-    info = {cs.class_id: cs for cs in class_scores}
+    classes = analysis.aggregate_by_class(normalized, defs)
+    counts = classes.starts[1:] - classes.starts[:-1]
     out = Path(args.out)
     paths = []
     for measure in analysis.RANK_MEASURES:
-        table = analysis.rank_classes(class_scores, measure)
-        avg = table.average_ranks()
-        class_ids, scores, ranks = zip(*table.rows)
+        order = analysis.rank_classes(classes, measure)
+        scores = classes.value(measure)[order]
         columns = {
-            "rank": ranks,
-            "class_id": class_ids,
-            "label": [info[c].label for c in class_ids],
+            "rank": range(1, len(order) + 1),
+            "class_id": [classes.ids[k] for k in order],
+            "label": [classes.labels[k] for k in order],
             "score": scores,
-            "avg_rank": [avg[c] for c in class_ids],
-            "member_count": [len(info[c].members) for c in class_ids],
+            "avg_rank": analysis.average_ranks(scores.tolist()),
+            "member_count": counts[order],
         }
         paths.append(_write_report(out, f"rank_{measure}", args.format, columns))
-    columns = _columns(
-        ("class_id", "source", "z_alpha", "z_beta", "z_ur"),
-        [(cs.class_id, *member) for cs in class_scores for member in cs.members],
-    )
-    for name in ("z_alpha", "z_beta", "z_ur"):
-        columns[name] = np.array(columns[name], dtype=np.float64)
+    members = classes.members
+    columns = {
+        "class_id": [c for c, n in zip(classes.ids, counts.tolist()) for _ in range(n)],
+        "source": normalized.source[members],
+        "z_alpha": normalized.z_alpha[members],
+        "z_beta": normalized.z_beta[members],
+        "z_ur": normalized.z_ur[members],
+    }
     paths.append(_write_report(out, "class_members", args.format, columns))
-    print(f"ranked {len(class_scores)} classes -> {', '.join(str(p) for p in paths)}")
+    print(f"ranked {len(classes)} classes -> {', '.join(str(p) for p in paths)}")
     return 0
 
 
 def _read_rank_file(path: str) -> analysis.RankTable:
     from . import analysis
 
-    p = Path(path)
-    with open(p, encoding="utf-8-sig", newline="") as fh:
-        if p.suffix.lower() == ".json":
+    is_json = Path(path).suffix.lower() == ".json"
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        if is_json:
             try:
                 records = json.load(fh)
             except ValueError as exc:
@@ -315,8 +311,13 @@ def _read_rank_file(path: str) -> analysis.RankTable:
     pairs = {}
     for where, record in located:
         try:
-            class_id, score = record["class_id"], float(record["score"])
-        except (KeyError, TypeError, ValueError):
+            class_id, score = record["class_id"], record["score"]
+            # a JSON score is a number, not a bool or a string; a CSV cell
+            # is read by float, which alone would also take "1_0" as 10
+            if (type(score) not in (int, float)) if is_json else ("_" in score):
+                raise ValueError
+            score = float(score)
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise GemError(f"{path}{where}: needs a class_id and a numeric score") from None
         if not isinstance(class_id, str):
             raise GemError(f"{path}{where}: class_id must be a string, got {class_id!r}")
@@ -329,11 +330,7 @@ def _read_rank_file(path: str) -> analysis.RankTable:
         raise GemError(f"{path}: rank file is empty")
     if len(pairs) < 2:
         raise GemError(f"{path}: need at least 2 classes to correlate, got 1")
-    ordered = sorted(pairs.items(), key=lambda pair: (-pair[1], pair[0]))
-    rows = tuple(
-        (class_id, score, rank) for rank, (class_id, score) in enumerate(ordered, 1)
-    )
-    return analysis.RankTable(measure=path, rows=rows)
+    return analysis.RankTable(path, pairs)
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -370,27 +367,29 @@ def cmd_corr(args) -> int:
     return 0
 
 
-def _select_outliers(args):
+def _outlier_columns(args) -> dict:
+    """The source and score columns of the outlier maps, highest first."""
     from . import analysis
 
     normalized = _normalize(_score(args)[0], args.denominator)
-    return analysis.detect_outliers(
+    selected = analysis.detect_outliers(
         normalized, args.measure, threshold=args.threshold, top_fraction=args.top_fraction
     )
+    return {
+        "source": normalized.source[selected].tolist(),
+        "score": getattr(normalized, args.measure)[selected],
+    }
 
 
 def cmd_outliers(args) -> int:
     from . import gem_io
 
-    outliers = _select_outliers(args)
-    descriptions = (
-        gem_io.load_descriptions(args.descriptions) if args.descriptions else None
-    )
-    columns = _columns(("source", "score"), outliers)
-    if descriptions is not None:
+    columns = _outlier_columns(args)
+    if args.descriptions:
+        descriptions = gem_io.load_descriptions(args.descriptions)
         columns["description"] = [descriptions.get(s, "") for s in columns["source"]]
     path = _write_report(Path(args.out), f"outliers_{args.measure}", args.format, columns)
-    print(f"{len(outliers)} outliers on {args.measure} -> {path}")
+    print(f"{len(columns['source'])} outliers on {args.measure} -> {path}")
     return 0
 
 
@@ -399,15 +398,14 @@ def cmd_textnet(args) -> int:
 
     from . import gem_io, textnet
 
-    outliers = _select_outliers(args)
+    outliers = _outlier_columns(args)
+    sources = outliers["source"]
     descriptions = gem_io.load_descriptions(args.descriptions)
-    missing = [source for source, _ in outliers if source not in descriptions]
+    missing = [source for source in sources if source not in descriptions]
     if missing:
         _warn(f"{len(missing)} outlier map(s) have no description: {missing[:5]}")
     token_lists = [
-        textnet.tokenize(descriptions[source])
-        for source, _ in outliers
-        if source in descriptions
+        textnet.tokenize(descriptions[source]) for source in sources if source in descriptions
     ]
     graph = textnet.build_cooccurrence_graph(token_lists)
     centrality = textnet.eigenvector_centrality(graph)
@@ -420,7 +418,7 @@ def cmd_textnet(args) -> int:
     ranked = np.argsort([-round(v, 12) for v in values.tolist()], kind="stable")
     by_count = np.argsort(-counts, kind="stable")
     reports = {
-        f"outliers_{args.measure}": _columns(("source", "score"), outliers),
+        f"outliers_{args.measure}": outliers,
         f"{prefix}_edges": {"word_a": words[a], "word_b": words[b], "weight": graph.weights},
         f"{prefix}_word_frequencies": {"word": words[by_count], "count": counts[by_count]},
         f"{prefix}_centrality": {"word": words[ranked], "centrality": values[ranked]},
@@ -433,7 +431,7 @@ def cmd_textnet(args) -> int:
     dot_path.write_text(textnet.to_dot(graph), encoding="utf-8")
     paths.append(dot_path)
     print(
-        f"{len(outliers)} outliers, {len(words)} words, "
+        f"{len(sources)} outliers, {len(words)} words, "
         f"{len(graph.edges)} edges -> {', '.join(str(p) for p in paths)}"
     )
     return 0
@@ -449,7 +447,7 @@ def run_reference_example():
     scores, _ = entropy.score_maps(maps)
     checks = []
     for name, (expected, tol) in REFERENCE_MAP_EXPECTED.items():
-        actual = getattr(scores[0], name)
+        actual = getattr(scores, name)[0]
         checks.append((name, expected, actual, tol, abs(actual - expected) <= tol))
     cols, _ = entropy.column_entropies(maps)
     for j, expected in enumerate(REFERENCE_COLUMN_ENTROPIES, start=1):

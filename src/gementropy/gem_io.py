@@ -665,14 +665,18 @@ def assign_classes(codes: Sequence[str], defs: Sequence[ClassDef]) -> np.ndarray
 
     A range covers a code when the code, upper-cased and right-padded with
     '0' to 8 characters, lies in the range's interval (see
-    :func:`_range_interval`). Codes are alphanumeric.
+    :func:`_range_interval`). Codes are alphanumeric. The codes are sorted
+    once, and each range writes its run of sorted codes, the last class
+    first, so that an earlier class overwrites a later one.
     """
     keys = np.array([code.upper().ljust(MAX_CODE, "0") for code in codes], dtype="S8")
+    order = np.argsort(keys)
+    keys = keys[order]
     out = np.full(len(keys), len(defs), dtype=np.intp)
-    for i, cdef in enumerate(defs):
-        for low, high in cdef.ranges:
+    for i in reversed(range(len(defs))):
+        for low, high in defs[i].ranges:
             lo, hi = _range_interval(low, high)
-            out[(out == len(defs)) & (keys >= lo) & (keys <= hi)] = i
+            out[order[np.searchsorted(keys, lo) : np.searchsorted(keys, hi, "right")]] = i
     return out
 
 

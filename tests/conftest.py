@@ -9,11 +9,13 @@ import io
 import itertools
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from gementropy import entropy, gem_io
+from gementropy import analysis, entropy, gem_io
+from gementropy.analysis import ClassTable
 from gementropy.cli import REFERENCE_MAP_LINES
 from gementropy.gem_io import NO_MATCH_SENTINELS, Flag, GemEntry
 from gementropy.textnet import WordGraph
@@ -122,6 +124,53 @@ def table_of(table_type, rows):
         if field.default is dataclasses.MISSING or any(v is not None for v in values):
             columns[field.name] = np.array(values)
     return table_type(**columns)
+
+
+class ClassRow(NamedTuple):
+    """One class of a :class:`~gementropy.analysis.ClassTable`."""
+
+    class_id: str
+    label: str
+    sum_z_alpha: float
+    sum_z_beta: float
+    sum_z_ur: float
+    members: list  # (source, z_alpha, z_beta, z_ur) per member map
+
+
+def class_rows(classes: ClassTable, normalized) -> list[ClassRow]:
+    """The classes of an ``aggregate_by_class`` result in its order, each
+    with its members read from the z-score table it was built from."""
+    z_names = ("z_alpha", "z_beta", "z_ur")
+    rows = list(zip(normalized.source.tolist(), *(getattr(normalized, z).tolist() for z in z_names)))
+    members, starts = classes.members.tolist(), classes.starts.tolist()
+    sums = [getattr(classes, f"sum_{z}").tolist() for z in z_names]
+    return [
+        ClassRow(class_id, label, *class_sums, [rows[i] for i in members[lo:hi]])
+        for class_id, label, *class_sums, lo, hi in zip(
+            classes.ids, classes.labels, *sums, starts, starts[1:]
+        )
+    ]
+
+
+def class_table(sums: dict[str, tuple[float, float, float]]) -> ClassTable:
+    """A table of classes without members, from class id -> (sum_z_alpha,
+    sum_z_beta, sum_z_ur); each class's label is its id."""
+    ids = list(sums)
+    columns = np.array([sums[c] for c in ids], dtype=np.float64).reshape(-1, 3).T
+    return ClassTable(ids, ids, *columns, np.zeros(0, np.intp), np.zeros(len(ids) + 1, np.int64))
+
+
+def ranking(classes: ClassTable, measure: str) -> tuple[list[str], list[float]]:
+    """The class ids and scores in ``rank_classes``'s order."""
+    order = analysis.rank_classes(classes, measure)
+    return [classes.ids[k] for k in order], classes.value(measure)[order].tolist()
+
+
+def outlier_pairs(normalized, measure: str, **cut) -> list[tuple[str, float]]:
+    """(source, score) of each map ``detect_outliers`` selects, in its order."""
+    selected = analysis.detect_outliers(normalized, measure, **cut)
+    scores = getattr(normalized, measure)[selected]
+    return list(zip(normalized.source[selected].tolist(), scores.tolist()))
 
 
 def word_graph(nodes: dict[str, int], edges: dict[tuple[str, str], int]) -> WordGraph:

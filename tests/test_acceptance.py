@@ -31,6 +31,7 @@ from conftest import (
     gem_lines,
     make_map,
     make_map_entries,
+    outlier_pairs,
     require_gem_file,
     score_one,
     table_of,
@@ -166,10 +167,8 @@ def test_criterion_4_normalization_suite():
     )
 
 
-def _table(scores_by_class, measure="x"):
-    ordered = sorted(scores_by_class.items(), key=lambda kv: (-kv[1], kv[0]))
-    rows = tuple((cid, s, rank) for rank, (cid, s) in enumerate(ordered, 1))
-    return RankTable(measure=measure, rows=rows)
+def _table(scores_by_class, name="x"):
+    return RankTable(name, dict(scores_by_class))
 
 
 def _tau_oracle(xs, ys):
@@ -295,7 +294,7 @@ def test_criterion_7_data_dependent_reproduction():
     assert len(bwd_diag) == 69823
 
     # outliers above 2.7 on the alphabet z-score, strongest first
-    outliers = analysis.detect_outliers(norm_fwd_proc, "z_alpha", threshold=2.7)
+    outliers = outlier_pairs(norm_fwd_proc, "z_alpha", threshold=2.7)
     assert outliers[0][0] == "3929"
     assert outliers[0][1] == pytest.approx(4.87, abs=0.02)
 

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from gementropy import analysis
 from gementropy.analysis import (
-    ClassScore,
     RankTable,
     aggregate_by_class,
+    average_ranks,
     descriptive_stats,
     detect_outliers,
     kendall_tau,
@@ -19,7 +19,7 @@ from gementropy.analysis import (
 from gementropy.entropy import NormalizedScores, ZScoreTable
 from gementropy.gem_io import load_class_defs
 
-from conftest import table_of
+from conftest import class_rows, class_table, outlier_pairs, ranking, table_of
 
 
 def _z(source, za, zb=0.0, zur=0.0):
@@ -31,10 +31,8 @@ def _zs(rows):
     return table_of(ZScoreTable, rows)
 
 
-def _table(scores_by_class, measure="z_alpha"):
-    ordered = sorted(scores_by_class.items(), key=lambda kv: (-kv[1], kv[0]))
-    rows = tuple((cid, score, rank) for rank, (cid, score) in enumerate(ordered, 1))
-    return RankTable(measure=measure, rows=rows)
+def _table(scores_by_class, name="z_alpha"):
+    return RankTable(name, dict(scores_by_class))
 
 
 class TestDescriptiveStats:
@@ -103,7 +101,7 @@ class TestAggregateByClass:
     def test_single_bucket_sums(self):
         defs = load_class_defs(io.StringIO(CLASS_CSV))
         zs = _zs([_z("0011", 1.0, 2.0, 3.0), _z("0022", 0.5, 0.5, 0.5)])
-        scores = aggregate_by_class(zs, defs)
+        scores = class_rows(aggregate_by_class(zs, defs), zs)
         assert len(scores) == 1
         cs = scores[0]
         assert cs.class_id == "00-04"
@@ -111,19 +109,19 @@ class TestAggregateByClass:
 
     def test_triple_totals(self):
         defs = load_class_defs(io.StringIO(CLASS_CSV))
-        scores = aggregate_by_class(_zs([_z("0011", 1.0, 2.0, 3.0)]), defs)
-        assert scores[0].total == 6.0
+        classes = aggregate_by_class(_zs([_z("0011", 1.0, 2.0, 3.0)]), defs)
+        assert classes.value("total")[0] == 6.0
 
     def test_cancellation(self):
         defs = load_class_defs(io.StringIO(CLASS_CSV))
         zs = _zs([_z("0011", 1.0), _z("0022", -1.0)])
-        scores = aggregate_by_class(zs, defs)
-        assert scores[0].sum_z_alpha == 0.0
+        classes = aggregate_by_class(zs, defs)
+        assert classes.sum_z_alpha[0] == 0.0
 
     def test_unclassified_bucket(self):
         defs = load_class_defs(io.StringIO(CLASS_CSV))
         zs = _zs([_z("0011", 1.0), _z("9911", 2.0)])
-        scores = {cs.class_id: cs for cs in aggregate_by_class(zs, defs)}
+        scores = {cs.class_id: cs for cs in class_rows(aggregate_by_class(zs, defs), zs)}
         assert set(scores) == {"00-04", "unclassified"}
         assert scores["unclassified"].members == [("9911", 2.0, 0.0, 0.0)]
 
@@ -134,49 +132,43 @@ class TestAggregateByClass:
             _z(f"{rng.integers(0, 100):02d}{i:02d}", float(rng.normal()))
             for i in range(60)
         ])
-        scores = aggregate_by_class(zs, defs)
+        scores = class_rows(aggregate_by_class(zs, defs), zs)
         assert sum(len(cs.members) for cs in scores) == len(zs)
 
 
 class TestRankClasses:
-    def _scores(self, mapping):
-        return [
-            ClassScore(cid, cid, sum_z_alpha=value) for cid, value in mapping.items()
-        ]
+    def _classes(self, mapping):
+        return class_table({cid: (value, 0.0, 0.0) for cid, value in mapping.items()})
 
     def test_descending_order(self):
-        table = rank_classes(self._scores({"A": 3.0, "B": 1.0, "C": 2.0}), "z_alpha")
-        assert [row[0] for row in table.rows] == ["A", "C", "B"]
-        assert [row[2] for row in table.rows] == [1, 2, 3]
+        classes = self._classes({"A": 3.0, "B": 1.0, "C": 2.0})
+        assert ranking(classes, "z_alpha")[0] == ["A", "C", "B"]
+        assert sorted(rank_classes(classes, "z_alpha")) == [0, 1, 2]
 
     def test_ties_adjacent_with_average_rank(self):
-        table = rank_classes(self._scores({"B": 5.0, "A": 5.0, "C": 1.0}), "z_alpha")
-        assert [row[0] for row in table.rows] == ["A", "B", "C"]
-        assert table.average_ranks() == {"A": 1.5, "B": 1.5, "C": 3.0}
+        ids, scores = ranking(self._classes({"B": 5.0, "A": 5.0, "C": 1.0}), "z_alpha")
+        assert ids == ["A", "B", "C"]
+        assert dict(zip(ids, average_ranks(scores))) == {"A": 1.5, "B": 1.5, "C": 3.0}
 
     def test_total_measure(self):
-        scores = [
-            ClassScore("A", "A", sum_z_alpha=1.0, sum_z_beta=1.0, sum_z_ur=1.0),
-            ClassScore("B", "B", sum_z_alpha=4.0),
-        ]
-        table = rank_classes(scores, "total")
-        assert [row[0] for row in table.rows] == ["B", "A"]
+        classes = class_table({"A": (1.0, 1.0, 1.0), "B": (4.0, 0.0, 0.0)})
+        assert ranking(classes, "total")[0] == ["B", "A"]
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(52)
         mapping = {f"C{i}": float(rng.normal()) for i in range(20)}
-        before = [r[0] for r in rank_classes(self._scores(mapping), "z_alpha").rows]
+        before = ranking(self._classes(mapping), "z_alpha")[0]
         scaled = {cid: 7.5 * value for cid, value in mapping.items()}
-        after = [r[0] for r in rank_classes(self._scores(scaled), "z_alpha").rows]
+        after = ranking(self._classes(scaled), "z_alpha")[0]
         assert before == after
 
     def test_unknown_measure(self):
         with pytest.raises(ValueError):
-            rank_classes(self._scores({"A": 1.0}), "h_a")
+            rank_classes(self._classes({"A": 1.0}), "h_a")
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            rank_classes([], "z_alpha")
+            rank_classes(class_table({}), "z_alpha")
 
 
 def tau_b_oracle(xs, ys):
@@ -260,22 +252,22 @@ class TestKendallTau:
 class TestDetectOutliers:
     def test_threshold_above_max(self):
         zs = _zs([_z("A", 1.0), _z("B", 2.0)])
-        assert detect_outliers(zs, "z_alpha", threshold=5.0) == []
+        assert outlier_pairs(zs, "z_alpha", threshold=5.0) == []
 
     def test_strictly_greater(self):
         zs = _zs([_z("a", 3.0), _z("b", 2.0), _z("c", 1.0)])
-        assert detect_outliers(zs, "z_alpha", threshold=1.5) == [
+        assert outlier_pairs(zs, "z_alpha", threshold=1.5) == [
             ("a", 3.0),
             ("b", 2.0),
         ]
         # boundary value is excluded: strict comparison
-        assert detect_outliers(zs, "z_alpha", threshold=2.0) == [("a", 3.0)]
+        assert outlier_pairs(zs, "z_alpha", threshold=2.0) == [("a", 3.0)]
 
     def test_threshold_set_semantics(self):
         rng = np.random.default_rng(56)
         zs = _zs([_z(f"S{i}", float(rng.normal())) for i in range(100)])
         t = 0.3
-        got = {s for s, _ in detect_outliers(zs, "z_alpha", threshold=t)}
+        got = {s for s, _ in outlier_pairs(zs, "z_alpha", threshold=t)}
         assert got == {z.source for z in zs if z.z_alpha > t}
 
     def test_top_fraction_bound(self):
@@ -292,8 +284,8 @@ class TestDetectOutliers:
 
     def test_other_measures(self):
         zs = _zs([_z("A", 0.0, 5.0, -5.0), _z("B", 0.0, 1.0, 1.0)])
-        assert detect_outliers(zs, "z_beta", threshold=2.0) == [("A", 5.0)]
-        assert detect_outliers(zs, "z_ur", threshold=0.0) == [("B", 1.0)]
+        assert outlier_pairs(zs, "z_beta", threshold=2.0) == [("A", 5.0)]
+        assert outlier_pairs(zs, "z_ur", threshold=0.0) == [("B", 1.0)]
 
     @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
     def test_bad_fraction(self, fraction):
@@ -313,7 +305,7 @@ class TestDetectOutliers:
 
     def test_descending_with_deterministic_ties(self):
         zs = _zs([_z("B", 2.0), _z("A", 2.0), _z("C", 3.0)])
-        assert detect_outliers(zs, "z_alpha", threshold=0.0) == [
+        assert outlier_pairs(zs, "z_alpha", threshold=0.0) == [
             ("C", 3.0),
             ("A", 2.0),
             ("B", 2.0),

@@ -4,15 +4,17 @@ replaced.
 The oracles below are frozen as they were before each rewrite: the per-code
 range scan of ``assign_classes``, the prefix-truncation overlap test of
 ``load_class_defs``, the per-map ``aggregate_by_class`` loop and its
-per-class member gather, the n x n pair signs of the Kendall tau-b, the
-dense power iteration of ``eigenvector_centrality``, the dict word graph of the
-text network (its ``combinations`` loop, depth-first component search,
-edge-list centrality kernel and report rows), the row sort of
-``detect_outliers`` and the numbered per-row reader of
-``load_descriptions``. Class assignment, range checks, class sums, graphs,
-components, reports, outlier lists and description tables must match
-exactly, and taus and centralities bit for bit; against the dense power iteration,
-whose sums run in another order, centralities match within 1e-12.
+per-class member gather into ``ClassScore`` rows, the row sort of
+``rank_classes`` and its ``average_ranks``, the n x n pair signs of the
+Kendall tau-b, the dense power iteration of ``eigenvector_centrality``, the
+dict word graph of the text network (its ``combinations`` loop, depth-first
+component search, edge-list centrality kernel and report rows), the row
+sort of ``detect_outliers`` and the numbered per-row reader of
+``load_descriptions``. Class assignment, range checks, class sums, class
+orders and average ranks, graphs, components, reports, outlier lists and
+description tables must match exactly, and taus and centralities bit for
+bit; against the dense power iteration, whose sums run in another order,
+centralities match within 1e-12.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import itertools
 import math
 import operator
 import tracemalloc
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -30,12 +33,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gementropy import analysis, gem_io, textnet
-from gementropy.analysis import OUTLIER_MEASURES, ClassScore, RankTable
+from gementropy.analysis import OUTLIER_MEASURES, RANK_MEASURES, RankTable
 from gementropy.entropy import NormalizedScores, ZScoreTable
 from gementropy.errors import ConvergenceError, GemError, StructuralError
 from gementropy.gem_io import UNCLASSIFIED, ClassDef
 
-from conftest import table_of, word_graph
+from conftest import class_rows, class_table, outlier_pairs, table_of, word_graph
 
 # ---------------------------------------------------------------------------
 # Frozen oracles
@@ -83,6 +86,53 @@ def _oracle_aggregate(normalized, defs):
         bucket[4] += z.z_ur
         bucket[5].append((z.source, z.z_alpha, z.z_beta, z.z_ur))
     return [tuple(b) for b in buckets.values()]
+
+
+@dataclass
+class ClassScore:
+    """Summed z-scores of every map assigned to one clinical class."""
+
+    class_id: str
+    label: str
+    sum_z_alpha: float = 0.0
+    sum_z_beta: float = 0.0
+    sum_z_ur: float = 0.0
+    # (source, z_alpha, z_beta, z_ur) per member map, for box-plot exports
+    members: list[tuple[str, float, float, float]] = field(default_factory=list)
+
+    @property
+    def total(self) -> float:
+        return self.sum_z_alpha + self.sum_z_beta + self.sum_z_ur
+
+    def value(self, measure: str) -> float:
+        if measure == "total":
+            return self.total
+        return getattr(self, f"sum_{measure}")
+
+
+def _oracle_rank_classes(scores, measure):
+    """(class_id, score, display rank 1..k) rows, highest first; display
+    ties break by id."""
+    ordered = sorted(scores, key=lambda cs: (-cs.value(measure), cs.class_id))
+    return tuple(
+        (cs.class_id, cs.value(measure), rank)
+        for rank, cs in enumerate(ordered, start=1)
+    )
+
+
+def _oracle_average_ranks(rows):
+    """Ranks with tied scores sharing the average of their positions."""
+    out = {}
+    i = 0
+    while i < len(rows):
+        j = i
+        while j < len(rows) and rows[j][1] == rows[i][1]:
+            j += 1
+        avg = (i + 1 + j) / 2.0
+        for k in range(i, j):
+            out[rows[k][0]] = avg
+        i = j
+    return out
 
 
 def _oracle_aggregate_per_class(normalized, defs):
@@ -350,11 +400,7 @@ def test_assign_classes_matches_range_scan(case):
 def test_aggregate_matches_per_map_loop(case):
     defs, _, table = case
     expected = _oracle_aggregate(list(table), defs)
-    got = analysis.aggregate_by_class(table, defs)
-    assert [
-        (cs.class_id, cs.label, cs.sum_z_alpha, cs.sum_z_beta, cs.sum_z_ur, cs.members)
-        for cs in got
-    ] == expected
+    assert class_rows(analysis.aggregate_by_class(table, defs), table) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -364,7 +410,33 @@ def test_aggregate_matches_per_class_gather(case):
     0.0)."""
     defs, _, table = case
     expected = _oracle_aggregate_per_class(table, defs)
-    assert repr(analysis.aggregate_by_class(table, defs)) == repr(expected)
+    got = class_rows(analysis.aggregate_by_class(table, defs), table)
+    assert repr([ClassScore(*row) for row in got]) == repr(expected)
+
+
+# few distinct sums, so ties are common; 0.0 and -0.0 tie
+_sum = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.text("ABab", min_size=1, max_size=3), st.tuples(_sum, _sum, _sum)),
+    st.sampled_from(RANK_MEASURES),
+)
+def test_rank_matches_row_sort(sums, measure):
+    """The same class order, scores (signs too) and average ranks as the row
+    sort, the ``total`` measure included; no classes is an error."""
+    if not sums:
+        with pytest.raises(ValueError, match="no class scores to rank"):
+            analysis.rank_classes(class_table(sums), measure)
+        return
+    expected = _oracle_rank_classes([ClassScore(c, c, *s) for c, s in sums.items()], measure)
+    classes = class_table(sums)
+    order = analysis.rank_classes(classes, measure)
+    ids = [classes.ids[k] for k in order]
+    scores = classes.value(measure)[order].tolist()
+    assert repr(list(zip(ids, scores, range(1, len(ids) + 1)))) == repr(list(expected))
+    assert dict(zip(ids, analysis.average_ranks(scores))) == _oracle_average_ranks(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +450,7 @@ _score = st.one_of(
 
 
 def _rank_table(name, scores):
-    return RankTable(name, tuple((f"c{i:03d}", score, 0) for i, score in enumerate(scores)))
+    return RankTable(name, {f"c{i:03d}": score for i, score in enumerate(scores)})
 
 
 def _tau_outcome(tau, *args):
@@ -489,7 +561,7 @@ def test_first_overlapping_class_wins():
         ZScoreTable, [NormalizedScores("B15", 1.0, 2.0, 3.0), NormalizedScores("D1", 4.0, 5.0, 6.0)]
     )
     got = analysis.aggregate_by_class(zs, defs)
-    assert [(cs.class_id, cs.total) for cs in got] == [("wide", 6.0), (UNCLASSIFIED, 15.0)]
+    assert list(zip(got.ids, got.value("total").tolist())) == [("wide", 6.0), (UNCLASSIFIED, 15.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +716,7 @@ def test_outliers_match_row_sort(table, measure, cut):
     """Tied values, -0.0 beside 0.0 included: the same list, signs too."""
     kwargs = dict([cut])
     expected = repr(_oracle_detect_outliers(list(table), measure, **kwargs))
-    assert repr(analysis.detect_outliers(table, measure, **kwargs)) == expected
+    assert repr(outlier_pairs(table, measure, **kwargs)) == expected
 
 
 # ---------------------------------------------------------------------------

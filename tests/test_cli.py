@@ -460,11 +460,22 @@ class TestCorr:
              "record 0: score must be finite"),
             ("bad.json", '[{"class_id": "A", "score": 1}, {"class_id": "B", "score": Infinity}]',
              "record 1: score must be finite"),
+            ("bad.json", '[{"class_id": "A", "score": true}, {"class_id": "B", "score": 1}]',
+             "record 0: needs a class_id and a numeric score"),
+            ("bad.json", '[{"class_id": "A", "score": 1}, {"class_id": "B", "score": false}]',
+             "record 1: needs a class_id and a numeric score"),
+            ("bad.json", '[{"class_id": "A", "score": "0.5"}, {"class_id": "B", "score": 1}]',
+             "record 0: needs a class_id and a numeric score"),
+            ("bad.json", '[{"class_id": "A", "score": 1%s}, {"class_id": "B", "score": 1}]'
+             % ("0" * 400), "record 0: needs a class_id and a numeric score"),
+            ("bad.csv", "rank,class_id,score\n1,A,3\n2,B,1_0\n",
+             "bad.csv:3: needs a class_id and a numeric score"),
         ],
         ids=[
             "json-missing-key", "json-object", "csv-missing-cell", "csv-non-numeric",
             "csv-field-too-large", "csv-nan", "csv-inf", "csv-minus-inf", "json-nan",
-            "json-infinity",
+            "json-infinity", "json-true", "json-false", "json-string", "json-int-past-float",
+            "csv-digit-underscore",
         ],
     )
     def test_malformed_rank_file(self, tmp_path, capsys, name, text, where):
