@@ -144,6 +144,13 @@ def column_entropies(maps: MapTable) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(cols), widths
 
 
+def _log2(counts: np.ndarray) -> np.ndarray:
+    """``math.log2`` of each count (Python ints past int64 included), taken
+    once per distinct count."""
+    distinct, inverse = np.unique(counts, return_inverse=True)
+    return np.array(list(map(math.log2, distinct.tolist())), dtype=np.float64)[inverse]
+
+
 def score_maps(
     maps: MapTable, weights: WeightVector | None = None
 ) -> tuple[ScoreTable, MapTable]:
@@ -186,8 +193,8 @@ def score_maps(
         v=maps.v,
         h_a=h_a,
         # v >= 1 and m >= 1 for every scored map
-        h_b=np.array(list(map(math.log2, maps.v.tolist())), dtype=np.float64),
-        ur=np.array(list(map(math.log2, maps.m.tolist())), dtype=np.float64),
+        h_b=_log2(maps.v),
+        ur=_log2(maps.m),
         h_a_weighted=h_a_weighted,
     )
     return scores, excluded

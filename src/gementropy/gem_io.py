@@ -14,11 +14,18 @@ row per non-blank line, stored as arrays:
 The bytes are split, checked and encoded in blocks of about
 ``_PARSE_BLOCK`` bytes, each cut just after a line break, so the working
 arrays stay the size of one block whatever the size of the file; the blocks'
-columns are then concatenated. Every line check runs as one vectorized mask
-over a block's rows. When a mask fails, the scalar validators
-(:func:`_parse_line`, built on :func:`_validate_code` and
-:func:`parse_flag`) re-run on the block's first failing line alone and raise
-its error, so messages name the file and line.
+columns are then concatenated. A field of up to 8 bytes is read as one
+8-byte word: the block, padded with 8 zero bytes, is viewed as a
+little-endian word at every byte offset. A 256-entry table per field maps
+each byte of the word at the field's start to its code (the upper-case
+source character, the target symbol, the flag digit), or to a byte with the
+high bit set where it may not stand in that field; the coded word is masked
+to the field's length, a target's rest filled with ``PAD_SYMBOL``, and one
+test of its high bits per row checks every byte of the field. Every line
+check runs as one vectorized mask over a block's rows. When a mask fails,
+the scalar validators (:func:`_parse_line`, built on :func:`_validate_code`
+and :func:`parse_flag`) re-run on the block's first failing line alone and
+raise its error, so messages name the file and line.
 
 :func:`group_maps` groups the rows by source code into a :class:`MapTable`:
 maps in first-appearance order, each map's rows in file order, and m, m0 and
@@ -71,8 +78,9 @@ UNCLASSIFIED = "unclassified"
 _CODE_RE = re.compile(r"[A-Za-z0-9]{1,8}")
 _BOM = b"\xef\xbb\xbf"
 _LINE_BREAK = re.compile(rb"\r\n?|\n")
-# Bytes per parse block: a block's working arrays take about 10 bytes per
-# input byte, under 3 MB for 256 KiB, where a whole 2.8 MB file took 29 MB.
+# Bytes per parse block: a block's working arrays peak at about 11 bytes per
+# input byte, 3 MB for 256 KiB, where a whole 2.8 MB file in one block takes
+# 32 MB (tracemalloc peaks).
 _PARSE_BLOCK = 1 << 18
 
 _CHAR_TO_SYMBOL = np.full(256, 255, dtype=np.uint8)
@@ -86,8 +94,30 @@ for _i, _c in enumerate(ALPHABET):
 # that a row of bytes read as "S8" is the code.
 _SYMBOL_BYTE = np.zeros(256, dtype=np.uint8)
 _SYMBOL_BYTE[:PAD_SYMBOL] = np.frombuffer(ALPHABET.encode(), np.uint8)
-_IS_SPACE = np.zeros(256, dtype=bool)
-_IS_SPACE[list(b" \t\n\r\x0b\x0c")] = True
+# Byte -> its code in a field, or a byte with the high bit set where it may
+# not stand: the upper-case source character, the target symbol, the digit.
+_SOURCE_BYTE = np.where(_CODE_SYMBOL < PAD_SYMBOL, _SYMBOL_BYTE[_CODE_SYMBOL], 0x80).astype(np.uint8)
+_TARGET_BYTE = np.where(_CODE_SYMBOL < PAD_SYMBOL, _CODE_SYMBOL, 0x80).astype(np.uint8)
+_DIGIT_BYTE = np.full(256, 0x80, dtype=np.uint8)
+_DIGIT_BYTE[ord("0") : ord("9") + 1] = np.arange(10)
+# _LOW[k]: the mask of a word's first k bytes
+_LOW = np.array([(1 << 8 * k) - 1 for k in range(MAX_CODE + 1)], dtype="<u8")
+_HIGH_BITS = np.uint64(0x8080808080808080)
+_PAD_WORD = np.uint64(0x0101010101010101 * PAD_SYMBOL)
+
+
+def _bytes(words: np.ndarray) -> np.ndarray:
+    """Words as rows of their 8 bytes, first byte first."""
+    return words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+
+
+def _field(words: np.ndarray, length, table: np.ndarray, pad=np.uint64(0)):
+    """Fields from the words at their starts, as rows of 8 bytes: the first
+    ``length`` bytes mapped through ``table`` and the rest from ``pad``;
+    and whether the table rejects a byte of the field."""
+    mask = _LOW[np.minimum(length, MAX_CODE)]
+    coded = table[_bytes(words)].view("<u8")[:, 0] & mask
+    return _bytes(coded | (pad & ~mask)), (coded & _HIGH_BITS) != 0
 
 
 @dataclass(frozen=True)
@@ -298,14 +328,6 @@ def _parse_line(raw: bytes, filename, line_number) -> GemEntry:
     return GemEntry(src, tgt, flag, line_number)
 
 
-def _field(buf: np.ndarray, start: np.ndarray, length: np.ndarray, width: int):
-    """The first ``width`` bytes of each field as a (rows, width) matrix, and
-    the mask of positions inside the field."""
-    pos = start[:, None] + np.arange(width)
-    np.minimum(pos, len(buf) - 1, out=pos)
-    return buf[pos], np.arange(width) < length[:, None]
-
-
 def _read_lines(data: bytes, filename) -> GemLines:
     """Split, validate and encode a crosswalk (see the module docstring for
     the grammar) a block at a time. A block ends just after the first line
@@ -329,43 +351,46 @@ def _read_lines(data: bytes, filename) -> GemLines:
 def _read_block(data: bytes, filename, first_line: int) -> tuple[GemLines, int]:
     """The rows of a block of whole lines whose first line is number
     ``first_line + 1``, and the number of line breaks in it."""
-    buf = np.frombuffer(data, dtype=np.uint8)
-    # token i spans bytes [edges[2i], edges[2i+1])
-    edges = np.flatnonzero(np.diff(_IS_SPACE[buf], prepend=True, append=True))
+    padded = data + bytes(8)
+    n = len(data)
+    # the 8 bytes from every offset as one word; zeros past the end
+    words = np.ndarray((n,), "<u8", buffer=padded, strides=(1,))
+    buf = np.frombuffer(padded, dtype=np.uint8)
+    buf, after = buf[:n], buf[1 : n + 1]
+    # token i spans bytes [edges[2i], edges[2i+1]); spaces bound the block
+    space = np.ones(n + 2, dtype=bool)
+    np.less_equal(buf - np.uint8(9), 13 - 9, out=space[1:-1])  # \t \n \v \f \r
+    space[1:-1] |= buf == 32
+    edges = np.flatnonzero(space[1:] != space[:-1])
     start, end = edges[0::2], edges[1::2]
-    cr = np.flatnonzero(buf == 13)
-    lone_cr = cr[buf[np.minimum(cr + 1, len(buf) - 1)] != 10]
-    breaks = np.sort(np.concatenate((np.flatnonzero(buf == 10), lone_cr)))
+    breaks = np.flatnonzero((buf == 10) | ((buf == 13) & (after != 10)))
     token_line = np.searchsorted(breaks, start)
     first = np.flatnonzero(np.diff(token_line, prepend=-1))  # first token per line
     n_tokens = np.diff(first, append=len(start))
     line_index = token_line[first]
 
     t = first[n_tokens == 3]
-    src_raw, src_in = _field(buf, start[t], end[t] - start[t], MAX_CODE)
-    src_sym = _CODE_SYMBOL[src_raw]
-    tgt_len = end[t + 1] - start[t + 1]
-    tgt_raw, tgt_in = _field(buf, start[t + 1], tgt_len, MAX_CODE)
-    tgt_sym = _CODE_SYMBOL[tgt_raw]
-    flag_raw, _ = _field(buf, start[t + 2], end[t + 2] - start[t + 2], 5)
-    digits = flag_raw - np.uint8(48)
+    src_len, tgt_len, flag_len = (end[t + i] - start[t + i] for i in range(3))
+    sources, bad_src = _field(words[start[t]], src_len, _SOURCE_BYTE)
+    targets, bad_tgt = _field(words[start[t + 1]], tgt_len, _TARGET_BYTE, _PAD_WORD)
+    flags, bad_flag = _field(words[start[t + 2]], 5, _DIGIT_BYTE)
     lines = GemLines(
-        sources=np.where(src_in, _SYMBOL_BYTE[src_sym], np.uint8(0)),
-        targets=np.where(tgt_in, tgt_sym, np.uint8(PAD_SYMBOL)),
+        sources=sources,
+        targets=targets,
         target_len=tgt_len.astype(np.uint8),
-        flags=digits,
+        flags=flags[:, :5],
         line=line_index[n_tokens == 3] + 1,
     )
 
-    approximate, no_map, comb, scenario, choice = digits.T
+    approximate, no_map, comb, scenario, choice = lines.flags.T
     bad = (
-        (end[t] - start[t] > MAX_CODE)
-        | np.any(src_in & (src_sym == 255), axis=1)
+        (src_len > MAX_CODE)
+        | bad_src
         | (tgt_len > MAX_CODE)
-        | np.any(tgt_in & (tgt_sym == 255), axis=1)
-        | (end[t + 2] - start[t + 2] != 5)
-        | np.any(digits > 9, axis=1)
-        | np.any(digits[:, :3] > 1, axis=1)
+        | bad_tgt
+        | (flag_len != 5)
+        | bad_flag
+        | (approximate > 1) | (no_map > 1) | (comb > 1)
         | ((no_map == 1) & (comb == 1))
         | ((comb == 0) & ((scenario != 0) | (choice != 0)))
         | ((comb == 1) & ((scenario == 0) | (choice == 0)))
@@ -516,7 +541,7 @@ def _build_maps(lines: GemLines, map_id: np.ndarray, first_row: np.ndarray) -> M
     gap[map_keys] = scen_keys[map_first + n_scen - 1] % 10 != n_scen
     gap[scen_map[keys[scen_first + n_lists - 1] % 10 != n_lists]] = True
     bad = ~excluded & ((n_no_match > 0) | gap)
-    source = lines.sources[first_row].view("S8")[:, 0].astype("U8")
+    source = lines.sources[first_row].astype(np.uint32).view("U8")[:, 0]
     if bad.any():
         k = int(np.argmax(bad))
         _make_record(str(source[k]), lines._rows(rows[map_id[rows] == k]))
@@ -547,7 +572,10 @@ def group_maps(lines: GemLines) -> MapTable:
     ``standalone_codes``; combination entries are bucketed by their
     (scenario, choice list) digits, which must number contiguously from 1.
     """
-    keys = lines.sources.view("<u8")[:, 0]
+    # Big-endian words order as the codes do, so a file sorted by source
+    # gives sorted keys, which the stable sort of np.unique runs through in
+    # linear time.
+    keys = lines.sources.view(">u8")[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -647,16 +675,35 @@ def load_class_defs(source, filename: str | None = None) -> list[ClassDef]:
     ]
 
     classes = list(zip(defs, by_label.values()))
-    for i, (a, a_ranges) in enumerate(classes):
-        for b, b_ranges in classes[i + 1 :]:
-            for ra, (lo_a, hi_a) in a_ranges:
-                for rb, (lo_b, hi_b) in b_ranges:
-                    if max(lo_a, lo_b) <= min(hi_a, hi_b):
-                        raise StructuralError(
-                            f"class {a.id!r} ({a.label}) overlaps class "
-                            f"{b.id!r} ({b.label}) on ranges {ra} and {rb}"
-                        )
+    if _overlap_found(classes):
+        for i, (a, a_ranges) in enumerate(classes):
+            for b, b_ranges in classes[i + 1 :]:
+                for ra, (lo_a, hi_a) in a_ranges:
+                    for rb, (lo_b, hi_b) in b_ranges:
+                        if max(lo_a, lo_b) <= min(hi_a, hi_b):
+                            raise StructuralError(
+                                f"class {a.id!r} ({a.label}) overlaps class "
+                                f"{b.id!r} ({b.label}) on ranges {ra} and {rb}"
+                            )
     return defs
+
+
+def _overlap_found(classes) -> bool:
+    """Whether intervals of two classes intersect, by one sweep over the
+    intervals sorted by low bound. Until two classes meet, each interval
+    that changes the class starts past every earlier high bound; so an
+    interval of another class than the last meets an earlier interval
+    exactly when it starts at or before the highest bound seen, and one of
+    the same class never does."""
+    intervals = sorted((lo, hi, k) for k, (_, ranges) in enumerate(classes) for _, (lo, hi) in ranges)
+    top, top_class = b"", -1
+    for lo, hi, k in intervals:
+        if k != top_class:
+            if lo <= top:
+                return True
+            top_class = k
+        top = max(top, hi)
+    return False
 
 
 def assign_classes(codes: Sequence[str], defs: Sequence[ClassDef]) -> np.ndarray:

@@ -10,13 +10,16 @@ import itertools
 import os
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from gementropy import analysis, entropy, gem_io
 from gementropy.analysis import ClassTable
 from gementropy.cli import REFERENCE_MAP_LINES
+from gementropy.errors import GemError
 from gementropy.gem_io import NO_MATCH_SENTINELS, Flag, GemEntry
 from gementropy.textnet import WordGraph
 
@@ -99,6 +102,52 @@ def gem_lines(entries) -> gem_io.GemLines:
     lines = gem_io.parse_gem_file("\n".join(map(gem_line, entries)).encode())
     lines.line = np.array([e.line_number for e in entries], dtype=np.int64)
     return lines
+
+
+# ---------------------------------------------------------------------------
+# Crosswalk text: valid and bad lines, and the columns a parse reads from it
+
+_CODE = st.text("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcxyz", min_size=1, max_size=8)
+_LINE = st.one_of(
+    st.builds("{} {} {}".format, _CODE, _CODE, st.sampled_from(["00000", "10000"])),
+    st.sampled_from(["0052 02H43KZ 10111", "x nodx 11000", " A1\tb2  10112 "]),
+    # 8-character fields, which fill a word to the last byte
+    st.sampled_from(["ABCDEFGH 12345678 00000", "zzzzzzzz 0z0z0z0z 10000"]),
+    st.sampled_from(["", " ", "\t\x0b "]),  # blank lines
+)
+LINE_BREAK = st.sampled_from(["\n", "\r\n", "\r"])
+BAD_LINE = st.sampled_from([
+    "X1", "X1 A1 00000 Z", "X.1 A1 00000", "X1 A\u00e91 00000", "ABCDEFGHI A1 00000",
+    "X1 A1 0000x", "X1 A1 20000", "X1 A1 10102", "X1 NODX 10111", "X1 A1 01000",
+    "X\x001 A1 00000", "X1 A1\x00 00000", "X1 A1 00\x0000",  # a NUL byte in a field
+    "X1 A1 000\u00e9", "X1 A1 \u00e9000",  # bytes >= 0x80 in a five-byte flag
+    "ABCDEFG. A1 00000", "X1 ABCDEFG- 00000",  # a bad last byte of 8
+    "X1 ABCDEFGHI 00000", "X1 A1 0000", "X1 A1 000000",
+])
+
+
+@st.composite
+def crosswalk_text(draw, min_lines=0):
+    """Crosswalk lines with LF, CRLF and lone CR endings mixed, blank lines
+    among them (a lone CR before a blank line's LF makes a CRLF), and a last
+    line with or without a break."""
+    lines = draw(st.lists(st.tuples(_LINE, LINE_BREAK), min_size=min_lines, max_size=25))
+    last = draw(st.one_of(st.just(""), _LINE))
+    return "".join(line + end for line, end in lines) + last
+
+
+def parsed_columns(data: bytes, block: int = gem_io._PARSE_BLOCK):
+    """The columns parsed from ``data`` with ``block`` bytes per parse block
+    (by default, one block here), or the error's type, text and line."""
+    with mock.patch.object(gem_io, "_PARSE_BLOCK", block):
+        try:
+            lines = gem_io.parse_gem_file(data, "gems.txt")
+        except GemError as err:
+            return type(err), str(err), err.line
+    return [
+        (a.dtype, a.shape, a.tobytes())
+        for a in (getattr(lines, f.name) for f in dataclasses.fields(lines))
+    ]
 
 
 def make_map(rng: np.random.Generator, source: str = "SRC", **kwargs):

@@ -1,20 +1,23 @@
 """Differential checks of the vectorized paths against the loops they
 replaced.
 
-The oracles below are frozen as they were before each rewrite: the per-code
-range scan of ``assign_classes``, the prefix-truncation overlap test of
-``load_class_defs``, the per-map ``aggregate_by_class`` loop and its
-per-class member gather into ``ClassScore`` rows, the row sort of
+The oracles below are frozen as they were before each rewrite: the byte
+matrices of the crosswalk reader's ``_read_block``, the little-endian keys
+and ``S8`` source cast of ``group_maps``, the per-code range scan of
+``assign_classes``, the prefix-truncation overlap test of ``load_class_defs``
+and its pairwise loop over ranges, the per-map ``aggregate_by_class`` loop
+and its per-class member gather into ``ClassScore`` rows, the row sort of
 ``rank_classes`` and its ``average_ranks``, the n x n pair signs of the
 Kendall tau-b, the dense power iteration of ``eigenvector_centrality``, the
 dict word graph of the text network (its ``combinations`` loop, depth-first
 component search, edge-list centrality kernel and report rows), the row
 sort of ``detect_outliers`` and the numbered per-row reader of
-``load_descriptions``. Class assignment, range checks, class sums, class
-orders and average ranks, graphs, components, reports, outlier lists and
-description tables must match exactly, and taus and centralities bit for
-bit; against the dense power iteration, whose sums run in another order,
-centralities match within 1e-12.
+``load_descriptions``. Parsed and grouped columns, crosswalk errors, class
+assignment, range checks, class sums, class orders and average ranks,
+graphs, components, reports, outlier lists and description tables must
+match exactly, and taus and centralities bit for bit; against the dense
+power iteration, whose sums run in another order, centralities match within
+1e-12.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ import math
 import operator
 import tracemalloc
 from dataclasses import dataclass, field
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gementropy import analysis, gem_io, textnet
@@ -38,10 +42,174 @@ from gementropy.entropy import NormalizedScores, ZScoreTable
 from gementropy.errors import ConvergenceError, GemError, StructuralError
 from gementropy.gem_io import UNCLASSIFIED, ClassDef
 
-from conftest import class_rows, class_table, outlier_pairs, table_of, word_graph
+from conftest import (
+    BAD_LINE,
+    LINE_BREAK,
+    class_rows,
+    class_table,
+    crosswalk_text,
+    gem_line,
+    make_map_entries,
+    outlier_pairs,
+    parsed_columns,
+    table_of,
+    word_graph,
+)
 
 # ---------------------------------------------------------------------------
 # Frozen oracles
+
+
+_ORACLE_IS_SPACE = np.zeros(256, dtype=bool)
+_ORACLE_IS_SPACE[list(b" \t\n\r\x0b\x0c")] = True
+
+
+def _oracle_field(buf, start, length, width):
+    pos = start[:, None] + np.arange(width)
+    np.minimum(pos, len(buf) - 1, out=pos)
+    return buf[pos], np.arange(width) < length[:, None]
+
+
+def _oracle_read_block(data, filename, first_line):
+    """``_read_block`` gathering each field as a (rows, 8) byte matrix."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    edges = np.flatnonzero(np.diff(_ORACLE_IS_SPACE[buf], prepend=True, append=True))
+    start, end = edges[0::2], edges[1::2]
+    cr = np.flatnonzero(buf == 13)
+    lone_cr = cr[buf[np.minimum(cr + 1, len(buf) - 1)] != 10]
+    breaks = np.sort(np.concatenate((np.flatnonzero(buf == 10), lone_cr)))
+    token_line = np.searchsorted(breaks, start)
+    first = np.flatnonzero(np.diff(token_line, prepend=-1))
+    n_tokens = np.diff(first, append=len(start))
+    line_index = token_line[first]
+
+    t = first[n_tokens == 3]
+    src_raw, src_in = _oracle_field(buf, start[t], end[t] - start[t], gem_io.MAX_CODE)
+    src_sym = gem_io._CODE_SYMBOL[src_raw]
+    tgt_len = end[t + 1] - start[t + 1]
+    tgt_raw, tgt_in = _oracle_field(buf, start[t + 1], tgt_len, gem_io.MAX_CODE)
+    tgt_sym = gem_io._CODE_SYMBOL[tgt_raw]
+    flag_raw, _ = _oracle_field(buf, start[t + 2], end[t + 2] - start[t + 2], 5)
+    digits = flag_raw - np.uint8(48)
+    lines = gem_io.GemLines(
+        sources=np.where(src_in, gem_io._SYMBOL_BYTE[src_sym], np.uint8(0)),
+        targets=np.where(tgt_in, tgt_sym, np.uint8(gem_io.PAD_SYMBOL)),
+        target_len=tgt_len.astype(np.uint8),
+        flags=digits,
+        line=line_index[n_tokens == 3] + 1,
+    )
+
+    approximate, no_map, comb, scenario, choice = digits.T
+    bad = (
+        (end[t] - start[t] > gem_io.MAX_CODE)
+        | np.any(src_in & (src_sym == 255), axis=1)
+        | (tgt_len > gem_io.MAX_CODE)
+        | np.any(tgt_in & (tgt_sym == 255), axis=1)
+        | (end[t + 2] - start[t + 2] != 5)
+        | np.any(digits > 9, axis=1)
+        | np.any(digits[:, :3] > 1, axis=1)
+        | ((no_map == 1) & (comb == 1))
+        | ((comb == 0) & ((scenario != 0) | (choice != 0)))
+        | ((comb == 1) & ((scenario == 0) | (choice == 0)))
+    )
+    sentinel = lines.sentinel()
+    bad |= ((no_map == 1) & ~sentinel) | ((comb == 1) & sentinel)
+    failed = np.concatenate((line_index[n_tokens != 3], lines.line[bad] - 1))
+    if len(failed):
+        i = int(failed.min())
+        lo = int(breaks[i - 1]) + 1 if i else 0
+        hi = int(breaks[i]) if i < len(breaks) else len(data)
+        line = first_line + i + 1
+        gem_io._parse_line(data[lo:hi], filename, line)
+        raise gem_io.ParseError("line rejected by the crosswalk grammar", filename, line)
+    lines.line += first_line
+    return lines, len(breaks)
+
+
+def _oracle_build_maps(lines, map_id, first_row):
+    """``_build_maps`` with the ``S8`` -> ``U8`` cast of the source column."""
+    n_maps = len(first_row)
+    sizes = np.bincount(map_id, minlength=n_maps)
+    rows = np.argsort(map_id, kind="stable")
+    no_match = (lines.flags[:, 1] == 1) | lines.sentinel()
+    n_no_match = np.bincount(map_id[no_match], minlength=n_maps)
+    excluded = n_no_match == sizes
+
+    comb = lines.flags[:, 2] == 1
+    flags = lines.flags[comb].astype(np.int64)
+    keys, list_size = np.unique(
+        (map_id[comb] * 10 + flags[:, 3]) * 10 + flags[:, 4], return_counts=True
+    )
+    scen_keys, scen_first, n_lists = np.unique(keys // 10, return_index=True, return_counts=True)
+    scen_map = scen_keys // 10
+    map_keys, map_first, n_scen = np.unique(scen_map, return_index=True, return_counts=True)
+    gap = np.zeros(n_maps, dtype=bool)
+    gap[map_keys] = scen_keys[map_first + n_scen - 1] % 10 != n_scen
+    gap[scen_map[keys[scen_first + n_lists - 1] % 10 != n_lists]] = True
+    bad = ~excluded & ((n_no_match > 0) | gap)
+    source = lines.sources[first_row].view("S8")[:, 0].astype("U8")
+    if bad.any():
+        k = int(np.argmax(bad))
+        gem_io._make_record(str(source[k]), lines._rows(rows[map_id[rows] == k]))
+        raise StructuralError(f"source {source[k]} failed a group check", source=str(source[k]))
+
+    m = np.where(excluded, 0, sizes)
+    m0 = np.where(excluded, 0, sizes - np.bincount(map_id[comb], minlength=n_maps))
+    v = m0.copy()
+    if len(keys):
+        scen_product = np.multiply.reduceat(list_size, scen_first)
+        v[map_keys] += np.add.reduceat(scen_product, map_first)
+        if np.add.reduceat(np.log2(list_size), scen_first).max() > 58:
+            v = m0.astype(object)
+            for k, sizes_k in zip(scen_map.tolist(), np.split(list_size, scen_first[1:])):
+                v[k] += math.prod(sizes_k.tolist())
+    return gem_io.MapTable(lines, rows, gem_io.offsets(sizes), source, m, m0, v)
+
+
+def _oracle_group_maps(lines):
+    """``group_maps`` keyed by the little-endian words of the sources."""
+    keys = lines.sources.view("<u8")[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return _oracle_build_maps(lines, rank[inverse.reshape(-1)], first[order])
+
+
+def _oracle_load_class_defs(source):
+    """``load_class_defs`` comparing every pair of ranges of two classes."""
+    filename, rows = gem_io._read_csv(source, None, ("low", "high", "label"))
+    by_label = {}
+    for line_number, (low, high, label) in rows:
+        low = gem_io._validate_code(low, "range low", filename, line_number)
+        high = gem_io._validate_code(high, "range high", filename, line_number)
+        interval = gem_io._range_interval(low, high)
+        if interval[0] > interval[1]:
+            raise StructuralError(
+                f"range low {low!r} exceeds high {high!r} after padding", filename, line_number
+            )
+        if not label:
+            raise gem_io.ParseError("class label is empty", filename, line_number)
+        by_label.setdefault(label, []).append(((low, high), interval))
+    defs = [
+        ClassDef(
+            id="+".join(f"{low}-{high}" for (low, high), _ in ranges),
+            label=label,
+            ranges=tuple(r for r, _ in ranges),
+        )
+        for label, ranges in by_label.items()
+    ]
+    classes = list(zip(defs, by_label.values()))
+    for i, (a, a_ranges) in enumerate(classes):
+        for b, b_ranges in classes[i + 1 :]:
+            for ra, (lo_a, hi_a) in a_ranges:
+                for rb, (lo_b, hi_b) in b_ranges:
+                    if max(lo_a, lo_b) <= min(hi_a, hi_b):
+                        raise StructuralError(
+                            f"class {a.id!r} ({a.label}) overlaps class "
+                            f"{b.id!r} ({b.label}) on ranges {ra} and {rb}"
+                        )
+    return defs
 
 
 def _oracle_padded_bounds(low, high):
@@ -552,6 +720,42 @@ def test_range_checks_match_prefix_rule(ra, rb):
     assert got == expected
 
 
+@st.composite
+def _class_tables(draw):
+    """``low,high,label`` rows: ranges of codes of one length, disjoint
+    unless a code repeats, as one-code classes or spread over a few labels,
+    and sometimes one more range of any length, which may overlap them."""
+    length = draw(st.integers(1, 3))
+    code = st.text("019AZ", min_size=length, max_size=length)
+    codes = sorted(draw(st.lists(code, max_size=40, unique=draw(st.booleans()))))
+    if draw(st.booleans()):
+        rows = [(c, c, f"L{i}") for i, c in enumerate(codes)]
+    else:
+        labels = st.sampled_from("ABCDEF")
+        rows = [(lo, hi, draw(labels)) for lo, hi in zip(codes[0::2], codes[1::2])]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, (*draw(_range()), draw(st.sampled_from(["A", "L0", "new"]))))
+    return rows
+
+
+def _class_defs_outcome(load, rows):
+    try:
+        return load(_class_csv(rows))
+    except GemError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_class_tables())
+@example([("ZZZZZZZY", "ZZZZZZZZ", "A"), ("ZZZZZZZZ", "ZZZZZZZZ", "B")])  # low bound = high bound
+@example([("10", "19", "A"), ("12", "13", "A"), ("15", "15", "B")])  # past a range nested in one
+def test_class_overlap_sweep_matches_pairwise_loop(rows):
+    """The same classes, or the same error naming the same pair of ranges."""
+    expected = _class_defs_outcome(_oracle_load_class_defs, rows)
+    assert _class_defs_outcome(gem_io.load_class_defs, rows) == expected
+
+
 def test_first_overlapping_class_wins():
     defs = [
         ClassDef("wide", "Wide", (("A", "C"),)),
@@ -562,6 +766,72 @@ def test_first_overlapping_class_wins():
     )
     got = analysis.aggregate_by_class(zs, defs)
     assert list(zip(got.ids, got.value("total").tolist())) == [("wide", 6.0), (UNCLASSIFIED, 15.0)]
+
+
+# ---------------------------------------------------------------------------
+# Crosswalk parse and grouping
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    crosswalk_text(),
+    st.one_of(st.just(()), st.tuples(BAD_LINE, LINE_BREAK)),
+    crosswalk_text(),
+    st.booleans(),
+)
+def test_parse_matches_byte_matrices(head, bad, tail, bom):
+    """The same columns (dtypes and shapes too), or the same error type,
+    text and line, in blocks of 1, 7 and 64 bytes and the default."""
+    data = b"\xef\xbb\xbf" * bom + (head + "".join(bad) + tail).encode()
+    for block in (1, 7, 64, gem_io._PARSE_BLOCK):
+        with mock.patch.object(gem_io, "_read_block", _oracle_read_block):
+            expected = parsed_columns(data, block)
+        assert parsed_columns(data, block) == expected
+
+
+_SOURCE = st.text("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZab", min_size=1, max_size=8)
+
+
+@st.composite
+def _crosswalk_lines(draw):
+    """The lines of random maps, no-match maps among them, sometimes with a
+    line that may fail a group check; grouped by map, sorted by source,
+    interleaved or shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = []
+    for source in draw(st.lists(_SOURCE, min_size=1, max_size=20)):
+        if draw(st.integers(0, 4)) == 0:
+            maps.append([f"{source} NODX 11000"] * draw(st.integers(1, 2)))
+        else:
+            maps.append(list(map(gem_line, make_map_entries(rng, source, max_m=6))))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(maps) - 1))
+        extra = draw(st.sampled_from(["NOPCS 11000", "X9 10121", "X9 10113", "X9 10000"]))
+        maps[k].append(maps[k][0].split()[0] + " " + extra)
+    order = draw(st.sampled_from(["grouped", "sorted", "interleaved", "shuffled"]))
+    if order == "sorted":
+        maps.sort(key=lambda lines: lines[0].split()[0].upper())
+    if order == "interleaved":
+        return [m[i] for i in range(max(map(len, maps))) for m in maps if i < len(m)]
+    lines = [line for m in maps for line in m]
+    return [lines[i] for i in rng.permutation(len(lines))] if order == "shuffled" else lines
+
+
+def _grouped(group, lines):
+    try:
+        maps = group(lines)
+    except GemError as err:
+        return type(err), str(err)
+    columns = (maps.rows, maps.starts, maps.source, maps.m, maps.m0, maps.v)
+    return [(a.dtype, a.shape, a.tolist()) for a in columns]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_crosswalk_lines())
+def test_group_matches_little_endian_keys(lines):
+    """The same maps in the same order, or the same error."""
+    lines = gem_io.parse_gem_file("\n".join(lines).encode())
+    assert _grouped(gem_io.group_maps, lines) == _grouped(_oracle_group_maps, lines)
 
 
 # ---------------------------------------------------------------------------

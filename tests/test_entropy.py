@@ -368,6 +368,20 @@ class TestScoreMaps:
         assert row["v"] == str(v)
         assert row["h_b"] == f"{math.log2(v):.6g}"
 
+    def test_log2_per_map_past_int64(self):
+        # an object v column: two counts past int64, one of them twice, and
+        # small counts; every h_b and ur as math.log2 of its own map's count
+        big = "".join(f"B{c}{k:03d} 1011{c}\n" for c in range(1, 10) for k in range(160))
+        text = "".join(
+            big.replace("B", f"{s} B") for s in ("BIG1", "BIG2")
+        ) + "".join(f"BIG3 C{c}{k:03d} 1011{c}\n" for c in range(1, 10) for k in range(170))
+        text += "A1 X1 00000\nA2 X1 00000\nA2 X2 10111\nA2 X3 10112\nA2 X4 10112\n"
+        scores, _ = score_maps(gem_io.group_maps(gem_io.parse_gem_file(text.encode())))
+        assert scores.v.dtype == object
+        assert scores.v.tolist() == [160**9, 160**9, 170**9, 1, 3]
+        assert scores.h_b.tolist() == [math.log2(v) for v in scores.v.tolist()]
+        assert scores.ur.tolist() == [math.log2(m) for m in scores.m.tolist()]
+
     def test_all_excluded(self):
         records = gem_io.group_maps(
             gem_io.parse_gem_file(io.StringIO("A1 NODX 11000\n"))

@@ -1,7 +1,6 @@
 import dataclasses
 import io
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from gementropy import gem_io
 from gementropy.entropy import column_entropies, score_maps
-from gementropy.errors import GemError, ParseError, StructuralError
+from gementropy.errors import ParseError, StructuralError
 from gementropy.gem_io import (
     UNCLASSIFIED,
     ClassDef,
@@ -24,7 +23,15 @@ from gementropy.gem_io import (
     parse_gem_file,
 )
 
-from conftest import gem_line, gem_lines, make_map_entries
+from conftest import (
+    BAD_LINE,
+    LINE_BREAK,
+    crosswalk_text,
+    gem_line,
+    gem_lines,
+    make_map_entries,
+    parsed_columns,
+)
 
 
 def _class_ids(codes, defs):
@@ -210,63 +217,26 @@ class TestByteOrderMark:
 # ---------------------------------------------------------------------------
 # Parse blocks: a crosswalk read in blocks of a few bytes reads as in one block
 
-_CODE = st.text("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcxyz", min_size=1, max_size=8)
-_LINE = st.one_of(
-    st.builds("{} {} {}".format, _CODE, _CODE, st.sampled_from(["00000", "10000"])),
-    st.sampled_from(["0052 02H43KZ 10111", "x nodx 11000", " A1\tb2  10112 "]),
-    st.sampled_from(["", " ", "\t\x0b "]),  # blank lines
-)
-_BREAK = st.sampled_from(["\n", "\r\n", "\r"])
-_BAD_LINE = st.sampled_from([
-    "X1", "X1 A1 00000 Z", "X.1 A1 00000", "X1 A\u00e91 00000", "ABCDEFGHI A1 00000",
-    "X1 A1 0000x", "X1 A1 20000", "X1 A1 10102", "X1 NODX 10111", "X1 A1 01000",
-])
-
-
-@st.composite
-def _crosswalk_text(draw, min_lines=0):
-    """Crosswalk lines with LF, CRLF and lone CR endings mixed, blank lines
-    among them (a lone CR before a blank line's LF makes a CRLF), and a last
-    line with or without a break."""
-    lines = draw(st.lists(st.tuples(_LINE, _BREAK), min_size=min_lines, max_size=25))
-    last = draw(st.one_of(st.just(""), _LINE))
-    return "".join(line + end for line, end in lines) + last
-
-
-def _parsed(data: bytes, block: int = gem_io._PARSE_BLOCK):
-    """The columns parsed from ``data`` with ``block`` bytes per parse block
-    (by default, one block here), or the error's type, text and line."""
-    with mock.patch.object(gem_io, "_PARSE_BLOCK", block):
-        try:
-            lines = parse_gem_file(data, "gems.txt")
-        except GemError as err:
-            return type(err), str(err), err.line
-    return [
-        (a.dtype, a.shape, a.tobytes())
-        for a in (getattr(lines, f.name) for f in dataclasses.fields(lines))
-    ]
-
-
 @settings(max_examples=300, deadline=None)
-@given(_crosswalk_text(), st.booleans())
+@given(crosswalk_text(), st.booleans())
 def test_parse_blocks_read_as_one(text, bom):
     data = b"\xef\xbb\xbf" * bom + text.encode()
-    want = _parsed(data)
+    want = parsed_columns(data)
     assert isinstance(want, list)
     for block in (1, 7, 64):
-        assert _parsed(data, block) == want
+        assert parsed_columns(data, block) == want
 
 
 @settings(max_examples=300, deadline=None)
-@given(_crosswalk_text(min_lines=1), _BAD_LINE, _BREAK, _crosswalk_text(), st.booleans())
+@given(crosswalk_text(min_lines=1), BAD_LINE, LINE_BREAK, crosswalk_text(), st.booleans())
 def test_parse_blocks_fail_as_one(head, bad, end, tail, bom):
     # the bad line follows at least one line break, so blocks of 1 and 7
     # bytes put it past the first block
     data = b"\xef\xbb\xbf" * bom + (head + bad + end + tail).encode()
-    want = _parsed(data)
+    want = parsed_columns(data)
     assert isinstance(want, tuple)
     for block in (1, 7, 64):
-        assert _parsed(data, block) == want
+        assert parsed_columns(data, block) == want
 
 
 def _generated_crosswalk(n_lines: int) -> bytes:
