@@ -3,12 +3,13 @@
 Scoring needs the Shannon entropy of every column of every map's padded
 code matrix. A batch of matrices is concatenated row-major into one flat
 uint8 buffer of symbol indices, and one call counts them sparsely: each cell
-gets the key ``column * N_SYMBOLS + symbol``, one sort (``np.unique``) counts the
-distinct keys, and -p*log2(p) is summed over the nonzero counts only.
+gets the key ``column * N_SYMBOLS + symbol`` in the narrowest unsigned type,
+one in-place sort makes each distinct key a run as long as its count, and
+-p*log2(p) is summed over the nonzero counts only.
 Columns of three or more distinct symbols, whose sum depends on the order of
 its terms, are summed as dense rows of ``N_SYMBOLS`` terms (at most one row
 per three cells), so every value rounds as a dense per-column sum does.
-A call's working arrays take about 70 bytes per cell of its batch, whatever
+A call's working arrays take about 60 bytes per cell of its batch, whatever
 the number of columns; :func:`gementropy.entropy.column_entropies` bounds
 them by calling the kernel on blocks of maps.
 """
@@ -39,7 +40,14 @@ def batch_column_entropies(
     row_cell = offsets(row_width)[:-1]
     row_col = np.repeat(offsets(widths)[:-1], heights)
     cell_col = np.arange(len(flat)) - np.repeat(row_cell - row_col, row_width)
-    keys, counts = np.unique(cell_col * N_SYMBOLS + flat, return_counts=True)
+    keys = cell_col.astype(np.min_scalar_type(n_cols * N_SYMBOLS))
+    del cell_col, row_width, row_cell, row_col  # before the sort's arrays
+    keys *= N_SYMBOLS
+    keys += flat
+    keys.sort()
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    counts = np.diff(first, append=len(keys))
+    keys = keys[first]
     col = keys // N_SYMBOLS
     p = counts / np.repeat(heights, widths)[col]
     terms = p * np.log2(p)
@@ -49,12 +57,9 @@ def batch_column_entropies(
     # ranks and cuts, which must not move with the rounding.
     many = np.bincount(col, minlength=n_cols) > 2
     if many.any():
-        dense_cols = np.flatnonzero(many)
-        in_dense = many[col]
-        dense = np.zeros((len(dense_cols), N_SYMBOLS))
-        dense[np.searchsorted(dense_cols, col[in_dense]), keys[in_dense] % N_SYMBOLS] = (
-            terms[in_dense]
-        )
-        sums[dense_cols] = dense.sum(axis=1)
+        in_dense = many[col]  # a dense column's row: how many dense columns precede it
+        slot = (np.cumsum(many) - 1)[col[in_dense]] * N_SYMBOLS + keys[in_dense] % N_SYMBOLS
+        dense = np.zeros(int(many.sum()) * N_SYMBOLS)
+        dense[slot] = terms[in_dense]
+        sums[many] = dense.reshape(-1, N_SYMBOLS).sum(axis=1)
     return 0.0 - sums  # not -sums: a constant column has entropy +0.0, not -0.0
-

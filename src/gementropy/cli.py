@@ -8,12 +8,12 @@ report plain z-scores and take ``--denominator`` alone. The analysis layer
 returns columns and indices, so ``rank``, ``outliers`` and ``textnet`` write
 their reports by indexing the z-score table and the class table.
 
-Importing this module loads only the standard library. Each command imports
-the layers it runs when it starts, through the package (``from . import
-gem_io``), so a layer's functions are looked up on its module at call time.
-``corr`` loads ``analysis`` alone, whose Kendall tau-b needs no numpy, so a
-``corr`` process never imports numpy; the report writer uses numpy only for
-columns that already are numpy arrays.
+Importing this module loads only the standard library, not even ``json``
+(for JSON files only). Each command imports the layers it runs when it
+starts, through the package (``from . import gem_io``), so a layer's functions
+are looked up on its module at call time. ``corr`` loads ``analysis`` alone,
+whose Kendall tau-b needs no numpy, so a ``corr`` process never imports numpy;
+the report writer uses numpy only for columns that already are numpy arrays.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
+import itertools
 import math
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -63,13 +62,18 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-# Report rows formatted per block: the cell texts of 8,192 rows of ten
-# columns take 3-5 MB, where 69,823 rows at once took 20 MB (CSV) and 44 MB
-# (JSON).
+# Rows joined per block take a few MB, where 69,823 at once took 20 MB (CSV) and
+# 44 MB (JSON). A numeric run has one text per distinct row (1,666 for
+# narrow-score's 67,719 maps), found by a row code kept under _CODE_LIMIT.
 _REPORT_BLOCK = 8192
+_CODE_LIMIT = 1 << 62
 
-_json_cell = json.JSONEncoder().encode
 _needs_quotes = re.compile('[,"\r\n]').search
+
+
+def _json_cell(value) -> str:
+    import json
+    return json.dumps(value)
 
 
 def _csv_cell(value) -> str:
@@ -81,34 +85,65 @@ def _csv_cell(value) -> str:
     return buf.getvalue()[:-1]
 
 
-def _cell_texts(column, fmt: str) -> list[str]:
-    """The text of every cell of one column; a float64 or int64 array is
-    formatted once per distinct value (floats by bit pattern, so -0.0 and
-    NaN keep their own text)."""
-    cell = _csv_cell if fmt == "csv" else _json_cell
-    np = sys.modules.get("numpy")  # not loaded: no column is an array
-    is_array = np is not None and isinstance(column, np.ndarray)
-    if is_array and column.dtype in (np.float64, np.int64):
-        floats = column.dtype == np.float64
-        distinct, inverse = np.unique(
-            column.view(np.int64) if floats else column, return_inverse=True
-        )
-        values = (distinct.view(np.float64) if floats else distinct).tolist()
-        return np.array(list(map(cell, values)), dtype=object)[inverse.ravel()].tolist()
-    cells = column.tolist() if is_array else list(column)
-    if set(map(type, cells)) <= {str}:  # strings only: no per-cell dispatch
+def _column_blocks(prefix: str, column, fmt: str, blocks: range):
+    """A non-numeric column's texts per block of rows, after ``prefix`` in JSON."""
+    for lo in blocks:
+        cells = column[lo : lo + _REPORT_BLOCK]
+        cells = cells.tolist() if hasattr(cells, "tolist") else list(cells)
+        strings = set(map(type, cells)) <= {str}  # strings only: no per-cell dispatch
         if fmt == "json":
-            return list(map(encode_basestring_ascii, cells))
-        if _needs_quotes("".join(cells)) is None:
-            return cells
-    return list(map(cell, cells))
+            from json.encoder import encode_basestring_ascii
+            encode = encode_basestring_ascii if strings else _json_cell
+            yield list(map(prefix.__add__, map(encode, cells)))
+        elif strings and _needs_quotes("".join(cells)) is None:
+            yield cells
+        else:
+            yield list(map(_csv_cell, cells))
 
 
-def _text_blocks(columns: list, fmt: str):
-    """The cell texts of the columns, ``_REPORT_BLOCK`` rows at a time."""
-    n_rows = min(map(len, columns), default=0)
-    for lo in range(0, n_rows, _REPORT_BLOCK):
-        yield [_cell_texts(column[lo : lo + _REPORT_BLOCK], fmt) for column in columns]
+def _run_blocks(run: list, fmt: str, sep: str, blocks: range):
+    """Texts of a run of float64/int64 (prefix, column) pairs per block of rows. Each
+    column's distinct values (floats by bit pattern: -0.0 and NaN keep their text) are
+    formatted once, and each distinct row, by its mixed-radix code, joined by ``sep`` once."""
+    import numpy as np
+
+    cell = _csv_cell if fmt == "csv" else _json_cell
+    texts, inverses = [], []
+    code, radix = np.zeros(len(run[0][1]), dtype=np.int64), 1
+    for prefix, column in run:
+        distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        values = distinct.view(column.dtype).tolist()
+        texts.append(np.array([prefix + cell(value) for value in values], dtype=object))
+        inverses.append(inverse.astype(np.min_scalar_type(len(distinct))))
+        if radix * len(distinct) > _CODE_LIMIT:
+            distinct_codes, code = np.unique(code, return_inverse=True)
+            radix = len(distinct_codes)
+        code *= len(distinct)
+        code += inverses[-1]
+        radix *= len(distinct)
+    distinct_codes, code = np.unique(code, return_inverse=True)
+    code = code.astype(np.min_scalar_type(len(distinct_codes)))
+    some_row = np.empty(len(distinct_codes), dtype=np.intp)  # a row of each code
+    some_row[code] = np.arange(len(code))
+    cells = zip(*(text[inverse[some_row]].tolist() for text, inverse in zip(texts, inverses)))
+    rows = np.array(list(map(sep.join, cells)), dtype=object)
+    del texts, inverses
+    for lo in blocks:
+        yield rows[code[lo : lo + _REPORT_BLOCK]].tolist()
+
+
+def _text_blocks(cells: list, fmt: str, sep: str):
+    """Per block of rows, a list of texts per numeric run of ``cells`` and per other cell."""
+    n_rows = min((len(column) for _, column in cells), default=0)
+    blocks = range(0, n_rows, _REPORT_BLOCK)
+    numeric = (np.float64, np.int64) if (np := sys.modules.get("numpy")) else ()
+    parts = []
+    for is_run, group in itertools.groupby(cells, lambda c: getattr(c[1], "dtype", 0) in numeric):
+        if is_run:
+            parts.append(_run_blocks([(p, c[:n_rows]) for p, c in group], fmt, sep, blocks))
+        else:
+            parts.extend(_column_blocks(prefix, column, fmt, blocks) for prefix, column in group)
+    return zip(*parts)
 
 
 def _csv_text(rows, width: int) -> str:
@@ -130,7 +165,8 @@ def _write_report(out_dir: Path, name: str, fmt: str, columns) -> Path:
     ``Infinity``, ``-Infinity``); an int is written exactly; None is ``""``
     in CSV and ``null`` in JSON; a CSV string is quoted as QUOTE_MINIMAL
     quotes it, and a JSON string is escaped to ASCII. An empty JSON report
-    is ``[]``. Rows are formatted and written ``_REPORT_BLOCK`` at a time.
+    is ``[]``. Adjacent float64/int64 arrays are formatted once per distinct
+    row; other cells, and rows, ``_REPORT_BLOCK`` rows at a time.
     """
     pairs = list(columns.items()) if isinstance(columns, dict) else list(columns)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -138,18 +174,16 @@ def _write_report(out_dir: Path, name: str, fmt: str, columns) -> Path:
     if fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(_csv_text([[_csv_cell(key) for key, _ in pairs]], len(pairs)))
-            for texts in _text_blocks([column for _, column in pairs], fmt):
+            for texts in _text_blocks([("", column) for _, column in pairs], fmt, ","):
                 fh.write(_csv_text(zip(*texts), len(pairs)))
         return path
-    merged = dict(pairs)
-    # one record of json.dump(indent=2), a %s slot per cell ("%" in keys escaped)
-    template = "  {\n%s\n  }" % ",\n".join(
-        "    %s: %%s" % _json_cell(key).replace("%", "%%") for key in merged
-    )
+    # the records of json.dump(indent=2)
+    cells = [("    %s: " % _json_cell(key), column) for key, column in dict(pairs).items()]
     with open(path, "w", encoding="utf-8") as fh:
         opening = "[\n"
-        for texts in _text_blocks(list(merged.values()), fmt):
-            fh.write(opening + ",\n".join(map(template.__mod__, zip(*texts))))
+        for texts in _text_blocks(cells, fmt, ",\n"):
+            records = map("  {\n%s\n  }".__mod__, map(",\n".join, zip(*texts)))
+            fh.write(opening + ",\n".join(records))
             opening = ",\n"
         fh.write("[]\n" if opening == "[\n" else "\n]\n")
     return path
@@ -200,6 +234,7 @@ def cmd_score(args) -> int:
 
     weights = _parse_weights(args.weights) if args.weights else None
     scores, excluded = _score(args, weights)
+    excluded = _excluded_columns(excluded)  # frees its lines: the whole parsed crosswalk
     freqs = gem_io.load_frequencies(args.frequencies) if args.frequencies else None
     names = ["source", "m", "m0", "v", "h_a", "h_b", "ur"]
     if weights is not None:
@@ -220,9 +255,9 @@ def cmd_score(args) -> int:
         columns.update((name, getattr(normalized, name)) for name in z_names)
     out = Path(args.out)
     path = _write_report(out, "scores", args.format, columns)
-    excl_path = _write_report(out, "excluded", args.format, _excluded_columns(excluded))
+    excl_path = _write_report(out, "excluded", args.format, excluded)
     print(f"scored {len(scores)} maps -> {path}")
-    print(f"excluded {len(excluded)} no-match maps -> {excl_path}")
+    print(f"excluded {len(excluded['source'])} no-match maps -> {excl_path}")
     return 0
 
 
@@ -290,6 +325,7 @@ def _read_rank_file(path: str) -> analysis.RankTable:
     is_json = Path(path).suffix.lower() == ".json"
     with open(path, encoding="utf-8-sig", newline="") as fh:
         if is_json:
+            import json
             try:
                 records = json.load(fh)
             except ValueError as exc:
@@ -492,11 +528,9 @@ def _add_denominator_option(parser):
 
 
 def _add_outlier_options(parser):
-    from .analysis import OUTLIER_MEASURES
-
     parser.add_argument(
         "--measure",
-        choices=OUTLIER_MEASURES,
+        choices=("z_alpha", "z_beta", "z_ur"),  # analysis.OUTLIER_MEASURES, not imported
         default="z_alpha",
         help="normalized measure to scan",
     )

@@ -11,11 +11,13 @@ and its per-class member gather into ``ClassScore`` rows, the row sort of
 Kendall tau-b, the dense power iteration of ``eigenvector_centrality``, the
 dict word graph of the text network (its ``combinations`` loop, depth-first
 component search, edge-list centrality kernel and report rows), the row
-sort of ``detect_outliers`` and the numbered per-row reader of
-``load_descriptions``. Parsed and grouped columns, crosswalk errors, class
-assignment, range checks, class sums, class orders and average ranks,
+sort of ``detect_outliers``, the numbered per-row reader of
+``load_descriptions`` and the ``np.unique`` counts and searchsorted dense
+rows of the entropy kernel. Parsed and grouped columns, crosswalk errors,
+class assignment, range checks, class sums, class orders and average ranks,
 graphs, components, reports, outlier lists and description tables must
-match exactly, and taus and centralities bit for bit; against the dense
+match exactly, and taus, centralities and column entropies bit for bit;
+against the dense
 power iteration, whose sums run in another order, centralities match within
 1e-12.
 """
@@ -36,11 +38,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gementropy import analysis, gem_io, textnet
+from gementropy import _kernels, analysis, gem_io, textnet
 from gementropy.analysis import OUTLIER_MEASURES, RANK_MEASURES, RankTable
 from gementropy.entropy import NormalizedScores, ZScoreTable
 from gementropy.errors import ConvergenceError, GemError, StructuralError
-from gementropy.gem_io import UNCLASSIFIED, ClassDef
+from gementropy.gem_io import N_SYMBOLS, UNCLASSIFIED, ClassDef
 
 from conftest import (
     BAD_LINE,
@@ -487,6 +489,33 @@ def _oracle_load_descriptions(source, filename=None):
     return table
 
 
+def _oracle_column_entropies(flat, heights, widths):
+    heights = np.asarray(heights, dtype=np.int64)
+    widths = np.asarray(widths, dtype=np.int64)
+    n_cols = int(widths.sum())
+    if n_cols == 0:
+        return np.zeros(0)
+    row_width = np.repeat(widths, heights)
+    row_cell = gem_io.offsets(row_width)[:-1]
+    row_col = np.repeat(gem_io.offsets(widths)[:-1], heights)
+    cell_col = np.arange(len(flat)) - np.repeat(row_cell - row_col, row_width)
+    keys, counts = np.unique(cell_col * N_SYMBOLS + flat, return_counts=True)
+    col = keys // N_SYMBOLS
+    p = counts / np.repeat(heights, widths)[col]
+    terms = p * np.log2(p)
+    sums = np.bincount(col, weights=terms, minlength=n_cols)
+    many = np.bincount(col, minlength=n_cols) > 2
+    if many.any():
+        dense_cols = np.flatnonzero(many)
+        in_dense = many[col]
+        dense = np.zeros((len(dense_cols), N_SYMBOLS))
+        dense[np.searchsorted(dense_cols, col[in_dense]), keys[in_dense] % N_SYMBOLS] = (
+            terms[in_dense]
+        )
+        sums[dense_cols] = dense.sum(axis=1)
+    return 0.0 - sums
+
+
 # ---------------------------------------------------------------------------
 # Class assignment and class sums
 
@@ -832,6 +861,61 @@ def test_group_matches_little_endian_keys(lines):
     """The same maps in the same order, or the same error."""
     lines = gem_io.parse_gem_file("\n".join(lines).encode())
     assert _grouped(gem_io.group_maps, lines) == _grouped(_oracle_group_maps, lines)
+
+
+# ---------------------------------------------------------------------------
+# Entropy kernel
+
+# column counts whose keys just fit in, or just pass, uint8 and uint16
+_KEY_TYPE_EDGES = [
+    limit // N_SYMBOLS + step for limit in (2**8, 2**16) for step in (-1, 0, 1)
+]
+
+
+def _kernel_batch(n_cols, seed, max_height):
+    """Maps of ``n_cols`` columns in all, each column of 1, 2 or more distinct
+    symbols, as the kernel's (flat, heights, widths)."""
+    rng = np.random.default_rng(seed)
+    widths = []
+    while sum(widths) < n_cols:
+        widths.append(min(int(rng.integers(1, 9)), n_cols - sum(widths)))
+    heights = rng.integers(1, max_height + 1, len(widths))
+    matrices = []
+    for height, width in zip(heights, widths):
+        kinds = rng.integers(1, N_SYMBOLS + 1, width)
+        kinds = np.where(rng.random(width) < 0.6, rng.integers(1, 3, width), kinds)
+        matrices.append(
+            np.stack(
+                [rng.choice(N_SYMBOLS, k, replace=False)[rng.integers(0, k, height)] for k in kinds],
+                axis=1,
+            ).ravel()
+        )
+    flat = np.concatenate(matrices or [np.zeros(0)]).astype(np.uint8)
+    return flat, heights.astype(np.int64), np.array(widths, dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.integers(0, 40), st.sampled_from(_KEY_TYPE_EDGES)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 3, 9, 40]),
+)
+@example(0, 0, 1)  # the empty batch
+@example(_KEY_TYPE_EDGES[1], 1, 3)  # uint8 keys
+@example(_KEY_TYPE_EDGES[2], 2, 3)  # uint16 keys
+@example(_KEY_TYPE_EDGES[4], 3, 3)  # uint16 keys
+@example(_KEY_TYPE_EDGES[5], 4, 3)  # uint32 keys
+def test_kernel_matches_unique_counts(n_cols, seed, max_height):
+    """Every column entropy bit-equal to the ``np.unique`` kernel."""
+    flat, heights, widths = _kernel_batch(n_cols, seed, max_height)
+    got = _kernels.batch_column_entropies(flat, heights, widths)
+    assert got.tobytes() == _oracle_column_entropies(flat, heights, widths).tobytes()
+
+
+def test_kernel_key_type_edges():
+    """The pinned column counts cross the key types' limits."""
+    types = [np.min_scalar_type(n * N_SYMBOLS) for n in _KEY_TYPE_EDGES]
+    assert types[1:3] == [np.uint8, np.uint16] and types[4:] == [np.uint16, np.uint32]
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,44 @@ def test_corr_runs_without_numpy(tmp_path):
     assert (tmp_path / "corr.csv").exists()
 
 
+def test_score_imports_only_its_layers(workspace):
+    """A CSV ``score`` run loads neither ``analysis``, ``textnet`` nor
+    ``json``; a JSON one loads ``json`` alone of them."""
+    for fmt, loads in (("csv", []), ("json", ["json"])):
+        argv = ["score", "--gems", str(workspace / "gems.txt"), "--format", fmt,
+                "--out", str(workspace / fmt)]
+        code = (
+            "import sys; from gementropy import cli; "
+            f"rc = cli.main({argv!r}); "
+            "print(rc, [m for m in ('gementropy.analysis', 'gementropy.textnet', 'json') "
+            "if m in sys.modules])"
+        )
+        assert _fresh_python(code)[-1] == f"0 {loads}"
+        assert (workspace / fmt / f"scores.{fmt}").exists()
+
+
+def test_corr_on_csv_rank_files_runs_without_json(tmp_path):
+    (tmp_path / "r1.csv").write_text("class_id,score\nA,3\nB,2\nC,1\n")
+    (tmp_path / "r2.csv").write_text("class_id,score\nA,1\nB,3\nC,2\n")
+    argv = ["corr", str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv"), "--out", str(tmp_path)]
+    code = (
+        "import sys; from gementropy import cli; print('json' in sys.modules); "
+        f"rc = cli.main({argv!r}); print(rc, 'json' in sys.modules)"
+    )
+    lines = _fresh_python(code)
+    assert lines[0] == "False" and lines[-1] == "0 False"
+
+
+def test_measure_choices_are_the_outlier_measures():
+    """The parser spells the measures out rather than import ``analysis``."""
+    from gementropy import analysis
+
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    for command in ("outliers", "textnet"):
+        measure = next(a for a in commands.choices[command]._actions if a.dest == "measure")
+        assert tuple(measure.choices) == analysis.OUTLIER_MEASURES
+
+
 @pytest.mark.parametrize("name", ["gem_io", "_kernels", "entropy", "analysis", "textnet"])
 def test_package_attribute_loads_layer(name):
     """``getattr(gementropy, name)`` imports a layer nothing has loaded yet,

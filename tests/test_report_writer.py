@@ -1,6 +1,7 @@
 """Differential test of the columnar report writer against the row writer it
 replaced, frozen here as the oracle: byte-identical CSV and JSON on random
-tables."""
+tables, among them runs of numeric columns beside text and None columns and
+runs whose combined row code is renumbered."""
 
 from __future__ import annotations
 
@@ -88,14 +89,48 @@ def _text_column(n):
     return st.lists(TEXT, min_size=n, max_size=n)
 
 
+def _none_column(n):
+    return st.just([None] * n)
+
+
+NAME = st.one_of(st.sampled_from(["a", "b", "x,y"]), TEXT)
+
+
 @st.composite
 def tables(draw):
     n = draw(st.integers(0, 12))
     width = draw(st.integers(1, 4))
     kinds = [_float_column, _int_column, _object_column, _text_column]
     columns = [draw(draw(st.sampled_from(kinds))(n)) for _ in range(width)]
-    name = st.one_of(st.sampled_from(["a", "b", "x,y"]), TEXT)
-    header = draw(st.lists(name, min_size=width, max_size=width))
+    header = draw(st.lists(NAME, min_size=width, max_size=width))
+    return header, columns
+
+
+def _few_values_column(n):
+    """A float64 or int64 column of a few distinct values, so rows repeat."""
+    pool = st.sampled_from([0.0, -0.0, math.nan, 1.5, -2.0, 1e16])
+    floats = st.lists(pool, min_size=n, max_size=n).map(lambda xs: np.array(xs))
+    ints = st.lists(st.sampled_from([0, -1, 7, 2**63 - 1]), min_size=n, max_size=n).map(
+        lambda xs: np.array(xs, dtype=np.int64)
+    )
+    return st.one_of(floats, ints)
+
+
+@st.composite
+def run_tables(draw):
+    """Runs of 1-6 numeric columns between text, None and object columns."""
+    n = draw(st.integers(0, 12))
+    numeric = [_float_column, _int_column, _few_values_column]
+    other = [_text_column, _none_column, _object_column]
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            columns.append(draw(draw(st.sampled_from(other))(n)))
+        for _ in range(draw(st.integers(1, 6))):
+            columns.append(draw(draw(st.sampled_from(numeric))(n)))
+    if draw(st.booleans()):
+        columns.append(draw(draw(st.sampled_from(other))(n)))
+    header = draw(st.lists(NAME, min_size=len(columns), max_size=len(columns)))
     return header, columns
 
 
@@ -120,6 +155,36 @@ def test_writer_matches_row_writer(table):
         _check_against_oracle(Path(tmp), *table)
 
 
+@settings(max_examples=300, deadline=None)
+@given(run_tables(), st.sampled_from([cli._CODE_LIMIT, 1, 8, 100]))
+def test_numeric_runs_match_row_writer(table, code_limit):
+    """Runs of numeric columns, their row codes renumbered at the writer's
+    limit or at small ones that renumber after nearly every column."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CODE_LIMIT", code_limit):
+        _check_against_oracle(Path(tmp), *table)
+
+
+def _distinct_columns():
+    """Six columns of 1,500 distinct values: 1500**6 passes 2**62."""
+    rng = np.random.default_rng(7)
+    n = 1500
+    columns = [np.arange(n, dtype=np.int64), rng.permutation(n).astype(np.float64) / 7]
+    columns += [rng.permutation(n) * (k + 3) for k in range(3)]
+    return columns + [rng.standard_normal(n), ["t"] * n]
+
+
+def _two_valued_columns():
+    """65 columns of two values, the first two rows differing in the first
+    alone: a 64-bit code never renumbered would shift that digit out."""
+    return [np.array([0, 1, 0])] + [np.array([0.5, 0.5, -0.5])] * 64
+
+
+@pytest.mark.parametrize("make", [_distinct_columns, _two_valued_columns])
+def test_long_runs_renumber_at_the_limit(tmp_path, make):
+    columns = make()
+    _check_against_oracle(tmp_path, [f"c{k}" for k in range(len(columns))], columns)
+
+
 @pytest.mark.parametrize(
     "header, columns",
     [
@@ -127,6 +192,16 @@ def test_writer_matches_row_writer(table):
         (["a", ""], [[], ()]),
         ([""], [["", "", "x", "", "", "", "", ""]]),  # one column: "" is quoted
         (["", ""], [[""] * 3, [""] * 3]),
+        # no rows: numeric runs beside a text column
+        (["a", "b", "c", "d"], [np.zeros(0), np.zeros(0, np.int64), [], np.zeros(0)]),
+        # one numeric column
+        ([""], [np.array([0.0, -0.0, math.nan, 1.0, 0.0])]),
+        (["a,b"], [np.array([3, -3, 3, 2**63 - 1], dtype=np.int64)]),
+        # repeated headers: JSON keeps a header's first place and last column,
+        # which joins or splits runs
+        (["a", "b", "a"], [np.zeros(3), ["x", "y", "z"], np.arange(3)]),
+        (["a", "b", "a", "c"], [["x"] * 3, np.ones(3), np.arange(3), np.full(3, 0.5)]),
+        (["a", "a", "b", "a"], [np.ones(2), [None, 1], np.arange(2), np.zeros(2)]),
     ],
 )
 def test_edge_tables_match_row_writer(tmp_path, header, columns):
