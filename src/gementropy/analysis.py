@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,8 +33,7 @@ RANK_MEASURES = ("z_alpha", "z_beta", "z_ur", "total")
 OUTLIER_MEASURES = ("z_alpha", "z_beta", "z_ur")
 
 
-@dataclass(frozen=True)
-class Stats:
+class Stats(NamedTuple):
     """count/mean/std/min/quartiles/max of one measure, stats-table style."""
 
     count: int
@@ -48,7 +46,6 @@ class Stats:
     max: float
 
 
-@dataclass(frozen=True, eq=False)
 class ClassTable:
     """Summed z-scores of the maps of each clinical class that has any, in
     first-member order.
@@ -56,16 +53,26 @@ class ClassTable:
     ``ids`` and ``labels`` are lists (a ``<U`` array would drop trailing
     NULs) and the sums float64 arrays. ``members`` holds map indices, class
     by class and in map order within a class: class k's members are
-    ``members[starts[k]:starts[k + 1]]``.
+    ``members[starts[k]:starts[k + 1]]``. Its length is the class count.
+
+    Not a dataclass: ``dataclasses`` imports ``inspect``, which ``corr``,
+    the one command that loads this module without numpy, would load only
+    for this class, about 10 ms per process.
     """
 
-    ids: list[str]
-    labels: list[str]
-    sum_z_alpha: np.ndarray
-    sum_z_beta: np.ndarray
-    sum_z_ur: np.ndarray
-    members: np.ndarray
-    starts: np.ndarray
+    def __init__(
+        self,
+        ids: list[str],
+        labels: list[str],
+        sum_z_alpha: np.ndarray,
+        sum_z_beta: np.ndarray,
+        sum_z_ur: np.ndarray,
+        members: np.ndarray,
+        starts: np.ndarray,
+    ):
+        self.ids, self.labels = ids, labels
+        self.sum_z_alpha, self.sum_z_beta, self.sum_z_ur = sum_z_alpha, sum_z_beta, sum_z_ur
+        self.members, self.starts = members, starts
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -78,8 +85,7 @@ class ClassTable:
         return getattr(self, f"sum_{measure}")
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(NamedTuple):
     """One ranking for :func:`kendall_tau`: its name (its measure, or the
     file it was read from) and each class's score."""
 

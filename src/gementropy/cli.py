@@ -64,9 +64,8 @@ def _warn(message: str) -> None:
 
 # Rows joined per block take a few MB, where 69,823 at once took 20 MB (CSV) and
 # 44 MB (JSON). A numeric run has one text per distinct row (1,666 for
-# narrow-score's 67,719 maps), found by a row code kept under _CODE_LIMIT.
+# narrow-score's 67,719 maps).
 _REPORT_BLOCK = 8192
-_CODE_LIMIT = 1 << 62
 
 _needs_quotes = re.compile('[,"\r\n]').search
 
@@ -102,32 +101,30 @@ def _column_blocks(prefix: str, column, fmt: str, blocks: range):
 
 
 def _run_blocks(run: list, fmt: str, sep: str, blocks: range):
-    """Texts of a run of float64/int64 (prefix, column) pairs per block of rows. Each
-    column's distinct values (floats by bit pattern: -0.0 and NaN keep their text) are
-    formatted once, and each distinct row, by its mixed-radix code, joined by ``sep`` once."""
+    """Texts of a run of float64/int64 (prefix, column) pairs per block of rows. One
+    lexsort of the columns' int64 bit patterns (-0.0 and NaN keep their text) groups
+    equal rows; each distinct row is joined by ``sep`` once, from each column's
+    distinct values among one row of each, formatted once."""
     import numpy as np
 
     cell = _csv_cell if fmt == "csv" else _json_cell
-    texts, inverses = [], []
-    code, radix = np.zeros(len(run[0][1]), dtype=np.int64), 1
-    for prefix, column in run:
-        distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        values = distinct.view(column.dtype).tolist()
-        texts.append(np.array([prefix + cell(value) for value in values], dtype=object))
-        inverses.append(inverse.astype(np.min_scalar_type(len(distinct))))
-        if radix * len(distinct) > _CODE_LIMIT:
-            distinct_codes, code = np.unique(code, return_inverse=True)
-            radix = len(distinct_codes)
-        code *= len(distinct)
-        code += inverses[-1]
-        radix *= len(distinct)
-    distinct_codes, code = np.unique(code, return_inverse=True)
-    code = code.astype(np.min_scalar_type(len(distinct_codes)))
-    some_row = np.empty(len(distinct_codes), dtype=np.intp)  # a row of each code
-    some_row[code] = np.arange(len(code))
-    cells = zip(*(text[inverse[some_row]].tolist() for text, inverse in zip(texts, inverses)))
-    rows = np.array(list(map(sep.join, cells)), dtype=object)
-    del texts, inverses
+    bits = [column.view(np.int64) for _, column in run]
+    order = np.lexsort(bits)
+    first = np.zeros(len(order), dtype=bool)  # sorted rows that differ from the one before
+    first[:1] = True
+    for column in bits:
+        ordered = column[order]
+        first[1:] |= ordered[1:] != ordered[:-1]
+    some_row = order[first]  # a row of each distinct row, in sorted order
+    cells = []
+    for (prefix, column), column_bits in zip(run, bits):
+        distinct, inverse = np.unique(column_bits[some_row], return_inverse=True)
+        texts = [prefix + cell(value) for value in distinct.view(column.dtype).tolist()]
+        cells.append(np.array(texts, dtype=object)[inverse].tolist())
+    rows = np.array(list(map(sep.join, zip(*cells))), dtype=object)
+    code = np.empty(len(order), dtype=np.min_scalar_type(len(rows)))
+    code[order] = np.cumsum(first) - 1
+    del bits, order, first, cells
     for lo in blocks:
         yield rows[code[lo : lo + _REPORT_BLOCK]].tolist()
 

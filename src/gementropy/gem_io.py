@@ -55,7 +55,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -76,6 +76,7 @@ NO_MATCH_SENTINELS = frozenset({"NODX", "NOPCS"})
 UNCLASSIFIED = "unclassified"
 
 _CODE_RE = re.compile(r"[A-Za-z0-9]{1,8}")
+_CODE_LINES_RE = re.compile(f"{_CODE_RE.pattern}(?:\n{_CODE_RE.pattern})*")  # codes a line each
 _BOM = b"\xef\xbb\xbf"
 _LINE_BREAK = re.compile(rb"\r\n?|\n")
 # Bytes per parse block: a block's working arrays peak at about 11 bytes per
@@ -120,8 +121,7 @@ def _field(words: np.ndarray, length, table: np.ndarray, pad=np.uint64(0)):
     return _bytes(coded | (pad & ~mask)), (coded & _HIGH_BITS) != 0
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     """Decoded five-digit supplemental flag of one crosswalk entry."""
 
     approximate: bool
@@ -131,8 +131,7 @@ class Flag:
     choice_list: int
 
 
-@dataclass(frozen=True)
-class GemEntry:
+class GemEntry(NamedTuple):
     """One crosswalk line: a source code, a candidate target, and its flag."""
 
     source: str
@@ -146,8 +145,7 @@ class GemEntry:
         return self.flag.no_map or self.target in NO_MATCH_SENTINELS
 
 
-@dataclass(frozen=True)
-class MapRecord:
+class MapRecord(NamedTuple):
     """All entries of one source code, split into stand-alone codes and the
     scenario -> choice-list structure used to count valid representations."""
 
@@ -165,8 +163,7 @@ class MapRecord:
         return self.m == 0
 
 
-@dataclass(frozen=True)
-class ClassDef:
+class ClassDef(NamedTuple):
     """A clinical class: a label plus inclusive code-prefix ranges."""
 
     id: str
@@ -738,9 +735,11 @@ def _well_formed_descriptions(data: bytes) -> dict[str, str] | None:
     if [h.strip().lower() for h in header] != ["code", "description"] or set(map(len, rows)) - {2}:
         return None
     codes = [row[0].strip() for row in rows]
-    # cell by cell: a quoted newline must not split one bad cell into two codes
-    if not all(map(_CODE_RE.fullmatch, codes)):  # a blank row fails here too
-        return None
+    # one match over the codes a line each; a quoted newline in a cell adds a
+    # line, so the line count must be the code count
+    joined = "\n".join(codes)
+    if codes and not (_CODE_LINES_RE.fullmatch(joined) and joined.count("\n") == len(codes) - 1):
+        return None  # a blank row fails here too
     table = dict(zip(map(str.upper, codes), [row[1].strip() for row in rows]))
     return table if len(table) == len(codes) else None
 

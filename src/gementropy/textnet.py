@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +34,7 @@ MIN_TOKEN_LENGTH = 3
 # Words common in code descriptions that carry no theme.
 RESIDUALS = frozenset({"other", "unspecified", "specified", "nec", "nos"})
 
-_WORD_RE = re.compile(r"[a-z]+")
+_WORD_RE = re.compile(r"[a-z]{%d,}" % MIN_TOKEN_LENGTH)
 
 
 @functools.cache
@@ -47,8 +46,7 @@ def _dropped_words() -> frozenset[str]:
     return RESIDUALS.union(stopwords)
 
 
-@dataclass(frozen=True)
-class WordGraph:
+class WordGraph(NamedTuple):
     """Word co-occurrence graph at description level, as arrays.
 
     ``words`` holds the distinct words, sorted, and ``counts`` the number of
@@ -74,12 +72,7 @@ def tokenize(description: str) -> list[str]:
     ``RESIDUALS``, and collapses repeats to their first occurrence.
     """
     dropped = _dropped_words()
-    seen = dict.fromkeys(
-        w
-        for w in _WORD_RE.findall(description.lower())
-        if len(w) >= MIN_TOKEN_LENGTH and w not in dropped
-    )
-    return list(seen)
+    return [w for w in dict.fromkeys(_WORD_RE.findall(description.lower())) if w not in dropped]
 
 
 def build_cooccurrence_graph(token_lists: Iterable[Sequence[str]]) -> WordGraph:
@@ -194,11 +187,17 @@ def edge_rows(graph: WordGraph) -> list[tuple[str, str, int]]:
 
 
 def to_dot(graph: WordGraph) -> str:
-    """Render the graph in DOT for external layout/community tools."""
-    words, (a, b) = graph.words, graph.edges.T
-    nodes = map('  "{}" [count={}];'.format, words.tolist(), graph.counts.tolist())
-    edges = map(
-        '  "{}" -- "{}" [weight={}];'.format,
-        words[a].tolist(), words[b].tolist(), graph.weights.tolist(),
-    )
-    return "\n".join(["graph words {", *nodes, *edges, "}"]) + "\n"
+    """Render the graph in DOT for external layout/community tools.
+
+    An edge's line is three pieces, each formatted once per word or weight:
+    its first word's ``  "a" -- "``, its second word's ``b" [weight=`` and
+    its weight's ``w];``, joined in one pass.
+    """
+    words, (a, b) = graph.words.tolist(), graph.edges.T
+    nodes = map('  "{}" [count={}];\n'.format, words, graph.counts.tolist())
+    weights, weight = np.unique(graph.weights, return_inverse=True)
+    pieces = np.empty((len(a), 3), dtype=object)
+    pieces[:, 0] = np.array(['  "%s" -- "' % w for w in words], dtype=object)[a]
+    pieces[:, 1] = np.array(['%s" [weight=' % w for w in words], dtype=object)[b]
+    pieces[:, 2] = np.array(list(map("{}];\n".format, weights.tolist())), dtype=object)[weight]
+    return "".join(["graph words {\n", *nodes, "".join(pieces.ravel().tolist()), "}\n"])

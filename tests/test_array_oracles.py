@@ -12,14 +12,14 @@ Kendall tau-b, the dense power iteration of ``eigenvector_centrality``, the
 dict word graph of the text network (its ``combinations`` loop, depth-first
 component search, edge-list centrality kernel and report rows), the row
 sort of ``detect_outliers``, the numbered per-row reader of
-``load_descriptions`` and the ``np.unique`` counts and searchsorted dense
-rows of the entropy kernel. Parsed and grouped columns, crosswalk errors,
-class assignment, range checks, class sums, class orders and average ranks,
-graphs, components, reports, outlier lists and description tables must
-match exactly, and taus, centralities and column entropies bit for bit;
-against the dense
-power iteration, whose sums run in another order, centralities match within
-1e-12.
+``load_descriptions`` and the per-code match of its one-pass reader, the
+filtered letter runs of ``tokenize``, and the ``np.unique`` counts and
+searchsorted dense rows of the entropy kernel. Parsed and grouped columns,
+crosswalk errors, class assignment, range checks, class sums, class orders
+and average ranks, graphs, components, reports, outlier lists, description
+tables and token lists must match exactly, and taus, centralities and
+column entropies bit for bit; against the dense power iteration, whose
+sums run in another order, centralities match within 1e-12.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import io
 import itertools
 import math
 import operator
+import re
 import tracemalloc
 from dataclasses import dataclass, field
 from unittest import mock
@@ -912,6 +913,49 @@ def test_kernel_matches_unique_counts(n_cols, seed, max_height):
     assert got.tobytes() == _oracle_column_entropies(flat, heights, widths).tobytes()
 
 
+def _matrix(columns):
+    """One map's (flat cells, height, width) from its columns of symbols."""
+    cells = np.array(columns, dtype=np.uint8).T
+    return cells.ravel(), len(cells), cells.shape[1]
+
+
+_ALL_SYMBOLS = list(range(N_SYMBOLS))
+_KERNEL_EDGE_BATCHES = {
+    # columns of exactly three distinct symbols, beside one and two
+    "three symbols": [
+        _matrix([[0, 1, 2], [5, 5, 5], [3, 4, 3], [36, 9, 0]]),
+        _matrix([[7, 8, 9, 7, 8, 9]]),
+    ],
+    # one column holding every symbol, its height past N_SYMBOLS
+    "all symbols": [
+        _matrix([_ALL_SYMBOLS + [0, 36, 5], [1] * (N_SYMBOLS + 3)]),
+        _matrix([[2, 2]]),
+    ],
+    # a dense column first and last in the batch
+    "dense at both ends": [
+        _matrix([[0, 1, 2, 3], [4, 4, 4, 4]]),
+        _matrix([[6, 6, 7, 7]]),
+        _matrix([[1, 1, 1, 1], [36, 35, 34, 33]]),
+    ],
+    # no column of three or more distinct symbols
+    "no dense column": [
+        _matrix([[0, 1, 0], [2, 2, 2]]),
+        _matrix([[36]]),
+        _matrix([[4, 5], [6, 6], [7, 8]]),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_EDGE_BATCHES))
+def test_kernel_edge_batches_match_unique_counts(name):
+    """Dense columns of three and of all symbols, at the ends of a batch or
+    absent: bit-equal to the ``np.unique`` kernel."""
+    flat, heights, widths = zip(*_KERNEL_EDGE_BATCHES[name])
+    flat, heights, widths = np.concatenate(flat), np.array(heights), np.array(widths)
+    got = _kernels.batch_column_entropies(flat, heights, widths)
+    assert got.tobytes() == _oracle_column_entropies(flat, heights, widths).tobytes()
+
+
 def test_kernel_key_type_edges():
     """The pinned column counts cross the key types' limits."""
     types = [np.min_scalar_type(n * N_SYMBOLS) for n in _KEY_TYPE_EDGES]
@@ -1130,3 +1174,73 @@ def _outcome(load, data):
 def test_descriptions_match_numbered_reader(data):
     """The same table in the same order, or the same error type and text."""
     assert _outcome(gem_io.load_descriptions, data) == _outcome(_oracle_load_descriptions, data)
+
+
+def _oracle_well_formed_descriptions(data):
+    """``_well_formed_descriptions`` as it was: each code matched alone."""
+    try:
+        header, *rows = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
+    except (ValueError, csv.Error):
+        return None
+    rows = [row for row in rows if row]
+    if [h.strip().lower() for h in header] != ["code", "description"] or set(map(len, rows)) - {2}:
+        return None
+    codes = [row[0].strip() for row in rows]
+    if not all(map(gem_io._CODE_RE.fullmatch, codes)):
+        return None
+    table = dict(zip(map(str.upper, codes), [row[1].strip() for row in rows]))
+    return table if len(table) == len(codes) else None
+
+
+# quoted newlines, blank, 9-character and non-ASCII codes among good ones
+_ODD_CODES = ["A1\nB2", "A1\n", "\nB2", "AB\n\nCD", "\n", "", " ", "ABCDEFGHI", "ABCDEFGH",
+              "é1", "A١", "ǅ", "A ", "a1\r", "\r\nA"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.one_of(st.text("AB019ab", min_size=1, max_size=9), st.sampled_from(_ODD_CODES)),
+             max_size=8),
+    st.sampled_from(["\n", "\r\n"]),
+)
+def test_one_match_checks_codes_as_each_alone(codes, line_end):
+    """One match over the joined codes takes the files and codes the per-code
+    match took, and builds the same table."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=line_end)
+    writer.writerow(["code", "description"])
+    writer.writerows((code, f"d{i}") for i, code in enumerate(codes))
+    data = buf.getvalue().encode("utf-8")
+    got = gem_io._well_formed_descriptions(data)
+    want = _oracle_well_formed_descriptions(data)
+    assert (got and list(got.items())) == (want and list(want.items()))
+
+
+def _oracle_tokenize(description):
+    """``tokenize`` as it was: every letter run, short words and stopwords
+    dropped before repeats collapse."""
+    dropped = textnet._dropped_words()
+    seen = dict.fromkeys(
+        w
+        for w in re.findall(r"[a-z]+", description.lower())
+        if len(w) >= textnet.MIN_TOKEN_LENGTH and w not in dropped
+    )
+    return list(seen)
+
+
+_TOKEN_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(["a", "ab", "abc", "of", "the", "and", "nos", "Nec", "other", "graft",
+                         "GRAFT", "x1y", "ab3cd", "abc9def", "3rd", "4th", "İ", "ǅa", "é"]),
+        st.text("abcAB19 -", max_size=6),
+    ),
+    max_size=12,
+).map(" ".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_TOKEN_TEXT, st.text(max_size=20)))
+def test_tokenize_matches_filtered_letter_runs(description):
+    """Words of three letters or more, deduplicated before the stopwords go:
+    the same list as filtering every letter run."""
+    assert textnet.tokenize(description) == _oracle_tokenize(description)

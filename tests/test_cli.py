@@ -254,7 +254,8 @@ def _fresh_python(code):
 
 def test_corr_runs_without_numpy(tmp_path):
     """Importing the CLI loads no numpy, and neither does a whole ``corr``
-    run: its Kendall tau-b and report writer are plain Python."""
+    run: its Kendall tau-b and report writer are plain Python. Nor does it
+    load ``dataclasses``, which would bring ``inspect``."""
     (tmp_path / "r1.csv").write_text("class_id,score\nA,3\nB,2\nC,1\n")
     (tmp_path / "r2.json").write_text(
         json.dumps([{"class_id": c, "score": s} for c, s in (("A", 1), ("B", 3), ("C", 2))])
@@ -262,10 +263,11 @@ def test_corr_runs_without_numpy(tmp_path):
     argv = ["corr", str(tmp_path / "r1.csv"), str(tmp_path / "r2.json"), "--out", str(tmp_path)]
     code = (
         "import sys; from gementropy import cli; print('numpy' in sys.modules); "
-        f"rc = cli.main({argv!r}); print(rc, 'numpy' in sys.modules)"
+        f"rc = cli.main({argv!r}); "
+        "print(rc, [m for m in ('numpy', 'dataclasses') if m in sys.modules])"
     )
     lines = _fresh_python(code)
-    assert lines[0] == "False" and lines[-1] == "0 False"
+    assert lines[0] == "False" and lines[-1] == "0 []"
     assert (tmp_path / "corr.csv").exists()
 
 

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import math
 from unittest import mock
@@ -274,7 +273,7 @@ def _corpus(rng, n_maps, **kwargs):
 
 def _bits(row):
     """A score row with every float as its bit pattern."""
-    return tuple(x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(row))
+    return tuple(x.hex() if isinstance(x, float) else x for x in tuple(row))
 
 
 def _alone_and_in_batch(seed, weights):

@@ -1,7 +1,7 @@
 """Differential test of the columnar report writer against the row writer it
 replaced, frozen here as the oracle: byte-identical CSV and JSON on random
-tables, among them runs of numeric columns beside text and None columns and
-runs whose combined row code is renumbered."""
+tables, among them runs of numeric columns beside text and None columns,
+runs of many distinct rows and runs of many columns."""
 
 from __future__ import annotations
 
@@ -156,16 +156,16 @@ def test_writer_matches_row_writer(table):
 
 
 @settings(max_examples=300, deadline=None)
-@given(run_tables(), st.sampled_from([cli._CODE_LIMIT, 1, 8, 100]))
-def test_numeric_runs_match_row_writer(table, code_limit):
-    """Runs of numeric columns, their row codes renumbered at the writer's
-    limit or at small ones that renumber after nearly every column."""
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CODE_LIMIT", code_limit):
+@given(run_tables())
+def test_numeric_runs_match_row_writer(table):
+    """Runs of numeric columns beside other columns, rows repeating or not."""
+    with tempfile.TemporaryDirectory() as tmp:
         _check_against_oracle(Path(tmp), *table)
 
 
 def _distinct_columns():
-    """Six columns of 1,500 distinct values: 1500**6 passes 2**62."""
+    """Six columns of 1,500 distinct values: every row distinct, with as many
+    combinations as 1500**6, past 2**62."""
     rng = np.random.default_rng(7)
     n = 1500
     columns = [np.arange(n, dtype=np.int64), rng.permutation(n).astype(np.float64) / 7]
@@ -175,7 +175,7 @@ def _distinct_columns():
 
 def _two_valued_columns():
     """65 columns of two values, the first two rows differing in the first
-    alone: a 64-bit code never renumbered would shift that digit out."""
+    alone: a row code of one bit per column would need 65 bits."""
     return [np.array([0, 1, 0])] + [np.array([0.5, 0.5, -0.5])] * 64
 
 
@@ -202,6 +202,20 @@ def test_long_runs_renumber_at_the_limit(tmp_path, make):
         (["a", "b", "a"], [np.zeros(3), ["x", "y", "z"], np.arange(3)]),
         (["a", "b", "a", "c"], [["x"] * 3, np.ones(3), np.arange(3), np.full(3, 0.5)]),
         (["a", "a", "b", "a"], [np.ones(2), [None, 1], np.arange(2), np.zeros(2)]),
+        # -0.0 beside 0.0 and NaNs of several payloads in one run: equal values
+        # of different bits are different rows of the same text or not
+        (
+            ["a", "b"],
+            [
+                np.array([0.0, -0.0, 0.0, -0.0, *np.array(NAN_BITS).view(np.float64), np.nan]),
+                np.array([-0.0, 0.0, 0.0, -0.0, np.nan, -np.nan, 1.0, np.nan]),
+            ],
+        ),
+        (["z", "i"], [np.array([-0.0, -0.0, 0.0]), np.array([0, 0, 0], dtype=np.int64)]),
+        # one row and no rows in runs of several columns
+        (["a", "b", "c"], [np.array([-0.0]), np.array([7], dtype=np.int64), np.array([np.nan])]),
+        (["a", "b", "c"], [np.zeros(0), np.zeros(0, np.int64), np.zeros(0)]),
+        (["t", "a", "b"], [["x"], np.array([1.5]), np.array([2**63 - 1], dtype=np.int64)]),
     ],
 )
 def test_edge_tables_match_row_writer(tmp_path, header, columns):
