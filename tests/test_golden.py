@@ -4,7 +4,9 @@ byte for byte.
 ``tests/golden/corpus`` holds a seeded synthetic corpus: 300 maps of the
 classes-textnet shape of ``perfbench/corpus.py`` (with its class ranges and
 descriptions), a few descriptions that need CSV quoting or JSON escaping,
-and a ``code,probability`` file covering about 70% of the maps.
+a ``code,probability`` file covering about 70% of the maps, and
+``code_classes.csv``: a one-code class per source code, except every 40th
+code, which joins one of three labels of several ranges.
 ``tests/golden/reports/<format>/<run>`` holds the files each run of
 ``RUNS`` writes, in CSV and JSON, and ``tests/golden/verify_example.txt`` the
 standard output of ``gementropy verify-example``.
@@ -50,6 +52,7 @@ RUNS = {
     ],
     "stats": ["stats", "--gems", "{corpus}/gems.txt"],
     "rank": ["rank", "--gems", "{corpus}/gems.txt", "--classes", "{corpus}/classes.csv"],
+    "rank_codes": ["rank", "--gems", "{corpus}/gems.txt", "--classes", "{corpus}/code_classes.csv"],
     "corr": ["corr", *(f"{{rank}}/rank_{m}.{{fmt}}" for m in RANK_MEASURES)],
     "outliers": [
         "outliers", "--gems", "{corpus}/gems.txt", "--top-fraction", "1",
@@ -102,7 +105,8 @@ def test_verify_example_matches_golden(capsys):
 
 def build_corpus() -> None:
     """Write the corpus inputs: perfbench's classes-textnet generator (300
-    maps, seed 7) plus ODD_DESCRIPTIONS and a frequency file."""
+    maps, seed 7) plus ODD_DESCRIPTIONS, a frequency file and the
+    one-code class table."""
     sys.path.insert(0, str(GOLDEN.parents[1] / "perfbench"))
     import corpus
 
@@ -121,6 +125,15 @@ def build_corpus() -> None:
     files["frequencies.csv"] = (
         "code,probability\n"
         + "".join(f"{c},{p:.6f}\n" for c, p, k in zip(codes, probs, covered) if k)
+    ).encode()
+
+    sources = sorted({line.split()[0] for line in files["gems.txt"].decode().splitlines() if line})
+    files["code_classes.csv"] = (
+        "low,high,label\n"
+        + "".join(
+            f"{c},{c},Multi-range {i // 40 % 3}\n" if i % 40 == 0 else f"{c},{c},Code {c}\n"
+            for i, c in enumerate(sources)
+        )
     ).encode()
 
     CORPUS.mkdir(parents=True, exist_ok=True)
