@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .entropy import ZScoreTable
-    from .gem_io import ClassDef
+    from .gem_io import ClassRanges
 
 RANK_MEASURES = ("z_alpha", "z_beta", "z_ur", "total")
 OUTLIER_MEASURES = ("z_alpha", "z_beta", "z_ur")
@@ -132,8 +132,9 @@ def descriptive_stats(values: Sequence[float]) -> Stats:
     )
 
 
-def aggregate_by_class(normalized: ZScoreTable, defs: Sequence[ClassDef]) -> ClassTable:
-    """Sum each map's z triple into its clinical class.
+def aggregate_by_class(normalized: ZScoreTable, table: ClassRanges) -> ClassTable:
+    """Sum each map's z triple into its clinical class of ``table`` (see
+    :func:`gementropy.gem_io.assign_classes`).
 
     Maps outside every range land in an ``unclassified`` bucket. Only
     classes with at least one member are kept, in first-member order; sums
@@ -144,14 +145,14 @@ def aggregate_by_class(normalized: ZScoreTable, defs: Sequence[ClassDef]) -> Cla
 
     from .gem_io import UNCLASSIFIED, assign_classes
 
-    index = assign_classes(normalized.source.tolist(), defs)
+    index = assign_classes(normalized.source.tolist(), table)
     present, first = np.unique(index, return_index=True)
     kept = present[np.argsort(first)].tolist()
-    place = np.empty(len(defs) + 1, dtype=np.intp)
+    place = np.empty(len(table) + 1, dtype=np.intp)
     place[kept] = np.arange(len(kept))
     place = place[index]  # each map's class, numbered in first-member order
-    ids = [d.id for d in defs] + [UNCLASSIFIED]
-    labels = [d.label for d in defs] + ["Unclassified"]
+    ids = table.ids + [UNCLASSIFIED]
+    labels = table.labels + ["Unclassified"]
     zs = (normalized.z_alpha, normalized.z_beta, normalized.z_ur)
     return ClassTable(
         [ids[k] for k in kept],

@@ -42,8 +42,9 @@ The grammar is ASCII: codes are 1-8 characters of [A-Za-z0-9] (upper-cased),
 flags are 5 ASCII digits, fields are separated by ASCII whitespace, lines
 end at LF, CRLF or CR, and a leading UTF-8 byte order mark is skipped.
 
-Also here: the CSV side tables (clinical class ranges, code descriptions,
-code frequencies).
+Also here: the CSV side tables. Class ranges load into a :class:`ClassRanges`
+table of sorted code intervals, whose one sweep both rejects overlapping
+classes and assigns codes; descriptions and frequencies load into dicts.
 """
 
 from __future__ import annotations
@@ -161,14 +162,6 @@ class MapRecord(NamedTuple):
     def is_excluded(self) -> bool:
         """True for no-match sources (m = 0), which cannot be scored."""
         return self.m == 0
-
-
-class ClassDef(NamedTuple):
-    """A clinical class: a label plus inclusive code-prefix ranges."""
-
-    id: str
-    label: str
-    ranges: tuple[tuple[str, str], ...]
 
 
 class RowTable(Sequence):
@@ -639,15 +632,42 @@ def _range_interval(low: str, high: str) -> tuple[bytes, bytes]:
     return low.ljust(MAX_CODE, "0").encode(), high.ljust(k, "0").ljust(MAX_CODE, "Z").encode()
 
 
-def load_class_defs(source, filename: str | None = None) -> list[ClassDef]:
-    """Load clinical class definitions from `low,high,label` CSV rows.
+class ClassRanges:
+    """Clinical classes as code intervals sorted by (low, high, class, line);
+    its length is the class count.
+
+    ``ids`` and ``labels`` follow each label's first row. ``lows`` and
+    ``highs`` are the padded bounds (:func:`_range_interval`) as big-endian
+    words and ``classes`` their class indices, behind an interval [0, 0] of
+    class -1 below every code. ``top[j]`` is the highest bound of intervals
+    0..j and ``holder[j]`` the last of them to reach it.
+    """
+
+    def __init__(self, ids: list[str], labels: list[str], lows, highs, classes):
+        self.ids, self.labels = ids, labels
+        self.lows, self.highs, self.classes = lows, highs, classes
+        self.top = np.maximum.accumulate(highs)
+        self.holder = np.maximum.accumulate(np.where(highs == self.top, np.arange(len(highs)), 0))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def load_class_defs(source, filename: str | None = None) -> ClassRanges:
+    """Load clinical classes from `low,high,label` CSV rows into a
+    :class:`ClassRanges`.
 
     Rows sharing a label merge into one class with several ranges. Ranges of
     different classes must not overlap: no code may lie in both ranges'
-    intervals (see :func:`assign_classes`).
+    intervals. An interval overlaps one of another class exactly when it
+    starts at or below the ``top`` before it and the ``holder`` of that
+    bound is of another class. The error names the first such interval in
+    the table's order and that holder, the pair meeting at the lowest code
+    two classes share, on the later of their two lines.
     """
     filename, rows = _read_csv(source, filename, ("low", "high", "label"))
-    by_label: dict[str, list[tuple[tuple[str, str], tuple[bytes, bytes]]]] = {}
+    by_label: dict[str, tuple[int, list[str]]] = {}  # class index, "low-high" ranges
+    ranges = [(b"", b"", -1)]  # [0, 0], then (low, high, class, line, range) per row
     for line_number, (low, high, label) in rows:
         low = _validate_code(low, "range low", filename, line_number)
         high = _validate_code(high, "range high", filename, line_number)
@@ -660,68 +680,43 @@ def load_class_defs(source, filename: str | None = None) -> list[ClassDef]:
             )
         if not label:
             raise ParseError("class label is empty", filename, line_number)
-        by_label.setdefault(label, []).append(((low, high), interval))
+        k, names = by_label.setdefault(label, (len(by_label), []))
+        names.append(f"{low}-{high}")
+        ranges.append((*interval, k, line_number, (low, high)))
 
-    defs = [
-        ClassDef(
-            id="+".join(f"{low}-{high}" for (low, high), _ in ranges),
-            label=label,
-            ranges=tuple(r for r, _ in ranges),
+    ranges.sort()
+    words = np.array([r[:2] for r in ranges], dtype="S8").view(">u8")
+    table = ClassRanges(
+        ["+".join(names) for _, names in by_label.values()], list(by_label),
+        words[:, 0], words[:, 1], np.array([r[2] for r in ranges]),
+    )
+    top, k = table.top, table.classes
+    clash = np.flatnonzero((table.lows[1:] <= top[:-1]) & (k[1:] != k[table.holder[:-1]]))
+    if len(clash):
+        pair = (table.holder[clash[0]], clash[0] + 1)
+        (a, line_a, ra), (b, line_b, rb) = sorted(ranges[j][2:] for j in pair)
+        raise StructuralError(
+            f"class {table.ids[a]!r} ({table.labels[a]}) overlaps class "
+            f"{table.ids[b]!r} ({table.labels[b]}) on ranges {ra} and {rb}",
+            filename,
+            max(line_a, line_b),
         )
-        for label, ranges in by_label.items()
-    ]
-
-    classes = list(zip(defs, by_label.values()))
-    if _overlap_found(classes):
-        for i, (a, a_ranges) in enumerate(classes):
-            for b, b_ranges in classes[i + 1 :]:
-                for ra, (lo_a, hi_a) in a_ranges:
-                    for rb, (lo_b, hi_b) in b_ranges:
-                        if max(lo_a, lo_b) <= min(hi_a, hi_b):
-                            raise StructuralError(
-                                f"class {a.id!r} ({a.label}) overlaps class "
-                                f"{b.id!r} ({b.label}) on ranges {ra} and {rb}"
-                            )
-    return defs
+    return table
 
 
-def _overlap_found(classes) -> bool:
-    """Whether intervals of two classes intersect, by one sweep over the
-    intervals sorted by low bound. Until two classes meet, each interval
-    that changes the class starts past every earlier high bound; so an
-    interval of another class than the last meets an earlier interval
-    exactly when it starts at or before the highest bound seen, and one of
-    the same class never does."""
-    intervals = sorted((lo, hi, k) for k, (_, ranges) in enumerate(classes) for _, (lo, hi) in ranges)
-    top, top_class = b"", -1
-    for lo, hi, k in intervals:
-        if k != top_class:
-            if lo <= top:
-                return True
-            top_class = k
-        top = max(top, hi)
-    return False
-
-
-def assign_classes(codes: Sequence[str], defs: Sequence[ClassDef]) -> np.ndarray:
-    """Index into ``defs`` of the class of each code, ``len(defs)`` for a code
-    outside every range; the first class whose range covers a code wins.
+def assign_classes(codes: Sequence[str], table: ClassRanges) -> np.ndarray:
+    """Index into ``table.ids`` of the class of each code, ``len(table)`` for
+    a code outside every range.
 
     A range covers a code when the code, upper-cased and right-padded with
     '0' to 8 characters, lies in the range's interval (see
-    :func:`_range_interval`). Codes are alphanumeric. The codes are sorted
-    once, and each range writes its run of sorted codes, the last class
-    first, so that an earlier class overwrites a later one.
+    :func:`_range_interval`). Codes are alphanumeric. One ``searchsorted``
+    finds each code's last interval starting at or below it; the code lies
+    in a class exactly when ``top`` there reaches it: in the ``holder``'s.
     """
-    keys = np.array([code.upper().ljust(MAX_CODE, "0") for code in codes], dtype="S8")
-    order = np.argsort(keys)
-    keys = keys[order]
-    out = np.full(len(keys), len(defs), dtype=np.intp)
-    for i in reversed(range(len(defs))):
-        for low, high in defs[i].ranges:
-            lo, hi = _range_interval(low, high)
-            out[order[np.searchsorted(keys, lo) : np.searchsorted(keys, hi, "right")]] = i
-    return out
+    keys = np.array([code.upper().ljust(MAX_CODE, "0") for code in codes], dtype="S8").view(">u8")
+    at = np.searchsorted(table.lows, keys, "right") - 1
+    return np.where(keys <= table.top[at], table.classes[table.holder[at]], len(table))
 
 
 def _well_formed_descriptions(data: bytes) -> dict[str, str] | None:

@@ -99,40 +99,40 @@ CLASS_CSV = "low,high,label\n00,04,Low Ops\n05,09,High Ops\n"
 
 class TestAggregateByClass:
     def test_single_bucket_sums(self):
-        defs = load_class_defs(io.StringIO(CLASS_CSV))
+        table = load_class_defs(io.StringIO(CLASS_CSV))
         zs = _zs([_z("0011", 1.0, 2.0, 3.0), _z("0022", 0.5, 0.5, 0.5)])
-        scores = class_rows(aggregate_by_class(zs, defs), zs)
+        scores = class_rows(aggregate_by_class(zs, table), zs)
         assert len(scores) == 1
         cs = scores[0]
         assert cs.class_id == "00-04"
         assert (cs.sum_z_alpha, cs.sum_z_beta, cs.sum_z_ur) == (1.5, 2.5, 3.5)
 
     def test_triple_totals(self):
-        defs = load_class_defs(io.StringIO(CLASS_CSV))
-        classes = aggregate_by_class(_zs([_z("0011", 1.0, 2.0, 3.0)]), defs)
+        table = load_class_defs(io.StringIO(CLASS_CSV))
+        classes = aggregate_by_class(_zs([_z("0011", 1.0, 2.0, 3.0)]), table)
         assert classes.value("total")[0] == 6.0
 
     def test_cancellation(self):
-        defs = load_class_defs(io.StringIO(CLASS_CSV))
+        table = load_class_defs(io.StringIO(CLASS_CSV))
         zs = _zs([_z("0011", 1.0), _z("0022", -1.0)])
-        classes = aggregate_by_class(zs, defs)
+        classes = aggregate_by_class(zs, table)
         assert classes.sum_z_alpha[0] == 0.0
 
     def test_unclassified_bucket(self):
-        defs = load_class_defs(io.StringIO(CLASS_CSV))
+        table = load_class_defs(io.StringIO(CLASS_CSV))
         zs = _zs([_z("0011", 1.0), _z("9911", 2.0)])
-        scores = {cs.class_id: cs for cs in class_rows(aggregate_by_class(zs, defs), zs)}
+        scores = {cs.class_id: cs for cs in class_rows(aggregate_by_class(zs, table), zs)}
         assert set(scores) == {"00-04", "unclassified"}
         assert scores["unclassified"].members == [("9911", 2.0, 0.0, 0.0)]
 
     def test_member_counts_cover_all_maps(self):
-        defs = load_class_defs(io.StringIO(CLASS_CSV))
+        table = load_class_defs(io.StringIO(CLASS_CSV))
         rng = np.random.default_rng(51)
         zs = _zs([
             _z(f"{rng.integers(0, 100):02d}{i:02d}", float(rng.normal()))
             for i in range(60)
         ])
-        scores = class_rows(aggregate_by_class(zs, defs), zs)
+        scores = class_rows(aggregate_by_class(zs, table), zs)
         assert sum(len(cs.members) for cs in scores) == len(zs)
 
 

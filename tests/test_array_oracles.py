@@ -5,7 +5,7 @@ The oracles below are frozen as they were before each rewrite: the byte
 matrices of the crosswalk reader's ``_read_block``, the little-endian keys
 and ``S8`` source cast of ``group_maps``, the per-code range scan of
 ``assign_classes``, the prefix-truncation overlap test of ``load_class_defs``
-and its pairwise loop over ranges, the per-map ``aggregate_by_class`` loop
+and a pairwise loop over its ranges, the per-map ``aggregate_by_class`` loop
 and its per-class member gather into ``ClassScore`` rows, the row sort of
 ``rank_classes`` and its ``average_ranks``, the n x n pair signs of the
 Kendall tau-b, the dense power iteration of ``eigenvector_centrality``, the
@@ -43,7 +43,7 @@ from gementropy import _kernels, analysis, gem_io, textnet
 from gementropy.analysis import OUTLIER_MEASURES, RANK_MEASURES, RankTable
 from gementropy.entropy import NormalizedScores, ZScoreTable
 from gementropy.errors import ConvergenceError, GemError, StructuralError
-from gementropy.gem_io import N_SYMBOLS, UNCLASSIFIED, ClassDef
+from gementropy.gem_io import N_SYMBOLS, UNCLASSIFIED
 
 from conftest import (
     BAD_LINE,
@@ -179,10 +179,23 @@ def _oracle_group_maps(lines):
     return _oracle_build_maps(lines, rank[inverse.reshape(-1)], first[order])
 
 
-def _oracle_load_class_defs(source):
-    """``load_class_defs`` comparing every pair of ranges of two classes."""
-    filename, rows = gem_io._read_csv(source, None, ("low", "high", "label"))
+def _oracle_classes(rows):
+    """(id, label, ranges) of each class of ``low,high,label`` rows, in
+    first-row order."""
     by_label = {}
+    for low, high, label in rows:
+        by_label.setdefault(label, []).append((low.upper(), high.upper()))
+    return [("+".join(f"{lo}-{hi}" for lo, hi in r), label, r) for label, r in by_label.items()]
+
+
+def _oracle_load_class_defs(source):
+    """(ids, labels) of ``load_class_defs``, comparing every pair of ranges
+    of two classes; of the overlapping pairs it names the one the sweep
+    does: the first range in (low, high, class, line) order that overlaps
+    an earlier range of another class, and of those earlier ranges the one
+    reaching highest, the last of several."""
+    filename, rows = gem_io._read_csv(source, None, ("low", "high", "label"))
+    checked = []
     for line_number, (low, high, label) in rows:
         low = gem_io._validate_code(low, "range low", filename, line_number)
         high = gem_io._validate_code(high, "range high", filename, line_number)
@@ -193,26 +206,30 @@ def _oracle_load_class_defs(source):
             )
         if not label:
             raise gem_io.ParseError("class label is empty", filename, line_number)
-        by_label.setdefault(label, []).append(((low, high), interval))
-    defs = [
-        ClassDef(
-            id="+".join(f"{low}-{high}" for (low, high), _ in ranges),
-            label=label,
-            ranges=tuple(r for r, _ in ranges),
-        )
-        for label, ranges in by_label.items()
+        checked.append((line_number, low, high, label))
+    classes = _oracle_classes(row[1:] for row in checked)
+    index = {label: k for k, (_, label, _) in enumerate(classes)}
+    ranges = sorted(
+        (*gem_io._range_interval(low, high), index[label], line, (low, high))
+        for line, low, high, label in checked
+    )
+    pairs = [
+        (j, i)
+        for j, (lo_b, hi_b, kb, *_) in enumerate(ranges)
+        for i, (lo_a, hi_a, ka, *_) in enumerate(ranges[:j])
+        if ka != kb and max(lo_a, lo_b) <= min(hi_a, hi_b)
     ]
-    classes = list(zip(defs, by_label.values()))
-    for i, (a, a_ranges) in enumerate(classes):
-        for b, b_ranges in classes[i + 1 :]:
-            for ra, (lo_a, hi_a) in a_ranges:
-                for rb, (lo_b, hi_b) in b_ranges:
-                    if max(lo_a, lo_b) <= min(hi_a, hi_b):
-                        raise StructuralError(
-                            f"class {a.id!r} ({a.label}) overlaps class "
-                            f"{b.id!r} ({b.label}) on ranges {ra} and {rb}"
-                        )
-    return defs
+    if pairs:
+        j = min(j for j, _ in pairs)
+        i = max((i for jj, i in pairs if jj == j), key=lambda i: (ranges[i][1], i))
+        (ka, line_a, ra), (kb, line_b, rb) = sorted(ranges[n][2:] for n in (i, j))
+        (a, a_label, _), (b, b_label, _) = classes[ka], classes[kb]
+        raise StructuralError(
+            f"class {a!r} ({a_label}) overlaps class {b!r} ({b_label}) on ranges {ra} and {rb}",
+            filename,
+            max(line_a, line_b),
+        )
+    return [c for c, _, _ in classes], [label for _, label, _ in classes]
 
 
 def _oracle_padded_bounds(low, high):
@@ -220,15 +237,15 @@ def _oracle_padded_bounds(low, high):
     return low.ljust(k, "0"), high.ljust(k, "0")
 
 
-def _oracle_assign_class(code, defs):
+def _oracle_assign_class(code, classes):
     code = code.upper()
-    for cdef in defs:
-        for low, high in cdef.ranges:
+    for class_id, _, ranges in classes:
+        for low, high in ranges:
             plow, phigh = _oracle_padded_bounds(low, high)
             k = len(plow)
             prefix = code[:k].ljust(k, "0")
             if plow <= prefix <= phigh:
-                return cdef.id
+                return class_id
     return UNCLASSIFIED
 
 
@@ -244,13 +261,13 @@ def _oracle_ranges_overlap(ra, rb):
     return la <= hb[:k] and lb[:k] <= ha
 
 
-def _oracle_aggregate(normalized, defs):
+def _oracle_aggregate(normalized, classes):
     """(class_id, label, sums, members) per class, in first-member order."""
-    labels = {d.id: d.label for d in defs}
+    labels = {class_id: label for class_id, label, _ in classes}
     labels[UNCLASSIFIED] = "Unclassified"
     buckets = {}
     for z in normalized:
-        class_id = _oracle_assign_class(z.source, defs)
+        class_id = _oracle_assign_class(z.source, classes)
         bucket = buckets.setdefault(class_id, [class_id, labels[class_id], 0.0, 0.0, 0.0, []])
         bucket[2] += z.z_alpha
         bucket[3] += z.z_beta
@@ -306,15 +323,15 @@ def _oracle_average_ranks(rows):
     return out
 
 
-def _oracle_aggregate_per_class(normalized, defs):
+def _oracle_aggregate_per_class(normalized, table):
     """``aggregate_by_class`` gathering each class's members with its own
     ``np.flatnonzero(index == k)``."""
     sources = normalized.source
     zs = [normalized.z_alpha, normalized.z_beta, normalized.z_ur]
-    index = gem_io.assign_classes(sources.tolist(), defs)
-    sums = [np.bincount(index, weights=z, minlength=len(defs) + 1).tolist() for z in zs]
-    ids = [d.id for d in defs] + [UNCLASSIFIED]
-    labels = [d.label for d in defs] + ["Unclassified"]
+    index = gem_io.assign_classes(sources.tolist(), table)
+    sums = [np.bincount(index, weights=z, minlength=len(table) + 1).tolist() for z in zs]
+    ids = table.ids + [UNCLASSIFIED]
+    labels = table.labels + ["Unclassified"]
     rows = list(zip(sources.tolist(), *(z.tolist() for z in zs)))
     present, first = np.unique(index, return_index=True)
     out = []
@@ -531,8 +548,8 @@ def _class_csv(rows):
 
 
 @st.composite
-def _validated_defs(draw):
-    """Classes from ``load_class_defs``: random rows, each kept only when
+def _class_rows(draw):
+    """``low,high,label`` rows that load: random rows, each kept only when
     the table still loads (ordered, no overlap between classes)."""
     rows = draw(st.lists(st.tuples(_bound, _bound, st.sampled_from("ABCDE")), max_size=10))
     if draw(st.booleans()):
@@ -544,24 +561,15 @@ def _validated_defs(draw):
         except GemError:
             continue
         kept.append(row)
-    return gem_io.load_class_defs(_class_csv(kept))
+    return kept
 
 
 @st.composite
-def _direct_defs(draw):
-    """Directly built classes whose ranges may overlap or be inverted."""
-    ranges = draw(st.lists(st.lists(st.tuples(_bound, _bound), min_size=1, max_size=3), max_size=8))
-    if draw(st.booleans()):
-        ranges.append([_O9A])
-    return [ClassDef(f"c{i}", f"Class {i}", tuple(r)) for i, r in enumerate(ranges)]
-
-
-@st.composite
-def _codes(draw, defs):
+def _codes(draw, rows):
     """Codes on, beside and away from the bounds: a bound cut or extended
     by a random tail (so shorter and longer than the bounds), or random;
     some lower-cased."""
-    bounds = [b for d in defs for r in d.ranges for b in r] or ["0"]
+    bounds = [b for low, high, _ in rows for b in (low, high)] or ["0"]
     near = st.builds(
         lambda b, cut, tail: (b[:cut] + tail) or "0",
         st.sampled_from(bounds),
@@ -574,31 +582,33 @@ def _codes(draw, defs):
 
 @st.composite
 def _classes_and_scores(draw):
-    defs = draw(st.one_of(_validated_defs(), _direct_defs()))
-    codes = draw(_codes(defs))
+    """The classes of loadable rows, as the range scan's (id, label,
+    ranges) list and as the loaded table, with codes and their z-scores."""
+    rows = draw(_class_rows())
+    codes = draw(_codes(rows))
     # mixed magnitudes, so the sums depend on their order
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     z = rng.normal(size=(3, len(codes))) * 10.0 ** rng.integers(-3, 6, size=(3, len(codes)))
     table = ZScoreTable(np.array(codes, dtype=str), z[0], z[1], z[2])
-    return defs, codes, table
+    return _oracle_classes(rows), gem_io.load_class_defs(_class_csv(rows)), codes, table
 
 
 @settings(max_examples=200, deadline=None)
 @given(_classes_and_scores())
 def test_assign_classes_matches_range_scan(case):
-    defs, codes, _ = case
-    ids = [d.id for d in defs] + [UNCLASSIFIED]
-    expected = [_oracle_assign_class(c, defs) for c in codes]
-    assert [ids[i] for i in gem_io.assign_classes(codes, defs)] == expected
-    assert [ids[gem_io.assign_classes([c], defs)[0]] for c in codes] == expected
+    classes, loaded, codes, _ = case
+    ids = loaded.ids + [UNCLASSIFIED]
+    expected = [_oracle_assign_class(c, classes) for c in codes]
+    assert [ids[i] for i in gem_io.assign_classes(codes, loaded)] == expected
+    assert [ids[gem_io.assign_classes([c], loaded)[0]] for c in codes] == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(_classes_and_scores())
 def test_aggregate_matches_per_map_loop(case):
-    defs, _, table = case
-    expected = _oracle_aggregate(list(table), defs)
-    assert class_rows(analysis.aggregate_by_class(table, defs), table) == expected
+    classes, loaded, _, table = case
+    expected = _oracle_aggregate(list(table), classes)
+    assert class_rows(analysis.aggregate_by_class(table, loaded), table) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -606,9 +616,9 @@ def test_aggregate_matches_per_map_loop(case):
 def test_aggregate_matches_per_class_gather(case):
     """Members in map order and sums bit for bit (``repr`` tells -0.0 from
     0.0)."""
-    defs, _, table = case
-    expected = _oracle_aggregate_per_class(table, defs)
-    got = class_rows(analysis.aggregate_by_class(table, defs), table)
+    _, loaded, _, table = case
+    expected = _oracle_aggregate_per_class(table, loaded)
+    got = class_rows(analysis.aggregate_by_class(table, loaded), table)
     assert repr([ClassScore(*row) for row in got]) == repr(expected)
 
 
@@ -771,31 +781,23 @@ def _class_tables(draw):
 
 def _class_defs_outcome(load, rows):
     try:
-        return load(_class_csv(rows))
+        result = load(_class_csv(rows))
     except GemError as err:
         return type(err), str(err)
+    return result if isinstance(result, tuple) else (result.ids, result.labels)
 
 
 @settings(max_examples=500, deadline=None)
 @given(_class_tables())
 @example([("ZZZZZZZY", "ZZZZZZZZ", "A"), ("ZZZZZZZZ", "ZZZZZZZZ", "B")])  # low bound = high bound
 @example([("10", "19", "A"), ("12", "13", "A"), ("15", "15", "B")])  # past a range nested in one
+@example([("10", "19", "A"), ("12", "19", "A"), ("15", "15", "B")])  # two ranges reach the top
+@example([("10", "60", "A"), ("50", "55", "B"), ("30", "35", "C")])  # not the first class pair
 def test_class_overlap_sweep_matches_pairwise_loop(rows):
-    """The same classes, or the same error naming the same pair of ranges."""
+    """The same classes, or the same error naming the same pair of ranges
+    and line."""
     expected = _class_defs_outcome(_oracle_load_class_defs, rows)
     assert _class_defs_outcome(gem_io.load_class_defs, rows) == expected
-
-
-def test_first_overlapping_class_wins():
-    defs = [
-        ClassDef("wide", "Wide", (("A", "C"),)),
-        ClassDef("narrow", "Narrow", (("B10", "B19"),)),
-    ]
-    zs = table_of(
-        ZScoreTable, [NormalizedScores("B15", 1.0, 2.0, 3.0), NormalizedScores("D1", 4.0, 5.0, 6.0)]
-    )
-    got = analysis.aggregate_by_class(zs, defs)
-    assert list(zip(got.ids, got.value("total").tolist())) == [("wide", 6.0), (UNCLASSIFIED, 15.0)]
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,16 @@ class TestRank:
         )
         assert len(_read_csv(tmp_path / "rank_total.csv")) == 1
 
+    def test_header_only_class_table(self, tmp_path):
+        """No ranges: one ``unclassified`` class holds every scored map."""
+        corpus = Path(__file__).resolve().parent / "golden" / "corpus"
+        (tmp_path / "classes.csv").write_text("low,high,label\n")
+        args = ["rank", "--gems", corpus / "gems.txt", "--classes", tmp_path / "classes.csv"]
+        assert _run([*args, "--out", tmp_path]) == 0
+        rows = _read_csv(tmp_path / "rank_total.csv")
+        assert [(r["class_id"], r["member_count"]) for r in rows] == [("unclassified", "293")]
+        assert len(_read_csv(tmp_path / "class_members.csv")) == 293
+
 
 class TestCorr:
     def _write_rank(self, path, scores):

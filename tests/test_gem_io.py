@@ -1,5 +1,7 @@
 import dataclasses
 import io
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,6 @@ from gementropy.entropy import column_entropies, score_maps
 from gementropy.errors import ParseError, StructuralError
 from gementropy.gem_io import (
     UNCLASSIFIED,
-    ClassDef,
     Flag,
     assign_classes,
     group_maps,
@@ -34,11 +35,16 @@ from conftest import (
 )
 
 
-def _class_ids(codes, defs):
+def _class_ids(codes, table):
     """The id of the class of each code, ``unclassified`` outside every
     range."""
-    ids = [d.id for d in defs] + [UNCLASSIFIED]
-    return [ids[i] for i in assign_classes(codes, defs)]
+    ids = table.ids + [UNCLASSIFIED]
+    return [ids[i] for i in assign_classes(codes, table)]
+
+
+def _classes(rows):
+    """The class table of ``low,high,label`` CSV rows."""
+    return load_class_defs(io.StringIO("low,high,label\n" + "".join(rows)))
 
 
 class TestParseFlag:
@@ -423,40 +429,69 @@ O00,O9A,Pregnancy and Childbirth
 
 class TestClassDefs:
     def test_load_and_assign(self):
-        defs = load_class_defs(io.StringIO(CLASS_CSV))
-        assert [d.id for d in defs] == ["76-84", "E000-E999", "O00-O9A"]
-        assert _class_ids(["7655"], defs) == ["76-84"]
+        table = load_class_defs(io.StringIO(CLASS_CSV))
+        assert table.ids == ["76-84", "E000-E999", "O00-O9A"]
+        assert _class_ids(["7655"], table) == ["76-84"]
 
     def test_assign_spec_examples(self):
-        defs = load_class_defs(io.StringIO(CLASS_CSV))
-        assert _class_ids(["E9990"], defs) == ["E000-E999"]
-        assert _class_ids(["O9A12"], defs) == ["O00-O9A"]
+        table = load_class_defs(io.StringIO(CLASS_CSV))
+        assert _class_ids(["E9990"], table) == ["E000-E999"]
+        assert _class_ids(["O9A12"], table) == ["O00-O9A"]
 
     def test_unclassified_with_no_defs(self):
-        assert _class_ids(["0052"], []) == ["unclassified"]
+        table = _classes([])
+        assert len(table) == 0
+        assert _class_ids(["0052"], table) == ["unclassified"]
 
     def test_padded_bound_oracle(self):
         # exhaustive check of 3-character prefixes against the padded bounds
-        defs = load_class_defs(io.StringIO("low,high,label\nO00,O9A,PC\n"))
+        table = _classes(["O00,O9A,PC\n"])
         chars = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
         prefixes = [f"O{second}{third}" for second in chars for third in chars]
-        class_ids = _class_ids([prefix + "12" for prefix in prefixes], defs)
+        class_ids = _class_ids([prefix + "12" for prefix in prefixes], table)
         for prefix, class_id in zip(prefixes, class_ids):
             expected = "O00" <= prefix <= "O9A"
             got = class_id == "O00-O9A"
             assert got == expected, prefix
 
     def test_multiple_ranges_share_label(self):
-        csv_text = "low,high,label\n800,829,Injury\n990,995,Injury\n"
-        defs = load_class_defs(io.StringIO(csv_text))
-        assert len(defs) == 1
-        assert defs[0].ranges == (("800", "829"), ("990", "995"))
-        assert _class_ids(["9914"], defs) == [defs[0].id]
+        table = _classes(["800,829,Injury\n", "990,995,Injury\n"])
+        assert len(table) == 1
+        assert table.ids == ["800-829+990-995"]
+        assert _class_ids(["9914"], table) == ["800-829+990-995"]
 
     def test_overlap_rejected_listing_both(self):
         csv_text = "low,high,label\n76,84,A\n80,90,B\n"
         with pytest.raises(StructuralError, match="76-84.*80-90"):
             load_class_defs(io.StringIO(csv_text))
+
+    def test_overlap_names_file_and_later_line(self, tmp_path):
+        path = tmp_path / "classes.csv"
+        path.write_text("low,high,label\n80,90,B\n10,19,C\n76,84,A\n")
+        with pytest.raises(StructuralError) as err:
+            load_class_defs(path)
+        assert str(err.value) == (
+            f"{path}:4: class '80-90' (B) overlaps class '76-84' (A) "
+            "on ranges ('80', '90') and ('76', '84')"
+        )
+        assert (err.value.filename, err.value.line) == (str(path), 4)
+
+    def test_overlap_named_at_lowest_shared_code(self):
+        # A meets C from 30 on and B from 50 on: the pair A, C is named
+        rows = ["10,60,A\n", "50,55,B\n", "30,35,C\n"]
+        with pytest.raises(StructuralError, match=r"^4: class '10-60' \(A\) overlaps class '30-35'"):
+            _classes(rows)
+
+    def test_overlap_among_many_classes_is_fast(self, tmp_path):
+        # 10,000 one-code classes and one duplicated row, a second label
+        rows = [f"{i:05d},{i:05d},L{i}\n" for i in range(10_000)]
+        rows.insert(5_000, "03333,03333,dup\n")
+        path = tmp_path / "classes.csv"
+        path.write_text("low,high,label\n" + "".join(rows))
+        start = time.perf_counter()
+        with pytest.raises(StructuralError, match=rf"^{re.escape(str(path))}:5002: class '03333-03333' \(L3333\)"):
+            load_class_defs(path)
+        assert time.perf_counter() - start < 5.0
 
     def test_overlap_across_prefix_lengths(self):
         csv_text = "low,high,label\n760,769,A\n76,77,B\n"
@@ -472,19 +507,20 @@ class TestClassDefs:
             load_class_defs(io.StringIO("lo,hi,name\n76,84,A\n"))
 
     def test_assignment_is_a_function(self):
-        defs = load_class_defs(io.StringIO(CLASS_CSV))
+        table = load_class_defs(io.StringIO(CLASS_CSV))
+        one_class_tables = [_classes([row + "\n"]) for row in CLASS_CSV.splitlines()[1:]]
         rng = np.random.default_rng(13)
         chars = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
         for _ in range(200):
             code = "".join(rng.choice(list(chars), size=int(rng.integers(1, 8))))
             matches = [
-                d.id
-                for d in defs
-                if _class_ids([code], [d]) != ["unclassified"]
+                one.ids[0]
+                for one in one_class_tables
+                if _class_ids([code], one) != ["unclassified"]
             ]
             assert len(matches) <= 1
             expected = matches[0] if matches else "unclassified"
-            assert _class_ids([code], defs) == [expected]
+            assert _class_ids([code], table) == [expected]
 
 
 class TestSideTables:

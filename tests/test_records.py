@@ -1,7 +1,7 @@
 """The record types are named tuples: their fields, defaults, immutability and
 value equality, pinned as they were when the records were frozen dataclasses.
 The column tables stay dataclasses, which ``dataclasses.fields`` reads; the
-class table is a plain class whose length is its class count."""
+class tables are plain classes whose length is their class count."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ RECORDS = [
         ("source", "entries", "standalone_codes", "scenarios", "m", "m0"),
         {},
     ),
-    (gem_io.ClassDef, ("id", "label", "ranges"), {}),
     (
         entropy.MapScores,
         ("source", "m", "m0", "v", "h_a", "h_b", "ur", "h_a_weighted"),
@@ -86,3 +85,11 @@ def test_class_table_length_is_its_class_count():
     assert len(table) == 2 and not dataclasses.is_dataclass(table)
     assert table.value("total").tolist() == [7.0, 14.0]
     assert table.value("z_beta") is table.sum_z_beta
+
+
+def test_class_ranges_length_is_its_class_count():
+    table = gem_io.load_class_defs(b"low,high,label\n00,04,A\n10,14,B\n05,09,A\n")
+    assert len(table) == 2 and not dataclasses.is_dataclass(table)
+    assert table.ids == ["00-04+05-09", "10-14"] and table.labels == ["A", "B"]
+    # the interval [0, 0] of no class, then the three ranges by low bound
+    assert table.classes.tolist() == [-1, 0, 0, 1]
