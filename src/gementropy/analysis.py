@@ -7,9 +7,9 @@ between rankings, and outlier isolation. Results are columns and indices:
 order of its classes and ``detect_outliers`` the indices of the selected
 maps, which the reports read from the z-score table they already hold.
 
-Importing this module loads only the standard library: the three array
-functions (``descriptive_stats``, ``aggregate_by_class`` and
-``detect_outliers``) import numpy and the scoring layers when they are
+Importing this module loads only the standard library: the four array
+functions (``descriptive_stats``, ``aggregate_by_class``, ``rank_classes``
+and ``detect_outliers``) import numpy and the scoring layers when they are
 called, so ``gementropy corr`` runs without them. Kendall tau-b is Knight's
 O(n log n) method in plain Python (W. R. Knight, JASA 61, 1966): sort the
 (x, y) pairs, count the discordant pairs as the inversions of a bottom-up
@@ -163,15 +163,20 @@ def aggregate_by_class(normalized: ZScoreTable, table: ClassRanges) -> ClassTabl
     )
 
 
-def rank_classes(classes: ClassTable, measure: str) -> list[int]:
+def rank_classes(classes: ClassTable, measure: str) -> np.ndarray:
     """The order of the classes by one measure: highest first, ties by class
-    id (0.0 and -0.0 tie)."""
+    id (0.0 and -0.0 tie). One ``lexsort`` of the negated values, with each
+    id's place among the sorted ids as the tie-break."""
+    import numpy as np
+
     if measure not in RANK_MEASURES:
         raise ValueError(f"measure must be one of {RANK_MEASURES}, got {measure!r}")
     if not len(classes):
         raise ValueError("no class scores to rank")
-    values, ids = classes.value(measure).tolist(), classes.ids
-    return sorted(range(len(ids)), key=lambda k: (-values[k], ids[k]))
+    ids = classes.ids
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return np.lexsort((id_rank, -(classes.value(measure) + 0.0)))
 
 
 def average_ranks(ordered: Sequence[float]) -> list[float]:

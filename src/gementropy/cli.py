@@ -14,12 +14,24 @@ starts, through the package (``from . import gem_io``), so a layer's functions
 are looked up on its module at call time. ``corr`` loads ``analysis`` alone,
 whose Kendall tau-b needs no numpy, so a ``corr`` process never imports numpy;
 the report writer uses numpy only for columns that already are numpy arrays.
+
+``run()`` is the process entry point, of ``python -m gementropy.cli`` and of
+the ``gementropy`` console script: it calls ``main()``, then ``gc.freeze()``,
+then exits with its code. Interpreter finalization would otherwise run the
+cyclic garbage collector over every object still alive, numpy's modules
+among them, although the process frees all its memory when it ends; frozen
+objects are left out of that pass (about 20 ms of a ``rank`` or ``textnet``
+process). ``main()`` returns the exit code and never freezes, for callers
+that run commands in-process. What escapes ``main()`` (argparse's usage
+error, an uncaught exception, ``KeyboardInterrupt``) ends the process as
+before, without the freeze.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import itertools
 import math
@@ -294,10 +306,11 @@ def cmd_rank(args) -> int:
     for measure in analysis.RANK_MEASURES:
         order = analysis.rank_classes(classes, measure)
         scores = classes.value(measure)[order]
+        picked = order.tolist()
         columns = {
             "rank": range(1, len(order) + 1),
-            "class_id": [classes.ids[k] for k in order],
-            "label": [classes.labels[k] for k in order],
+            "class_id": [classes.ids[k] for k in picked],
+            "label": [classes.labels[k] for k in picked],
             "score": scores,
             "avg_rank": analysis.average_ranks(scores.tolist()),
             "member_count": counts[order],
@@ -608,5 +621,13 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Run ``main()`` on ``sys.argv`` and exit with its code, after freezing
+    every live object so that the exit skips a final collection."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

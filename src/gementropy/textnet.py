@@ -8,8 +8,8 @@ DOT and edge-list CSV for that purpose.
 
 The graph is a :class:`WordGraph` of arrays: the words sorted, and each
 edge a pair of word indices. Every token gets its word's index, and one
-``np.unique`` counts the word pairs as int64 keys ``a * n + b``, so the
-edges come out in lexicographic order, the order of every report. The
+argsort counts the word pairs as int64 keys ``a * n + b``, so the edges
+come out in lexicographic order, the order of every report. The
 power iteration sums in floating point and reads the edges in the order
 they first occur instead: description by description, each description's
 pairs in ``itertools.combinations`` order of its sorted words; any other
@@ -75,6 +75,19 @@ def tokenize(description: str) -> list[str]:
     return [w for w in dict.fromkeys(_WORD_RE.findall(description.lower())) if w not in dropped]
 
 
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True, return_counts=True)`` of int keys:
+    the distinct keys, ascending, the index of each one's first occurrence and
+    its count. One unstable argsort groups equal keys, and the first
+    occurrence of a key is the smallest index in its run of the order."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))
+    if not len(starts):  # reduceat takes no empty index list
+        return ordered, order, order
+    return ordered[starts], np.minimum.reduceat(order, starts), np.diff(starts, append=len(order))
+
+
 def build_cooccurrence_graph(token_lists: Iterable[Sequence[str]]) -> WordGraph:
     """Connect all unordered word pairs that share a description."""
     token_lists = [list(tokens) for tokens in token_lists]
@@ -98,7 +111,7 @@ def build_cooccurrence_graph(token_lists: Iterable[Sequence[str]]) -> WordGraph:
     before = np.cumsum(partners) - partners
     pair_keys = ids[np.repeat(position, partners)] * n
     pair_keys += ids[np.arange(len(pair_keys)) + np.repeat(position + 1 - before, partners)]
-    keys, first, weights = np.unique(pair_keys, return_index=True, return_counts=True)
+    keys, first, weights = _distinct(pair_keys)
     return WordGraph(
         words,
         np.bincount(ids, minlength=len(words)),

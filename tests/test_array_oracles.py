@@ -7,12 +7,13 @@ and ``S8`` source cast of ``group_maps``, the per-code range scan of
 ``assign_classes``, the prefix-truncation overlap test of ``load_class_defs``
 and a pairwise loop over its ranges, the per-map ``aggregate_by_class`` loop
 and its per-class member gather into ``ClassScore`` rows, the row sort of
-``rank_classes`` and its ``average_ranks``, the n x n pair signs of the
-Kendall tau-b, the dense power iteration of ``eigenvector_centrality``, the
-dict word graph of the text network (its ``combinations`` loop, depth-first
-component search, edge-list centrality kernel and report rows), the row
-sort of ``detect_outliers``, the numbered per-row reader of
-``load_descriptions`` and the per-code match of its one-pass reader, the
+``rank_classes`` and its later Python sort over a class table, its
+``average_ranks``, the n x n pair signs of the Kendall tau-b, the dense
+power iteration of ``eigenvector_centrality``, the dict word graph of the
+text network (its ``combinations`` loop, depth-first component search,
+edge-list centrality kernel and report rows) and the ``np.unique`` of its
+pair keys, the row sort of ``detect_outliers``, the numbered per-row reader
+of ``load_descriptions`` and the per-code match of its one-pass reader, the
 filtered letter runs of ``tokenize``, and the ``np.unique`` counts and
 searchsorted dense rows of the entropy kernel. Parsed and grouped columns,
 crosswalk errors, class assignment, range checks, class sums, class orders
@@ -40,7 +41,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gementropy import _kernels, analysis, gem_io, textnet
-from gementropy.analysis import OUTLIER_MEASURES, RANK_MEASURES, RankTable
+from gementropy.analysis import OUTLIER_MEASURES, RANK_MEASURES, ClassTable, RankTable
 from gementropy.entropy import NormalizedScores, ZScoreTable
 from gementropy.errors import ConvergenceError, GemError, StructuralError
 from gementropy.gem_io import N_SYMBOLS, UNCLASSIFIED
@@ -306,6 +307,17 @@ def _oracle_rank_classes(scores, measure):
         (cs.class_id, cs.value(measure), rank)
         for rank, cs in enumerate(ordered, start=1)
     )
+
+
+def _oracle_rank_order(classes, measure):
+    """The class order of ``rank_classes`` on a ``ClassTable`` before its
+    lexsort: one Python sort by (-value, id)."""
+    if measure not in RANK_MEASURES:
+        raise ValueError(f"measure must be one of {RANK_MEASURES}, got {measure!r}")
+    if not len(classes):
+        raise ValueError("no class scores to rank")
+    values, ids = classes.value(measure).tolist(), classes.ids
+    return sorted(range(len(ids)), key=lambda k: (-values[k], ids[k]))
 
 
 def _oracle_average_ranks(rows):
@@ -645,6 +657,32 @@ def test_rank_matches_row_sort(sums, measure):
     scores = classes.value(measure)[order].tolist()
     assert repr(list(zip(ids, scores, range(1, len(ids) + 1)))) == repr(list(expected))
     assert dict(zip(ids, analysis.average_ranks(scores))) == _oracle_average_ranks(expected)
+
+
+# ids that sort in every way against each other: prefixes, case, a NUL,
+# non-ASCII; repeated ids keep their table order
+_class_ids = st.lists(st.sampled_from(["a", "a\x00", "ab", "B", "b", "é", ""]) | st.text(max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _class_ids, st.sampled_from(RANK_MEASURES))
+@example(data=None, ids=["b", "a", "c", "a"], measure="total").via("ties and -0.0")
+def test_rank_lexsort_matches_sorted(data, ids, measure):
+    """The lexsort of ``rank_classes`` orders a class table as the Python
+    sort it replaced: ties, -0.0 against 0.0 and repeated ids included."""
+    if data is None:  # 0.0 against -0.0, both ways, and a tie between different ids
+        sums = np.array([[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [1.0, -1.0, 0.0], [0.0, -0.0, 0.0]])
+    else:
+        sums = np.array(data.draw(st.lists(st.tuples(_sum, _sum, _sum), min_size=len(ids),
+                                           max_size=len(ids))), dtype=np.float64).reshape(-1, 3)
+    classes = ClassTable(ids, ids, *sums.T, np.zeros(0, np.intp), np.zeros(len(ids) + 1, np.intp))
+    try:
+        expected = _oracle_rank_order(classes, measure)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            analysis.rank_classes(classes, measure)
+        return
+    assert analysis.rank_classes(classes, measure).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1059,6 +1097,21 @@ def test_graph_matches_dict_graph(token_lists, max_iterations):
     got = textnet.eigenvector_centrality(graph, max_iterations=max_iterations)
     assert list(got) == sorted(expected)
     assert _bits(got, expected) == _bits(expected, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**62), max_size=40) | st.lists(st.integers(-3, 3), max_size=40)
+       | st.builds(lambda k, n: [k] * n, st.integers(-2**63, 2**63 - 1), st.integers(0, 40)))
+@example([]).via("no pairs")
+@example([-2**63] * 3).via("all equal, at the int64 minimum")
+def test_distinct_pairs_match_unique(keys):
+    """Distinct keys, first indices and counts as ``np.unique`` gives them:
+    no keys, all keys equal and the int64 extremes among them."""
+    keys = np.array(keys, dtype=np.int64)
+    expected = np.unique(keys, return_index=True, return_counts=True)
+    got = textnet._distinct(keys)
+    for want, have in zip(expected, got):
+        assert have.dtype == want.dtype and have.tolist() == want.tolist()
 
 
 def test_graph_memory_grows_with_pairs():

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -240,14 +241,20 @@ class TestStats:
         assert out.stdout.splitlines()[-1] == "0 False", out.stderr
 
 
+def _fresh_process(*args):
+    """A fresh interpreter run on ``args`` that imports gementropy from this
+    source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *map(str, args)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
 def _fresh_python(code):
     """Standard output lines of ``code`` run by a fresh interpreter that
     imports gementropy from this source tree."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
+    out = _fresh_process("-c", code)
     assert out.returncode == 0, out.stderr
     return out.stdout.splitlines()
 
@@ -327,6 +334,72 @@ def test_package_attribute_unknown_name():
 
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         gementropy.nope
+
+
+class TestProcessEntry:
+    """``python -m gementropy.cli`` enters through ``cli.run``, which freezes
+    the live objects before the exit; in-process ``cli.main`` never does."""
+
+    def test_exit_codes(self, workspace):
+        good = _fresh_process(
+            "-m", "gementropy.cli", "score", "--gems", workspace / "gems.txt",
+            "--out", workspace / "out",
+        )
+        assert (good.returncode, good.stderr) == (0, "")
+        (workspace / "bad.txt").write_text("0052 02H43JZ 10000\n0052 02H43KZ 1x000\n")
+        # a GemError, then an OSError
+        for gems, text in (("bad.txt", ":2: flag must be"), ("missing.txt", "No such file")):
+            failed = _fresh_process(
+                "-m", "gementropy.cli", "score", "--gems", workspace / gems, "--out", workspace
+            )
+            assert failed.returncode == 2 and failed.stdout == ""
+            first = failed.stderr.splitlines()[0]
+            assert first.startswith("error: ") and text in first
+        usage = _fresh_process("-m", "gementropy.cli", "score")
+        assert usage.returncode == 2 and usage.stderr.startswith("usage: ")
+
+    @pytest.mark.parametrize("command", [
+        ["score", "--format", "json"],
+        ["rank", "--classes", "classes.csv"],
+        ["textnet", "--descriptions", "descriptions.csv", "--top-fraction", "1"],
+    ])
+    def test_reports_match_in_process_main(self, workspace, capsys, command):
+        def argv(out):
+            return [command[0], "--gems", workspace / "gems.txt", "--out", workspace / out,
+                    *(workspace / a if a.endswith(".csv") else a for a in command[1:])]
+
+        assert _run(argv("main")) == 0
+        stdout = capsys.readouterr().out
+        process = _fresh_process("-m", "gementropy.cli", *argv("process"))
+        assert process.returncode == 0, process.stderr
+        assert process.stdout == stdout.replace(str(workspace / "main"), str(workspace / "process"))
+        names = sorted(p.name for p in (workspace / "main").iterdir())
+        assert names == sorted(p.name for p in (workspace / "process").iterdir())
+        for name in names:
+            assert (workspace / "process" / name).read_bytes() == (
+                workspace / "main" / name
+            ).read_bytes(), name
+
+    def test_main_does_not_freeze(self, workspace):
+        before = gc.get_freeze_count()
+        assert _run(["rank", "--gems", workspace / "gems.txt", "--classes",
+                     workspace / "classes.csv", "--out", workspace]) == 0
+        assert _run(["score", "--gems", workspace / "missing.txt", "--out", workspace]) == 2
+        assert gc.get_freeze_count() == before
+
+    def test_module_run_freezes_before_exit(self, workspace):
+        argv = ["gementropy", "score", "--gems", str(workspace / "gems.txt"),
+                "--out", str(workspace)]
+        code = (
+            "import atexit, gc, runpy, sys; "
+            "print(gc.get_freeze_count() > 0); "
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+            f"sys.argv = {argv!r}; "
+            "runpy.run_module('gementropy.cli', run_name='__main__')"
+        )
+        lines = _fresh_python(code)
+        assert lines[0] == "False" and lines[1].startswith("scored 3 maps")
+        assert lines[-1] == "True"
 
 
 class TestRank:
