@@ -9,9 +9,16 @@ one in-place sort makes each distinct key a run as long as its count, and
 Columns of three or more distinct symbols, whose sum depends on the order of
 its terms, are summed as dense rows of ``N_SYMBOLS`` terms (at most one row
 per three cells), so every value rounds as a dense per-column sum does.
-A call's working arrays take about 35 bytes per cell of its batch, whatever
-the number of columns; :func:`gementropy.entropy.column_entropies` bounds
-them by calling the kernel on blocks of maps.
+A call's working arrays take about 30-45 bytes per cell of its batch, more
+where more of its columns hold three or more symbols, whatever the number
+of columns; :func:`gementropy.entropy.column_entropies` bounds them by
+calling the kernel on blocks of maps.
+
+Only maps of three or more rows reach the kernel. A column of one or two
+rows has at most two symbols, each of probability 1 or 1/2, whose terms
+are exact in binary (``1.0 * log2(1.0)`` = 0.0, ``0.5 * log2(0.5)`` =
+-0.5): such a column's entropy is exactly +0.0 or 1.0, which
+``column_entropies`` writes without a call.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -76,6 +77,17 @@ class ClassTable:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @functools.cached_property
+    def id_rank(self) -> np.ndarray:
+        """Each id's place among the sorted ids, the tie-break of every
+        ranking of this table."""
+        import numpy as np
+
+        ids = self.ids
+        id_rank = np.empty(len(ids), dtype=np.intp)
+        id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        return id_rank
 
     def value(self, measure: str) -> np.ndarray:
         """The class sums of one of ``RANK_MEASURES``; ``total`` adds the
@@ -165,18 +177,15 @@ def aggregate_by_class(normalized: ZScoreTable, table: ClassRanges) -> ClassTabl
 
 def rank_classes(classes: ClassTable, measure: str) -> np.ndarray:
     """The order of the classes by one measure: highest first, ties by class
-    id (0.0 and -0.0 tie). One ``lexsort`` of the negated values, with each
-    id's place among the sorted ids as the tie-break."""
+    id (0.0 and -0.0 tie). One ``lexsort`` of the negated values, with
+    :attr:`ClassTable.id_rank` as the tie-break."""
     import numpy as np
 
     if measure not in RANK_MEASURES:
         raise ValueError(f"measure must be one of {RANK_MEASURES}, got {measure!r}")
     if not len(classes):
         raise ValueError("no class scores to rank")
-    ids = classes.ids
-    id_rank = np.empty(len(ids), dtype=np.intp)
-    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return np.lexsort((id_rank, -(classes.value(measure) + 0.0)))
+    return np.lexsort((classes.id_rank, -(classes.value(measure) + 0.0)))
 
 
 def average_ranks(ordered: Sequence[float]) -> list[float]:

@@ -98,10 +98,11 @@ def _csv_cell(value) -> str:
 
 def _column_blocks(prefix: str, column, fmt: str, blocks: range):
     """A non-numeric column's texts per block of rows, after ``prefix`` in JSON."""
+    text_array = getattr(getattr(column, "dtype", None), "kind", "") == "U"
     for lo in blocks:
         cells = column[lo : lo + _REPORT_BLOCK]
         cells = cells.tolist() if hasattr(cells, "tolist") else list(cells)
-        strings = set(map(type, cells)) <= {str}  # strings only: no per-cell dispatch
+        strings = text_array or set(map(type, cells)) <= {str}  # no per-cell dispatch
         if fmt == "json":
             from json.encoder import encode_basestring_ascii
             encode = encode_basestring_ascii if strings else _json_cell
@@ -155,12 +156,20 @@ def _text_blocks(cells: list, fmt: str, sep: str):
     return zip(*parts)
 
 
-def _csv_text(rows, width: int) -> str:
-    """The CSV lines of rows of ``width`` cell texts."""
-    lines = map(",".join, rows)
+def _csv_text(columns: list, n_rows: int) -> str:
+    """The CSV lines of ``n_rows`` rows from a list of cell texts per column
+    (or per numeric run, whose joined text is never empty), joined once with
+    their separators."""
+    width = len(columns)
+    if width == 0:
+        return "\n" * n_rows
     if width == 1:  # csv.writer quotes a row of one empty field
-        lines = ('""' if line == "" else line for line in lines)
-    return "\n".join(lines) + "\n"
+        columns = [['""' if cell == "" else cell for cell in columns[0]]]
+    parts = [","] * (2 * width * n_rows)
+    for i, cells in enumerate(columns):
+        parts[2 * i :: 2 * width] = cells
+    parts[2 * width - 1 :: 2 * width] = ["\n"] * n_rows
+    return "".join(parts)
 
 
 def _write_report(out_dir: Path, name: str, fmt: str, columns) -> Path:
@@ -182,9 +191,9 @@ def _write_report(out_dir: Path, name: str, fmt: str, columns) -> Path:
     path = out_dir / f"{name}.{fmt}"
     if fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_csv_text([[_csv_cell(key) for key, _ in pairs]], len(pairs)))
+            fh.write(_csv_text([[_csv_cell(key)] for key, _ in pairs], 1))
             for texts in _text_blocks([("", column) for _, column in pairs], fmt, ","):
-                fh.write(_csv_text(zip(*texts), len(pairs)))
+                fh.write(_csv_text(texts, len(texts[0])))
         return path
     # the records of json.dump(indent=2)
     cells = [("    %s: " % _json_cell(key), column) for key, column in dict(pairs).items()]

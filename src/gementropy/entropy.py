@@ -9,9 +9,13 @@ Three per-map measures, all in bits:
   choice lists);
 * the uncertainty-rate baseline log2(m) used by prior work for comparison.
 
-:func:`column_entropies` lays the padded code matrices of the maps of a
-:class:`~gementropy.gem_io.MapTable` into flat buffers, ``_KERNEL_BLOCK``
-maps at a time, and calls the column kernel on each. :func:`score_maps`
+:func:`column_entropies` computes the columns of the padded code matrices
+of the maps of a :class:`~gementropy.gem_io.MapTable`, ``_KERNEL_BLOCK``
+maps at a time. A one-row map's columns are +0.0, and a two-row map's
+column is 1.0 where its two rows differ and +0.0 where they agree: these
+are the kernel's values bit for bit, since their terms (0.0 and -0.5) sum
+exactly. Only the maps of three or more rows are laid into a flat buffer
+for the column kernel, one call per block. :func:`score_maps`
 scores a whole table: it sums each scored map's columns, and m, m0 and v
 come from the table. It returns a :class:`ScoreTable` of columns, which
 :func:`normalize_scores` turns into corpus z-scores (a
@@ -37,9 +41,10 @@ from .gem_io import MAX_CODE, MapTable, RowTable, offsets
 # Finite positive per-position weights, one per matrix column.
 WeightVector = Sequence[float]
 
-# Maps per kernel call: the kernel's working arrays take about 35 bytes per
-# cell, a few MB for a block of maps of a few rows each, where 69,823 maps
-# in one call took 22 MB (tracemalloc peaks of column_entropies).
+# Maps per kernel call: the kernel's working arrays take about 45 bytes per
+# cell of the maps of three or more rows, 4.3 MB for narrow-score's blocks,
+# where its 67,719 scored maps in one call took 25 MB (tracemalloc peaks of
+# column_entropies).
 _KERNEL_BLOCK = 8192
 
 
@@ -117,29 +122,48 @@ class ZScoreTable(_Columns):
 
 
 def column_entropies(maps: MapTable) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column entropies (bits) of every map's padded code matrix, one
-    kernel call per block of maps, and each map's width n.
+    """Per-column entropies (bits) of every map's padded code matrix, and
+    each map's width n.
 
     Map k's matrix has its m target codes as rows, in entry order
     (duplicates kept), right-padded with the pad symbol, which counts as an
     ordinary alphabet, to n, the longest code of the map. Its columns are
     ``cols[sum(widths[:k]):][:widths[k]]``. Every map must have m >= 1.
+
+    Only maps of three or more rows reach the kernel, one call per block of
+    ``_KERNEL_BLOCK`` maps. The others have closed forms that the kernel
+    would give bit for bit: a one-row map's columns are ``0.0 - 1.0 *
+    log2(1.0)`` = +0.0, and a two-row map's column is +0.0 where its two
+    padded rows agree and ``0.0 - (-0.5 + -0.5)`` = 1.0 where they differ.
     A column's entropy depends on its own cells alone, so the blocks give
     the values of one call bit for bit.
     """
     widths = np.maximum.reduceat(
         maps.lines.target_len[maps.rows], maps.starts[:-1]
     ).astype(np.int64)
-    cols = [np.zeros(0)]
+    col_starts = offsets(widths)
+    cols = np.zeros(int(col_starts[-1]))
+    words = maps.lines.targets.view("<u8")[:, 0]  # a padded row as one word
+    position = np.arange(MAX_CODE)
     for k in range(0, len(maps), _KERNEL_BLOCK):
         heights = maps.m[k : k + _KERNEL_BLOCK]
         block_widths = widths[k : k + _KERNEL_BLOCK]
+        block_cols = cols[col_starts[k] : col_starts[k + len(heights)]]
+        col_height = np.repeat(heights, block_widths)
         rows = maps.rows[maps.starts[k] : maps.starts[k + len(heights)]]
-        # each map's rows cut to its own width, row-major
-        cut = np.arange(MAX_CODE) < np.repeat(block_widths, heights)[:, None]
-        flat = maps.lines.targets[rows][cut]
-        cols.append(_kernels.batch_column_entropies(flat, heights, block_widths))
-    return np.concatenate(cols), widths
+        row_height = np.repeat(heights, heights)
+        # two-row maps: rows in pairs, bytes that differ, cut to the map's width
+        pairs = words[rows[row_height == 2]].view(np.uint8).reshape(-1, 2, MAX_CODE)
+        differ = pairs[:, 0] != pairs[:, 1]
+        block_cols[col_height == 2] = differ[position < block_widths[heights == 2][:, None]]
+        # maps of three or more rows: each row cut to its map's width, row-major
+        many = heights > 2
+        cut = position < np.repeat(block_widths[many], heights[many])[:, None]
+        flat = words[rows[row_height > 2]].view(np.uint8).reshape(-1, MAX_CODE)[cut]
+        block_cols[col_height > 2] = _kernels.batch_column_entropies(
+            flat, heights[many], block_widths[many]
+        )
+    return cols, widths
 
 
 def _log2(counts: np.ndarray) -> np.ndarray:

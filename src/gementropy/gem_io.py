@@ -16,12 +16,14 @@ The bytes are split, checked and encoded in blocks of about
 arrays stay the size of one block whatever the size of the file; the blocks'
 columns are then concatenated. A field of up to 8 bytes is read as one
 8-byte word: the block, padded with 8 zero bytes, is viewed as a
-little-endian word at every byte offset. A 256-entry table per field maps
-each byte of the word at the field's start to its code (the upper-case
-source character, the target symbol, the flag digit), or to a byte with the
-high bit set where it may not stand in that field; the coded word is masked
-to the field's length, a target's rest filled with ``PAD_SYMBOL``, and one
-test of its high bits per row checks every byte of the field. Every line
+little-endian word at every byte offset. A 256-byte ``bytes.translate``
+table per field maps each byte of the word at the field's start to its code
+(the upper-case source character, the target symbol, the flag digit), or to
+a byte with the high bit set where it may not stand in that field; one
+``translate`` per field and block codes the bytes of all its words.
+The coded word is masked to the field's length, a target's rest filled with
+``PAD_SYMBOL``, and one test of its high bits per row checks every byte of
+the field. Every line
 check runs as one vectorized mask over a block's rows. When a mask fails,
 the scalar validators (:func:`_parse_line`, built on :func:`_validate_code`
 and :func:`parse_flag`) re-run on the block's first failing line alone and
@@ -98,10 +100,11 @@ _SYMBOL_BYTE = np.zeros(256, dtype=np.uint8)
 _SYMBOL_BYTE[:PAD_SYMBOL] = np.frombuffer(ALPHABET.encode(), np.uint8)
 # Byte -> its code in a field, or a byte with the high bit set where it may
 # not stand: the upper-case source character, the target symbol, the digit.
-_SOURCE_BYTE = np.where(_CODE_SYMBOL < PAD_SYMBOL, _SYMBOL_BYTE[_CODE_SYMBOL], 0x80).astype(np.uint8)
-_TARGET_BYTE = np.where(_CODE_SYMBOL < PAD_SYMBOL, _CODE_SYMBOL, 0x80).astype(np.uint8)
-_DIGIT_BYTE = np.full(256, 0x80, dtype=np.uint8)
-_DIGIT_BYTE[ord("0") : ord("9") + 1] = np.arange(10)
+# ``bytes.translate`` tables of 256 bytes.
+_IS_CODE = _CODE_SYMBOL < PAD_SYMBOL
+_SOURCE_BYTE = np.where(_IS_CODE, _SYMBOL_BYTE[_CODE_SYMBOL], 0x80).astype(np.uint8).tobytes()
+_TARGET_BYTE = np.where(_IS_CODE, _CODE_SYMBOL, 0x80).astype(np.uint8).tobytes()
+_DIGIT_BYTE = bytes(i - 0x30 if 0x30 <= i <= 0x39 else 0x80 for i in range(256))  # "0"-"9"
 # _LOW[k]: the mask of a word's first k bytes
 _LOW = np.array([(1 << 8 * k) - 1 for k in range(MAX_CODE + 1)], dtype="<u8")
 _HIGH_BITS = np.uint64(0x8080808080808080)
@@ -113,12 +116,13 @@ def _bytes(words: np.ndarray) -> np.ndarray:
     return words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
 
 
-def _field(words: np.ndarray, length, table: np.ndarray, pad=np.uint64(0)):
+def _field(words: np.ndarray, length, table: bytes, pad=np.uint64(0)):
     """Fields from the words at their starts, as rows of 8 bytes: the first
     ``length`` bytes mapped through ``table`` and the rest from ``pad``;
     and whether the table rejects a byte of the field."""
     mask = _LOW[np.minimum(length, MAX_CODE)]
-    coded = table[_bytes(words)].view("<u8")[:, 0] & mask
+    coded = words.astype("<u8", copy=False).tobytes().translate(table)
+    coded = np.frombuffer(coded, "<u8") & mask
     return _bytes(coded | (pad & ~mask)), (coded & _HIGH_BITS) != 0
 
 

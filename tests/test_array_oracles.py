@@ -15,7 +15,9 @@ edge-list centrality kernel and report rows) and the ``np.unique`` of its
 pair keys, the row sort of ``detect_outliers``, the numbered per-row reader
 of ``load_descriptions`` and the per-code match of its one-pass reader, the
 filtered letter runs of ``tokenize``, and the ``np.unique`` counts and
-searchsorted dense rows of the entropy kernel. Parsed and grouped columns,
+searchsorted dense rows of the entropy kernel, the ``column_entropies``
+that sent every map through that kernel, and the fancy-indexed tables of
+the crosswalk reader's ``_field``. Parsed and grouped columns,
 crosswalk errors, class assignment, range checks, class sums, class orders
 and average ranks, graphs, components, reports, outlier lists, description
 tables and token lists must match exactly, and taus, centralities and
@@ -40,11 +42,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gementropy import _kernels, analysis, gem_io, textnet
+from gementropy import _kernels, analysis, entropy, gem_io, textnet
 from gementropy.analysis import OUTLIER_MEASURES, RANK_MEASURES, ClassTable, RankTable
 from gementropy.entropy import NormalizedScores, ZScoreTable
 from gementropy.errors import ConvergenceError, GemError, StructuralError
-from gementropy.gem_io import N_SYMBOLS, UNCLASSIFIED
+from gementropy.gem_io import MAX_CODE, N_SYMBOLS, UNCLASSIFIED
 
 from conftest import (
     BAD_LINE,
@@ -546,6 +548,32 @@ def _oracle_column_entropies(flat, heights, widths):
     return 0.0 - sums
 
 
+def _oracle_map_column_entropies(maps):
+    """``column_entropies`` sending every map, one-row and two-row maps
+    included, through the kernel a block at a time."""
+    widths = np.maximum.reduceat(
+        maps.lines.target_len[maps.rows], maps.starts[:-1]
+    ).astype(np.int64)
+    cols = [np.zeros(0)]
+    for k in range(0, len(maps), entropy._KERNEL_BLOCK):
+        heights = maps.m[k : k + entropy._KERNEL_BLOCK]
+        block_widths = widths[k : k + entropy._KERNEL_BLOCK]
+        rows = maps.rows[maps.starts[k] : maps.starts[k + len(heights)]]
+        cut = np.arange(MAX_CODE) < np.repeat(block_widths, heights)[:, None]
+        flat = maps.lines.targets[rows][cut]
+        cols.append(_kernels.batch_column_entropies(flat, heights, block_widths))
+    return np.concatenate(cols), widths
+
+
+def _oracle_fancy_field(words, length, table, pad=np.uint64(0)):
+    """``gem_io._field`` fancy-indexing the table, as a numpy array, with the
+    (n, 8) array of the words' bytes."""
+    table = np.frombuffer(table, dtype=np.uint8)
+    mask = gem_io._LOW[np.minimum(length, MAX_CODE)]
+    coded = table[gem_io._bytes(words)].view("<u8")[:, 0] & mask
+    return gem_io._bytes(coded | (pad & ~mask)), (coded & gem_io._HIGH_BITS) != 0
+
+
 # ---------------------------------------------------------------------------
 # Class assignment and class sums
 
@@ -859,6 +887,43 @@ def test_parse_matches_byte_matrices(head, bad, tail, bom):
         assert parsed_columns(data, block) == expected
 
 
+_FIELD_TABLES = {
+    "source": (gem_io._SOURCE_BYTE, np.uint64(0)),
+    "target": (gem_io._TARGET_BYTE, gem_io._PAD_WORD),
+    "flag": (gem_io._DIGIT_BYTE, np.uint64(0)),
+}
+
+
+def _fields_match(words, length, name):
+    table, pad = _FIELD_TABLES[name]
+    coded, bad = gem_io._field(words, length, table, pad)
+    want_coded, want_bad = _oracle_fancy_field(words, length, table, pad)
+    assert coded.dtype == want_coded.dtype and coded.tobytes() == want_coded.tobytes()
+    assert bad.dtype == want_bad.dtype and bad.tobytes() == want_bad.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.binary(max_size=8), st.integers(0, 12)), max_size=40),
+    st.sampled_from(list(_FIELD_TABLES)),
+)
+def test_field_translate_matches_fancy_index(fields, name):
+    """Coded bytes and high-bit flags of random words, NULs past a word's
+    bytes, fields of 0-12 bytes: the same as fancy-indexing the table."""
+    words = np.array([int.from_bytes(b, "little") for b, _ in fields], dtype="<u8")
+    _fields_match(words, np.array([n for _, n in fields], dtype=np.int64), name)
+
+
+@pytest.mark.parametrize("name", list(_FIELD_TABLES))
+def test_field_translate_every_byte(name):
+    """Every byte value at every place of a word, fields of 0-12 bytes and
+    the flag's fixed length: the same as fancy-indexing the table."""
+    first = np.arange(13 * 256) % 256
+    words = sum((((first + i) % 256).astype("<u8") << np.uint64(8 * i)) for i in range(8))
+    _fields_match(words, np.repeat(np.arange(13), 256), name)
+    _fields_match(words, 5, name)
+
+
 _SOURCE = st.text("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZab", min_size=1, max_size=8)
 
 
@@ -1000,6 +1065,32 @@ def test_kernel_key_type_edges():
     """The pinned column counts cross the key types' limits."""
     types = [np.min_scalar_type(n * N_SYMBOLS) for n in _KEY_TYPE_EDGES]
     assert types[1:3] == [np.uint8, np.uint16] and types[4:] == [np.uint16, np.uint32]
+
+
+_TARGET = st.text("AB12", min_size=1, max_size=7)
+# a two-row map: rows equal, or one the other with a symbol where it pads
+_TWO_ROWS = _TARGET.flatmap(lambda c: st.sampled_from([[c, c], [c, c + "Z"], [c + "Z", c]]))
+_MAP = st.one_of(st.lists(_TARGET, min_size=1, max_size=6), _TWO_ROWS)
+_CORPORA = st.one_of(
+    st.lists(_MAP, min_size=1, max_size=12),
+    st.lists(_TARGET.map(lambda c: [c]), min_size=1, max_size=8),  # the kernel gets no cell
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CORPORA, st.sampled_from([1, 2, 3, entropy._KERNEL_BLOCK]))
+@example([["A"], ["A", "A"], ["A", "AZ"], ["B1", "A"], ["A", "B", "A"]], 2)
+def test_column_entropies_match_kernel_on_every_map(corpus, block):
+    """One- and two-row maps written in closed form, maps of three or more
+    rows through the kernel: the columns and widths of sending every map
+    through the kernel, bit for bit, in blocks of 1-3 maps and the default."""
+    text = "".join(f"S{i} {target} 10000\n" for i, m in enumerate(corpus) for target in m)
+    maps = gem_io.group_maps(gem_io.parse_gem_file(text.encode()))
+    with mock.patch.object(entropy, "_KERNEL_BLOCK", block):
+        cols, widths = entropy.column_entropies(maps)
+        want_cols, want_widths = _oracle_map_column_entropies(maps)
+    assert cols.tobytes() == want_cols.tobytes()
+    assert widths.tobytes() == want_widths.tobytes()
 
 
 # ---------------------------------------------------------------------------

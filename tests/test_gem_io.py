@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gementropy import gem_io
 from gementropy.entropy import column_entropies, score_maps
-from gementropy.errors import ParseError, StructuralError
+from gementropy.errors import GemError, ParseError, StructuralError
 from gementropy.gem_io import (
     UNCLASSIFIED,
     Flag,
@@ -174,6 +174,30 @@ class TestAsciiGrammar:
         text = f"0052 02H43JZ 10000\n{line}\n"
         with pytest.raises(ParseError, match=r"^gems\.txt:2: "):
             parse_gem_file(io.StringIO(text), "gems.txt")
+
+    @pytest.mark.parametrize("field", ["source", "target", "flag"])
+    def test_every_byte_value_in_each_field(self, field):
+        """A field holding any one non-space byte value reads as the scalar
+        check of its line reads it: the same entry, or an error."""
+        for value in range(256):
+            byte = bytes([value])
+            if byte.isspace():
+                continue
+            line = {
+                "source": b"X" + byte + b" A1 00000",
+                "target": b"X A" + byte + b" 00000",
+                "flag": b"X A1 1011" + byte,
+            }[field]
+            try:
+                want = [gem_io._parse_line(line, "gems.txt", 1)]
+            except GemError:
+                want = None
+            try:
+                got = list(parse_gem_file(line, "gems.txt"))
+            except GemError as err:
+                assert err.line == 1, line
+                got = None
+            assert got == want, line
 
     def test_side_table_code_must_be_ascii(self):
         with pytest.raises(ParseError, match=r"descriptions\.csv:2: "):
