@@ -1,7 +1,10 @@
-"""Column-entropy kernel.
+"""Column-entropy kernel and its symbol alphabet.
 
 Scoring needs the Shannon entropy of every column of every map's padded
-code matrix. A batch of matrices is concatenated row-major into one flat
+code matrix, whose cells arrive as code bytes, NUL-padded. ``SYMBOL`` codes
+'0'-'9' as 0-9, 'A'-'Z' as 10-35 and the pad NUL as 36, last: the dense-row
+sums below add a column's terms in symbol order, so that order fixes their
+rounding. A batch of matrices is concatenated row-major into one flat
 uint8 buffer of symbol indices, and one call counts them sparsely: each cell
 gets the key ``column * N_SYMBOLS + symbol`` in the narrowest unsigned type,
 one in-place sort makes each distinct key a run as long as its count, and
@@ -25,7 +28,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gem_io import N_SYMBOLS, offsets
+from .gem_io import offsets
+
+ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+N_SYMBOLS = len(ALPHABET) + 1  # and the pad
+SYMBOL = np.full(256, 255, dtype=np.uint8)  # 255: not a code byte
+SYMBOL[np.frombuffer(ALPHABET.encode() + b"\0", np.uint8)] = np.arange(N_SYMBOLS)
 
 
 def batch_column_entropies(

@@ -91,9 +91,7 @@ def _csv_cell(value) -> str:
     text = "" if value is None else f"{value:.6g}" if isinstance(value, float) else str(value)
     if _needs_quotes(text) is None:
         return text
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text])
-    return buf.getvalue()[:-1]
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _column_blocks(prefix: str, column, fmt: str, blocks: range):
@@ -181,9 +179,10 @@ def _write_report(out_dir: Path, name: str, fmt: str, columns) -> Path:
     it: a CSV float has 6 significant digits (``f"{x:.6g}"``: ``nan``,
     ``inf``, ``-0``) and a JSON float keeps ``repr`` precision (``NaN``,
     ``Infinity``, ``-Infinity``); an int is written exactly; None is ``""``
-    in CSV and ``null`` in JSON; a CSV string is quoted as QUOTE_MINIMAL
-    quotes it, and a JSON string is escaped to ASCII. An empty JSON report
-    is ``[]``. Adjacent float64/int64 arrays are formatted once per distinct
+    in CSV and ``null`` in JSON; a CSV string holding a comma, a quote, CR
+    or LF is quoted, its quotes doubled (a bare CR too, which ``csv.writer``
+    quotes from Python 3.13 on only), and a JSON string is escaped to
+    ASCII. An empty JSON report is ``[]``. Adjacent float64/int64 arrays are formatted once per distinct
     row; other cells, and rows, ``_REPORT_BLOCK`` rows at a time.
     """
     pairs = list(columns.items()) if isinstance(columns, dict) else list(columns)

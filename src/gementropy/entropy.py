@@ -126,15 +126,16 @@ def column_entropies(maps: MapTable) -> tuple[np.ndarray, np.ndarray]:
     each map's width n.
 
     Map k's matrix has its m target codes as rows, in entry order
-    (duplicates kept), right-padded with the pad symbol, which counts as an
-    ordinary alphabet, to n, the longest code of the map. Its columns are
+    (duplicates kept), right-padded with the pad, which counts as an
+    ordinary symbol, to n, the longest code of the map. Its columns are
     ``cols[sum(widths[:k]):][:widths[k]]``. Every map must have m >= 1.
 
     Only maps of three or more rows reach the kernel, one call per block of
     ``_KERNEL_BLOCK`` maps. The others have closed forms that the kernel
     would give bit for bit: a one-row map's columns are ``0.0 - 1.0 *
     log2(1.0)`` = +0.0, and a two-row map's column is +0.0 where its two
-    padded rows agree and ``0.0 - (-0.5 + -0.5)`` = 1.0 where they differ.
+    padded rows agree and ``0.0 - (-0.5 + -0.5)`` = 1.0 where they differ,
+    which their bytes tell without the kernel's symbols (``_kernels.SYMBOL``).
     A column's entropy depends on its own cells alone, so the blocks give
     the values of one call bit for bit.
     """
@@ -156,10 +157,13 @@ def column_entropies(maps: MapTable) -> tuple[np.ndarray, np.ndarray]:
         pairs = words[rows[row_height == 2]].view(np.uint8).reshape(-1, 2, MAX_CODE)
         differ = pairs[:, 0] != pairs[:, 1]
         block_cols[col_height == 2] = differ[position < block_widths[heights == 2][:, None]]
-        # maps of three or more rows: each row cut to its map's width, row-major
+        # maps of three or more rows: each row cut to its map's width, row-major,
+        # as the kernel's symbols
         many = heights > 2
         cut = position < np.repeat(block_widths[many], heights[many])[:, None]
-        flat = words[rows[row_height > 2]].view(np.uint8).reshape(-1, MAX_CODE)[cut]
+        cells = words[rows[row_height > 2]].view(np.uint8).reshape(-1, MAX_CODE)[cut]
+        flat = _kernels.SYMBOL[cells]
+        del pairs, differ, cut, cells  # before the kernel's arrays
         block_cols[col_height > 2] = _kernels.batch_column_entropies(
             flat, heights[many], block_widths[many]
         )

@@ -4,25 +4,24 @@ A crosswalk holds one ``SOURCE TARGET FLAG5`` line per candidate target.
 :func:`parse_gem_file` reads a file into a :class:`GemLines` table with one
 row per non-blank line, stored as arrays:
 
-* ``sources``: rows x 8 uint8, the upper-cased ASCII source code, zero-padded;
-* ``targets``: rows x 8 uint8 symbol indices of the target code, right-padded
-  with ``PAD_SYMBOL``;
+* ``sources``, ``targets``: rows x 8 uint8, the upper-cased ASCII code,
+  NUL-padded, so that a row read as ``S8`` is the code (the entropy kernel,
+  :mod:`gementropy._kernels`, owns the symbol alphabet);
 * ``target_len``: the target code lengths;
 * ``flags``: rows x 5 uint8 flag digits;
 * ``line``: the line numbers.
 
-The bytes are split, checked and encoded in blocks of about
+The bytes are split, checked and coded in blocks of about
 ``_PARSE_BLOCK`` bytes, each cut just after a line break, so the working
 arrays stay the size of one block whatever the size of the file; the blocks'
 columns are then concatenated. A field of up to 8 bytes is read as one
 8-byte word: the block, padded with 8 zero bytes, is viewed as a
 little-endian word at every byte offset. A 256-byte ``bytes.translate``
-table per field maps each byte of the word at the field's start to its code
-(the upper-case source character, the target symbol, the flag digit), or to
-a byte with the high bit set where it may not stand in that field; one
-``translate`` per field and block codes the bytes of all its words.
-The coded word is masked to the field's length, a target's rest filled with
-``PAD_SYMBOL``, and one test of its high bits per row checks every byte of
+table maps each byte of the word at a field's start to its code (the
+upper-case code character, or the flag digit), or to a byte with the high
+bit set where it may not stand in that field; one ``translate`` per field
+and block codes the bytes of all its words. The coded word is masked to the
+field's length, and one test of its high bits per row checks every byte of
 the field. Every line
 check runs as one vectorized mask over a block's rows. When a mask fails,
 the scalar validators (:func:`_parse_line`, built on :func:`_validate_code`
@@ -64,13 +63,6 @@ import numpy as np
 
 from .errors import ParseError, StructuralError
 
-# Code alphabet: digits, uppercase letters, plus one padding symbol that can
-# never occur in a code. Symbol indices are stable: '0'-'9' -> 0-9,
-# 'A'-'Z' -> 10-35, pad -> 36.
-ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-PAD_CHAR = "*"
-PAD_SYMBOL = len(ALPHABET)
-N_SYMBOLS = len(ALPHABET) + 1
 MAX_CODE = 8
 
 # Targets that mark "no match in the target system", regardless of flag.
@@ -87,28 +79,14 @@ _LINE_BREAK = re.compile(rb"\r\n?|\n")
 # 32 MB (tracemalloc peaks).
 _PARSE_BLOCK = 1 << 18
 
-_CHAR_TO_SYMBOL = np.full(256, 255, dtype=np.uint8)
-for _i, _c in enumerate(ALPHABET + PAD_CHAR):
-    _CHAR_TO_SYMBOL[ord(_c)] = _i
-# Byte of a code character (either case) -> symbol; 255 for anything else.
-_CODE_SYMBOL = np.full(256, 255, dtype=np.uint8)
-for _i, _c in enumerate(ALPHABET):
-    _CODE_SYMBOL[ord(_c)] = _CODE_SYMBOL[ord(_c.lower())] = _i
-# Symbol -> its ASCII byte; 0 for the pad and the invalid symbol 255, so
-# that a row of bytes read as "S8" is the code.
-_SYMBOL_BYTE = np.zeros(256, dtype=np.uint8)
-_SYMBOL_BYTE[:PAD_SYMBOL] = np.frombuffer(ALPHABET.encode(), np.uint8)
 # Byte -> its code in a field, or a byte with the high bit set where it may
-# not stand: the upper-case source character, the target symbol, the digit.
-# ``bytes.translate`` tables of 256 bytes.
-_IS_CODE = _CODE_SYMBOL < PAD_SYMBOL
-_SOURCE_BYTE = np.where(_IS_CODE, _SYMBOL_BYTE[_CODE_SYMBOL], 0x80).astype(np.uint8).tobytes()
-_TARGET_BYTE = np.where(_IS_CODE, _CODE_SYMBOL, 0x80).astype(np.uint8).tobytes()
+# not stand: the upper-case code character, the digit. ``bytes.translate``
+# tables of 256 bytes.
+_CODE_BYTE = bytes(c if bytes([c]).isalnum() else 0x80 for c in bytes(range(256)).upper())
 _DIGIT_BYTE = bytes(i - 0x30 if 0x30 <= i <= 0x39 else 0x80 for i in range(256))  # "0"-"9"
 # _LOW[k]: the mask of a word's first k bytes
 _LOW = np.array([(1 << 8 * k) - 1 for k in range(MAX_CODE + 1)], dtype="<u8")
 _HIGH_BITS = np.uint64(0x8080808080808080)
-_PAD_WORD = np.uint64(0x0101010101010101 * PAD_SYMBOL)
 
 
 def _bytes(words: np.ndarray) -> np.ndarray:
@@ -116,14 +94,13 @@ def _bytes(words: np.ndarray) -> np.ndarray:
     return words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
 
 
-def _field(words: np.ndarray, length, table: bytes, pad=np.uint64(0)):
+def _field(words: np.ndarray, length, table: bytes):
     """Fields from the words at their starts, as rows of 8 bytes: the first
-    ``length`` bytes mapped through ``table`` and the rest from ``pad``;
-    and whether the table rejects a byte of the field."""
-    mask = _LOW[np.minimum(length, MAX_CODE)]
+    ``length`` bytes mapped through ``table`` and the rest NUL; and whether
+    the table rejects a byte of the field."""
     coded = words.astype("<u8", copy=False).tobytes().translate(table)
-    coded = np.frombuffer(coded, "<u8") & mask
-    return _bytes(coded | (pad & ~mask)), (coded & _HIGH_BITS) != 0
+    coded = np.frombuffer(coded, "<u8") & _LOW[np.minimum(length, MAX_CODE)]
+    return _bytes(coded), (coded & _HIGH_BITS) != 0
 
 
 class Flag(NamedTuple):
@@ -203,16 +180,14 @@ def _strings(rows: np.ndarray) -> list[str]:
 
 
 # Each sentinel as its row of ``GemLines.targets`` read as one uint64.
-_SENTINEL_KEYS = np.array([
-    _CHAR_TO_SYMBOL[np.frombuffer(s.ljust(MAX_CODE, PAD_CHAR).encode(), np.uint8)].view("<u8")[0]
-    for s in sorted(NO_MATCH_SENTINELS)
-])
+_SENTINEL_KEYS = np.array(sorted(NO_MATCH_SENTINELS), dtype="S8").view("<u8")
 
 
 @dataclass(eq=False, repr=False)
 class GemLines(RowTable):
-    """The rows of a crosswalk as arrays (see the module docstring); reads
-    as a sequence of :class:`GemEntry`."""
+    """The rows of a crosswalk as arrays (see the module docstring), targets
+    stored as sources are, as code bytes; reads as a sequence of
+    :class:`GemEntry`."""
 
     sources: np.ndarray
     targets: np.ndarray
@@ -229,7 +204,7 @@ class GemLines(RowTable):
             GemEntry(source, target, Flag(bool(a), bool(n), bool(c), s, k), line)
             for source, target, (a, n, c, s, k), line in zip(
                 _strings(self.sources[part]),
-                _strings(_SYMBOL_BYTE[self.targets[part]]),
+                _strings(self.targets[part]),
                 self.flags[part].tolist(),
                 self.line[part].tolist(),
             )
@@ -365,8 +340,8 @@ def _read_block(data: bytes, filename, first_line: int) -> tuple[GemLines, int]:
 
     t = first[n_tokens == 3]
     src_len, tgt_len, flag_len = (end[t + i] - start[t + i] for i in range(3))
-    sources, bad_src = _field(words[start[t]], src_len, _SOURCE_BYTE)
-    targets, bad_tgt = _field(words[start[t + 1]], tgt_len, _TARGET_BYTE, _PAD_WORD)
+    sources, bad_src = _field(words[start[t]], src_len, _CODE_BYTE)
+    targets, bad_tgt = _field(words[start[t + 1]], tgt_len, _CODE_BYTE)
     flags, bad_flag = _field(words[start[t + 2]], 5, _DIGIT_BYTE)
     lines = GemLines(
         sources=sources,

@@ -43,10 +43,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gementropy import _kernels, analysis, entropy, gem_io, textnet
+from gementropy._kernels import N_SYMBOLS, SYMBOL
 from gementropy.analysis import OUTLIER_MEASURES, RANK_MEASURES, ClassTable, RankTable
 from gementropy.entropy import NormalizedScores, ZScoreTable
 from gementropy.errors import ConvergenceError, GemError, StructuralError
-from gementropy.gem_io import MAX_CODE, N_SYMBOLS, UNCLASSIFIED
+from gementropy.gem_io import MAX_CODE, UNCLASSIFIED
 
 from conftest import (
     BAD_LINE,
@@ -68,6 +69,10 @@ from conftest import (
 
 _ORACLE_IS_SPACE = np.zeros(256, dtype=bool)
 _ORACLE_IS_SPACE[list(b" \t\n\r\x0b\x0c")] = True
+# Byte of a code character (either case) -> its upper-case byte; 255 for anything else.
+_ORACLE_CODE = np.full(256, 255, dtype=np.uint8)
+for _c in "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ":
+    _ORACLE_CODE[ord(_c)] = _ORACLE_CODE[ord(_c.lower())] = ord(_c)
 
 
 def _oracle_field(buf, start, length, width):
@@ -91,15 +96,15 @@ def _oracle_read_block(data, filename, first_line):
 
     t = first[n_tokens == 3]
     src_raw, src_in = _oracle_field(buf, start[t], end[t] - start[t], gem_io.MAX_CODE)
-    src_sym = gem_io._CODE_SYMBOL[src_raw]
+    src_code = _ORACLE_CODE[src_raw]
     tgt_len = end[t + 1] - start[t + 1]
     tgt_raw, tgt_in = _oracle_field(buf, start[t + 1], tgt_len, gem_io.MAX_CODE)
-    tgt_sym = gem_io._CODE_SYMBOL[tgt_raw]
+    tgt_code = _ORACLE_CODE[tgt_raw]
     flag_raw, _ = _oracle_field(buf, start[t + 2], end[t + 2] - start[t + 2], 5)
     digits = flag_raw - np.uint8(48)
     lines = gem_io.GemLines(
-        sources=np.where(src_in, gem_io._SYMBOL_BYTE[src_sym], np.uint8(0)),
-        targets=np.where(tgt_in, tgt_sym, np.uint8(gem_io.PAD_SYMBOL)),
+        sources=np.where(src_in, src_code, np.uint8(0)),
+        targets=np.where(tgt_in, tgt_code, np.uint8(0)),
         target_len=tgt_len.astype(np.uint8),
         flags=digits,
         line=line_index[n_tokens == 3] + 1,
@@ -108,9 +113,9 @@ def _oracle_read_block(data, filename, first_line):
     approximate, no_map, comb, scenario, choice = digits.T
     bad = (
         (end[t] - start[t] > gem_io.MAX_CODE)
-        | np.any(src_in & (src_sym == 255), axis=1)
+        | np.any(src_in & (src_code == 255), axis=1)
         | (tgt_len > gem_io.MAX_CODE)
-        | np.any(tgt_in & (tgt_sym == 255), axis=1)
+        | np.any(tgt_in & (tgt_code == 255), axis=1)
         | (end[t + 2] - start[t + 2] != 5)
         | np.any(digits > 9, axis=1)
         | np.any(digits[:, :3] > 1, axis=1)
@@ -560,18 +565,18 @@ def _oracle_map_column_entropies(maps):
         block_widths = widths[k : k + entropy._KERNEL_BLOCK]
         rows = maps.rows[maps.starts[k] : maps.starts[k + len(heights)]]
         cut = np.arange(MAX_CODE) < np.repeat(block_widths, heights)[:, None]
-        flat = maps.lines.targets[rows][cut]
+        flat = SYMBOL[maps.lines.targets[rows][cut]]
         cols.append(_kernels.batch_column_entropies(flat, heights, block_widths))
     return np.concatenate(cols), widths
 
 
-def _oracle_fancy_field(words, length, table, pad=np.uint64(0)):
+def _oracle_fancy_field(words, length, table):
     """``gem_io._field`` fancy-indexing the table, as a numpy array, with the
     (n, 8) array of the words' bytes."""
     table = np.frombuffer(table, dtype=np.uint8)
     mask = gem_io._LOW[np.minimum(length, MAX_CODE)]
     coded = table[gem_io._bytes(words)].view("<u8")[:, 0] & mask
-    return gem_io._bytes(coded | (pad & ~mask)), (coded & gem_io._HIGH_BITS) != 0
+    return gem_io._bytes(coded), (coded & gem_io._HIGH_BITS) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -887,17 +892,18 @@ def test_parse_matches_byte_matrices(head, bad, tail, bom):
         assert parsed_columns(data, block) == expected
 
 
+# a line's fields: source and target share the code table
 _FIELD_TABLES = {
-    "source": (gem_io._SOURCE_BYTE, np.uint64(0)),
-    "target": (gem_io._TARGET_BYTE, gem_io._PAD_WORD),
-    "flag": (gem_io._DIGIT_BYTE, np.uint64(0)),
+    "source": gem_io._CODE_BYTE,
+    "target": gem_io._CODE_BYTE,
+    "flag": gem_io._DIGIT_BYTE,
 }
 
 
 def _fields_match(words, length, name):
-    table, pad = _FIELD_TABLES[name]
-    coded, bad = gem_io._field(words, length, table, pad)
-    want_coded, want_bad = _oracle_fancy_field(words, length, table, pad)
+    table = _FIELD_TABLES[name]
+    coded, bad = gem_io._field(words, length, table)
+    want_coded, want_bad = _oracle_fancy_field(words, length, table)
     assert coded.dtype == want_coded.dtype and coded.tobytes() == want_coded.tobytes()
     assert bad.dtype == want_bad.dtype and bad.tobytes() == want_bad.tobytes()
 

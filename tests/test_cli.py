@@ -490,6 +490,23 @@ class TestRank:
         assert [(r["class_id"], r["member_count"]) for r in rows] == [("unclassified", "293")]
         assert len(_read_csv(tmp_path / "class_members.csv")) == 293
 
+    def test_carriage_return_label_reads_back(self, workspace, capsys):
+        """A label holding a bare CR is quoted in the rank files, so ``corr``
+        reads them back: the CR stays inside the cell, not a line end."""
+        label = "Operations on\rNervous System"
+        (workspace / "classes.csv").write_text(
+            CLASSES.replace("Operations on Nervous System", f'"{label}"'), newline=""
+        )
+        args = ["rank", "--gems", workspace / "gems.txt", "--classes", workspace / "classes.csv"]
+        assert _run([*args, "--out", workspace]) == 0
+        rows = _read_csv(workspace / "rank_z_alpha.csv")
+        assert label in [r["label"] for r in rows]
+        assert f'"{label}"'.encode() in (workspace / "rank_z_alpha.csv").read_bytes()
+        ranks = [workspace / f"rank_{m}.csv" for m in ("z_alpha", "z_beta", "z_ur", "total")]
+        capsys.readouterr()
+        assert _run(["corr", *ranks, "--out", workspace / "corr"]) == 0, capsys.readouterr().err
+        assert len(_read_csv(workspace / "corr" / "corr.csv")) == 4
+
 
 class TestCorr:
     def _write_rank(self, path, scores):

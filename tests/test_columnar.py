@@ -21,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gementropy import _kernels, entropy, gem_io
+from gementropy._kernels import N_SYMBOLS
 from gementropy.errors import GemError, ParseError, StructuralError
-from gementropy.gem_io import N_SYMBOLS, NO_MATCH_SENTINELS, Flag, GemEntry, MapRecord
+from gementropy.gem_io import NO_MATCH_SENTINELS, Flag, GemEntry, MapRecord
 
 from conftest import gem_line, make_map_entries, random_code
 

@@ -139,6 +139,22 @@ class TestParseGemFile:
         with pytest.raises(StructuralError):
             parse_gem_file(io.StringIO("0052 NOPCS 10111\n"))
 
+    def test_targets_are_upper_case_code_bytes(self):
+        """Targets are stored as sources are: a row read as ``S8`` is the
+        upper-cased code, NUL-padded."""
+        lines = parse_gem_file(b"a1 02h43jz 10000\nB2 z 00000\nc3 Ab12cD34 00000\n")
+        codes = [b"02H43JZ", b"Z", b"AB12CD34"]
+        assert lines.targets.dtype == np.uint8 and lines.targets.shape == (3, 8)
+        assert lines.targets.view("S8")[:, 0].tolist() == codes
+        assert lines.sources.view("S8")[:, 0].tolist() == [b"A1", b"B2", b"C3"]
+        assert lines.targets[1].tolist() == [ord("Z")] + [0] * 7
+        assert lines.target_len.tolist() == [7, 1, 8]
+
+    @pytest.mark.parametrize("target", ["nodx", "NoDx", "NODX", "nopcs", "NOPCS", "nOpCs"])
+    def test_sentinel_any_case(self, target):
+        lines = parse_gem_file(f"0099 {target} 11000\n0052 NODXA 00000\n0053 NOPC 00000\n".encode())
+        assert lines.sentinel().tolist() == [True, False, False]
+
     def test_round_trip(self, reference_entries):
         # re-serializing reproduces the line modulo whitespace normalization
         from gementropy.cli import REFERENCE_MAP_LINES

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 
 from gementropy import _kernels
-from gementropy.gem_io import N_SYMBOLS
+from gementropy._kernels import N_SYMBOLS
 
 
 def _random_batch(rng, n_maps=40):
@@ -38,6 +38,16 @@ def test_kernel_matches_python_oracle():
     flat, heights, widths = _random_batch(rng, n_maps=20)
     got = _kernels.batch_column_entropies(flat, heights, widths)
     np.testing.assert_allclose(got, _python_oracle(flat, heights, widths), atol=1e-12)
+
+
+def test_symbol_table_owns_the_alphabet():
+    """Digits are symbols 0-9, upper-case letters 10-35 and the pad NUL is
+    the last symbol, 36; no other byte is a symbol."""
+    assert _kernels.SYMBOL[np.frombuffer(b"0123456789", np.uint8)].tolist() == list(range(10))
+    letters = np.frombuffer(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", np.uint8)
+    assert _kernels.SYMBOL[letters].tolist() == list(range(10, 36))
+    assert _kernels.SYMBOL[0] == 36 == N_SYMBOLS - 1
+    assert np.count_nonzero(_kernels.SYMBOL < N_SYMBOLS) == N_SYMBOLS
 
 
 def test_empty_batch():

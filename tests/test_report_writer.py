@@ -1,11 +1,14 @@
 """Differential test of the columnar report writer against the row writer it
 replaced, frozen here as the oracle: byte-identical CSV and JSON on random
 tables, among them runs of numeric columns beside text and None columns,
-runs of many distinct rows and runs of many columns."""
+runs of many distinct rows and runs of many columns. The oracle quotes a
+CSV cell holding a bare CR, as ``csv.writer`` does from Python 3.13 on and
+earlier versions only where CR ends a line."""
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import tempfile
@@ -24,21 +27,26 @@ from gementropy.cli import _write_report
 BLOCKS = (cli._REPORT_BLOCK, 1, 2, 7)
 
 
+def _csv_line(cells) -> str:
+    """One CSV row as ``csv.writer`` writes it with CRLF line ends, which
+    quotes a cell holding CR or LF on every Python version, ended by LF."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
 def _write_table_oracle(out_dir: Path, name: str, fmt: str, header, rows) -> Path:
     """The row writer as it was: one report from a header and row tuples."""
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         path = out_dir / f"{name}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(
-                [
+            fh.write(_csv_line(header))
+            for row in rows:
+                fh.write(_csv_line(
                     "" if cell is None else f"{cell:.6g}" if isinstance(cell, float) else str(cell)
                     for cell in row
-                ]
-                for row in rows
-            )
+                ))
     else:
         path = out_dir / f"{name}.json"
         records = [dict(zip(header, row)) for row in rows]
@@ -216,6 +224,8 @@ def test_long_runs_renumber_at_the_limit(tmp_path, make):
         (["a", "b", "c"], [np.array([-0.0]), np.array([7], dtype=np.int64), np.array([np.nan])]),
         (["a", "b", "c"], [np.zeros(0), np.zeros(0, np.int64), np.zeros(0)]),
         (["t", "a", "b"], [["x"], np.array([1.5]), np.array([2**63 - 1], dtype=np.int64)]),
+        # a CR in a cell is quoted, whatever the Python version
+        (["label"], [["a\rb", "\r", "a\r\nb", 'a"\rb', "c"]]),
     ],
 )
 def test_edge_tables_match_row_writer(tmp_path, header, columns):
