@@ -208,6 +208,8 @@ def _write_report(out_dir: Path, name: str, fmt: str, columns) -> Path:
 
 def _parse_weights(text: str) -> list[float]:
     try:
+        if "_" in text:  # float alone would take "1_0" as 10
+            raise ValueError
         weights = [float(w) for w in text.split(",") if w.strip()]
     except ValueError:
         raise ValueError(f"--weights expects comma-separated numbers, got {text!r}")

@@ -22,18 +22,20 @@ upper-case code character, or the flag digit), or to a byte with the high
 bit set where it may not stand in that field; one ``translate`` per field
 and block codes the bytes of all its words. The coded word is masked to the
 field's length, and one test of its high bits per row checks every byte of
-the field. Every line
-check runs as one vectorized mask over a block's rows. When a mask fails,
-the scalar validators (:func:`_parse_line`, built on :func:`_validate_code`
-and :func:`parse_flag`) re-run on the block's first failing line alone and
-raise its error, so messages name the file and line.
+the field.
+
+The line grammar is one table of rules in ``_read_block``, each a vectorized
+mask over a block's rows with its error type and message template, in the
+order a line's errors are reported. The first failing line of a block raises
+its field count if it does not hold three fields, or else the first rule set
+on its row, worded from its fields; messages name the file and line.
 
 :func:`group_maps` groups the rows by source code into a :class:`MapTable`:
 maps in first-appearance order, each map's rows in file order, and m, m0 and
 v (the number of valid representations) from segment reductions. The group
 checks (mixed no-match sources, scenario and choice-list numbering) are
-masks too, re-run by the scalar :func:`_make_record` on the first failing
-source.
+masks too; ``_build_maps`` words the first failing map's error from the
+same arrays.
 
 Both tables are sized sequences that build :class:`GemEntry` and
 :class:`MapRecord` objects on access, so per-object code reads them like
@@ -216,47 +218,6 @@ class GemLines(RowTable):
         return (keys == _SENTINEL_KEYS[0]) | (keys == _SENTINEL_KEYS[1])
 
 
-def parse_flag(text: str, filename=None, line=None) -> Flag:
-    """Decode a five-digit flag string.
-
-    Digits are, in order: approximate, no-map, combination, scenario number,
-    choice-list number. All five are ASCII digits and the first three must
-    be 0 or 1.
-    """
-    if len(text) != 5 or not (text.isascii() and text.isdigit()):
-        raise ParseError(
-            f"flag must be exactly 5 digits, got {text!r}", filename, line
-        )
-    digits = [int(c) for c in text]
-    for pos, name in ((0, "approximate"), (1, "no-map"), (2, "combination")):
-        if digits[pos] > 1:
-            raise StructuralError(
-                f"flag digit {pos + 1} ({name}) must be 0 or 1, got {digits[pos]}",
-                filename,
-                line,
-            )
-    approximate, no_map, combination = bool(digits[0]), bool(digits[1]), bool(digits[2])
-    scenario, choice_list = digits[3], digits[4]
-    if no_map and combination:
-        raise StructuralError(
-            f"flag {text!r} sets both no-map and combination", filename, line
-        )
-    if not combination and (scenario != 0 or choice_list != 0):
-        raise StructuralError(
-            f"flag {text!r} has scenario/choice-list digits without the "
-            "combination digit",
-            filename,
-            line,
-        )
-    if combination and (scenario == 0 or choice_list == 0):
-        raise StructuralError(
-            f"flag {text!r} sets combination but scenario or choice list is 0",
-            filename,
-            line,
-        )
-    return Flag(approximate, no_map, combination, scenario, choice_list)
-
-
 def _validate_code(text: str, what: str, filename, line) -> str:
     if not _CODE_RE.fullmatch(text):
         raise ParseError(
@@ -265,36 +226,6 @@ def _validate_code(text: str, what: str, filename, line) -> str:
             line,
         )
     return text.upper()
-
-
-def _parse_line(raw: bytes, filename, line_number) -> GemEntry:
-    """Scalar check of one crosswalk line, in the order errors are reported:
-    field count, source, target, flag, then the flag/target agreement."""
-    fields = [f.decode("utf-8", "replace") for f in raw.split()]
-    if len(fields) != 3:
-        raise ParseError(
-            f"expected 3 fields (source target flag), got {len(fields)}",
-            filename,
-            line_number,
-        )
-    src = _validate_code(fields[0], "source", filename, line_number)
-    tgt = _validate_code(fields[1], "target", filename, line_number)
-    flag = parse_flag(fields[2], filename, line_number)
-    if flag.no_map and tgt not in NO_MATCH_SENTINELS:
-        raise StructuralError(
-            f"no-map flag with a regular target code {tgt!r}",
-            filename,
-            line_number,
-        )
-    if flag.combination and tgt in NO_MATCH_SENTINELS:
-        # No-match sentinels cannot participate in combinations;
-        # flagged rather than silently repaired.
-        raise StructuralError(
-            f"no-match target {tgt!r} carries a combination flag",
-            filename,
-            line_number,
-        )
-    return GemEntry(src, tgt, flag, line_number)
 
 
 def _read_lines(data: bytes, filename) -> GemLines:
@@ -352,28 +283,54 @@ def _read_block(data: bytes, filename, first_line: int) -> tuple[GemLines, int]:
     )
 
     approximate, no_map, comb, scenario, choice = lines.flags.T
-    bad = (
-        (src_len > MAX_CODE)
-        | bad_src
-        | (tgt_len > MAX_CODE)
-        | bad_tgt
-        | (flag_len != 5)
-        | bad_flag
-        | (approximate > 1) | (no_map > 1) | (comb > 1)
-        | ((no_map == 1) & (comb == 1))
-        | ((comb == 0) & ((scenario != 0) | (choice != 0)))
-        | ((comb == 1) & ((scenario == 0) | (choice == 0)))
-    )
     sentinel = lines.sentinel()
-    bad |= ((no_map == 1) & ~sentinel) | ((comb == 1) & sentinel)
+    # the line rules in the order a line's errors are reported: (mask, error
+    # type, message template). A rule is read only where the rules before it
+    # hold; its message is formatted from the line's fields and its
+    # upper-cased target code.
+    rules = (
+        ((src_len > MAX_CODE) | bad_src, ParseError,
+         "source code {source!r} is not 1-8 characters of [A-Z0-9]"),
+        ((tgt_len > MAX_CODE) | bad_tgt, ParseError,
+         "target code {target!r} is not 1-8 characters of [A-Z0-9]"),
+        ((flag_len != 5) | bad_flag, ParseError,
+         "flag must be exactly 5 digits, got {flag!r}"),
+        (approximate > 1, StructuralError,
+         "flag digit 1 (approximate) must be 0 or 1, got {flag[0]}"),
+        (no_map > 1, StructuralError,
+         "flag digit 2 (no-map) must be 0 or 1, got {flag[1]}"),
+        (comb > 1, StructuralError,
+         "flag digit 3 (combination) must be 0 or 1, got {flag[2]}"),
+        ((no_map == 1) & (comb == 1), StructuralError,
+         "flag {flag!r} sets both no-map and combination"),
+        ((comb == 0) & ((scenario != 0) | (choice != 0)), StructuralError,
+         "flag {flag!r} has scenario/choice-list digits without the combination digit"),
+        ((comb == 1) & ((scenario == 0) | (choice == 0)), StructuralError,
+         "flag {flag!r} sets combination but scenario or choice list is 0"),
+        ((no_map == 1) & ~sentinel, StructuralError,
+         "no-map flag with a regular target code {code!r}"),
+        ((comb == 1) & sentinel, StructuralError,
+         "no-match target {code!r} carries a combination flag"),
+    )
+    bad = np.zeros_like(sentinel)
+    for mask, _, _ in rules:
+        bad |= mask
     failed = np.concatenate((line_index[n_tokens != 3], lines.line[bad] - 1))
     if len(failed):
         i = int(failed.min())
         lo = int(breaks[i - 1]) + 1 if i else 0
         hi = int(breaks[i]) if i < len(breaks) else len(data)
         line = first_line + i + 1
-        _parse_line(data[lo:hi], filename, line)
-        raise ParseError("line rejected by the crosswalk grammar", filename, line)
+        fields = [f.decode("utf-8", "replace") for f in data[lo:hi].split()]
+        if len(fields) != 3:
+            raise ParseError(
+                f"expected 3 fields (source target flag), got {len(fields)}", filename, line
+            )
+        row = np.searchsorted(lines.line, i + 1)
+        error, text = next((error, text) for mask, error, text in rules if mask[row])
+        source, target, flag = fields
+        raise error(text.format(source=source, target=target, flag=flag, code=target.upper()),
+                    filename, line)
     lines.line += first_line
     return lines, len(breaks)
 
@@ -399,45 +356,22 @@ def parse_gem_file(source, filename: str | None = None) -> GemLines:
 
 
 def _make_record(source: str, group: Sequence[GemEntry]) -> MapRecord:
-    """One map's record from its entries, running every group check."""
-    no_match = [e for e in group if e.is_no_match]
-    if no_match and len(no_match) != len(group):
-        raise StructuralError(
-            f"source {source} mixes no-match and regular entries",
-            source=source,
-        )
-    if no_match:
+    """The record of a checked group: one map's entries in file order, its
+    stand-alone codes, and its choice lists by scenario, both numbered from
+    1 without gaps."""
+    if any(e.is_no_match for e in group):
         return MapRecord(source, tuple(group), (), (), m=0, m0=0)
-
-    standalone = [e.target for e in group if not e.flag.combination]
-    buckets: dict[tuple[int, int], list[str]] = {}
+    standalone = tuple(e.target for e in group if not e.flag.combination)
+    lists: dict[tuple[int, int], list[str]] = {}
     for e in group:
         if e.flag.combination:
-            key = (e.flag.scenario, e.flag.choice_list)
-            buckets.setdefault(key, []).append(e.target)
-
-    scenario_ids = sorted({s for s, _ in buckets})
-    if scenario_ids and scenario_ids != list(range(1, len(scenario_ids) + 1)):
-        raise StructuralError(
-            f"source {source} has non-contiguous scenario numbers "
-            f"{scenario_ids}",
-            source=source,
-        )
-    scenarios = []
-    for s in scenario_ids:
-        list_ids = sorted({c for sc, c in buckets if sc == s})
-        if list_ids != list(range(1, len(list_ids) + 1)):
-            raise StructuralError(
-                f"source {source} scenario {s} has non-contiguous "
-                f"choice lists {list_ids}",
-                source=source,
-            )
-        scenarios.append(tuple(tuple(buckets[(s, c)]) for c in list_ids))
-
-    m0 = len(standalone)
-    m = m0 + sum(len(cl) for sc in scenarios for cl in sc)
+            lists.setdefault((e.flag.scenario, e.flag.choice_list), []).append(e.target)
+    scenarios: dict[int, list[tuple[str, ...]]] = {}
+    for (s, _), codes in sorted(lists.items()):
+        scenarios.setdefault(s, []).append(tuple(codes))
     return MapRecord(
-        source, tuple(group), tuple(standalone), tuple(scenarios), m=m, m0=m0
+        source, tuple(group), standalone, tuple(map(tuple, scenarios.values())),
+        m=len(group), m0=len(standalone),
     )
 
 
@@ -512,11 +446,20 @@ def _build_maps(lines: GemLines, map_id: np.ndarray, first_row: np.ndarray) -> M
     bad = ~excluded & ((n_no_match > 0) | gap)
     source = lines.sources[first_row].astype(np.uint32).view("U8")[:, 0]
     if bad.any():
+        # the first bad map's error: mixed no-match first, then the numbering
+        # of its scenarios, then of each scenario's choice lists in order
         k = int(np.argmax(bad))
-        _make_record(str(source[k]), lines._rows(rows[map_id[rows] == k]))
-        raise StructuralError(
-            f"source {source[k]} failed a group check", source=str(source[k])
-        )
+        name = str(source[k])
+        if n_no_match[k]:
+            raise StructuralError(f"source {name} mixes no-match and regular entries", source=name)
+        scenarios = scen_keys[scen_map == k]
+        numberings = [(f"source {name} has non-contiguous scenario numbers", scenarios)] + [
+            (f"source {name} scenario {s % 10} has non-contiguous choice lists",
+             keys[keys // 10 == s])
+            for s in scenarios.tolist()
+        ]
+        text, ids = next((text, ids % 10) for text, ids in numberings if ids[-1] % 10 != len(ids))
+        raise StructuralError(f"{text} {ids.tolist()}", source=name)
 
     m = np.where(excluded, 0, sizes)
     m0 = np.where(excluded, 0, sizes - np.bincount(map_id[comb], minlength=n_maps))
@@ -749,6 +692,8 @@ def load_frequencies(source, filename: str | None = None) -> dict[str, float]:
         if code in table:
             raise ParseError(f"duplicate code {code}", filename, line_number)
         try:
+            if "_" in prob:  # float alone would take "0.0_1" as 0.01
+                raise ValueError
             p = float(prob)
         except ValueError:
             raise ParseError(f"probability {prob!r} is not a number", filename, line_number)

@@ -155,7 +155,7 @@ def eigenvector_centrality(
     ``graph.words``, have unit Euclidean norm over the component; words
     outside it score 0.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:  # NaN as well: it fails every comparison
         raise ValueError("tolerance must be positive")
     component = largest_component(graph)
     scores = np.zeros(len(graph.words))

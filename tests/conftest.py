@@ -1,6 +1,6 @@
 """Shared fixtures: the bundled reference map, synthetic map generators,
-tables built from rows, and discovery of the optional 2015 GEM data
-files."""
+crosswalk text strategies, the frozen scalar crosswalk grammar, tables built
+from rows, and discovery of the optional 2015 GEM data files."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import dataclasses
 import io
 import itertools
 import os
+import re
+from collections.abc import Sequence
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
@@ -19,8 +21,8 @@ from hypothesis import strategies as st
 from gementropy import analysis, entropy, gem_io
 from gementropy.analysis import ClassTable
 from gementropy.cli import REFERENCE_MAP_LINES
-from gementropy.errors import GemError
-from gementropy.gem_io import NO_MATCH_SENTINELS, Flag, GemEntry
+from gementropy.errors import GemError, ParseError, StructuralError
+from gementropy.gem_io import NO_MATCH_SENTINELS, Flag, GemEntry, MapRecord
 from gementropy.textnet import WordGraph
 
 CODE_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -148,6 +150,138 @@ def parsed_columns(data: bytes, block: int = gem_io._PARSE_BLOCK):
         (a.dtype, a.shape, a.tobytes())
         for a in (getattr(lines, f.name) for f in dataclasses.fields(lines))
     ]
+
+
+# ---------------------------------------------------------------------------
+# Frozen scalar crosswalk grammar: the per-line and per-map checks that
+# worded the reader's errors before the line rules and group checks of
+# ``gem_io`` did, kept as they were, as the oracle of those error texts
+
+_CODE_RE = re.compile(r"[A-Za-z0-9]{1,8}")
+
+
+def parse_flag(text: str, filename=None, line=None) -> Flag:
+    """Decode a five-digit flag string.
+
+    Digits are, in order: approximate, no-map, combination, scenario number,
+    choice-list number. All five are ASCII digits and the first three must
+    be 0 or 1.
+    """
+    if len(text) != 5 or not (text.isascii() and text.isdigit()):
+        raise ParseError(
+            f"flag must be exactly 5 digits, got {text!r}", filename, line
+        )
+    digits = [int(c) for c in text]
+    for pos, name in ((0, "approximate"), (1, "no-map"), (2, "combination")):
+        if digits[pos] > 1:
+            raise StructuralError(
+                f"flag digit {pos + 1} ({name}) must be 0 or 1, got {digits[pos]}",
+                filename,
+                line,
+            )
+    approximate, no_map, combination = bool(digits[0]), bool(digits[1]), bool(digits[2])
+    scenario, choice_list = digits[3], digits[4]
+    if no_map and combination:
+        raise StructuralError(
+            f"flag {text!r} sets both no-map and combination", filename, line
+        )
+    if not combination and (scenario != 0 or choice_list != 0):
+        raise StructuralError(
+            f"flag {text!r} has scenario/choice-list digits without the "
+            "combination digit",
+            filename,
+            line,
+        )
+    if combination and (scenario == 0 or choice_list == 0):
+        raise StructuralError(
+            f"flag {text!r} sets combination but scenario or choice list is 0",
+            filename,
+            line,
+        )
+    return Flag(approximate, no_map, combination, scenario, choice_list)
+
+
+def _validate_code(text: str, what: str, filename, line) -> str:
+    if not _CODE_RE.fullmatch(text):
+        raise ParseError(
+            f"{what} code {text!r} is not 1-8 characters of [A-Z0-9]",
+            filename,
+            line,
+        )
+    return text.upper()
+
+
+def _parse_line(raw: bytes, filename, line_number) -> GemEntry:
+    """Scalar check of one crosswalk line, in the order errors are reported:
+    field count, source, target, flag, then the flag/target agreement."""
+    fields = [f.decode("utf-8", "replace") for f in raw.split()]
+    if len(fields) != 3:
+        raise ParseError(
+            f"expected 3 fields (source target flag), got {len(fields)}",
+            filename,
+            line_number,
+        )
+    src = _validate_code(fields[0], "source", filename, line_number)
+    tgt = _validate_code(fields[1], "target", filename, line_number)
+    flag = parse_flag(fields[2], filename, line_number)
+    if flag.no_map and tgt not in NO_MATCH_SENTINELS:
+        raise StructuralError(
+            f"no-map flag with a regular target code {tgt!r}",
+            filename,
+            line_number,
+        )
+    if flag.combination and tgt in NO_MATCH_SENTINELS:
+        # No-match sentinels cannot participate in combinations;
+        # flagged rather than silently repaired.
+        raise StructuralError(
+            f"no-match target {tgt!r} carries a combination flag",
+            filename,
+            line_number,
+        )
+    return GemEntry(src, tgt, flag, line_number)
+
+
+def _make_record(source: str, group: Sequence[GemEntry]) -> MapRecord:
+    """One map's record from its entries, running every group check."""
+    no_match = [e for e in group if e.is_no_match]
+    if no_match and len(no_match) != len(group):
+        raise StructuralError(
+            f"source {source} mixes no-match and regular entries",
+            source=source,
+        )
+    if no_match:
+        return MapRecord(source, tuple(group), (), (), m=0, m0=0)
+
+    standalone = [e.target for e in group if not e.flag.combination]
+    buckets: dict[tuple[int, int], list[str]] = {}
+    for e in group:
+        if e.flag.combination:
+            key = (e.flag.scenario, e.flag.choice_list)
+            buckets.setdefault(key, []).append(e.target)
+
+    scenario_ids = sorted({s for s, _ in buckets})
+    if scenario_ids and scenario_ids != list(range(1, len(scenario_ids) + 1)):
+        raise StructuralError(
+            f"source {source} has non-contiguous scenario numbers "
+            f"{scenario_ids}",
+            source=source,
+        )
+    scenarios = []
+    for s in scenario_ids:
+        list_ids = sorted({c for sc, c in buckets if sc == s})
+        if list_ids != list(range(1, len(list_ids) + 1)):
+            raise StructuralError(
+                f"source {source} scenario {s} has non-contiguous "
+                f"choice lists {list_ids}",
+                source=source,
+            )
+        scenarios.append(tuple(tuple(buckets[(s, c)]) for c in list_ids))
+
+    m0 = len(standalone)
+    m = m0 + sum(len(cl) for sc in scenarios for cl in sc)
+    return MapRecord(
+        source, tuple(group), tuple(standalone), tuple(scenarios), m=m, m0=m0
+    )
 
 
 def make_map(rng: np.random.Generator, source: str = "SRC", **kwargs):

@@ -16,11 +16,12 @@ pair keys, the row sort of ``detect_outliers``, the numbered per-row reader
 of ``load_descriptions`` and the per-code match of its one-pass reader, the
 filtered letter runs of ``tokenize``, and the ``np.unique`` counts and
 searchsorted dense rows of the entropy kernel, the ``column_entropies``
-that sent every map through that kernel, and the fancy-indexed tables of
-the crosswalk reader's ``_field``. Parsed and grouped columns,
-crosswalk errors, class assignment, range checks, class sums, class orders
-and average ranks, graphs, components, reports, outlier lists, description
-tables and token lists must match exactly, and taus, centralities and
+that sent every map through that kernel, the fancy-indexed tables of
+the crosswalk reader's ``_field``, and the scalar line and group checks
+(frozen in ``conftest``) that worded the crosswalk errors. Parsed and
+grouped columns, crosswalk errors, class assignment, range checks, class
+sums, class orders and average ranks, graphs, components, reports, outlier
+lists, description tables and token lists must match exactly, and taus, centralities and
 column entropies bit for bit; against the dense power iteration, whose
 sums run in another order, centralities match within 1e-12.
 """
@@ -52,6 +53,8 @@ from gementropy.gem_io import MAX_CODE, UNCLASSIFIED
 from conftest import (
     BAD_LINE,
     LINE_BREAK,
+    _make_record,
+    _parse_line,
     class_rows,
     class_table,
     crosswalk_text,
@@ -131,7 +134,7 @@ def _oracle_read_block(data, filename, first_line):
         lo = int(breaks[i - 1]) + 1 if i else 0
         hi = int(breaks[i]) if i < len(breaks) else len(data)
         line = first_line + i + 1
-        gem_io._parse_line(data[lo:hi], filename, line)
+        _parse_line(data[lo:hi], filename, line)
         raise gem_io.ParseError("line rejected by the crosswalk grammar", filename, line)
     lines.line += first_line
     return lines, len(breaks)
@@ -161,7 +164,7 @@ def _oracle_build_maps(lines, map_id, first_row):
     source = lines.sources[first_row].view("S8")[:, 0].astype("U8")
     if bad.any():
         k = int(np.argmax(bad))
-        gem_io._make_record(str(source[k]), lines._rows(rows[map_id[rows] == k]))
+        _make_record(str(source[k]), lines._rows(rows[map_id[rows] == k]))
         raise StructuralError(f"source {source[k]} failed a group check", source=str(source[k]))
 
     m = np.where(excluded, 0, sizes)
@@ -973,6 +976,102 @@ def test_group_matches_little_endian_keys(lines):
     """The same maps in the same order, or the same error."""
     lines = gem_io.parse_gem_file("\n".join(lines).encode())
     assert _grouped(gem_io.group_maps, lines) == _grouped(_oracle_group_maps, lines)
+
+
+# Tokens of random crosswalk lines: code characters, bytes that are ASCII
+# whitespace (\x0b, \x0c) or not (NUL, \x1c, U+00A0, which ``str.split``
+# takes for a separator), non-ASCII letters that upper-case to ASCII or
+# not, the sentinels, and flags of 4-6 digits, from 0-9 and from 0-2.
+_ALNUM = "0123456789ABCDXYZabcdxyz"
+_TOKEN_CHAR = st.sampled_from(
+    list(_ALNUM) + ["\x00", "\x0b", "\x0c", "\x1c", "\u00a0", "\ufb01", "\u00e9", "-"]
+)
+_CODE_TOKEN = st.one_of(
+    st.text(_ALNUM, min_size=1, max_size=9),
+    st.text(_TOKEN_CHAR, min_size=1, max_size=9),
+    st.sampled_from(["NODX", "nopcs"]),
+)
+_FLAG_TOKEN = st.one_of(
+    st.text("0123456789", min_size=4, max_size=6),
+    st.text("012", min_size=4, max_size=6),
+    st.sampled_from(
+        ["00000", "11000", "10111", "10010", "10001", "10102", "10120", "11100", "20000", "00200"]
+    ),
+)
+# a line that passes the line rules but for its target and flag, from a few
+# sources, so maps of several lines form and may fail a group check
+_SOURCE_POOL = st.sampled_from(["A1", "a1", "B2", "c3"])
+_GEM_LINE = st.one_of(
+    st.builds(
+        "{} {} {}".format,
+        _SOURCE_POOL,
+        st.text(_ALNUM, min_size=1, max_size=8),
+        st.sampled_from(["00000", "10000", "11000", "10111", "00111"]
+                        + ["10112", "10121", "10122", "10113", "10131"]),
+    ),
+    st.builds(
+        "{} {} {}".format,
+        _SOURCE_POOL,
+        st.sampled_from(["NODX", "nopcs"]),
+        st.sampled_from(["11000", "01000", "00000"]),
+    ),
+)
+_ODD_LINE = st.one_of(
+    st.builds("{} {} {}".format, _CODE_TOKEN, _CODE_TOKEN, _FLAG_TOKEN),
+    st.lists(st.one_of(_CODE_TOKEN, _FLAG_TOKEN), max_size=4).map(" ".join),
+)
+
+
+@st.composite
+def _gem_crosswalk(draw):
+    """1-8 lines with LF, CRLF and CR breaks, the last with or without one;
+    at most one line drawn from the odd tokens, the rest from a few maps."""
+    lines = draw(st.lists(st.tuples(_GEM_LINE, LINE_BREAK), max_size=8))
+    if not lines or draw(st.booleans()):
+        odd = draw(st.tuples(_ODD_LINE, LINE_BREAK))
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    text = "".join(line + end for line, end in lines[:8])
+    return (text if draw(st.booleans()) else text.rstrip("\r\n")).encode()
+
+
+def _scalar_outcome(data):
+    """The frozen scalar grammar over a crosswalk: every non-blank line
+    through ``_parse_line``, then every source's entries, in first-appearance
+    order, through ``_make_record``; the entries and records, or the first
+    error's type and text."""
+    try:
+        entries = [
+            _parse_line(raw, "gems.txt", number)
+            for number, raw in enumerate(re.split(rb"\r\n?|\n", data), start=1)
+            if raw.split()
+        ]
+        groups = {}
+        for entry in entries:
+            groups.setdefault(entry.source, []).append(entry)
+        return entries, [_make_record(source, group) for source, group in groups.items()]
+    except GemError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_gem_crosswalk())
+@example(b"X\xc2\xa0Y A1 00000\n")  # one field to the scalar grammar, two to str.split
+@example(b"A1 B2 10112\n")  # a gap in the choice lists
+@example(b"A1 B2 10121\r\nA1 B3 10111\r")  # a gap in the scenarios
+@example(b"A1 NODX 11000\ra1 B2 00000")  # mixed no-match
+def test_crosswalk_errors_match_scalar_grammar(data):
+    """The line rules and group checks read a crosswalk as the frozen scalar
+    grammar does: the same entries and records, or the same error type and
+    text, in blocks of 1 byte and the default."""
+    expected = _scalar_outcome(data)
+    for block in (1, gem_io._PARSE_BLOCK):
+        with mock.patch.object(gem_io, "_PARSE_BLOCK", block):
+            try:
+                lines = gem_io.parse_gem_file(data, "gems.txt")
+                got = list(lines), list(gem_io.group_maps(lines))
+            except GemError as err:
+                got = type(err), str(err)
+        assert got == expected
 
 
 # ---------------------------------------------------------------------------

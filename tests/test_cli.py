@@ -155,6 +155,14 @@ class TestScore:
         )
         assert code == 2
         assert "finite positive" in capsys.readouterr().err
+        # float alone would weigh the first position 10
+        code = _run(
+            ["score", "--gems", workspace / "gems.txt", "--out", workspace,
+             "--weights", "1_0,2"]
+        )
+        assert code == 2
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first == "error: --weights expects comma-separated numbers, got '1_0,2'"
 
     def test_frequency_adjustment(self, workspace):
         (workspace / "freq.csv").write_text(

@@ -20,13 +20,13 @@ from gementropy.gem_io import (
     load_class_defs,
     load_descriptions,
     load_frequencies,
-    parse_flag,
     parse_gem_file,
 )
 
 from conftest import (
     BAD_LINE,
     LINE_BREAK,
+    _parse_line,
     crosswalk_text,
     gem_line,
     gem_lines,
@@ -47,23 +47,39 @@ def _classes(rows):
     return load_class_defs(io.StringIO("low,high,label\n" + "".join(rows)))
 
 
+def _flag(text, filename=None, lines=()):
+    """The flag of a one-line crosswalk ``X A1 <text>`` (``X NODX <text>``
+    for a no-map flag), after ``lines`` of a good map."""
+    target = "NODX" if text[1:2] == "1" else "A1"
+    data = "".join(f"{line}\n" for line in lines) + f"X {target} {text}\n"
+    return parse_gem_file(data.encode(), filename)[len(lines)].flag
+
+
 class TestParseFlag:
     def test_approximate_one_to_one(self):
-        assert parse_flag("10000") == Flag(True, False, False, 0, 0)
+        assert _flag("10000") == Flag(True, False, False, 0, 0)
 
     def test_exact_one_to_one(self):
-        assert parse_flag("00000") == Flag(False, False, False, 0, 0)
+        assert _flag("00000") == Flag(False, False, False, 0, 0)
 
     def test_combination(self):
-        assert parse_flag("10112") == Flag(True, False, True, 1, 2)
+        assert _flag("10112") == Flag(True, False, True, 1, 2)
 
     def test_no_map(self):
-        assert parse_flag("11000") == Flag(True, True, False, 0, 0)
+        assert _flag("11000") == Flag(True, True, False, 0, 0)
 
     @pytest.mark.parametrize("text", ["1000", "100000", "1000x", "", "1 000", "1011\u0661"])
     def test_malformed_text(self, text):
-        with pytest.raises(ParseError):
-            parse_flag(text)
+        # an empty flag or one holding a space changes the line's field count
+        fields = {"": 2, "1 000": 4}
+        message = (
+            f"expected 3 fields (source target flag), got {fields[text]}"
+            if text in fields
+            else f"flag must be exactly 5 digits, got {text!r}"
+        )
+        with pytest.raises(ParseError) as err:
+            _flag(text)
+        assert str(err.value) == f"1: {message}"
 
     @pytest.mark.parametrize(
         "text",
@@ -77,12 +93,22 @@ class TestParseFlag:
         ],
     )
     def test_invariant_violations(self, text):
-        with pytest.raises(StructuralError):
-            parse_flag(text)
+        message = {
+            "20000": "flag digit 1 (approximate) must be 0 or 1, got 2",
+            "10010": "flag '10010' has scenario/choice-list digits without the combination digit",
+            "10001": "flag '10001' has scenario/choice-list digits without the combination digit",
+            "10102": "flag '10102' sets combination but scenario or choice list is 0",
+            "10120": "flag '10120' sets combination but scenario or choice list is 0",
+            "11100": "flag '11100' sets both no-map and combination",
+        }[text]
+        with pytest.raises(StructuralError) as err:
+            _flag(text)
+        assert str(err.value) == f"1: {message}"
 
     def test_error_carries_line_context(self):
-        with pytest.raises(ParseError, match=r"crosswalk\.txt:17"):
-            parse_flag("999", filename="crosswalk.txt", line=17)
+        with pytest.raises(ParseError) as err:
+            _flag("999", "crosswalk.txt", [f"X A{i} 00000" for i in range(16)])
+        assert str(err.value) == "crosswalk.txt:17: flag must be exactly 5 digits, got '999'"
 
 
 class TestParseGemFile:
@@ -205,7 +231,7 @@ class TestAsciiGrammar:
                 "flag": b"X A1 1011" + byte,
             }[field]
             try:
-                want = [gem_io._parse_line(line, "gems.txt", 1)]
+                want = [_parse_line(line, "gems.txt", 1)]
             except GemError:
                 want = None
             try:
@@ -588,6 +614,11 @@ class TestSideTables:
     def test_frequency_not_a_number(self):
         with pytest.raises(ParseError):
             load_frequencies(io.StringIO("code,probability\n0052,often\n"))
+        # float alone reads PEP 515 underscores: "0.0_1" as 0.01, "1_0e-1" as 1.0
+        for prob in ("0.0_1", "1_0e-1"):
+            with pytest.raises(ParseError) as err:
+                load_frequencies(io.StringIO(f"code,probability\n0052,{prob}\n"), "f.csv")
+            assert str(err.value) == f"f.csv:2: probability '{prob}' is not a number"
 
     def test_duplicate_frequency_code(self):
         text = "code,probability\n86,0.5\n86,0.25\n"

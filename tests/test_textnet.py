@@ -187,6 +187,10 @@ class TestEigenvectorCentrality:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             eigenvector_centrality(EMPTY, tolerance=0.0)
+        # NaN fails every comparison: it would run the whole iteration budget
+        g = build_cooccurrence_graph([["a", "b"], ["b", "c"]])
+        with pytest.raises(ValueError, match="^tolerance must be positive$"):
+            eigenvector_centrality(g, tolerance=float("nan"))
 
     def test_empty_graph(self):
         assert eigenvector_centrality(EMPTY) == {}
