@@ -41,7 +41,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import GemError
+from .errors import GemError, parse_number
 
 if TYPE_CHECKING:
     from . import analysis, entropy
@@ -208,9 +208,7 @@ def _write_report(out_dir: Path, name: str, fmt: str, columns) -> Path:
 
 def _parse_weights(text: str) -> list[float]:
     try:
-        if "_" in text:  # float alone would take "1_0" as 10
-            raise ValueError
-        weights = [float(w) for w in text.split(",") if w.strip()]
+        weights = [parse_number(w) for w in text.split(",") if w.strip()]
     except ValueError:
         raise ValueError(f"--weights expects comma-separated numbers, got {text!r}")
     if not weights:
@@ -368,11 +366,10 @@ def _read_rank_file(path: str) -> analysis.RankTable:
     for where, record in located:
         try:
             class_id, score = record["class_id"], record["score"]
-            # a JSON score is a number, not a bool or a string; a CSV cell
-            # is read by float, which alone would also take "1_0" as 10
-            if (type(score) not in (int, float)) if is_json else ("_" in score):
+            # a JSON score is a number, not a bool or a string
+            if is_json and type(score) not in (int, float):
                 raise ValueError
-            score = float(score)
+            score = float(score) if is_json else parse_number(score)
         except (KeyError, TypeError, ValueError, OverflowError):
             raise GemError(f"{path}{where}: needs a class_id and a numeric score") from None
         if not isinstance(class_id, str):
@@ -554,6 +551,8 @@ def _add_outlier_options(parser):
         default="z_alpha",
         help="normalized measure to scan",
     )
+    # type=float reads with parse_number; argparse still says "invalid float value"
+    parser.register("type", float, parse_number)
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--threshold", type=float, help="keep scores strictly above")
     group.add_argument(

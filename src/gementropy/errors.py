@@ -1,4 +1,5 @@
-"""Exception types raised while parsing crosswalks and computing scores."""
+"""Exception types raised while parsing crosswalks and computing scores, and
+the one reader of numbers in user input."""
 
 
 class GemError(Exception):
@@ -52,3 +53,11 @@ class ConvergenceError(GemError):
             f"eigenvector centrality did not converge after {iterations} "
             f"iterations (residual {residual:.3e})"
         )
+
+
+def parse_number(text: str) -> float:
+    """``float(text)`` for ASCII text without ``_``, else a ValueError: float
+    alone reads ``1_0`` as 10 and non-ASCII digits (``０.５`` as 0.5)."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)

@@ -45,9 +45,12 @@ The grammar is ASCII: codes are 1-8 characters of [A-Za-z0-9] (upper-cased),
 flags are 5 ASCII digits, fields are separated by ASCII whitespace, lines
 end at LF, CRLF or CR, and a leading UTF-8 byte order mark is skipped.
 
-Also here: the CSV side tables. Class ranges load into a :class:`ClassRanges`
-table of sorted code intervals, whose one sweep both rejects overlapping
-classes and assigns codes; descriptions and frequencies load into dicts.
+Also here: the CSV side tables, each read once into cell columns by
+:func:`_read_table` and checked by one table of rules as a block's lines are,
+code columns through ``_CODE_BYTE``. Class ranges load into a
+:class:`ClassRanges` table of sorted code intervals, whose one sweep both
+rejects overlapping classes and assigns codes; descriptions and frequencies
+load into dicts.
 """
 
 from __future__ import annotations
@@ -58,12 +61,14 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ParseError, StructuralError
+from .errors import ParseError, StructuralError, parse_number
 
 MAX_CODE = 8
 
@@ -72,8 +77,6 @@ NO_MATCH_SENTINELS = frozenset({"NODX", "NOPCS"})
 
 UNCLASSIFIED = "unclassified"
 
-_CODE_RE = re.compile(r"[A-Za-z0-9]{1,8}")
-_CODE_LINES_RE = re.compile(f"{_CODE_RE.pattern}(?:\n{_CODE_RE.pattern})*")  # codes a line each
 _BOM = b"\xef\xbb\xbf"
 _LINE_BREAK = re.compile(rb"\r\n?|\n")
 # Bytes per parse block: a block's working arrays peak at about 11 bytes per
@@ -218,16 +221,6 @@ class GemLines(RowTable):
         return (keys == _SENTINEL_KEYS[0]) | (keys == _SENTINEL_KEYS[1])
 
 
-def _validate_code(text: str, what: str, filename, line) -> str:
-    if not _CODE_RE.fullmatch(text):
-        raise ParseError(
-            f"{what} code {text!r} is not 1-8 characters of [A-Z0-9]",
-            filename,
-            line,
-        )
-    return text.upper()
-
-
 def _read_lines(data: bytes, filename) -> GemLines:
     """Split, validate and encode a crosswalk (see the module docstring for
     the grammar) a block at a time. A block ends just after the first line
@@ -327,10 +320,9 @@ def _read_block(data: bytes, filename, first_line: int) -> tuple[GemLines, int]:
                 f"expected 3 fields (source target flag), got {len(fields)}", filename, line
             )
         row = np.searchsorted(lines.line, i + 1)
-        error, text = next((error, text) for mask, error, text in rules if mask[row])
         source, target, flag = fields
-        raise error(text.format(source=source, target=target, flag=flag, code=target.upper()),
-                    filename, line)
+        _raise_rule(rules, row, filename, line,
+                    source=source, target=target, flag=flag, code=target.upper())
     lines.line += first_line
     return lines, len(breaks)
 
@@ -495,63 +487,96 @@ def group_maps(lines: GemLines) -> MapTable:
     return _build_maps(lines, rank[inverse.reshape(-1)], first[order])
 
 
-def _read_csv(source, filename, expected_header):
-    """(filename, [(line, stripped cells)]) of a side table's non-blank rows,
-    each numbered by the line it starts on. ``source`` is a path, bytes or a
-    text stream; undecodable bytes and malformed CSV raise a ParseError."""
+def _read_table(source, filename, header):
+    """(filename, stripped cell columns, first line of each row) of a side
+    table's non-blank rows, read once from a path, bytes or a text stream.
+    Undecodable bytes, another header, malformed CSV and a row of another
+    column count raise a ParseError, a read error after the rows before it."""
     if isinstance(source, (str, Path)):
-        filename = filename or str(source)
-        source = Path(source).read_bytes()
+        filename, source = filename or str(source), Path(source).read_bytes()
     if isinstance(source, (bytes, bytearray)):
         try:
             source = io.StringIO(bytes(source).decode("utf-8-sig"), newline="")
         except UnicodeDecodeError as exc:
             data, at = exc.object, exc.start  # past a BOM, if one was skipped
-            raise ParseError(
-                f"not UTF-8: {exc.reason} (byte 0x{data[at]:02x})",
-                filename,
-                data.count(b"\n", 0, at) + 1,
-            ) from None
+            raise ParseError(f"not UTF-8: {exc.reason} (byte 0x{data[at]:02x})",
+                             filename, data.count(b"\n", 0, at) + 1) from None
     reader = csv.reader(source)
-    start = 1
+    rows, lines, failure = [], [1], None  # lines[i]: the first line of row i
     try:
-        header = next(reader, None)
-        if header is None:
+        got = next(reader, None)
+        if got is None:
             raise ParseError("file is empty, expected a header row", filename, 1)
-        got = [h.strip().lower() for h in header]
-        if got != list(expected_header):
-            raise ParseError(
-                f"expected header {','.join(expected_header)!r}, got "
-                f"{','.join(header)!r}",
-                filename,
-                1,
-            )
-        rows = []
-        start = reader.line_num + 1
+        if [h.strip().lower() for h in got] != list(header):
+            raise ParseError(f"expected header {','.join(header)!r}, got {','.join(got)!r}",
+                             filename, 1)
+        lines[0] = reader.line_num + 1
         for row in reader:
-            if row and any(cell.strip() for cell in row):
-                if len(row) != len(expected_header):
-                    raise ParseError(
-                        f"expected {len(expected_header)} columns, got {len(row)}",
-                        filename,
-                        start,
-                    )
-                rows.append((start, [cell.strip() for cell in row]))
-            start = reader.line_num + 1
+            rows.append(row)
+            lines.append(reader.line_num + 1)
     except csv.Error as exc:
-        raise ParseError(str(exc), filename, start) from None
+        failure = ParseError(str(exc), filename, lines[-1])
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8: {exc.reason}", filename) from None
-    return filename, rows
+        failure = ParseError(f"not UTF-8: {exc.reason}", filename)
+    size = np.fromiter(map(len, rows), np.intp, len(rows))
+    odd = np.flatnonzero(size != len(header)).tolist()
+    for i in odd:
+        if any(cell.strip() for cell in rows[i]):
+            raise ParseError(f"expected {len(header)} columns, got {size[i]}", filename, lines[i])
+    if failure:
+        raise failure
+    if odd:  # blank rows of another size
+        rows, lines = (list(compress(c, size == len(header))) for c in (rows, lines))
+    columns = [list(map(str.strip, map(itemgetter(j), rows))) for j in range(len(header))]
+    if "" in columns[0]:  # a blank row's first cell is empty
+        filled = list(map(any, zip(*columns)))
+        columns, lines = [list(compress(c, filled)) for c in columns], list(compress(lines, filled))
+    return filename, columns, lines[: len(columns[0])]  # not the line after the last row
 
 
-def _range_interval(low: str, high: str) -> tuple[bytes, bytes]:
-    """The closed interval of 8-character codes a class range covers: [low
-    padded with '0', high padded with '0' to the longer bound's length k,
-    then with 'Z']. A code's first k characters ('0'-padded) lie between the
-    bounds '0'-padded to k exactly when the code, '0'-padded, lies in it."""
-    k = max(len(low), len(high))
-    return low.ljust(MAX_CODE, "0").encode(), high.ljust(k, "0").ljust(MAX_CODE, "Z").encode()
+def _raise_rule(rules, row: int, filename, line, **fields):
+    """Raise the error of the first of ``rules``, each a (mask, error type,
+    message template), set on ``row``, worded from the row's ``fields``."""
+    error, text = next((error, text) for mask, error, text in rules if mask[row])
+    raise error(text.format(**fields), filename, line)
+
+
+def _check_rows(rules, filename, lines, **columns) -> None:
+    """Raise the error of the first row that breaks one of ``rules``, in the
+    order a row's errors are reported, worded from its cells of ``columns``."""
+    bad = np.logical_or.reduce([mask for mask, _, _ in rules])
+    if bad.any():
+        row = int(np.argmax(bad))
+        _raise_rule(rules, row, filename, lines[row], **{k: c[row] for k, c in columns.items()})
+
+
+def _codes(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Code cells as the crosswalk's fields (rows of 8 bytes, upper-cased,
+    NUL-padded), and where a cell is not 1-8 characters of [A-Za-z0-9]; a
+    character past ASCII reads as 0x80, which the code table rejects."""
+    length = np.fromiter(map(len, cells), np.int64, len(cells))
+    chars = np.array(cells, f"U{MAX_CODE}").view(np.uint32).reshape(-1, MAX_CODE)
+    codes, bad = _field(np.minimum(chars, 0x80).astype(np.uint8).view("<u8"), length, _CODE_BYTE)
+    return codes, bad | (length == 0) | (length > MAX_CODE)
+
+
+def _padded(codes: np.ndarray, width) -> np.ndarray:
+    """NUL-padded codes (``S8``, or rows of 8 bytes) as big-endian words,
+    which order as the codes do, each NUL before ``width`` made '0', after it 'Z'."""
+    rows = np.ascontiguousarray(codes).view(np.uint8).reshape(-1, MAX_CODE)
+    fill = np.where(np.arange(MAX_CODE) < np.reshape(width, (-1, 1)), ord("0"), ord("Z"))
+    return np.where(rows == 0, fill, rows).astype(np.uint8).view(">u8")[:, 0]
+
+
+def _keyed_rules(cells: list[str], what: str) -> tuple:
+    """The rules of a table keyed by code: a code cell is a code, and no code
+    (upper-cased) repeats one of an earlier row."""
+    codes, bad = _codes(cells)
+    repeat = np.ones(len(cells), dtype=bool)
+    # first rows; big-endian words keep a sorted table sorted (a linear sort)
+    repeat[np.unique(codes.view(">u8")[:, 0], return_index=True)[1]] = False
+    return ((bad, ParseError, what + " code {cell!r} is not 1-8 characters of [A-Z0-9]"),
+            (repeat, ParseError, "duplicate code {code}"))
 
 
 class ClassRanges:
@@ -559,10 +584,10 @@ class ClassRanges:
     its length is the class count.
 
     ``ids`` and ``labels`` follow each label's first row. ``lows`` and
-    ``highs`` are the padded bounds (:func:`_range_interval`) as big-endian
-    words and ``classes`` their class indices, behind an interval [0, 0] of
-    class -1 below every code. ``top[j]`` is the highest bound of intervals
-    0..j and ``holder[j]`` the last of them to reach it.
+    ``highs`` are the padded range bounds (:func:`load_class_defs`) as words
+    and ``classes`` their class indices, behind an interval [0, 0] of class
+    -1 below every code. ``top[j]`` is the highest bound of intervals 0..j
+    and ``holder[j]`` the last of them to reach it.
     """
 
     def __init__(self, ids: list[str], labels: list[str], lows, highs, classes):
@@ -579,50 +604,52 @@ def load_class_defs(source, filename: str | None = None) -> ClassRanges:
     """Load clinical classes from `low,high,label` CSV rows into a
     :class:`ClassRanges`.
 
-    Rows sharing a label merge into one class with several ranges. Ranges of
-    different classes must not overlap: no code may lie in both ranges'
-    intervals. An interval overlaps one of another class exactly when it
-    starts at or below the ``top`` before it and the ``holder`` of that
-    bound is of another class. The error names the first such interval in
-    the table's order and that holder, the pair meeting at the lowest code
-    two classes share, on the later of their two lines.
+    A range covers [low padded with '0', high padded with '0' to the longer
+    bound's length k, then with 'Z']: a code's first k characters
+    ('0'-padded) lie between the bounds '0'-padded to k exactly when the
+    code, '0'-padded, lies in it. Rows sharing a label merge into one class.
+    Ranges of different classes must not overlap: an interval overlaps one of
+    another class exactly when it starts at or below the ``top`` before it
+    and the ``holder`` of that bound is of another class. The error names the
+    first such interval in the table's order and that holder, the pair
+    meeting at the lowest code two classes share, on the later line.
     """
-    filename, rows = _read_csv(source, filename, ("low", "high", "label"))
-    by_label: dict[str, tuple[int, list[str]]] = {}  # class index, "low-high" ranges
-    ranges = [(b"", b"", -1)]  # [0, 0], then (low, high, class, line, range) per row
-    for line_number, (low, high, label) in rows:
-        low = _validate_code(low, "range low", filename, line_number)
-        high = _validate_code(high, "range high", filename, line_number)
-        interval = _range_interval(low, high)
-        if interval[0] > interval[1]:
-            raise StructuralError(
-                f"range low {low!r} exceeds high {high!r} after padding",
-                filename,
-                line_number,
-            )
-        if not label:
-            raise ParseError("class label is empty", filename, line_number)
-        k, names = by_label.setdefault(label, (len(by_label), []))
-        names.append(f"{low}-{high}")
-        ranges.append((*interval, k, line_number, (low, high)))
+    filename, (low_cells, high_cells, labels), lines = _read_table(
+        source, filename, ("low", "high", "label"))
+    (low_codes, bad_low), (high_codes, bad_high) = _codes(low_cells), _codes(high_cells)
+    # a code's length is its count of non-NUL bytes
+    width = np.maximum(np.count_nonzero(low_codes, axis=1), np.count_nonzero(high_codes, axis=1))
+    lows, highs = _padded(low_codes, MAX_CODE), _padded(high_codes, width)
+    low, high = list(map(str.upper, low_cells)), list(map(str.upper, high_cells))
+    _check_rows((
+        (bad_low, ParseError, "range low code {low_cell!r} is not 1-8 characters of [A-Z0-9]"),
+        (bad_high, ParseError, "range high code {high_cell!r} is not 1-8 characters of [A-Z0-9]"),
+        (lows > highs, StructuralError, "range low {low!r} exceeds high {high!r} after padding"),
+        (np.fromiter(map(len, labels), np.intp, len(labels)) == 0, ParseError,
+         "class label is empty"),
+    ), filename, lines, low_cell=low_cells, high_cell=high_cells, low=low, high=high)
 
-    ranges.sort()
-    words = np.array([r[:2] for r in ranges], dtype="S8").view(">u8")
-    table = ClassRanges(
-        ["+".join(names) for _, names in by_label.values()], list(by_label),
-        words[:, 0], words[:, 1], np.array([r[2] for r in ranges]),
-    )
+    index = dict(zip(dict.fromkeys(labels), count()))
+    classes = np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
+    # each class's "low-high" ranges in row order joined by '+': one join in
+    # class order, cut after each class's last range (codes hold no '\n')
+    by_class = np.argsort(classes, kind="stable")
+    cut = np.where(np.append(np.diff(classes[by_class]) != 0, True), "\n", "+").tolist()
+    ranges = (np.array(c, object)[by_class] for c in (low, high))
+    ids = "".join(map("{}-{}{}".format, *ranges, cut)).split("\n")[:-1]
+    order = np.lexsort((classes, highs, lows))
+    zero = np.zeros(1, lows.dtype)  # [0, 0] sorts first
+    table = ClassRanges(ids, list(index), np.concatenate((zero, lows[order])),
+                        np.concatenate((zero, highs[order])), np.append(-1, classes[order]))
     top, k = table.top, table.classes
     clash = np.flatnonzero((table.lows[1:] <= top[:-1]) & (k[1:] != k[table.holder[:-1]]))
     if len(clash):
-        pair = (table.holder[clash[0]], clash[0] + 1)
-        (a, line_a, ra), (b, line_b, rb) = sorted(ranges[j][2:] for j in pair)
-        raise StructuralError(
-            f"class {table.ids[a]!r} ({table.labels[a]}) overlaps class "
-            f"{table.ids[b]!r} ({table.labels[b]}) on ranges {ra} and {rb}",
-            filename,
-            max(line_a, line_b),
-        )
+        pair = order[[table.holder[clash[0]] - 1, clash[0]]].tolist()
+        (a, line_a, ra), (b, line_b, rb) = sorted((classes[j], lines[j], (low[j], high[j]))
+                                                  for j in pair)
+        raise StructuralError(f"class {table.ids[a]!r} ({table.labels[a]}) overlaps class "
+                              f"{table.ids[b]!r} ({table.labels[b]}) on ranges {ra} and {rb}",
+                              filename, max(line_a, line_b))
     return table
 
 
@@ -632,74 +659,38 @@ def assign_classes(codes: Sequence[str], table: ClassRanges) -> np.ndarray:
 
     A range covers a code when the code, upper-cased and right-padded with
     '0' to 8 characters, lies in the range's interval (see
-    :func:`_range_interval`). Codes are alphanumeric. One ``searchsorted``
+    :func:`load_class_defs`). Codes are alphanumeric. One ``searchsorted``
     finds each code's last interval starting at or below it; the code lies
     in a class exactly when ``top`` there reaches it: in the ``holder``'s.
     """
-    keys = np.array([code.upper().ljust(MAX_CODE, "0") for code in codes], dtype="S8").view(">u8")
+    keys = _padded(np.array([code.upper() for code in codes], "S8"), MAX_CODE)
     at = np.searchsorted(table.lows, keys, "right") - 1
     return np.where(keys <= table.top[at], table.classes[table.holder[at]], len(table))
 
 
-def _well_formed_descriptions(data: bytes) -> dict[str, str] | None:
-    """The table of a description file that passes every check, read in one
-    pass without line numbers; None if any check fails."""
-    try:  # a decode error is a ValueError, and so is a file without a header
-        header, *rows = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
-    except (ValueError, csv.Error):
-        return None
-    rows = [row for row in rows if row]
-    if [h.strip().lower() for h in header] != ["code", "description"] or set(map(len, rows)) - {2}:
-        return None
-    codes = [row[0].strip() for row in rows]
-    # one match over the codes a line each; a quoted newline in a cell adds a
-    # line, so the line count must be the code count
-    joined = "\n".join(codes)
-    if codes and not (_CODE_LINES_RE.fullmatch(joined) and joined.count("\n") == len(codes) - 1):
-        return None  # a blank row fails here too
-    table = dict(zip(map(str.upper, codes), [row[1].strip() for row in rows]))
-    return table if len(table) == len(codes) else None
-
-
 def load_descriptions(source, filename: str | None = None) -> dict[str, str]:
-    """Load a `code,description` CSV into a lookup table.
+    """Load a `code,description` CSV into a lookup table by upper-cased code."""
+    filename, (cells, descriptions), lines = _read_table(source, filename, ("code", "description"))
+    codes = list(map(str.upper, cells))
+    _check_rows(_keyed_rules(cells, "described"), filename, lines, cell=cells, code=codes)
+    return dict(zip(codes, descriptions))
 
-    A path or bytes is checked in one pass; if a check fails (or for a text
-    stream), the numbered row reader runs instead and names the failing line.
-    """
-    if isinstance(source, (str, Path)):
-        filename, source = filename or str(source), Path(source).read_bytes()
-    if isinstance(source, (bytes, bytearray)):
-        table = _well_formed_descriptions(bytes(source))
-        if table is not None:
-            return table
-    filename, rows = _read_csv(source, filename, ("code", "description"))
-    table: dict[str, str] = {}
-    for line_number, (code, description) in rows:
-        code = _validate_code(code, "described", filename, line_number)
-        if code in table:
-            raise ParseError(f"duplicate code {code}", filename, line_number)
-        table[code] = description
-    return table
+
+def _number_or_none(text: str) -> float | None:
+    try:
+        return parse_number(text)
+    except ValueError:
+        return None
 
 
 def load_frequencies(source, filename: str | None = None) -> dict[str, float]:
     """Load a `code,probability` CSV; every probability must lie in [0, 1]."""
-    filename, rows = _read_csv(source, filename, ("code", "probability"))
-    table: dict[str, float] = {}
-    for line_number, (code, prob) in rows:
-        code = _validate_code(code, "frequency", filename, line_number)
-        if code in table:
-            raise ParseError(f"duplicate code {code}", filename, line_number)
-        try:
-            if "_" in prob:  # float alone would take "0.0_1" as 0.01
-                raise ValueError
-            p = float(prob)
-        except ValueError:
-            raise ParseError(f"probability {prob!r} is not a number", filename, line_number)
-        if not 0.0 <= p <= 1.0:
-            raise ParseError(
-                f"probability {p} outside [0, 1]", filename, line_number
-            )
-        table[code] = p
-    return table
+    filename, (cells, probs), lines = _read_table(source, filename, ("code", "probability"))
+    codes, numbers = list(map(str.upper, cells)), list(map(_number_or_none, probs))
+    p = np.array(numbers, dtype=float)  # None reads NaN
+    rules = _keyed_rules(cells, "frequency") + (
+        (np.equal(numbers, None), ParseError, "probability {prob!r} is not a number"),
+        (~((p >= 0.0) & (p <= 1.0)), ParseError, "probability {p} outside [0, 1]"),
+    )
+    _check_rows(rules, filename, lines, cell=cells, code=codes, prob=probs, p=numbers)
+    return dict(zip(codes, numbers))

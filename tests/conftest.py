@@ -1,9 +1,11 @@
 """Shared fixtures: the bundled reference map, synthetic map generators,
-crosswalk text strategies, the frozen scalar crosswalk grammar, tables built
-from rows, and discovery of the optional 2015 GEM data files."""
+crosswalk text strategies, the frozen scalar crosswalk grammar, the frozen
+side-table loaders, tables built from rows, and discovery of the optional
+2015 GEM data files."""
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io
 import itertools
@@ -22,7 +24,14 @@ from gementropy import analysis, entropy, gem_io
 from gementropy.analysis import ClassTable
 from gementropy.cli import REFERENCE_MAP_LINES
 from gementropy.errors import GemError, ParseError, StructuralError
-from gementropy.gem_io import NO_MATCH_SENTINELS, Flag, GemEntry, MapRecord
+from gementropy.gem_io import (
+    MAX_CODE,
+    NO_MATCH_SENTINELS,
+    ClassRanges,
+    Flag,
+    GemEntry,
+    MapRecord,
+)
 from gementropy.textnet import WordGraph
 
 CODE_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -282,6 +291,151 @@ def _make_record(source: str, group: Sequence[GemEntry]) -> MapRecord:
     return MapRecord(
         source, tuple(group), tuple(standalone), tuple(scenarios), m=m, m0=m0
     )
+
+
+# ---------------------------------------------------------------------------
+# Frozen side-table loaders: the numbered row reader, the per-cell code check
+# and per-row loops that read the class, description and frequency tables
+# before one reader and column checks did, kept as they were, as the oracle
+# of those tables and error texts. ``load_descriptions`` is kept without its
+# one-pass reader of well-formed files, which gave the same table as this
+# numbered path (its own differential test checked that) or handed over to
+# it.
+
+
+def _read_csv(source, filename, expected_header):
+    """(filename, [(line, stripped cells)]) of a side table's non-blank rows,
+    each numbered by the line it starts on. ``source`` is a path, bytes or a
+    text stream; undecodable bytes and malformed CSV raise a ParseError."""
+    if isinstance(source, (str, Path)):
+        filename = filename or str(source)
+        source = Path(source).read_bytes()
+    if isinstance(source, (bytes, bytearray)):
+        try:
+            source = io.StringIO(bytes(source).decode("utf-8-sig"), newline="")
+        except UnicodeDecodeError as exc:
+            data, at = exc.object, exc.start  # past a BOM, if one was skipped
+            raise ParseError(
+                f"not UTF-8: {exc.reason} (byte 0x{data[at]:02x})",
+                filename,
+                data.count(b"\n", 0, at) + 1,
+            ) from None
+    reader = csv.reader(source)
+    start = 1
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("file is empty, expected a header row", filename, 1)
+        got = [h.strip().lower() for h in header]
+        if got != list(expected_header):
+            raise ParseError(
+                f"expected header {','.join(expected_header)!r}, got "
+                f"{','.join(header)!r}",
+                filename,
+                1,
+            )
+        rows = []
+        start = reader.line_num + 1
+        for row in reader:
+            if row and any(cell.strip() for cell in row):
+                if len(row) != len(expected_header):
+                    raise ParseError(
+                        f"expected {len(expected_header)} columns, got {len(row)}",
+                        filename,
+                        start,
+                    )
+                rows.append((start, [cell.strip() for cell in row]))
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(str(exc), filename, start) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason}", filename) from None
+    return filename, rows
+
+
+def _range_interval(low: str, high: str) -> tuple[bytes, bytes]:
+    """The closed interval of 8-character codes a class range covers: [low
+    padded with '0', high padded with '0' to the longer bound's length k,
+    then with 'Z']. A code's first k characters ('0'-padded) lie between the
+    bounds '0'-padded to k exactly when the code, '0'-padded, lies in it."""
+    k = max(len(low), len(high))
+    return low.ljust(MAX_CODE, "0").encode(), high.ljust(k, "0").ljust(MAX_CODE, "Z").encode()
+
+
+def load_class_defs(source, filename: str | None = None) -> ClassRanges:
+    """Load clinical classes from `low,high,label` CSV rows into a
+    :class:`ClassRanges`, rejecting overlapping classes."""
+    filename, rows = _read_csv(source, filename, ("low", "high", "label"))
+    by_label: dict[str, tuple[int, list[str]]] = {}  # class index, "low-high" ranges
+    ranges = [(b"", b"", -1)]  # [0, 0], then (low, high, class, line, range) per row
+    for line_number, (low, high, label) in rows:
+        low = _validate_code(low, "range low", filename, line_number)
+        high = _validate_code(high, "range high", filename, line_number)
+        interval = _range_interval(low, high)
+        if interval[0] > interval[1]:
+            raise StructuralError(
+                f"range low {low!r} exceeds high {high!r} after padding",
+                filename,
+                line_number,
+            )
+        if not label:
+            raise ParseError("class label is empty", filename, line_number)
+        k, names = by_label.setdefault(label, (len(by_label), []))
+        names.append(f"{low}-{high}")
+        ranges.append((*interval, k, line_number, (low, high)))
+
+    ranges.sort()
+    words = np.array([r[:2] for r in ranges], dtype="S8").view(">u8")
+    table = ClassRanges(
+        ["+".join(names) for _, names in by_label.values()], list(by_label),
+        words[:, 0], words[:, 1], np.array([r[2] for r in ranges]),
+    )
+    top, k = table.top, table.classes
+    clash = np.flatnonzero((table.lows[1:] <= top[:-1]) & (k[1:] != k[table.holder[:-1]]))
+    if len(clash):
+        pair = (table.holder[clash[0]], clash[0] + 1)
+        (a, line_a, ra), (b, line_b, rb) = sorted(ranges[j][2:] for j in pair)
+        raise StructuralError(
+            f"class {table.ids[a]!r} ({table.labels[a]}) overlaps class "
+            f"{table.ids[b]!r} ({table.labels[b]}) on ranges {ra} and {rb}",
+            filename,
+            max(line_a, line_b),
+        )
+    return table
+
+
+def load_descriptions(source, filename: str | None = None) -> dict[str, str]:
+    """Load a `code,description` CSV into a lookup table."""
+    filename, rows = _read_csv(source, filename, ("code", "description"))
+    table: dict[str, str] = {}
+    for line_number, (code, description) in rows:
+        code = _validate_code(code, "described", filename, line_number)
+        if code in table:
+            raise ParseError(f"duplicate code {code}", filename, line_number)
+        table[code] = description
+    return table
+
+
+def load_frequencies(source, filename: str | None = None) -> dict[str, float]:
+    """Load a `code,probability` CSV; every probability must lie in [0, 1]."""
+    filename, rows = _read_csv(source, filename, ("code", "probability"))
+    table: dict[str, float] = {}
+    for line_number, (code, prob) in rows:
+        code = _validate_code(code, "frequency", filename, line_number)
+        if code in table:
+            raise ParseError(f"duplicate code {code}", filename, line_number)
+        try:
+            if "_" in prob:  # float alone would take "0.0_1" as 0.01
+                raise ValueError
+            p = float(prob)
+        except ValueError:
+            raise ParseError(f"probability {prob!r} is not a number", filename, line_number)
+        if not 0.0 <= p <= 1.0:
+            raise ParseError(
+                f"probability {p} outside [0, 1]", filename, line_number
+            )
+        table[code] = p
+    return table
 
 
 def make_map(rng: np.random.Generator, source: str = "SRC", **kwargs):

@@ -12,16 +12,17 @@ and its per-class member gather into ``ClassScore`` rows, the row sort of
 power iteration of ``eigenvector_centrality``, the dict word graph of the
 text network (its ``combinations`` loop, depth-first component search,
 edge-list centrality kernel and report rows) and the ``np.unique`` of its
-pair keys, the row sort of ``detect_outliers``, the numbered per-row reader
-of ``load_descriptions`` and the per-code match of its one-pass reader, the
-filtered letter runs of ``tokenize``, and the ``np.unique`` counts and
-searchsorted dense rows of the entropy kernel, the ``column_entropies``
-that sent every map through that kernel, the fancy-indexed tables of
-the crosswalk reader's ``_field``, and the scalar line and group checks
-(frozen in ``conftest``) that worded the crosswalk errors. Parsed and
-grouped columns, crosswalk errors, class assignment, range checks, class
-sums, class orders and average ranks, graphs, components, reports, outlier
-lists, description tables and token lists must match exactly, and taus, centralities and
+pair keys, the row sort of ``detect_outliers``, the filtered letter runs of
+``tokenize``, and the ``np.unique`` counts and searchsorted dense rows of the
+entropy kernel, the ``column_entropies`` that sent every map through that
+kernel, the fancy-indexed tables of the crosswalk reader's ``_field``, the
+scalar line and group checks (frozen in ``conftest``) that worded the
+crosswalk errors, and the numbered row reader, per-cell code checks and
+per-row loops of the class, description and frequency loaders (frozen in
+``conftest``). Parsed and grouped columns, crosswalk errors, class
+assignment, range checks, class sums, class orders and average ranks,
+graphs, components, reports, outlier lists, side tables and their errors
+and token lists must match exactly, and taus, centralities and
 column entropies bit for bit; against the dense power iteration, whose
 sums run in another order, centralities match within 1e-12.
 """
@@ -36,6 +37,7 @@ import operator
 import re
 import tracemalloc
 from dataclasses import dataclass, field
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -55,10 +57,16 @@ from conftest import (
     LINE_BREAK,
     _make_record,
     _parse_line,
+    _range_interval,
+    _read_csv,
+    _validate_code,
     class_rows,
     class_table,
     crosswalk_text,
     gem_line,
+    load_class_defs as frozen_load_class_defs,
+    load_descriptions as frozen_load_descriptions,
+    load_frequencies as frozen_load_frequencies,
     make_map_entries,
     outlier_pairs,
     parsed_columns,
@@ -205,12 +213,12 @@ def _oracle_load_class_defs(source):
     does: the first range in (low, high, class, line) order that overlaps
     an earlier range of another class, and of those earlier ranges the one
     reaching highest, the last of several."""
-    filename, rows = gem_io._read_csv(source, None, ("low", "high", "label"))
+    filename, rows = _read_csv(source, None, ("low", "high", "label"))
     checked = []
     for line_number, (low, high, label) in rows:
-        low = gem_io._validate_code(low, "range low", filename, line_number)
-        high = gem_io._validate_code(high, "range high", filename, line_number)
-        interval = gem_io._range_interval(low, high)
+        low = _validate_code(low, "range low", filename, line_number)
+        high = _validate_code(high, "range high", filename, line_number)
+        interval = _range_interval(low, high)
         if interval[0] > interval[1]:
             raise StructuralError(
                 f"range low {low!r} exceeds high {high!r} after padding", filename, line_number
@@ -221,7 +229,7 @@ def _oracle_load_class_defs(source):
     classes = _oracle_classes(row[1:] for row in checked)
     index = {label: k for k, (_, label, _) in enumerate(classes)}
     ranges = sorted(
-        (*gem_io._range_interval(low, high), index[label], line, (low, high))
+        (*_range_interval(low, high), index[label], line, (low, high))
         for line, low, high, label in checked
     )
     pairs = [
@@ -518,15 +526,7 @@ def _oracle_detect_outliers(normalized, measure, threshold=None, top_fraction=No
     return [pair for pair in scored if pair[1] > threshold]
 
 
-def _oracle_load_descriptions(source, filename=None):
-    filename, rows = gem_io._read_csv(source, filename, ("code", "description"))
-    table = {}
-    for line_number, (code, description) in rows:
-        code = gem_io._validate_code(code, "described", filename, line_number)
-        if code in table:
-            raise gem_io.ParseError(f"duplicate code {code}", filename, line_number)
-        table[code] = description
-    return table
+_oracle_load_descriptions = frozen_load_descriptions
 
 
 def _oracle_column_entropies(flat, heights, widths):
@@ -1369,30 +1369,76 @@ def test_outliers_match_row_sort(table, measure, cut):
 
 
 # ---------------------------------------------------------------------------
-# Description files
+# Side tables: class, description and frequency files against the frozen
+# loaders
 
-_BAD_CODES = ["A1\r\nB2", "ABCDEFGHI", "A1\nB2", "A1\rB2", "A1 B2", "", "NODX", "é1", "A-1"]
-_descriptions = st.one_of(
+# code cells among good ones: quoted line breaks, blank, 9-character,
+# non-ASCII, '_', NUL, spaced, dashed and sentinel codes
+_ODD_CODES = ["A1\nB2", "A1\n", "\nB2", "AB\n\nCD", "\n", "", " ", "ABCDEFGHI", "ABCDEFGH",
+              "é1", "A١", "ǅ", "A ", "a1\r", "\r\nA", "A1\r\nB2", "A1\rB2", "A1 B2", "NODX",
+              "A-1", "A_1", "ﬁx", "A\x00"]
+_TEXTS = st.one_of(
     st.text(max_size=8),
-    st.sampled_from(['a "quoted" one', "x,y", "line\nbreak", "cr\rhere", "  padded  ", ""]),
+    st.sampled_from(['a "quoted" one', "x,y", "line\nbreak", "cr\rhere", "  padded  ", "", " ",
+                     "é", "a_b"]),
 )
-_INSERTS = [b",", b'"', b"\r", b"\n", b"\x00", b"\xff", b" "]
+# the parent read a probability with float, which takes non-ASCII digits
+# ("٠.٥" as 0.5); those cells are left out here, and their rejection is
+# checked by test_gem_io.TestSideTables.test_frequency_not_a_number
+_PROBABILITIES = st.one_of(
+    st.floats(0, 1).map(repr),
+    st.sampled_from(["0", "1", "0.5", " 0.25 ", "1e-3", "+.5", "-0", "1.5", "-0.1", "nan", "inf",
+                     "1e999", "often", "", "0_5", "0.0_1", "1_0e-1", "0x1", "0.5.5"]),
+)
+_LABELS = st.sampled_from(["A", "B", "C", "Block 1", "", " ", "é", "a,b", "x\ny", "a_b"])
+_HEADERS = {
+    "classes": [["low", "high", "label"]] * 8 + [[" LOW", "High", "label "], ["low", "high"]],
+    "descriptions": [["code", "description"]] * 8 + [[" Code", "DESCRIPTION "], ["code", "desc"]],
+    "frequencies": [["code", "probability"]] * 8 + [["Code ", " PROBABILITY"], ["code"]],
+}
+_INSERTS = [b",", b'"', b"\r", b"\n", b"\x00", b"\xff", b" ", b"_", "é".encode(), "ﬁ".encode(),
+            "\u00a0".encode()]
 
 
 @st.composite
-def _description_files(draw):
-    """A `code,description` file, mostly well formed, then mutated: bytes
-    inserted, lines dropped, duplicated or blanked, a BOM prefixed."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
-    headers = [["code", "description"]] * 3 + [[" Code", "DESCRIPTION "], ["code", "desc"]]
-    writer.writerow(draw(st.sampled_from(headers)))
-    codes = st.text("AB019ab", min_size=1, max_size=4)
-    codes = draw(st.lists(codes, max_size=10, unique_by=str.upper))
+def _keyed_codes(draw):
+    """Distinct codes (upper-cased), sometimes with one odd code, one
+    repeated in another case, or spaces around one."""
+    codes = draw(st.lists(st.text("AB019ab", min_size=1, max_size=4), max_size=10,
+                          unique_by=str.upper))
     if codes and draw(st.booleans()):
-        codes[draw(st.integers(0, len(codes) - 1))] = draw(st.sampled_from(_BAD_CODES))
-    codes = [f" {c} " if draw(st.integers(0, 4)) == 0 else c for c in codes]
-    writer.writerows((code, draw(_descriptions)) for code in codes)
+        at = draw(st.integers(0, len(codes) - 1))
+        codes[at] = draw(st.one_of(st.sampled_from(_ODD_CODES), st.text(min_size=1, max_size=9)))
+    if codes and draw(st.booleans()):
+        codes.insert(draw(st.integers(0, len(codes))), draw(st.sampled_from(codes)).swapcase())
+    return [f" {c} " if draw(st.integers(0, 4)) == 0 else c for c in codes]
+
+
+@st.composite
+def _side_table_files(draw, kinds=("classes", "descriptions", "frequencies")):
+    """(kind, bytes) of a class, description or frequency file, mostly well
+    formed, then mutated: bytes inserted, lines dropped, duplicated, blanked
+    or given an extra column, a BOM prefixed."""
+    kind = draw(st.sampled_from(kinds))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    writer.writerow(draw(st.sampled_from(_HEADERS[kind])))
+    if kind == "classes":
+        rows = [(lo.lower() if draw(st.integers(0, 5)) == 0 else lo, hi, label)
+                for lo, hi, label in draw(_class_tables())]
+        if rows and draw(st.booleans()):
+            at = draw(st.integers(0, len(rows) - 1))
+            low, high, label = rows[at]
+            rows[at] = draw(st.sampled_from([
+                (draw(st.sampled_from(_ODD_CODES)), high, label),
+                (low, draw(st.sampled_from(_ODD_CODES)), label),
+                (low, high, draw(_LABELS)),
+                (high, low, draw(_LABELS)),  # inverted unless low == high
+            ]))
+    else:
+        cells = _TEXTS if kind == "descriptions" else _PROBABILITIES
+        rows = [(code, draw(cells)) for code in draw(_keyed_codes())]
+    writer.writerows(rows)
     lines = buf.getvalue().encode("utf-8").splitlines(keepends=True)
     for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
         at = draw(st.integers(0, len(lines)))
@@ -1402,7 +1448,8 @@ def _description_files(draw):
             cut = draw(st.integers(0, len(line)))
             lines[at : at + 1] = [line[:cut] + draw(st.sampled_from(_INSERTS)) + line[cut:]]
         elif op == "blank":
-            lines.insert(at, draw(st.sampled_from([b"\n", b",\n", b" , \n", b" \n"])))
+            lines.insert(at, draw(st.sampled_from([b"\n", b",\n", b" , \n", b" \n", b",,\n",
+                                                    b"\r\n", b"\t,\xc2\xa0\n"])))
         elif at < len(lines):
             lines[at : at + 1] = {
                 "drop": [],
@@ -1410,61 +1457,72 @@ def _description_files(draw):
                 "column": [lines[at].rstrip(b"\r\n") + b",extra\n"],
             }[op]
     data = b"".join(lines)
-    return (b"\xef\xbb\xbf" + data) if draw(st.booleans()) else data
+    return kind, (b"\xef\xbb\xbf" + data) if draw(st.booleans()) else data
 
 
-def _outcome(load, data):
+_LOADERS = {  # the loader of each kind, and its frozen parent
+    "classes": (gem_io.load_class_defs, frozen_load_class_defs),
+    "descriptions": (gem_io.load_descriptions, frozen_load_descriptions),
+    "frequencies": (gem_io.load_frequencies, frozen_load_frequencies),
+}
+
+
+def _outcome(load, source):
+    """The table a loader reads, or its error's type, text, file and line."""
     try:
-        return list(load(data, "d.csv").items())
+        table = load(source, "t.csv")
     except GemError as err:
-        return type(err), str(err)
+        return type(err), str(err), err.filename, err.line
+    if isinstance(table, dict):
+        return list(table.items())
+    arrays = (table.lows, table.highs, table.classes, table.top, table.holder)
+    return table.ids, table.labels, [(a.dtype.kind, a.tolist()) for a in arrays]
 
 
-@settings(max_examples=400, deadline=None)
-@given(_description_files())
-def test_descriptions_match_numbered_reader(data):
-    """The same table in the same order, or the same error type and text."""
-    assert _outcome(gem_io.load_descriptions, data) == _outcome(_oracle_load_descriptions, data)
-
-
-def _oracle_well_formed_descriptions(data):
-    """``_well_formed_descriptions`` as it was: each code matched alone."""
+def _sources(data):
+    """The file as bytes, as a text stream decoding it 4 bytes at a time (a
+    byte that is not UTF-8 fails the row it is read in) and, when it is
+    UTF-8, as text streams with and without universal newlines; each call
+    builds fresh streams."""
+    yield data
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    stream._CHUNK_SIZE = 4
+    yield stream
     try:
-        header, *rows = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
-    except (ValueError, csv.Error):
-        return None
-    rows = [row for row in rows if row]
-    if [h.strip().lower() for h in header] != ["code", "description"] or set(map(len, rows)) - {2}:
-        return None
-    codes = [row[0].strip() for row in rows]
-    if not all(map(gem_io._CODE_RE.fullmatch, codes)):
-        return None
-    table = dict(zip(map(str.upper, codes), [row[1].strip() for row in rows]))
-    return table if len(table) == len(codes) else None
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return
+    yield io.StringIO(text, newline="")
+    yield io.StringIO(text)
 
 
-# quoted newlines, blank, 9-character and non-ASCII codes among good ones
-_ODD_CODES = ["A1\nB2", "A1\n", "\nB2", "AB\n\nCD", "\n", "", " ", "ABCDEFGHI", "ABCDEFGH",
-              "é1", "A١", "ǅ", "A ", "a1\r", "\r\nA"]
+@settings(max_examples=1500, deadline=None)
+@given(_side_table_files())
+@example(("descriptions", b"code,description\nA1,x\nA1,y\nB2,\"z\n"))  # read error wins
+@example(("descriptions", b"code,description\nA1,x\nA1,y\nB2,z,w\n"))  # column count wins
+@example(("frequencies", b"code,probability\nA_1,x\n\"B2\",1\"0\n"))
+@example(("frequencies", b"code,probability\nA1,often\nB2,2\nb2,0\n"))
+@example(("classes", b"low,high,label\n10,19,A\n15,12,B\n1\xff,1,C\n"))  # decode error wins
+@example(("classes", b"low,high,label\n\n10,19,A\n,,\n18,\"2\n0\",B\n"))
+@example(("classes", b"low,high,label\n10,19,\nA_,1,B\n"))
+@example(("classes", b"low,high,label\n19,10,\n"))  # inverted range before empty label
+@example(("classes", b"low,high,label\nA_,B_,\n"))  # range low before range high
+@example(("frequencies", b"code,probability\nA1,0.5\na1,x\nB_,2\n"))  # duplicate first
+def test_side_tables_match_frozen_loaders(file):
+    """The same table in the same order, or the same error type, text, file
+    and line; of several errors in a file, the same one wins."""
+    kind, data = file
+    load, oracle = _LOADERS[kind]
+    for expected, source in zip(map(partial(_outcome, oracle), _sources(data)), _sources(data)):
+        assert _outcome(load, source) == expected
 
 
 @settings(max_examples=400, deadline=None)
-@given(
-    st.lists(st.one_of(st.text("AB019ab", min_size=1, max_size=9), st.sampled_from(_ODD_CODES)),
-             max_size=8),
-    st.sampled_from(["\n", "\r\n"]),
-)
-def test_one_match_checks_codes_as_each_alone(codes, line_end):
-    """One match over the joined codes takes the files and codes the per-code
-    match took, and builds the same table."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator=line_end)
-    writer.writerow(["code", "description"])
-    writer.writerows((code, f"d{i}") for i, code in enumerate(codes))
-    data = buf.getvalue().encode("utf-8")
-    got = gem_io._well_formed_descriptions(data)
-    want = _oracle_well_formed_descriptions(data)
-    assert (got and list(got.items())) == (want and list(want.items()))
+@given(_side_table_files(kinds=("descriptions",)))
+def test_descriptions_match_numbered_reader(file):
+    """The same table in the same order, or the same error type and text."""
+    _, data = file
+    assert _outcome(gem_io.load_descriptions, data) == _outcome(_oracle_load_descriptions, data)
 
 
 def _oracle_tokenize(description):

@@ -163,6 +163,14 @@ class TestScore:
         assert code == 2
         first = capsys.readouterr().err.splitlines()[0]
         assert first == "error: --weights expects comma-separated numbers, got '1_0,2'"
+        # nor a non-ASCII digit, which float alone reads ("１" as 1)
+        code = _run(
+            ["score", "--gems", workspace / "gems.txt", "--out", workspace,
+             "--weights", "１,1,1,1,1,1,1"]
+        )
+        assert code == 2
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first == "error: --weights expects comma-separated numbers, got '１,1,1,1,1,1,1'"
 
     def test_frequency_adjustment(self, workspace):
         (workspace / "freq.csv").write_text(
@@ -618,12 +626,14 @@ class TestCorr:
              % ("0" * 400), "record 0: needs a class_id and a numeric score"),
             ("bad.csv", "rank,class_id,score\n1,A,3\n2,B,1_0\n",
              "bad.csv:3: needs a class_id and a numeric score"),
+            ("bad.csv", "rank,class_id,score\n1,A,3\n2,B,١\n",
+             "bad.csv:3: needs a class_id and a numeric score"),
         ],
         ids=[
             "json-missing-key", "json-object", "csv-missing-cell", "csv-non-numeric",
             "csv-field-too-large", "csv-nan", "csv-inf", "csv-minus-inf", "json-nan",
             "json-infinity", "json-true", "json-false", "json-string", "json-int-past-float",
-            "csv-digit-underscore",
+            "csv-digit-underscore", "csv-non-ascii-digit",
         ],
     )
     def test_malformed_rank_file(self, tmp_path, capsys, name, text, where):
@@ -803,6 +813,25 @@ class TestOutliers:
         args = ["outliers", "--gems", workspace / "gems.txt", "--threshold", "nan"]
         assert _run(args + ["--out", workspace]) == 2
         assert "threshold must be a number" in capsys.readouterr().err
+        assert not (workspace / "outliers_z_alpha.csv").exists()
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--threshold", "0_5"), ("--threshold", "０.5"), ("--top-fraction", "0_5"),
+         ("--top-fraction", "٠.٥")],
+    )
+    def test_cut_read_as_ascii_number(self, workspace, capsys, option, value):
+        """float alone reads "0_5" as 5 and "０.5" as 0.5; argparse rejects
+        both with its usage line."""
+        args = ["outliers", "--gems", workspace / "gems.txt", option, value]
+        with pytest.raises(SystemExit) as exc:
+            _run(args + ["--out", workspace])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: gementropy outliers ")
+        assert err[-1] == (
+            f"gementropy outliers: error: argument {option}: invalid float value: '{value}'"
+        )
         assert not (workspace / "outliers_z_alpha.csv").exists()
 
     def test_threshold_above_max_empty(self, workspace):

@@ -251,9 +251,10 @@ class TestAsciiGrammar:
 class TestSideTableErrors:
     def test_rows_numbered_by_first_line(self):
         text = 'code,description\nA1,"two\nlines"\n\nB2,one\n'
-        assert gem_io._read_csv(io.StringIO(text), "d.csv", ("code", "description")) == (
+        assert gem_io._read_table(io.StringIO(text), "d.csv", ("code", "description")) == (
             "d.csv",
-            [(2, ["A1", "two\nlines"]), (5, ["B2", "one"])],
+            [["A1", "B2"], ["two\nlines", "one"]],
+            [2, 5],
         )
 
     def test_undecodable_byte_after_bom(self):
@@ -614,8 +615,9 @@ class TestSideTables:
     def test_frequency_not_a_number(self):
         with pytest.raises(ParseError):
             load_frequencies(io.StringIO("code,probability\n0052,often\n"))
-        # float alone reads PEP 515 underscores: "0.0_1" as 0.01, "1_0e-1" as 1.0
-        for prob in ("0.0_1", "1_0e-1"):
+        # float alone reads PEP 515 underscores ("0.0_1" as 0.01, "1_0e-1" as
+        # 1.0) and non-ASCII digits ("０.５" as 0.5, "٠.٢" as 0.2)
+        for prob in ("0.0_1", "1_0e-1", "０.５", "٠.٢"):
             with pytest.raises(ParseError) as err:
                 load_frequencies(io.StringIO(f"code,probability\n0052,{prob}\n"), "f.csv")
             assert str(err.value) == f"f.csv:2: probability '{prob}' is not a number"
