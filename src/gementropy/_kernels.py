@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gem_io import offsets
+from .gem_io import offsets, runs
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 N_SYMBOLS = len(ALPHABET) + 1  # and the pad
@@ -60,8 +60,7 @@ def batch_column_entropies(
     keys *= N_SYMBOLS
     keys += flat
     keys.sort()
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    counts = np.diff(first, append=len(keys))
+    first, counts = runs(keys)
     keys = keys[first]
     del first
     col = keys // N_SYMBOLS

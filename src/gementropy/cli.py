@@ -36,7 +36,6 @@ import io
 import itertools
 import math
 import os
-import re
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -79,7 +78,10 @@ def _warn(message: str) -> None:
 # narrow-score's 67,719 maps).
 _REPORT_BLOCK = 8192
 
-_needs_quotes = re.compile('[,"\r\n]').search
+
+def _needs_quotes(text: str) -> bool:
+    """Whether a CSV cell's text holds a comma, a quote, CR or LF."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
 def _json_cell(value) -> str:
@@ -89,7 +91,7 @@ def _json_cell(value) -> str:
 
 def _csv_cell(value) -> str:
     text = "" if value is None else f"{value:.6g}" if isinstance(value, float) else str(value)
-    if _needs_quotes(text) is None:
+    if not _needs_quotes(text):
         return text
     return '"' + text.replace('"', '""') + '"'
 
@@ -105,22 +107,26 @@ def _column_blocks(prefix: str, column, fmt: str, blocks: range):
             from json.encoder import encode_basestring_ascii
             encode = encode_basestring_ascii if strings else _json_cell
             yield list(map(prefix.__add__, map(encode, cells)))
-        elif strings and _needs_quotes("".join(cells)) is None:
+        elif strings and not _needs_quotes("".join(cells)):
             yield cells
         else:
             yield list(map(_csv_cell, cells))
 
 
 def _run_blocks(run: list, fmt: str, sep: str, blocks: range):
-    """Texts of a run of float64/int64 (prefix, column) pairs per block of rows. One
-    lexsort of the columns' int64 bit patterns (-0.0 and NaN keep their text) groups
-    equal rows; each distinct row is joined by ``sep`` once, from each column's
-    distinct values among one row of each, formatted once."""
+    """Texts of a run of float64/int64 (prefix, column) pairs per block of rows. An
+    argsort of a hash of the columns' int64 bit patterns (-0.0 and NaN keep their text)
+    brings equal rows together; a row unlike the one before it starts a group (a hash
+    collision only splits one), joined by ``sep`` once from each column's distinct
+    values among one row of each group, formatted once and, numbers, never quoted."""
     import numpy as np
 
-    cell = _csv_cell if fmt == "csv" else _json_cell
     bits = [column.view(np.int64) for _, column in run]
-    order = np.lexsort(bits)
+    mixed = np.zeros(len(bits[0]), dtype=np.uint64)
+    for column in bits:  # a polynomial hash modulo 2**64, with an odd multiplier
+        mixed *= np.uint64(0x9E3779B97F4A7C15)
+        mixed += column.view(np.uint64)
+    order = np.argsort(mixed)
     first = np.zeros(len(order), dtype=bool)  # sorted rows that differ from the one before
     first[:1] = True
     for column in bits:
@@ -130,12 +136,13 @@ def _run_blocks(run: list, fmt: str, sep: str, blocks: range):
     cells = []
     for (prefix, column), column_bits in zip(run, bits):
         distinct, inverse = np.unique(column_bits[some_row], return_inverse=True)
+        cell = _json_cell if fmt == "json" else "{:.6g}".format if column.dtype.kind == "f" else str
         texts = [prefix + cell(value) for value in distinct.view(column.dtype).tolist()]
         cells.append(np.array(texts, dtype=object)[inverse].tolist())
     rows = np.array(list(map(sep.join, zip(*cells))), dtype=object)
     code = np.empty(len(order), dtype=np.min_scalar_type(len(rows)))
     code[order] = np.cumsum(first) - 1
-    del bits, order, first, cells
+    del bits, mixed, order, first, cells
     for lo in blocks:
         yield rows[code[lo : lo + _REPORT_BLOCK]].tolist()
 
@@ -364,6 +371,9 @@ def _read_rank_file(path: str) -> analysis.RankTable:
                 raise GemError(f"{path}: rank file needs class_id and score columns")
     pairs = {}
     for where, record in located:
+        if not is_json and None in record:  # csv.DictReader's key of a row's extra cells
+            raise GemError(f"{path}{where}: expected {len(fields)} columns, "
+                           f"got {len(fields) + len(record[None])}")
         try:
             class_id, score = record["class_id"], record["score"]
             # a JSON score is a number, not a bool or a string

@@ -10,14 +10,16 @@ Three per-map measures, all in bits:
 * the uncertainty-rate baseline log2(m) used by prior work for comparison.
 
 :func:`column_entropies` computes the columns of the padded code matrices
-of the maps of a :class:`~gementropy.gem_io.MapTable`, ``_KERNEL_BLOCK``
-maps at a time. A one-row map's columns are +0.0, and a two-row map's
-column is 1.0 where its two rows differ and +0.0 where they agree: these
-are the kernel's values bit for bit, since their terms (0.0 and -0.5) sum
-exactly. Only the maps of three or more rows are laid into a flat buffer
-for the column kernel, one call per block. :func:`score_maps`
-scores a whole table: it sums each scored map's columns, and m, m0 and v
-come from the table. It returns a :class:`ScoreTable` of columns, which
+of the maps of a :class:`~gementropy.gem_io.MapTable`. A one-row map's
+columns are +0.0, and a two-row map's column is 1.0 where its two rows
+differ and +0.0 where they agree: these are the kernel's values bit for bit,
+since their terms (0.0 and -0.5) sum exactly. The widths, each map's kind by
+height and the two-row columns are computed once per table; only the maps of
+three or more rows are laid into a flat buffer for the column kernel, one
+gather and one call per block of ``_KERNEL_BLOCK`` maps. :func:`score_maps`
+splits the scored maps from the excluded ones with one row mask and scores
+them: it sums each scored map's columns, and m, m0 and v come from the
+table. It returns a :class:`ScoreTable` of columns, which
 :func:`normalize_scores` turns into corpus z-scores (a
 :class:`ZScoreTable`). Both tables read as sequences of
 :class:`MapScores` and :class:`NormalizedScores` built on access;
@@ -130,14 +132,17 @@ def column_entropies(maps: MapTable) -> tuple[np.ndarray, np.ndarray]:
     ordinary symbol, to n, the longest code of the map. Its columns are
     ``cols[sum(widths[:k]):][:widths[k]]``. Every map must have m >= 1.
 
-    Only maps of three or more rows reach the kernel, one call per block of
-    ``_KERNEL_BLOCK`` maps. The others have closed forms that the kernel
-    would give bit for bit: a one-row map's columns are ``0.0 - 1.0 *
-    log2(1.0)`` = +0.0, and a two-row map's column is +0.0 where its two
-    padded rows agree and ``0.0 - (-0.5 + -0.5)`` = 1.0 where they differ,
-    which their bytes tell without the kernel's symbols (``_kernels.SYMBOL``).
-    A column's entropy depends on its own cells alone, so the blocks give
-    the values of one call bit for bit.
+    Only maps of three or more rows reach the kernel. The others have
+    closed forms that the kernel would give bit for bit: a one-row map's
+    columns are ``0.0 - 1.0 * log2(1.0)`` = +0.0, and a two-row map's column
+    is +0.0 where its two padded rows agree and ``0.0 - (-0.5 + -0.5)`` =
+    1.0 where they differ, which their bytes tell without the kernel's
+    symbols (``_kernels.SYMBOL``). Once per table: the widths, each map's
+    kind by height over its rows and columns, and the two-row columns. Once
+    per block of ``_KERNEL_BLOCK`` maps: the gather of its cells of maps of
+    three or more rows and one kernel call, an empty batch included. A
+    column's entropy depends on its own cells alone, so the blocks give the
+    values of one call bit for bit.
     """
     widths = np.maximum.reduceat(
         maps.lines.target_len[maps.rows], maps.starts[:-1]
@@ -146,27 +151,25 @@ def column_entropies(maps: MapTable) -> tuple[np.ndarray, np.ndarray]:
     cols = np.zeros(int(col_starts[-1]))
     words = maps.lines.targets.view("<u8")[:, 0]  # a padded row as one word
     position = np.arange(MAX_CODE)
+    # each map's kind by its height (3: three rows or more), over its rows and columns
+    kind = np.minimum(maps.m, 3).astype(np.uint8)
+    row_kind, col_kind = np.repeat(kind, maps.m), np.repeat(kind, widths)
+    # two-row maps: rows in pairs, bytes that differ, cut to the map's width
+    pairs = words[maps.rows[row_kind == 2]].view(np.uint8).reshape(-1, 2, MAX_CODE)
+    cols[col_kind == 2] = (pairs[:, 0] != pairs[:, 1])[position < widths[kind == 2][:, None]]
+    del pairs
+    # maps of three or more rows, a block of maps at a time: their rows, each
+    # cut to its map's width, row-major, as the kernel's symbols
     for k in range(0, len(maps), _KERNEL_BLOCK):
-        heights = maps.m[k : k + _KERNEL_BLOCK]
-        block_widths = widths[k : k + _KERNEL_BLOCK]
-        block_cols = cols[col_starts[k] : col_starts[k + len(heights)]]
-        col_height = np.repeat(heights, block_widths)
-        rows = maps.rows[maps.starts[k] : maps.starts[k + len(heights)]]
-        row_height = np.repeat(heights, heights)
-        # two-row maps: rows in pairs, bytes that differ, cut to the map's width
-        pairs = words[rows[row_height == 2]].view(np.uint8).reshape(-1, 2, MAX_CODE)
-        differ = pairs[:, 0] != pairs[:, 1]
-        block_cols[col_height == 2] = differ[position < block_widths[heights == 2][:, None]]
-        # maps of three or more rows: each row cut to its map's width, row-major,
-        # as the kernel's symbols
-        many = heights > 2
-        cut = position < np.repeat(block_widths[many], heights[many])[:, None]
-        cells = words[rows[row_height > 2]].view(np.uint8).reshape(-1, MAX_CODE)[cut]
-        flat = _kernels.SYMBOL[cells]
-        del pairs, differ, cut, cells  # before the kernel's arrays
-        block_cols[col_height > 2] = _kernels.batch_column_entropies(
-            flat, heights[many], block_widths[many]
-        )
+        end = min(k + _KERNEL_BLOCK, len(maps))
+        r, c = slice(maps.starts[k], maps.starts[end]), slice(col_starts[k], col_starts[end])
+        many = kind[k:end] == 3
+        heights, many_widths = maps.m[k:end][many], widths[k:end][many]
+        cut = position < np.repeat(many_widths, heights)[:, None]
+        rows = maps.rows[r][row_kind[r] == 3]
+        flat = _kernels.SYMBOL[words[rows].view(np.uint8).reshape(-1, MAX_CODE)[cut]]
+        del rows, cut  # before the kernel's arrays
+        cols[c][col_kind[c] == 3] = _kernels.batch_column_entropies(flat, heights, many_widths)
     return cols, widths
 
 
@@ -186,9 +189,7 @@ def score_maps(
     ``weights`` is given it must cover the widest map; each map uses its
     first n positions.
     """
-    scored = maps.m > 0
-    excluded = maps.select(~scored)
-    maps = maps.select(scored)
+    maps, excluded = maps.split(maps.m > 0)
     cols, widths = column_entropies(maps)
 
     if weights is not None:
@@ -211,6 +212,7 @@ def score_maps(
         h_a_weighted = np.add.reduceat(cols * flat_w, col_starts) / np.add.reduceat(
             flat_w, col_starts
         )
+    del cols  # before the logarithms' arrays
 
     scores = ScoreTable(
         source=maps.source,

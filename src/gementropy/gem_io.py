@@ -14,9 +14,11 @@ row per non-blank line, stored as arrays:
 The bytes are split, checked and coded in blocks of about
 ``_PARSE_BLOCK`` bytes, each cut just after a line break, so the working
 arrays stay the size of one block whatever the size of the file; the blocks'
-columns are then concatenated. A field of up to 8 bytes is read as one
-8-byte word: the block, padded with 8 zero bytes, is viewed as a
-little-endian word at every byte offset. A 256-byte ``bytes.translate``
+columns are then concatenated. The line ends bound each line's tokens: one
+search of the breaks among the token starts gives every line's first token
+and token count, and a line of no token is blank. A field of up to 8 bytes
+is read as one 8-byte word: the block, padded with 8 zero bytes, is viewed
+as a little-endian word at every byte offset. A 256-byte ``bytes.translate``
 table maps each byte of the word at a field's start to its code (the
 upper-case code character, or the flag digit), or to a byte with the high
 bit set where it may not stand in that field; one ``translate`` per field
@@ -32,7 +34,9 @@ on its row, worded from its fields; messages name the file and line.
 
 :func:`group_maps` groups the rows by source code into a :class:`MapTable`:
 maps in first-appearance order, each map's rows in file order, and m, m0 and
-v (the number of valid representations) from segment reductions. The group
+v (the number of valid representations) from segment reductions over runs:
+of equal consecutive sources (one per map in a file sorted by source), and of
+the combination rows' sorted (map, scenario, choice list) keys. The group
 checks (mixed no-match sources, scenario and choice-list numbering) are
 masks too; ``_build_maps`` words the first failing map's error from the
 same arrays.
@@ -61,7 +65,7 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -179,6 +183,15 @@ def offsets(counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first element of each run of equal consecutive
+    values, and the runs' lengths."""
+    new = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    return first, np.diff(first, append=len(values))
+
+
 def _strings(rows: np.ndarray) -> list[str]:
     """Rows of 8 ASCII bytes, zero-padded, as strings."""
     return np.ascontiguousarray(rows).view("S8")[:, 0].astype(str).tolist()
@@ -256,13 +269,16 @@ def _read_block(data: bytes, filename, first_line: int) -> tuple[GemLines, int]:
     space[1:-1] |= buf == 32
     edges = np.flatnonzero(space[1:] != space[:-1])
     start, end = edges[0::2], edges[1::2]
-    breaks = np.flatnonzero((buf == 10) | ((buf == 13) & (after != 10)))
-    token_line = np.searchsorted(breaks, start)
-    first = np.flatnonzero(np.diff(token_line, prepend=-1))  # first token per line
-    n_tokens = np.diff(first, append=len(start))
-    line_index = token_line[first]
+    newline = buf == 10
+    if b"\r" in data:  # a CR not followed by LF is a break too
+        newline |= (buf == 13) & (after != 10)
+    breaks = np.flatnonzero(newline)
+    # line i holds tokens bounds[i] to bounds[i + 1]: those starting before its break
+    bounds = np.concatenate(([0], np.searchsorted(start, breaks), [len(start)]))
+    n_tokens = np.diff(bounds)
 
-    t = first[n_tokens == 3]
+    whole = n_tokens == 3
+    t = bounds[:-1][whole]
     src_len, tgt_len, flag_len = (end[t + i] - start[t + i] for i in range(3))
     sources, bad_src = _field(words[start[t]], src_len, _CODE_BYTE)
     targets, bad_tgt = _field(words[start[t + 1]], tgt_len, _CODE_BYTE)
@@ -272,7 +288,7 @@ def _read_block(data: bytes, filename, first_line: int) -> tuple[GemLines, int]:
         targets=targets,
         target_len=tgt_len.astype(np.uint8),
         flags=flags[:, :5],
-        line=line_index[n_tokens == 3] + 1,
+        line=np.flatnonzero(whole) + 1,
     )
 
     approximate, no_map, comb, scenario, choice = lines.flags.T
@@ -308,7 +324,7 @@ def _read_block(data: bytes, filename, first_line: int) -> tuple[GemLines, int]:
     bad = np.zeros_like(sentinel)
     for mask, _, _ in rules:
         bad |= mask
-    failed = np.concatenate((line_index[n_tokens != 3], lines.line[bad] - 1))
+    failed = np.concatenate((np.flatnonzero(~whole & (n_tokens != 0)), lines.line[bad] - 1))
     if len(failed):
         i = int(failed.min())
         lo = int(breaks[i - 1]) + 1 if i else 0
@@ -394,17 +410,15 @@ class MapTable(RowTable):
             rows = self.rows[self.starts[k] : self.starts[k + 1]]
             yield _make_record(str(self.source[k]), self.lines._rows(rows))
 
-    def select(self, keep: np.ndarray) -> MapTable:
-        """The maps where the boolean mask ``keep`` is set, in order."""
+    def split(self, keep: np.ndarray) -> tuple[MapTable, MapTable]:
+        """The maps where the boolean mask ``keep`` is set, and the others,
+        each in order."""
         sizes = np.diff(self.starts)
-        return MapTable(
-            self.lines,
-            self.rows[np.repeat(keep, sizes)],
-            offsets(sizes[keep]),
-            self.source[keep],
-            self.m[keep],
-            self.m0[keep],
-            self.v[keep],
+        rows = np.repeat(keep, sizes)
+        return tuple(
+            MapTable(self.lines, self.rows[r], offsets(sizes[k]), self.source[k],
+                     self.m[k], self.m0[k], self.v[k])
+            for k, r in ((keep, rows), (~keep, ~rows))
         )
 
 
@@ -418,19 +432,18 @@ def _build_maps(lines: GemLines, map_id: np.ndarray, first_row: np.ndarray) -> M
     n_no_match = np.bincount(map_id[no_match], minlength=n_maps)
     excluded = n_no_match == sizes
 
-    # combination rows as (map, scenario, choice list) keys, one per list
+    # combination rows as (map, scenario, choice list) keys, sorted once; the
+    # runs of equal keys are the lists, of equal key // 10 the scenarios
     comb = lines.flags[:, 2] == 1
     flags = lines.flags[comb].astype(np.int64)
-    keys, list_size = np.unique(
-        (map_id[comb] * 10 + flags[:, 3]) * 10 + flags[:, 4], return_counts=True
-    )
-    scen_keys, scen_first, n_lists = np.unique(
-        keys // 10, return_index=True, return_counts=True
-    )
+    keys = np.sort((map_id[comb] * 10 + flags[:, 3]) * 10 + flags[:, 4])
+    first, list_size = runs(keys)
+    keys = keys[first]
+    scen_first, n_lists = runs(keys // 10)
+    scen_keys = keys[scen_first] // 10
     scen_map = scen_keys // 10
-    map_keys, map_first, n_scen = np.unique(
-        scen_map, return_index=True, return_counts=True
-    )
+    map_first, n_scen = runs(scen_map)
+    map_keys = scen_map[map_first]
     # numbering is contiguous from 1 iff the highest number equals the count
     gap = np.zeros(n_maps, dtype=bool)
     gap[map_keys] = scen_keys[map_first + n_scen - 1] % 10 != n_scen
@@ -468,6 +481,20 @@ def _build_maps(lines: GemLines, map_id: np.ndarray, first_row: np.ndarray) -> M
     return MapTable(lines, rows, offsets(sizes), source, m, m0, v)
 
 
+def _map_ids(sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's map (numbered in first-appearance order) and each map's
+    first row, from one key per run of equal consecutive sources. Big-endian
+    words order as the codes do, so a file sorted by source gives sorted
+    keys, which the stable sort of np.unique runs through in linear time."""
+    words = sources.view(">u8")[:, 0]
+    run, run_size = runs(words)
+    _, first, inverse = np.unique(words[run], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return np.repeat(rank[inverse.reshape(-1)], run_size), run[first[order]]
+
+
 def group_maps(lines: GemLines) -> MapTable:
     """Group the rows of a crosswalk by source code into a :class:`MapTable`.
 
@@ -476,34 +503,31 @@ def group_maps(lines: GemLines) -> MapTable:
     ``standalone_codes``; combination entries are bucketed by their
     (scenario, choice list) digits, which must number contiguously from 1.
     """
-    # Big-endian words order as the codes do, so a file sorted by source
-    # gives sorted keys, which the stable sort of np.unique runs through in
-    # linear time.
-    keys = lines.sources.view(">u8")[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return _build_maps(lines, rank[inverse.reshape(-1)], first[order])
+    return _build_maps(lines, *_map_ids(lines.sources))  # ids' working arrays freed first
 
 
 def _read_table(source, filename, header):
     """(filename, stripped cell columns, first line of each row) of a side
-    table's non-blank rows, read once from a path, bytes or a text stream.
-    Undecodable bytes, another header, malformed CSV and a row of another
-    column count raise a ParseError, a read error after the rows before it."""
+    table's non-blank rows, read once from a path, bytes or a text stream,
+    past a leading BOM. Undecodable bytes, another header, malformed CSV and
+    a row of another column count raise a ParseError, a read error after the
+    rows before it."""
     if isinstance(source, (str, Path)):
         filename, source = filename or str(source), Path(source).read_bytes()
     if isinstance(source, (bytes, bytearray)):
+        data = bytes(source)
         try:
-            source = io.StringIO(bytes(source).decode("utf-8-sig"), newline="")
+            data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            data, at = exc.object, exc.start  # past a BOM, if one was skipped
-            raise ParseError(f"not UTF-8: {exc.reason} (byte 0x{data[at]:02x})",
-                             filename, data.count(b"\n", 0, at) + 1) from None
-    reader = csv.reader(source)
+            raise ParseError(f"not UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})",
+                             filename, data.count(b"\n", 0, exc.start) + 1) from None
+        # decoded a chunk at a time: a StringIO would hold 4 bytes per character
+        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
     rows, lines, failure = [], [1], None  # lines[i]: the first line of row i
     try:
+        text = iter(source)
+        first = next(text, "").removeprefix("\ufeff")  # a leading BOM is skipped
+        reader = csv.reader(chain([first] if first else (), text))
         got = next(reader, None)
         if got is None:
             raise ParseError("file is empty, expected a header row", filename, 1)

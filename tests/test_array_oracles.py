@@ -19,7 +19,11 @@ kernel, the fancy-indexed tables of the crosswalk reader's ``_field``, the
 scalar line and group checks (frozen in ``conftest``) that worded the
 crosswalk errors, and the numbered row reader, per-cell code checks and
 per-row loops of the class, description and frequency loaders (frozen in
-``conftest``). Parsed and grouped columns, crosswalk errors, class
+``conftest``), and the scoring passes that those of line ends, source runs
+and once-per-table column masks replaced (frozen in ``conftest``): the
+token-start search of ``_read_block``, the row-wise ``np.unique`` calls of
+``group_maps`` and ``_build_maps``, and the per-block repeats of
+``column_entropies``. Parsed and grouped columns, crosswalk errors, class
 assignment, range checks, class sums, class orders and average ranks,
 graphs, components, reports, outlier lists, side tables and their errors
 and token lists must match exactly, and taus, centralities and
@@ -60,10 +64,13 @@ from conftest import (
     _range_interval,
     _read_csv,
     _validate_code,
+    _read_block as frozen_read_block,
     class_rows,
     class_table,
+    column_entropies as frozen_column_entropies,
     crosswalk_text,
     gem_line,
+    group_maps as frozen_group_maps,
     load_class_defs as frozen_load_class_defs,
     load_descriptions as frozen_load_descriptions,
     load_frequencies as frozen_load_frequencies,
@@ -895,6 +902,53 @@ def test_parse_matches_byte_matrices(head, bad, tail, bom):
         assert parsed_columns(data, block) == expected
 
 
+_LINE_CODE = st.text("0123456789ABCDEFXYZabxyz", min_size=1, max_size=8)
+_LINE_TOKEN = st.one_of(_LINE_CODE, st.sampled_from(["00000", "11000", "10111", "NODX"]))
+_ENTRY = st.tuples(_LINE_CODE, _LINE_CODE, st.sampled_from(["00000", "10000", "11000"]))
+_GAP = st.text(" \t\x0b\x0c", min_size=1, max_size=3)  # spaces within a line
+
+
+@st.composite
+def _spaced_lines(draw):
+    """Lines of 0-5 tokens (three of four an entry of three), ASCII spaces
+    between them and sometimes before and after them, ended by LF, CRLF or
+    CR, mixed; the last line with or without a break."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        tokens = list(draw(_ENTRY)) if draw(st.integers(0, 3)) else draw(
+            st.lists(_LINE_TOKEN, max_size=5))
+        text = "".join(draw(_GAP) + token for token in tokens)
+        if not draw(st.booleans()):
+            text = text.lstrip(" \t\x0b\x0c")
+        if draw(st.booleans()):
+            text += draw(_GAP)
+        lines.append(text + draw(LINE_BREAK))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines).encode()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_spaced_lines(), st.booleans())
+@example(b"", False)
+@example(b"\r", False)  # one lone CR, which ends the block
+@example(b"A1 B2 00000\r", False)
+@example(b"A1 B2 00000\rA2 B3 00000\r\rA3 B4 00000", True)  # lone CRs at block ends
+@example(b" \t\r\n\x0b\n\x0c \r", False)  # whitespace-only lines
+@example(b"A1 B2 00000\n\nA1 B2 00000 X\r\n", False)  # four tokens after a blank line
+@example(b"A1 B2\r\nA2 B3 00000\n", False)  # two tokens on the first line
+def test_line_bounds_match_frozen_reader(data, bom):
+    """Token bounds taken from the line ends read a crosswalk as the frozen
+    reader that searched every token start among the breaks: the same
+    columns (dtypes and shapes too), or the same error type, text and line,
+    in blocks of 1, 7 and 64 bytes and the default."""
+    data = b"\xef\xbb\xbf" * bom + data
+    for block in (1, 7, 64, gem_io._PARSE_BLOCK):
+        with mock.patch.object(gem_io, "_read_block", frozen_read_block):
+            expected = parsed_columns(data, block)
+        assert parsed_columns(data, block) == expected
+
+
 # a line's fields: source and target share the code table
 _FIELD_TABLES = {
     "source": gem_io._CODE_BYTE,
@@ -976,6 +1030,35 @@ def test_group_matches_little_endian_keys(lines):
     """The same maps in the same order, or the same error."""
     lines = gem_io.parse_gem_file("\n".join(lines).encode())
     assert _grouped(gem_io.group_maps, lines) == _grouped(_oracle_group_maps, lines)
+
+
+def _wide_map_lines(source="W1", lists=9, size=90):
+    """One map whose one scenario has ``lists`` choice lists of ``size``
+    codes: v = size ** lists, past int64's safe range at 9 x 90."""
+    return [f"{source} C{c}{j:03d} 1011{c}" for c in range(1, lists + 1) for j in range(size)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_crosswalk_lines())
+@example([])  # no line
+@example(["A1 X1 00000", "B2 X2 00000", "A1 X3 00000"])  # A B A
+@example(["B2 X1 10111", "A1 X2 00000", "B2 X3 10112", "B2 X4 10121", "A1 X5 00000"])
+@example(_wide_map_lines() + ["A1 X1 00000"] + _wide_map_lines()[:3])  # v past int64
+@example(["A1 X1 10112", "B2 X2 00000", "A1 X3 10111"])  # a choice-list gap
+def test_group_matches_frozen_grouping(lines):
+    """Maps from runs of equal consecutive sources and combination keys
+    grouped by one sort: the frozen ``group_maps`` and ``_build_maps``'s
+    maps, rows and counts (dtypes and shapes too, v as Python ints in an
+    object array where it must be), or the same error type and text."""
+    lines = gem_io.parse_gem_file("\n".join(lines).encode())
+    assert _grouped(gem_io.group_maps, lines) == _grouped(frozen_group_maps, lines)
+
+
+def test_group_wide_map_counts_v_as_python_ints():
+    """The explicit case of the test above reaches the object-dtype v."""
+    lines = gem_io.parse_gem_file("\n".join(_wide_map_lines() + ["A1 X1 00000"]).encode())
+    maps = gem_io.group_maps(lines)
+    assert maps.v.dtype == object and maps.v.tolist() == [90**9, 1]
 
 
 # Tokens of random crosswalk lines: code characters, bytes that are ASCII
@@ -1196,6 +1279,29 @@ def test_column_entropies_match_kernel_on_every_map(corpus, block):
         want_cols, want_widths = _oracle_map_column_entropies(maps)
     assert cols.tobytes() == want_cols.tobytes()
     assert widths.tobytes() == want_widths.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CORPORA, st.sampled_from([1, 2, 3, entropy._KERNEL_BLOCK]))
+@example([["A"], ["A", "A"], ["A", "AZ"], ["B1", "A", "B"], ["A", "B", "A"], ["AB12"]], 2)
+@example([["A", "B", "A"]] * 3 + [["1"]] * 4, 3)  # blocks holding no map of three rows
+def test_column_entropies_match_frozen_blocks(corpus, block):
+    """Masks, repeats and two-row columns taken once per table, the gather
+    and the kernel per block: the frozen per-block ``column_entropies``'s
+    columns and widths bit for bit (dtypes too), with as many kernel calls,
+    in blocks of 1-3 maps and the default."""
+    text = "".join(f"S{i} {target} 10000\n" for i, m in enumerate(corpus) for target in m)
+    maps = gem_io.group_maps(gem_io.parse_gem_file(text.encode()))
+    outcomes = []
+    for column_entropies in (entropy.column_entropies, frozen_column_entropies):
+        kernel = mock.Mock(wraps=_kernels.batch_column_entropies)
+        with mock.patch.object(entropy, "_KERNEL_BLOCK", block), mock.patch.object(
+            _kernels, "batch_column_entropies", kernel
+        ):
+            cols, widths = column_entropies(maps)
+        outcomes.append([(a.dtype, a.shape, a.tobytes()) for a in (cols, widths)]
+                        + [kernel.call_count])
+    assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1479,17 +1585,19 @@ def _outcome(load, source):
     return table.ids, table.labels, [(a.dtype.kind, a.tolist()) for a in arrays]
 
 
-def _sources(data):
+def _sources(data, encoding="utf-8"):
     """The file as bytes, as a text stream decoding it 4 bytes at a time (a
     byte that is not UTF-8 fails the row it is read in) and, when it is
     UTF-8, as text streams with and without universal newlines; each call
-    builds fresh streams."""
+    builds fresh streams. The streams decode with ``encoding``: "utf-8"
+    keeps a leading BOM in the text, which the loaders skip, and
+    "utf-8-sig" drops it, for the frozen loaders, which did not skip it."""
     yield data
-    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding=encoding, newline="")
     stream._CHUNK_SIZE = 4
     yield stream
     try:
-        text = data.decode("utf-8-sig")
+        text = data.decode(encoding)
     except UnicodeDecodeError:
         return
     yield io.StringIO(text, newline="")
@@ -1513,7 +1621,8 @@ def test_side_tables_match_frozen_loaders(file):
     and line; of several errors in a file, the same one wins."""
     kind, data = file
     load, oracle = _LOADERS[kind]
-    for expected, source in zip(map(partial(_outcome, oracle), _sources(data)), _sources(data)):
+    frozen = map(partial(_outcome, oracle), _sources(data, "utf-8-sig"))
+    for expected, source in zip(frozen, _sources(data)):
         assert _outcome(load, source) == expected
 
 

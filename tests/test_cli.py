@@ -628,12 +628,16 @@ class TestCorr:
              "bad.csv:3: needs a class_id and a numeric score"),
             ("bad.csv", "rank,class_id,score\n1,A,3\n2,B,١\n",
              "bad.csv:3: needs a class_id and a numeric score"),
+            ("bad.csv", "class_id,score\nA,1,extra\nB,2\nC,3\n",
+             "bad.csv:2: expected 2 columns, got 3"),
+            ("bad.csv", "rank,class_id,score\n1,A,3\n2,B,1,,\n",
+             "bad.csv:3: expected 3 columns, got 5"),
         ],
         ids=[
             "json-missing-key", "json-object", "csv-missing-cell", "csv-non-numeric",
             "csv-field-too-large", "csv-nan", "csv-inf", "csv-minus-inf", "json-nan",
             "json-infinity", "json-true", "json-false", "json-string", "json-int-past-float",
-            "csv-digit-underscore", "csv-non-ascii-digit",
+            "csv-digit-underscore", "csv-non-ascii-digit", "csv-extra-cell", "csv-extra-cells",
         ],
     )
     def test_malformed_rank_file(self, tmp_path, capsys, name, text, where):

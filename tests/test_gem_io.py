@@ -286,6 +286,25 @@ class TestByteOrderMark:
         data = "\ufeffcode,probability\n86,0.5\n".encode("utf-8")
         assert load_frequencies(data) == {"86": 0.5}
 
+    @pytest.mark.parametrize("stream", [
+        lambda text: io.StringIO(text),
+        lambda text: io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8"),
+    ], ids=["StringIO", "TextIOWrapper"])
+    def test_side_table_text_streams(self, stream):
+        """A text stream opened without "utf-8-sig" keeps the BOM in its
+        text; every loader skips it as it does for bytes and paths."""
+        descriptions = load_descriptions(stream("\ufeffcode,description\nA1,x\n"), "d.csv")
+        frequencies = load_frequencies(stream("\ufeffcode,probability\nA1,0.5\n"), "f.csv")
+        classes = gem_io.load_class_defs(stream("\ufefflow,high,label\n10,19,A\n"), "c.csv")
+        assert descriptions == {"A1": "x"} and frequencies == {"A1": 0.5}
+        assert (classes.ids, classes.labels) == (["10-19"], ["A"])
+
+    def test_side_table_only_one_bom_skipped(self):
+        with pytest.raises(ParseError, match=r"got '\\ufeffcode,description'$"):
+            load_descriptions(io.StringIO("\ufeff\ufeffcode,description\n"), "d.csv")
+        with pytest.raises(ParseError, match=r"^d\.csv:1: file is empty"):
+            load_descriptions(io.StringIO("\ufeff"), "d.csv")
+
 
 # ---------------------------------------------------------------------------
 # Parse blocks: a crosswalk read in blocks of a few bytes reads as in one block
