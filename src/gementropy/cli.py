@@ -11,8 +11,9 @@ their reports by indexing the z-score table and the class table.
 Importing this module loads only the standard library, not even ``json``
 (for JSON files only). Each command imports the layers it runs when it
 starts, through the package (``from . import gem_io``), so a layer's functions
-are looked up on its module at call time. ``corr`` loads ``analysis`` alone,
-whose Kendall tau-b needs no numpy, so a ``corr`` process never imports numpy;
+are looked up on its module at call time. ``corr`` reads a CSV rank file as
+a side table (``errors.read_table``) and loads ``analysis`` alone, whose
+Kendall tau-b needs no numpy, so a ``corr`` process never imports numpy;
 the report writer uses numpy only for columns that already are numpy arrays.
 
 ``run()`` is the process entry point, of ``python -m gementropy.cli`` and of
@@ -30,9 +31,7 @@ before, without the freeze.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import io
 import itertools
 import math
 import os
@@ -40,7 +39,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import GemError, parse_number
+from .errors import GemError, parse_number, read_source, read_table
 
 if TYPE_CHECKING:
     from . import analysis, entropy
@@ -348,32 +347,22 @@ def _read_rank_file(path: str) -> analysis.RankTable:
     from . import analysis
 
     is_json = Path(path).suffix.lower() == ".json"
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        if is_json:
-            import json
-            try:
-                records = json.load(fh)
-            except ValueError as exc:
-                raise GemError(f"{path}: rank file is not valid JSON: {exc}") from None
-            if not isinstance(records, list):
-                raise GemError(f"{path}: rank file must hold a list of records")
-            located = [(f": record {i}", record) for i, record in enumerate(records)]
-        else:
-            reader = csv.DictReader(fh)
-            try:
-                fields = reader.fieldnames
-                located = [(f":{reader.line_num}", row) for row in reader]
-            except csv.Error as exc:
-                raise GemError(f"{path}:{reader.reader.line_num}: {exc}") from None
-            except UnicodeDecodeError as exc:
-                raise GemError(f"{path}: not UTF-8: {exc.reason}") from None
-            if fields is None or not {"class_id", "score"} <= set(fields):
-                raise GemError(f"{path}: rank file needs class_id and score columns")
+    if is_json:
+        import json
+        try:
+            records = json.loads(read_source(path)[1].decode("utf-8"))
+        except ValueError as exc:
+            raise GemError(f"{path}: rank file is not valid JSON: {exc}") from None
+        if not isinstance(records, list):
+            raise GemError(f"{path}: rank file must hold a list of records")
+        located = [(f": record {i}", record) for i, record in enumerate(records)]
+    else:
+        _, (ids, scores), lines = read_table(path, path, ("class_id", "score"),
+                                             missing="rank file needs class_id and score columns")
+        located = [(f":{line}", {"class_id": c, "score": s})
+                   for c, s, line in zip(ids, scores, lines)]
     pairs = {}
     for where, record in located:
-        if not is_json and None in record:  # csv.DictReader's key of a row's extra cells
-            raise GemError(f"{path}{where}: expected {len(fields)} columns, "
-                           f"got {len(fields) + len(record[None])}")
         try:
             class_id, score = record["class_id"], record["score"]
             # a JSON score is a number, not a bool or a string
@@ -505,7 +494,7 @@ def run_reference_example():
     tolerance, ok) checks."""
     from . import entropy, gem_io
 
-    entries = gem_io.parse_gem_file(io.StringIO(REFERENCE_MAP_LINES), "<reference>")
+    entries = gem_io.parse_gem_file(REFERENCE_MAP_LINES.encode(), "<reference>")
     maps = gem_io.group_maps(entries)
     scores, _ = entropy.score_maps(maps)
     checks = []

@@ -1,5 +1,12 @@
 """Exception types raised while parsing crosswalks and computing scores, and
-the one reader of numbers in user input."""
+the readers of user input, which load no numpy: of numbers, of every input
+file's bytes (the crosswalk, the reference map, the side tables and the rank
+files of ``corr``) and of CSV tables (the side tables and CSV rank files)."""
+
+import io
+from itertools import compress, count
+from operator import itemgetter
+from pathlib import Path
 
 
 class GemError(Exception):
@@ -61,3 +68,76 @@ def parse_number(text: str) -> float:
     if "_" in text or not text.isascii():
         raise ValueError(f"not a number: {text!r}")
     return float(text)
+
+
+def read_source(source, filename=None):
+    """(filename, bytes) of a path, bytes or an open binary or text stream,
+    past a leading UTF-8 byte order mark. A path names the file unless
+    ``filename`` does; a text stream's text is encoded as UTF-8, lone
+    surrogates kept (``surrogatepass``), and a stream that cannot decode its
+    bytes raises a ParseError naming the file."""
+    if isinstance(source, (str, Path)):
+        filename, data = filename or str(source), Path(source).read_bytes()
+    elif isinstance(source, (bytes, bytearray)):
+        data = bytes(source)
+    else:
+        try:
+            data = source.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc.reason}", filename) from None
+        if isinstance(data, str):
+            data = data.encode("utf-8", "surrogatepass")
+    return filename, data.removeprefix(b"\xef\xbb\xbf")
+
+
+def read_table(source, filename, header, missing=None):
+    """(filename, stripped cell columns of ``header``, first line of each row)
+    of a CSV table's non-blank rows, read once from a :func:`read_source`
+    source. The header's cells, stripped and lower-cased, must be ``header``,
+    or with ``missing`` (the error's text) name its columns in any order
+    among others, a repeated name reading its last column. A row of blank
+    cells is skipped. Bytes that are not UTF-8, malformed CSV and a row of
+    another column count raise a ParseError, a read error after the rows
+    before it."""
+    import csv  # not for the crosswalk
+
+    filename, data = read_source(source, filename)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})",
+                         filename, data.count(b"\n", 0, exc.start) + 1) from None
+    # decoded a chunk at a time: a StringIO would hold 4 bytes per character
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    got, rows, lines, failure = (), [], [1], None  # lines[i]: the first line of row i
+    try:
+        got = next(reader, None)
+        if got is None:
+            raise ParseError("file is empty, expected a header row", filename, 1)
+        names = [h.strip().lower() for h in got]
+        if missing is None and names != list(header):
+            raise ParseError(f"expected header {','.join(header)!r}, got {','.join(got)!r}",
+                             filename, 1)
+        place = dict(zip(names, count()))
+        if not place.keys() >= set(header):
+            raise ParseError(missing, filename)
+        lines[0] = reader.line_num + 1
+        for row in reader:
+            rows.append(row)
+            lines.append(reader.line_num + 1)
+    except csv.Error as exc:
+        failure = ParseError(str(exc), filename, lines[-1])
+    width, size = len(got), list(map(len, rows))
+    odd = [i for i, n in enumerate(size) if n != width] if size.count(width) < len(rows) else []
+    for i in odd:
+        if any(map(str.strip, rows[i])):
+            raise ParseError(f"expected {width} columns, got {size[i]}", filename, lines[i])
+    if failure:
+        raise failure
+    if odd:  # blank rows of another size
+        rows, lines = (list(compress(c, map(width.__eq__, size))) for c in (rows, lines))
+    columns = [list(map(str.strip, map(itemgetter(place[name]), rows))) for name in header]
+    if "" in columns[0]:  # a blank row's first cell is empty
+        filled = [any(map(str.strip, row)) for row in rows]
+        columns, lines = [list(compress(c, filled)) for c in columns], list(compress(lines, filled))
+    return filename, columns, lines[: len(columns[0])]  # not the line after the last row

@@ -50,7 +50,7 @@ flags are 5 ASCII digits, fields are separated by ASCII whitespace, lines
 end at LF, CRLF or CR, and a leading UTF-8 byte order mark is skipped.
 
 Also here: the CSV side tables, each read once into cell columns by
-:func:`_read_table` and checked by one table of rules as a block's lines are,
+``errors.read_table`` and checked by one table of rules as a block's lines are,
 code columns through ``_CODE_BYTE``. Class ranges load into a
 :class:`ClassRanges` table of sorted code intervals, whose one sweep both
 rejects overlapping classes and assigns codes; descriptions and frequencies
@@ -59,20 +59,16 @@ load into dicts.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, count
-from operator import itemgetter
-from pathlib import Path
+from itertools import count
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ParseError, StructuralError, parse_number
+from .errors import ParseError, StructuralError, parse_number, read_source, read_table
 
 MAX_CODE = 8
 
@@ -81,7 +77,6 @@ NO_MATCH_SENTINELS = frozenset({"NODX", "NOPCS"})
 
 UNCLASSIFIED = "unclassified"
 
-_BOM = b"\xef\xbb\xbf"
 _LINE_BREAK = re.compile(rb"\r\n?|\n")
 # Bytes per parse block: a block's working arrays peak at about 11 bytes per
 # input byte, 3 MB for 256 KiB, where a whole 2.8 MB file in one block takes
@@ -234,26 +229,6 @@ class GemLines(RowTable):
         return (keys == _SENTINEL_KEYS[0]) | (keys == _SENTINEL_KEYS[1])
 
 
-def _read_lines(data: bytes, filename) -> GemLines:
-    """Split, validate and encode a crosswalk (see the module docstring for
-    the grammar) a block at a time. A block ends just after the first line
-    break that starts at or after its ``_PARSE_BLOCK``-th byte, so no line
-    (and no CRLF) spans two blocks, and its first line follows the breaks
-    of the blocks before it."""
-    lo = len(_BOM) if data.startswith(_BOM) else 0
-    blocks, first_line = [], 0
-    while not blocks or lo < len(data):
-        cut = _LINE_BREAK.search(data, lo + _PARSE_BLOCK - 1)
-        hi = cut.end() if cut else len(data)
-        lines, n_breaks = _read_block(data[lo:hi], filename, first_line)
-        blocks.append(lines)
-        lo, first_line = hi, first_line + n_breaks
-    return GemLines(*(
-        np.concatenate(parts)
-        for parts in zip(*((b.sources, b.targets, b.target_len, b.flags, b.line) for b in blocks))
-    ))
-
-
 def _read_block(data: bytes, filename, first_line: int) -> tuple[GemLines, int]:
     """The rows of a block of whole lines whose first line is number
     ``first_line + 1``, and the number of line breaks in it."""
@@ -346,21 +321,27 @@ def _read_block(data: bytes, filename, first_line: int) -> tuple[GemLines, int]:
 def parse_gem_file(source, filename: str | None = None) -> GemLines:
     """Parse a crosswalk file into a :class:`GemLines` table in file order.
 
-    ``source`` may be a path, bytes, or an open text/binary stream. Lines
-    hold three whitespace-separated fields: source code, target code,
-    5-digit flag. Blank lines are skipped; anything else malformed raises
-    with file and line context.
+    ``source`` may be a path, bytes, or an open text/binary stream, read by
+    ``errors.read_source``. Lines hold three whitespace-separated fields:
+    source code, target code, 5-digit flag. Blank lines are skipped;
+    anything else malformed raises with file and line context. The bytes
+    are read a block at a time (see the module docstring for the grammar).
+    A block ends just after the first line break that starts at or after
+    its ``_PARSE_BLOCK``-th byte, so no line (and no CRLF) spans two
+    blocks, and its first line follows the breaks of the blocks before it.
     """
-    if isinstance(source, (str, Path)):
-        filename = filename or str(source)
-        data = Path(source).read_bytes()
-    elif isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    else:
-        data = source.read()
-        if isinstance(data, str):
-            data = data.encode("utf-8", "surrogatepass")
-    return _read_lines(data, filename)
+    filename, data = read_source(source, filename)
+    lo, blocks, first_line = 0, [], 0
+    while not blocks or lo < len(data):
+        cut = _LINE_BREAK.search(data, lo + _PARSE_BLOCK - 1)
+        hi = cut.end() if cut else len(data)
+        lines, n_breaks = _read_block(data[lo:hi], filename, first_line)
+        blocks.append(lines)
+        lo, first_line = hi, first_line + n_breaks
+    return GemLines(*(
+        np.concatenate(parts)
+        for parts in zip(*((b.sources, b.targets, b.target_len, b.flags, b.line) for b in blocks))
+    ))
 
 
 def _make_record(source: str, group: Sequence[GemEntry]) -> MapRecord:
@@ -506,58 +487,6 @@ def group_maps(lines: GemLines) -> MapTable:
     return _build_maps(lines, *_map_ids(lines.sources))  # ids' working arrays freed first
 
 
-def _read_table(source, filename, header):
-    """(filename, stripped cell columns, first line of each row) of a side
-    table's non-blank rows, read once from a path, bytes or a text stream,
-    past a leading BOM. Undecodable bytes, another header, malformed CSV and
-    a row of another column count raise a ParseError, a read error after the
-    rows before it."""
-    if isinstance(source, (str, Path)):
-        filename, source = filename or str(source), Path(source).read_bytes()
-    if isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})",
-                             filename, data.count(b"\n", 0, exc.start) + 1) from None
-        # decoded a chunk at a time: a StringIO would hold 4 bytes per character
-        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-    rows, lines, failure = [], [1], None  # lines[i]: the first line of row i
-    try:
-        text = iter(source)
-        first = next(text, "").removeprefix("\ufeff")  # a leading BOM is skipped
-        reader = csv.reader(chain([first] if first else (), text))
-        got = next(reader, None)
-        if got is None:
-            raise ParseError("file is empty, expected a header row", filename, 1)
-        if [h.strip().lower() for h in got] != list(header):
-            raise ParseError(f"expected header {','.join(header)!r}, got {','.join(got)!r}",
-                             filename, 1)
-        lines[0] = reader.line_num + 1
-        for row in reader:
-            rows.append(row)
-            lines.append(reader.line_num + 1)
-    except csv.Error as exc:
-        failure = ParseError(str(exc), filename, lines[-1])
-    except UnicodeDecodeError as exc:
-        failure = ParseError(f"not UTF-8: {exc.reason}", filename)
-    size = np.fromiter(map(len, rows), np.intp, len(rows))
-    odd = np.flatnonzero(size != len(header)).tolist()
-    for i in odd:
-        if any(cell.strip() for cell in rows[i]):
-            raise ParseError(f"expected {len(header)} columns, got {size[i]}", filename, lines[i])
-    if failure:
-        raise failure
-    if odd:  # blank rows of another size
-        rows, lines = (list(compress(c, size == len(header))) for c in (rows, lines))
-    columns = [list(map(str.strip, map(itemgetter(j), rows))) for j in range(len(header))]
-    if "" in columns[0]:  # a blank row's first cell is empty
-        filled = list(map(any, zip(*columns)))
-        columns, lines = [list(compress(c, filled)) for c in columns], list(compress(lines, filled))
-    return filename, columns, lines[: len(columns[0])]  # not the line after the last row
-
-
 def _raise_rule(rules, row: int, filename, line, **fields):
     """Raise the error of the first of ``rules``, each a (mask, error type,
     message template), set on ``row``, worded from the row's ``fields``."""
@@ -638,7 +567,7 @@ def load_class_defs(source, filename: str | None = None) -> ClassRanges:
     first such interval in the table's order and that holder, the pair
     meeting at the lowest code two classes share, on the later line.
     """
-    filename, (low_cells, high_cells, labels), lines = _read_table(
+    filename, (low_cells, high_cells, labels), lines = read_table(
         source, filename, ("low", "high", "label"))
     (low_codes, bad_low), (high_codes, bad_high) = _codes(low_cells), _codes(high_cells)
     # a code's length is its count of non-NUL bytes
@@ -694,7 +623,7 @@ def assign_classes(codes: Sequence[str], table: ClassRanges) -> np.ndarray:
 
 def load_descriptions(source, filename: str | None = None) -> dict[str, str]:
     """Load a `code,description` CSV into a lookup table by upper-cased code."""
-    filename, (cells, descriptions), lines = _read_table(source, filename, ("code", "description"))
+    filename, (cells, descriptions), lines = read_table(source, filename, ("code", "description"))
     codes = list(map(str.upper, cells))
     _check_rows(_keyed_rules(cells, "described"), filename, lines, cell=cells, code=codes)
     return dict(zip(codes, descriptions))
@@ -709,7 +638,7 @@ def _number_or_none(text: str) -> float | None:
 
 def load_frequencies(source, filename: str | None = None) -> dict[str, float]:
     """Load a `code,probability` CSV; every probability must lie in [0, 1]."""
-    filename, (cells, probs), lines = _read_table(source, filename, ("code", "probability"))
+    filename, (cells, probs), lines = read_table(source, filename, ("code", "probability"))
     codes, numbers = list(map(str.upper, cells)), list(map(_number_or_none, probs))
     p = np.array(numbers, dtype=float)  # None reads NaN
     rules = _keyed_rules(cells, "frequency") + (

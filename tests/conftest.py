@@ -1,8 +1,8 @@
 """Shared fixtures: the bundled reference map, synthetic map generators,
 crosswalk text strategies, the frozen scalar crosswalk grammar, the frozen
-side-table loaders, the frozen scoring passes (line reader, grouping and
-column entropies), tables built from rows, and discovery of the optional
-2015 GEM data files."""
+side-table loaders, the frozen rank-file reader of ``corr``, the frozen
+per-block column entropies, tables built from rows, and discovery of the
+optional 2015 GEM data files."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from gementropy import analysis, entropy, gem_io
 from gementropy.analysis import ClassTable
 from gementropy.cli import REFERENCE_MAP_LINES
-from gementropy.errors import GemError, ParseError, StructuralError
+from gementropy.errors import GemError, ParseError, StructuralError, parse_number
 from gementropy.gem_io import (
     MAX_CODE,
     NO_MATCH_SENTINELS,
@@ -441,176 +441,65 @@ def load_frequencies(source, filename: str | None = None) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Frozen scoring passes: the crosswalk reader's ``_read_block`` that placed
-# tokens on lines by searching every token start among the line breaks,
-# ``group_maps`` that ran ``np.unique`` over every row's source, its
-# ``_build_maps`` with three ``np.unique`` calls over the combination keys,
-# and ``column_entropies`` that re-derived its repeats and two-row masks per
-# block of maps, kept as they were, as the oracle of the passes that replaced
-# them.
+# Frozen rank-file reader: ``corr``'s reader of a rank file, whose CSV branch
+# read through ``csv.DictReader``, kept as it was, as the oracle of the
+# side-table reader that splits CSV rank files now.
 
 
-def _read_block(data: bytes, filename, first_line: int) -> tuple[gem_io.GemLines, int]:
-    """The rows of a block of whole lines whose first line is number
-    ``first_line + 1``, and the number of line breaks in it."""
-    padded = data + bytes(8)
-    n = len(data)
-    # the 8 bytes from every offset as one word; zeros past the end
-    words = np.ndarray((n,), "<u8", buffer=padded, strides=(1,))
-    buf = np.frombuffer(padded, dtype=np.uint8)
-    buf, after = buf[:n], buf[1 : n + 1]
-    # token i spans bytes [edges[2i], edges[2i+1]); spaces bound the block
-    space = np.ones(n + 2, dtype=bool)
-    np.less_equal(buf - np.uint8(9), 13 - 9, out=space[1:-1])  # \t \n \v \f \r
-    space[1:-1] |= buf == 32
-    edges = np.flatnonzero(space[1:] != space[:-1])
-    start, end = edges[0::2], edges[1::2]
-    breaks = np.flatnonzero((buf == 10) | ((buf == 13) & (after != 10)))
-    token_line = np.searchsorted(breaks, start)
-    first = np.flatnonzero(np.diff(token_line, prepend=-1))  # first token per line
-    n_tokens = np.diff(first, append=len(start))
-    line_index = token_line[first]
-
-    t = first[n_tokens == 3]
-    src_len, tgt_len, flag_len = (end[t + i] - start[t + i] for i in range(3))
-    sources, bad_src = gem_io._field(words[start[t]], src_len, gem_io._CODE_BYTE)
-    targets, bad_tgt = gem_io._field(words[start[t + 1]], tgt_len, gem_io._CODE_BYTE)
-    flags, bad_flag = gem_io._field(words[start[t + 2]], 5, gem_io._DIGIT_BYTE)
-    lines = gem_io.GemLines(
-        sources=sources,
-        targets=targets,
-        target_len=tgt_len.astype(np.uint8),
-        flags=flags[:, :5],
-        line=line_index[n_tokens == 3] + 1,
-    )
-
-    approximate, no_map, comb, scenario, choice = lines.flags.T
-    sentinel = lines.sentinel()
-    # the line rules in the order a line's errors are reported: (mask, error
-    # type, message template). A rule is read only where the rules before it
-    # hold; its message is formatted from the line's fields and its
-    # upper-cased target code.
-    rules = (
-        ((src_len > gem_io.MAX_CODE) | bad_src, gem_io.ParseError,
-         "source code {source!r} is not 1-8 characters of [A-Z0-9]"),
-        ((tgt_len > gem_io.MAX_CODE) | bad_tgt, gem_io.ParseError,
-         "target code {target!r} is not 1-8 characters of [A-Z0-9]"),
-        ((flag_len != 5) | bad_flag, gem_io.ParseError,
-         "flag must be exactly 5 digits, got {flag!r}"),
-        (approximate > 1, gem_io.StructuralError,
-         "flag digit 1 (approximate) must be 0 or 1, got {flag[0]}"),
-        (no_map > 1, gem_io.StructuralError,
-         "flag digit 2 (no-map) must be 0 or 1, got {flag[1]}"),
-        (comb > 1, gem_io.StructuralError,
-         "flag digit 3 (combination) must be 0 or 1, got {flag[2]}"),
-        ((no_map == 1) & (comb == 1), gem_io.StructuralError,
-         "flag {flag!r} sets both no-map and combination"),
-        ((comb == 0) & ((scenario != 0) | (choice != 0)), gem_io.StructuralError,
-         "flag {flag!r} has scenario/choice-list digits without the combination digit"),
-        ((comb == 1) & ((scenario == 0) | (choice == 0)), gem_io.StructuralError,
-         "flag {flag!r} sets combination but scenario or choice list is 0"),
-        ((no_map == 1) & ~sentinel, gem_io.StructuralError,
-         "no-map flag with a regular target code {code!r}"),
-        ((comb == 1) & sentinel, gem_io.StructuralError,
-         "no-match target {code!r} carries a combination flag"),
-    )
-    bad = np.zeros_like(sentinel)
-    for mask, _, _ in rules:
-        bad |= mask
-    failed = np.concatenate((line_index[n_tokens != 3], lines.line[bad] - 1))
-    if len(failed):
-        i = int(failed.min())
-        lo = int(breaks[i - 1]) + 1 if i else 0
-        hi = int(breaks[i]) if i < len(breaks) else len(data)
-        line = first_line + i + 1
-        fields = [f.decode("utf-8", "replace") for f in data[lo:hi].split()]
-        if len(fields) != 3:
-            raise gem_io.ParseError(
-                f"expected 3 fields (source target flag), got {len(fields)}", filename, line
-            )
-        row = np.searchsorted(lines.line, i + 1)
-        source, target, flag = fields
-        gem_io._raise_rule(rules, row, filename, line,
-                           source=source, target=target, flag=flag, code=target.upper())
-    lines.line += first_line
-    return lines, len(breaks)
+def read_rank_file(path: str) -> analysis.RankTable:
+    is_json = Path(path).suffix.lower() == ".json"
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        if is_json:
+            import json
+            try:
+                records = json.load(fh)
+            except ValueError as exc:
+                raise GemError(f"{path}: rank file is not valid JSON: {exc}") from None
+            if not isinstance(records, list):
+                raise GemError(f"{path}: rank file must hold a list of records")
+            located = [(f": record {i}", record) for i, record in enumerate(records)]
+        else:
+            reader = csv.DictReader(fh)
+            try:
+                fields = reader.fieldnames
+                located = [(f":{reader.line_num}", row) for row in reader]
+            except csv.Error as exc:
+                raise GemError(f"{path}:{reader.reader.line_num}: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise GemError(f"{path}: not UTF-8: {exc.reason}") from None
+            if fields is None or not {"class_id", "score"} <= set(fields):
+                raise GemError(f"{path}: rank file needs class_id and score columns")
+    pairs = {}
+    for where, record in located:
+        if not is_json and None in record:  # csv.DictReader's key of a row's extra cells
+            raise GemError(f"{path}{where}: expected {len(fields)} columns, "
+                           f"got {len(fields) + len(record[None])}")
+        try:
+            class_id, score = record["class_id"], record["score"]
+            # a JSON score is a number, not a bool or a string
+            if is_json and type(score) not in (int, float):
+                raise ValueError
+            score = float(score) if is_json else parse_number(score)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise GemError(f"{path}{where}: needs a class_id and a numeric score") from None
+        if not isinstance(class_id, str):
+            raise GemError(f"{path}{where}: class_id must be a string, got {class_id!r}")
+        if not math.isfinite(score):
+            raise GemError(f"{path}{where}: score must be finite, got {record['score']!r}")
+        if class_id in pairs:
+            raise GemError(f"{path}{where}: class_id {class_id!r} is listed twice")
+        pairs[class_id] = score
+    if not pairs:
+        raise GemError(f"{path}: rank file is empty")
+    if len(pairs) < 2:
+        raise GemError(f"{path}: need at least 2 classes to correlate, got 1")
+    return analysis.RankTable(path, pairs)
 
 
-def _build_maps(
-    lines: gem_io.GemLines, map_id: np.ndarray, first_row: np.ndarray
-) -> gem_io.MapTable:
-    """Group the rows by ``map_id`` (maps numbered in output order; map k's
-    first row is ``first_row[k]``), check every group and count m, m0, v."""
-    n_maps = len(first_row)
-    sizes = np.bincount(map_id, minlength=n_maps)
-    rows = np.argsort(map_id, kind="stable")
-    no_match = (lines.flags[:, 1] == 1) | lines.sentinel()
-    n_no_match = np.bincount(map_id[no_match], minlength=n_maps)
-    excluded = n_no_match == sizes
-
-    # combination rows as (map, scenario, choice list) keys, one per list
-    comb = lines.flags[:, 2] == 1
-    flags = lines.flags[comb].astype(np.int64)
-    keys, list_size = np.unique(
-        (map_id[comb] * 10 + flags[:, 3]) * 10 + flags[:, 4], return_counts=True
-    )
-    scen_keys, scen_first, n_lists = np.unique(
-        keys // 10, return_index=True, return_counts=True
-    )
-    scen_map = scen_keys // 10
-    map_keys, map_first, n_scen = np.unique(
-        scen_map, return_index=True, return_counts=True
-    )
-    # numbering is contiguous from 1 iff the highest number equals the count
-    gap = np.zeros(n_maps, dtype=bool)
-    gap[map_keys] = scen_keys[map_first + n_scen - 1] % 10 != n_scen
-    gap[scen_map[keys[scen_first + n_lists - 1] % 10 != n_lists]] = True
-    bad = ~excluded & ((n_no_match > 0) | gap)
-    source = lines.sources[first_row].astype(np.uint32).view("U8")[:, 0]
-    if bad.any():
-        # the first bad map's error: mixed no-match first, then the numbering
-        # of its scenarios, then of each scenario's choice lists in order
-        k = int(np.argmax(bad))
-        name = str(source[k])
-        if n_no_match[k]:
-            raise gem_io.StructuralError(f"source {name} mixes no-match and regular entries",
-                                         source=name)
-        scenarios = scen_keys[scen_map == k]
-        numberings = [(f"source {name} has non-contiguous scenario numbers", scenarios)] + [
-            (f"source {name} scenario {s % 10} has non-contiguous choice lists",
-             keys[keys // 10 == s])
-            for s in scenarios.tolist()
-        ]
-        text, ids = next((text, ids % 10) for text, ids in numberings if ids[-1] % 10 != len(ids))
-        raise gem_io.StructuralError(f"{text} {ids.tolist()}", source=name)
-
-    m = np.where(excluded, 0, sizes)
-    m0 = np.where(excluded, 0, sizes - np.bincount(map_id[comb], minlength=n_maps))
-    v = m0.copy()
-    if len(keys):
-        scen_product = np.multiply.reduceat(list_size, scen_first)
-        v[map_keys] += np.add.reduceat(scen_product, map_first)
-        # int64 holds v while every scenario's product stays below 2**59 (a
-        # map has at most 9 scenarios); past that, count with Python ints.
-        if np.add.reduceat(np.log2(list_size), scen_first).max() > 58:
-            v = m0.astype(object)
-            for k, sizes_k in zip(scen_map.tolist(), np.split(list_size, scen_first[1:])):
-                v[k] += math.prod(sizes_k.tolist())
-    return gem_io.MapTable(lines, rows, gem_io.offsets(sizes), source, m, m0, v)
-
-
-def group_maps(lines: gem_io.GemLines) -> gem_io.MapTable:
-    """Group the rows of a crosswalk by source code: maps in first-appearance
-    order, each map's rows in file order."""
-    # Big-endian words order as the codes do, so a file sorted by source
-    # gives sorted keys, which the stable sort of np.unique runs through in
-    # linear time.
-    keys = lines.sources.view(">u8")[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return _build_maps(lines, rank[inverse.reshape(-1)], first[order])
+# ---------------------------------------------------------------------------
+# Frozen scoring pass: ``column_entropies`` that re-derived its repeats and
+# two-row masks per block of maps, kept as it was, as the oracle of the pass
+# that replaced it (and of its kernel calls, one per block).
 
 
 def column_entropies(maps: gem_io.MapTable) -> tuple[np.ndarray, np.ndarray]:

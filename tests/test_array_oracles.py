@@ -19,11 +19,11 @@ kernel, the fancy-indexed tables of the crosswalk reader's ``_field``, the
 scalar line and group checks (frozen in ``conftest``) that worded the
 crosswalk errors, and the numbered row reader, per-cell code checks and
 per-row loops of the class, description and frequency loaders (frozen in
-``conftest``), and the scoring passes that those of line ends, source runs
-and once-per-table column masks replaced (frozen in ``conftest``): the
-token-start search of ``_read_block``, the row-wise ``np.unique`` calls of
-``group_maps`` and ``_build_maps``, and the per-block repeats of
-``column_entropies``. Parsed and grouped columns, crosswalk errors, class
+``conftest``), and the per-block repeats of ``column_entropies`` (frozen in
+``conftest``). The byte-matrix reader also searches every token start among
+the line breaks, and the little-endian grouping runs ``np.unique`` over every
+row's source and over the combination keys, as the passes did that line ends
+and source runs replaced. Parsed and grouped columns, crosswalk errors, class
 assignment, range checks, class sums, class orders and average ranks,
 graphs, components, reports, outlier lists, side tables and their errors
 and token lists must match exactly, and taus, centralities and
@@ -41,7 +41,6 @@ import operator
 import re
 import tracemalloc
 from dataclasses import dataclass, field
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -49,11 +48,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gementropy import _kernels, analysis, entropy, gem_io, textnet
+from gementropy import _kernels, analysis, cli, entropy, gem_io, textnet
 from gementropy._kernels import N_SYMBOLS, SYMBOL
 from gementropy.analysis import OUTLIER_MEASURES, RANK_MEASURES, ClassTable, RankTable
 from gementropy.entropy import NormalizedScores, ZScoreTable
-from gementropy.errors import ConvergenceError, GemError, StructuralError
+from gementropy.errors import ConvergenceError, GemError, ParseError, StructuralError
 from gementropy.gem_io import MAX_CODE, UNCLASSIFIED
 
 from conftest import (
@@ -64,19 +63,18 @@ from conftest import (
     _range_interval,
     _read_csv,
     _validate_code,
-    _read_block as frozen_read_block,
     class_rows,
     class_table,
     column_entropies as frozen_column_entropies,
     crosswalk_text,
     gem_line,
-    group_maps as frozen_group_maps,
     load_class_defs as frozen_load_class_defs,
     load_descriptions as frozen_load_descriptions,
     load_frequencies as frozen_load_frequencies,
     make_map_entries,
     outlier_pairs,
     parsed_columns,
+    read_rank_file as frozen_read_rank_file,
     table_of,
     word_graph,
 )
@@ -885,23 +883,6 @@ def test_class_overlap_sweep_matches_pairwise_loop(rows):
 # Crosswalk parse and grouping
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    crosswalk_text(),
-    st.one_of(st.just(()), st.tuples(BAD_LINE, LINE_BREAK)),
-    crosswalk_text(),
-    st.booleans(),
-)
-def test_parse_matches_byte_matrices(head, bad, tail, bom):
-    """The same columns (dtypes and shapes too), or the same error type,
-    text and line, in blocks of 1, 7 and 64 bytes and the default."""
-    data = b"\xef\xbb\xbf" * bom + (head + "".join(bad) + tail).encode()
-    for block in (1, 7, 64, gem_io._PARSE_BLOCK):
-        with mock.patch.object(gem_io, "_read_block", _oracle_read_block):
-            expected = parsed_columns(data, block)
-        assert parsed_columns(data, block) == expected
-
-
 _LINE_CODE = st.text("0123456789ABCDEFXYZabxyz", min_size=1, max_size=8)
 _LINE_TOKEN = st.one_of(_LINE_CODE, st.sampled_from(["00000", "11000", "10111", "NODX"]))
 _ENTRY = st.tuples(_LINE_CODE, _LINE_CODE, st.sampled_from(["00000", "10000", "11000"]))
@@ -928,6 +909,19 @@ def _spaced_lines(draw):
     return "".join(lines).encode()
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    crosswalk_text(),
+    st.one_of(st.just(()), st.tuples(BAD_LINE, LINE_BREAK)),
+    crosswalk_text(),
+    st.booleans(),
+)
+def test_parse_matches_byte_matrices(head, bad, tail, bom):
+    """The same columns (dtypes and shapes too), or the same error type,
+    text and line, in blocks of 1, 7 and 64 bytes and the default."""
+    _parse_matches_oracle(b"\xef\xbb\xbf" * bom + (head + "".join(bad) + tail).encode())
+
+
 @settings(max_examples=400, deadline=None)
 @given(_spaced_lines(), st.booleans())
 @example(b"", False)
@@ -938,13 +932,16 @@ def _spaced_lines(draw):
 @example(b"A1 B2 00000\n\nA1 B2 00000 X\r\n", False)  # four tokens after a blank line
 @example(b"A1 B2\r\nA2 B3 00000\n", False)  # two tokens on the first line
 def test_line_bounds_match_frozen_reader(data, bom):
-    """Token bounds taken from the line ends read a crosswalk as the frozen
-    reader that searched every token start among the breaks: the same
-    columns (dtypes and shapes too), or the same error type, text and line,
-    in blocks of 1, 7 and 64 bytes and the default."""
-    data = b"\xef\xbb\xbf" * bom + data
+    """Token bounds taken from the line ends read spaced lines as the
+    byte-matrix reader above, which searches every token start among the
+    breaks: the same columns (dtypes and shapes too), or the same error
+    type, text and line, in blocks of 1, 7 and 64 bytes and the default."""
+    _parse_matches_oracle(b"\xef\xbb\xbf" * bom + data)
+
+
+def _parse_matches_oracle(data):
     for block in (1, 7, 64, gem_io._PARSE_BLOCK):
-        with mock.patch.object(gem_io, "_read_block", frozen_read_block):
+        with mock.patch.object(gem_io, "_read_block", _oracle_read_block):
             expected = parsed_columns(data, block)
         assert parsed_columns(data, block) == expected
 
@@ -1024,34 +1021,38 @@ def _grouped(group, lines):
     return [(a.dtype, a.shape, a.tolist()) for a in columns]
 
 
-@settings(max_examples=300, deadline=None)
-@given(_crosswalk_lines())
-def test_group_matches_little_endian_keys(lines):
-    """The same maps in the same order, or the same error."""
-    lines = gem_io.parse_gem_file("\n".join(lines).encode())
-    assert _grouped(gem_io.group_maps, lines) == _grouped(_oracle_group_maps, lines)
-
-
 def _wide_map_lines(source="W1", lists=9, size=90):
     """One map whose one scenario has ``lists`` choice lists of ``size``
     codes: v = size ** lists, past int64's safe range at 9 x 90."""
     return [f"{source} C{c}{j:03d} 1011{c}" for c in range(1, lists + 1) for j in range(size)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(_crosswalk_lines())
-@example([])  # no line
-@example(["A1 X1 00000", "B2 X2 00000", "A1 X3 00000"])  # A B A
-@example(["B2 X1 10111", "A1 X2 00000", "B2 X3 10112", "B2 X4 10121", "A1 X5 00000"])
-@example(_wide_map_lines() + ["A1 X1 00000"] + _wide_map_lines()[:3])  # v past int64
-@example(["A1 X1 10112", "B2 X2 00000", "A1 X3 10111"])  # a choice-list gap
-def test_group_matches_frozen_grouping(lines):
-    """Maps from runs of equal consecutive sources and combination keys
-    grouped by one sort: the frozen ``group_maps`` and ``_build_maps``'s
-    maps, rows and counts (dtypes and shapes too, v as Python ints in an
-    object array where it must be), or the same error type and text."""
+def _group_matches_oracle(lines):
     lines = gem_io.parse_gem_file("\n".join(lines).encode())
-    assert _grouped(gem_io.group_maps, lines) == _grouped(frozen_group_maps, lines)
+    assert _grouped(gem_io.group_maps, lines) == _grouped(_oracle_group_maps, lines)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_crosswalk_lines())
+def test_group_matches_little_endian_keys(lines):
+    """The same maps in the same order, rows and counts (dtypes and shapes
+    too), or the same error type and text."""
+    _group_matches_oracle(lines)
+
+
+def test_group_matches_frozen_grouping():
+    """Maps from runs of equal consecutive sources and combination keys
+    grouped by one sort, at the edges: the little-endian grouping's maps,
+    rows and counts (v as Python ints in an object array where it must be),
+    or the same error type and text."""
+    for lines in (
+        [],  # no line
+        ["A1 X1 00000", "B2 X2 00000", "A1 X3 00000"],  # A B A
+        ["B2 X1 10111", "A1 X2 00000", "B2 X3 10112", "B2 X4 10121", "A1 X5 00000"],
+        _wide_map_lines() + ["A1 X1 00000"] + _wide_map_lines()[:3],  # v past int64
+        ["A1 X1 10112", "B2 X2 00000", "A1 X3 10111"],  # a choice-list gap
+    ):
+        _group_matches_oracle(lines)
 
 
 def test_group_wide_map_counts_v_as_python_ints():
@@ -1585,23 +1586,21 @@ def _outcome(load, source):
     return table.ids, table.labels, [(a.dtype.kind, a.tolist()) for a in arrays]
 
 
-def _sources(data, encoding="utf-8"):
-    """The file as bytes, as a text stream decoding it 4 bytes at a time (a
-    byte that is not UTF-8 fails the row it is read in) and, when it is
-    UTF-8, as text streams with and without universal newlines; each call
-    builds fresh streams. The streams decode with ``encoding``: "utf-8"
-    keeps a leading BOM in the text, which the loaders skip, and
-    "utf-8-sig" drops it, for the frozen loaders, which did not skip it."""
-    yield data
-    stream = io.TextIOWrapper(io.BytesIO(data), encoding=encoding, newline="")
+def _sources(data):
+    """(source, bytes it reads as) of the file as bytes, as a text stream
+    decoding it 4 bytes at a time and, when it is UTF-8, as text streams
+    with and without universal newlines; the last reads as its text with
+    every line end made LF. Each call builds fresh streams."""
+    yield data, data
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
     stream._CHUNK_SIZE = 4
-    yield stream
+    yield stream, data
     try:
-        text = data.decode(encoding)
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
         return
-    yield io.StringIO(text, newline="")
-    yield io.StringIO(text)
+    yield io.StringIO(text, newline=""), data
+    yield io.StringIO(text), io.StringIO(text).read().encode()
 
 
 @settings(max_examples=1500, deadline=None)
@@ -1617,12 +1616,20 @@ def _sources(data, encoding="utf-8"):
 @example(("classes", b"low,high,label\nA_,B_,\n"))  # range low before range high
 @example(("frequencies", b"code,probability\nA1,0.5\na1,x\nB_,2\n"))  # duplicate first
 def test_side_tables_match_frozen_loaders(file):
-    """The same table in the same order, or the same error type, text, file
-    and line; of several errors in a file, the same one wins."""
+    """Whatever the kind of source, the frozen loader's outcome on the bytes
+    it reads as: the same table in the same order, or the same error type,
+    text, file and line; of several errors in a file, the same one wins. A
+    text stream over bytes that are not UTF-8 fails as it is read, naming
+    the file alone."""
     kind, data = file
     load, oracle = _LOADERS[kind]
-    frozen = map(partial(_outcome, oracle), _sources(data, "utf-8-sig"))
-    for expected, source in zip(frozen, _sources(data)):
+    for source, read in _sources(data):
+        expected = _outcome(oracle, read)
+        if not isinstance(source, bytes):
+            try:
+                read.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                expected = ParseError, f"t.csv: not UTF-8: {exc.reason}", "t.csv", None
         assert _outcome(load, source) == expected
 
 
@@ -1632,6 +1639,143 @@ def test_descriptions_match_numbered_reader(file):
     """The same table in the same order, or the same error type and text."""
     _, data = file
     assert _outcome(gem_io.load_descriptions, data) == _outcome(_oracle_load_descriptions, data)
+
+
+# ---------------------------------------------------------------------------
+# Rank files: CSV rank files of ``corr`` against the frozen reader's
+# ``csv.DictReader``
+
+_RANK_IDS = ["A", "B", "C", "a", "é", "A B", "x\ny", "Z,9", 'q"t', ""]
+_RANK_SCORES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["3", "2.5", "-1", "0", "1e3", "+.5", "nan", "inf", "-inf", "1e999", "1_0",
+                     "١", "０.５", "high", ""]),
+)
+_RANK_EXTRAS = st.one_of(st.text(max_size=5),
+                         st.sampled_from(["", " ", "x,y", 'a "q"', "l\nb", "é"]))
+_PADS = st.sampled_from(["", "", "", " ", "\t", "\u00a0", " \t"])  # no line break
+_SPELLINGS = {  # the header names as the side-table reader reads them
+    "class_id": ["class_id"] * 3 + ["Class_ID", " class_id", "CLASS_ID\t"],
+    "score": ["score"] * 3 + ["Score", "score ", " SCORE"],
+}
+
+
+@st.composite
+def _rank_csvs(draw):
+    """(bytes, plain bytes) of a rank CSV: a header naming class_id and score
+    in any order among 0-2 other columns (score again among them, which
+    reads its last column), then empty lines and rows of ids, scores and
+    other cells (duplicate ids, ``nan``, ``inf``, ``1_0`` and non-ASCII
+    digits among them), quoted where they must be or everywhere, ended by
+    LF, CRLF or CR; a row may lose or gain cells. The bytes spell the header
+    names in other cases and spaces and pad some id and score cells with
+    whitespace; where they hold a row of blank cells, the plain bytes hold
+    an empty line. In the bytes alone, a byte that is not UTF-8 may go in, or
+    the file be empty. Both may start with a BOM."""
+    names = draw(st.permutations(["class_id", "score"] + draw(
+        st.lists(st.sampled_from(["rank", "label", "member_count", "score"]), max_size=2))))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+
+    def line(cells):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=end, quoting=quoting).writerow(cells)
+        return buf.getvalue()
+
+    data = [line([draw(st.sampled_from(_SPELLINGS.get(n, [n]))) for n in names])]
+    plain = [line(names)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 5 + ["blank", "empty"]))
+        if kind == "empty":
+            data.append(end)
+            plain.append(end)
+            continue
+        if kind == "blank":
+            cells = draw(st.lists(st.sampled_from(["", " ", "\t"]), min_size=1,
+                                  max_size=len(names) + 1))
+            data.append(line(cells))
+            plain.append(end)
+            continue
+        cells = [draw(st.sampled_from(_RANK_IDS)) if n == "class_id" else draw(_RANK_SCORES)
+                 if n == "score" else draw(_RANK_EXTRAS) for n in names]
+        padded = [draw(_PADS) + c + draw(_PADS) if n in _SPELLINGS else c
+                  for n, c in zip(names, cells)]
+        width = draw(st.sampled_from([len(names)] * 6 + list(range(1, len(names) + 3))))
+        more = draw(st.lists(_RANK_EXTRAS, min_size=width, max_size=width))
+        cells = (cells + more)[:width]
+        data.append(line((padded + more)[:width]))
+        plain.append(line(cells) if any(cell.strip() for cell in cells) else end)
+    bom = "\ufeff" * draw(st.booleans())
+    data, plain = (bom + "".join(lines) for lines in (data, plain))
+    data = data.encode()
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xe9", b"\xff", b"\xc3"])) + data[at:]
+    if draw(st.integers(0, 15)) == 0:
+        data = bom.encode()
+    return data, plain.encode()
+
+
+def _rank_outcome(read, path):
+    try:
+        return list(read(str(path)).scores.items())
+    except GemError as err:
+        return str(err)
+
+
+def _rank_expected(data, plain, path):
+    """The frozen reader's outcome on the plain bytes, which hold the header
+    names and cells as the side-table grammar reads them and an empty line
+    for a row of blank cells, with the other changes that grammar makes: an
+    empty file and bytes that are not UTF-8 are worded as in a side table,
+    the first row of another column count that is not blank is an error
+    before any cell's, and an error names the first line of its row, not
+    the last."""
+    path.write_bytes(data)
+    frozen = _rank_outcome(frozen_read_rank_file, path)
+    data = data.removeprefix(b"\xef\xbb\xbf")
+    if not data:
+        assert frozen == f"{path}: rank file needs class_id and score columns"
+        return f"{path}:1: file is empty, expected a header row"
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        assert frozen == f"{path}: not UTF-8: {exc.reason}"
+        line = data.count(b"\n", 0, exc.start) + 1
+        return f"{path}:{line}: not UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})"
+    path.write_bytes(plain)
+    frozen = _rank_outcome(frozen_read_rank_file, path)
+    reader = csv.reader(io.StringIO(plain.decode("utf-8-sig"), newline=""))
+    first, start = {}, 1  # the first line of the row that ends on a line
+    for row in reader:
+        if first and len(row) != len(header) and any(cell.strip() for cell in row):
+            if len(row) > len(header):
+                assert isinstance(frozen, str)  # the frozen reader rejected it too
+            return f"{path}:{start}: expected {len(header)} columns, got {len(row)}"
+        header = header if first else row
+        first[reader.line_num], start = start, reader.line_num + 1
+    if isinstance(frozen, str):
+        at = re.match(rf"{re.escape(str(path))}:(\d+): ", frozen)
+        if at:
+            frozen = f"{path}:{first[int(at[1])]}: {frozen[at.end():]}"
+    return frozen
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_rank_csvs())
+@example((b"class_id,score\nA,1\nB,2\n", b"class_id,score\nA,1\nB,2\n"))
+@example((b"score,class_id,score\n1,A,3\n2,B,4\n",) * 2)  # the last score column
+@example((b'class_id,score\n"A\nB",1\nB,nan\n',) * 2)  # a row of two lines
+@example((b"class_id,score\nA,1\nA,2\n",) * 2)  # an id listed twice
+def test_rank_csvs_match_frozen_reader(tmp_path_factory, file):
+    """The same pairs in the same order, or the same error text, but for the
+    changes :func:`_rank_expected` names (each pinned in
+    ``test_cli.TestCorr``)."""
+    data, plain = file
+    path = tmp_path_factory.getbasetemp() / "r.csv"
+    expected = _rank_expected(data, plain, path)
+    path.write_bytes(data)
+    assert _rank_outcome(cli._read_rank_file, path) == expected
 
 
 def _oracle_tokenize(description):

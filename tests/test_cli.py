@@ -652,6 +652,52 @@ class TestCorr:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "name, data, message",
+        [
+            # a short row is a row of another column count, as in a side table
+            ("bad.csv", b"rank,class_id,score\n1,A,3\n2,B\n", ":3: expected 3 columns, got 2"),
+            ("bad.csv", b"class_id,score,rank\nA,3,1\nB,2\n", ":3: expected 3 columns, got 2"),
+            ("bad.csv", b"class_id,score\nA,1\ncaf\xe9,3\n",
+             ":3: not UTF-8: invalid continuation byte (byte 0xe9)"),
+            ("empty.csv", b"", ":1: file is empty, expected a header row"),
+            # a row is named by its first line, not its last
+            ("bad.csv", b'class_id,score\n"A\nB",nan\nC,1\n',
+             ":2: score must be finite, got 'nan'"),
+            # a row of another column count fails before an earlier row's cell
+            ("bad.csv", b"class_id,score\nA,high\nB,2,3\n", ":3: expected 2 columns, got 3"),
+        ],
+        ids=["short-row", "short-row-with-both-cells", "not-utf8", "empty", "two-line-row",
+             "width-before-cell"],
+    )
+    def test_side_table_grammar_errors(self, tmp_path, capsys, name, data, message):
+        """Errors that changed when rank files came to be read by the
+        side-table reader. The csv.DictReader reader said "needs a class_id
+        and a numeric score" of the first short row and accepted the second,
+        said "not UTF-8" without line or byte and "rank file needs class_id
+        and score columns" of an empty file, named the last line of a row,
+        and failed on an earlier row's cell first."""
+        self._write_rank(tmp_path / "good.csv", {"A": 3.0, "B": 1.0})
+        (tmp_path / name).write_bytes(data)
+        assert _run(["corr", tmp_path / "good.csv", tmp_path / name, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == f"error: {tmp_path / name}{message}"
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"Class_ID,Score\nA ,3\nB,1\n",
+            b" score , CLASS_ID,Rank\n3,\xc2\xa0A,1\n1,B\t,2\n",
+            b"class_id,score\nA,3\n,\n  \n\" \",\"\"\nB,1\n",
+        ],
+        ids=["header-case-and-spaced-cell", "spaces-in-any-order", "blank-rows"],
+    )
+    def test_side_table_grammar_accepts(self, tmp_path, data):
+        """Files the csv.DictReader reader rejected: its header names are
+        read stripped and lower-cased and its cells stripped, as a side
+        table's, and a row of blank cells is skipped."""
+        (tmp_path / "r.csv").write_bytes(data)
+        assert cli._read_rank_file(str(tmp_path / "r.csv")).scores == {"A": 3.0, "B": 1.0}
+
+    @pytest.mark.parametrize(
         "name, text",
         [
             ("r2.csv", "class_id,score\nC,3\nB,2\nA,1\n"),

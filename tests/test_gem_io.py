@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gementropy import gem_io
+from gementropy import errors, gem_io
 from gementropy.entropy import column_entropies, score_maps
 from gementropy.errors import GemError, ParseError, StructuralError
 from gementropy.gem_io import (
@@ -251,7 +251,7 @@ class TestAsciiGrammar:
 class TestSideTableErrors:
     def test_rows_numbered_by_first_line(self):
         text = 'code,description\nA1,"two\nlines"\n\nB2,one\n'
-        assert gem_io._read_table(io.StringIO(text), "d.csv", ("code", "description")) == (
+        assert errors.read_table(io.StringIO(text), "d.csv", ("code", "description")) == (
             "d.csv",
             [["A1", "B2"], ["two\nlines", "one"]],
             [2, 5],
@@ -263,8 +263,50 @@ class TestSideTableErrors:
             load_descriptions(data, "d.csv")
 
     def test_csv_error_from_stream(self):
-        with pytest.raises(ParseError, match=r"^f\.csv:2: new-line character"):
+        """A text stream reads as the bytes of its text: the lone CR ends a
+        line, which holds one cell."""
+        with pytest.raises(ParseError, match=r"^f\.csv:3: expected 2 columns, got 1$"):
             load_frequencies(io.StringIO("code,probability\n86,0.5\rx\n"), "f.csv")
+
+
+class TestReadSource:
+    """Every input is read as bytes by one reader, past one leading BOM."""
+
+    def test_every_source_kind_reads_the_same_bytes(self, tmp_path):
+        data = "\ufeffcode,description\r\nA1,caf\u00e9\rB2,x\n".encode()
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        want = data[3:]
+        assert errors.read_source(path) == (str(path), want)
+        assert errors.read_source(str(path), "named.csv") == ("named.csv", want)
+        assert errors.read_source(bytearray(data), "d.csv") == ("d.csv", want)
+        assert errors.read_source(io.BytesIO(data), "d.csv") == ("d.csv", want)
+        text = data.decode()
+        assert errors.read_source(io.StringIO(text, newline=""), "d.csv") == ("d.csv", want)
+        # one BOM is skipped, of a text too
+        two_boms = io.StringIO("\ufeff" + text)
+        assert errors.read_source(two_boms, None) == (None, "\ufeff".encode() + want)
+
+    def test_lone_surrogate_kept_as_its_bytes(self):
+        """A lone surrogate in a text stream is encoded as it stands, so the
+        side-table reader rejects it with its line and byte."""
+        stream = io.StringIO("code,description\nA1,caf\udce9\n")
+        assert errors.read_source(stream, "f.csv")[1].endswith(b"caf\xed\xb3\xa9\n")
+        with pytest.raises(ParseError, match=r"^f\.csv:2: not UTF-8: .* \(byte 0xed\)$"):
+            load_descriptions(io.StringIO("code,description\nA1,caf\udce9\n"), "f.csv")
+
+    @pytest.mark.parametrize("load, data", [
+        (parse_gem_file, b"A1 B2 10000\nA2 B\xe9 10000\n"),
+        (load_class_defs, b"low,high,label\n10,19,caf\xe9\n"),
+        (load_descriptions, b"code,description\nA1,caf\xe9\n"),
+        (load_frequencies, b"code,probability\nA1,0.5\nB\xe9,0.5\n"),
+    ], ids=["crosswalk", "classes", "descriptions", "frequencies"])
+    def test_undecodable_text_stream_names_the_file(self, load, data):
+        """A text stream over bytes that are not UTF-8 fails as it is read,
+        before any line is known: a ParseError naming the file alone."""
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"^g\.txt: not UTF-8: invalid continuation byte$"):
+            load(stream, "g.txt")
 
 
 class TestByteOrderMark:
