@@ -39,7 +39,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import GemError, parse_number, read_source, read_table
+from .errors import GemError, decode, parse_number, read_source, read_table
 
 if TYPE_CHECKING:
     from . import analysis, entropy
@@ -148,13 +148,12 @@ def _run_blocks(run: list, fmt: str, sep: str, blocks: range):
 
 def _text_blocks(cells: list, fmt: str, sep: str):
     """Per block of rows, a list of texts per numeric run of ``cells`` and per other cell."""
-    n_rows = min((len(column) for _, column in cells), default=0)
-    blocks = range(0, n_rows, _REPORT_BLOCK)
+    blocks = range(0, len(cells[0][1]), _REPORT_BLOCK)
     numeric = (np.float64, np.int64) if (np := sys.modules.get("numpy")) else ()
     parts = []
     for is_run, group in itertools.groupby(cells, lambda c: getattr(c[1], "dtype", 0) in numeric):
         if is_run:
-            parts.append(_run_blocks([(p, c[:n_rows]) for p, c in group], fmt, sep, blocks))
+            parts.append(_run_blocks(list(group), fmt, sep, blocks))
         else:
             parts.extend(_column_blocks(prefix, column, fmt, blocks) for prefix, column in group)
     return zip(*parts)
@@ -165,8 +164,6 @@ def _csv_text(columns: list, n_rows: int) -> str:
     (or per numeric run, whose joined text is never empty), joined once with
     their separators."""
     width = len(columns)
-    if width == 0:
-        return "\n" * n_rows
     if width == 1:  # csv.writer quotes a row of one empty field
         columns = [['""' if cell == "" else cell for cell in columns[0]]]
     parts = [","] * (2 * width * n_rows)
@@ -176,10 +173,9 @@ def _csv_text(columns: list, n_rows: int) -> str:
     return "".join(parts)
 
 
-def _write_report(out_dir: Path, name: str, fmt: str, columns) -> Path:
-    """Write one report from named columns: a mapping from header to a numpy
-    array or a sequence, in column order (or (header, column) pairs where a
-    header repeats; JSON then keeps its first place and its last column).
+def _write_report(out_dir: Path, name: str, fmt: str, columns: dict) -> Path:
+    """Write one report from named columns: a dict from header to a numpy
+    array or a sequence, in column order, at least one, all of one length.
 
     A cell is written as ``csv.writer`` and ``json.dump(indent=2)`` write
     it: a CSV float has 6 significant digits (``f"{x:.6g}"``: ``nan``,
@@ -191,17 +187,16 @@ def _write_report(out_dir: Path, name: str, fmt: str, columns) -> Path:
     ASCII. An empty JSON report is ``[]``. Adjacent float64/int64 arrays are formatted once per distinct
     row; other cells, and rows, ``_REPORT_BLOCK`` rows at a time.
     """
-    pairs = list(columns.items()) if isinstance(columns, dict) else list(columns)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.{fmt}"
     if fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_csv_text([[_csv_cell(key)] for key, _ in pairs], 1))
-            for texts in _text_blocks([("", column) for _, column in pairs], fmt, ","):
+            fh.write(_csv_text([[_csv_cell(key)] for key in columns], 1))
+            for texts in _text_blocks([("", column) for column in columns.values()], fmt, ","):
                 fh.write(_csv_text(texts, len(texts[0])))
         return path
     # the records of json.dump(indent=2)
-    cells = [("    %s: " % _json_cell(key), column) for key, column in dict(pairs).items()]
+    cells = [("    %s: " % _json_cell(key), column) for key, column in columns.items()]
     with open(path, "w", encoding="utf-8") as fh:
         opening = "[\n"
         for texts in _text_blocks(cells, fmt, ",\n"):
@@ -349,8 +344,8 @@ def _read_rank_file(path: str) -> analysis.RankTable:
     is_json = Path(path).suffix.lower() == ".json"
     if is_json:
         import json
-        try:
-            records = json.loads(read_source(path)[1].decode("utf-8"))
+        try:  # an undecodable byte raises a ParseError, which is no ValueError
+            records = json.loads(decode(read_source(path)[1], path))
         except ValueError as exc:
             raise GemError(f"{path}: rank file is not valid JSON: {exc}") from None
         if not isinstance(records, list):
@@ -404,14 +399,14 @@ def cmd_corr(args) -> int:
     tables = [_read_rank_file(path) for path in paths]
     labels = [Path(path).stem for path in paths]
     if len({"ranking", *labels}) <= len(labels):  # stems collide: label by path
-        labels = list(paths)
+        labels = [os.path.join(".", path) if path == "ranking" else path for path in paths]
     # tau is symmetric: compute each unordered pair once, the diagonal too,
     # where a constant ranking is rejected
     taus = [[0.0] * len(tables) for _ in tables]
     for i, a in enumerate(tables):
         for j in range(i, len(tables)):
             taus[i][j] = taus[j][i] = analysis.kendall_tau(a, tables[j])
-    columns = [("ranking", labels), *zip(labels, zip(*taus))]
+    columns = {"ranking": labels, **dict(zip(labels, taus))}  # taus is symmetric
     path = _write_report(Path(args.out), "corr", args.format, columns)
     for label, row in zip(labels, taus):
         print(label + ": " + "  ".join(f"{tau:6.3f}" for tau in row))
@@ -464,16 +459,14 @@ def cmd_textnet(args) -> int:
 
     out = Path(args.out)
     prefix = f"textnet_{args.measure}"
-    words, counts, (a, b) = graph.words, graph.counts, graph.edges.T
     values = np.array(list(centrality.values()))
     # words tied in exact arithmetic can differ in the last bits
     ranked = np.argsort([-round(v, 12) for v in values.tolist()], kind="stable")
-    by_count = np.argsort(-counts, kind="stable")
     reports = {
         f"outliers_{args.measure}": outliers,
-        f"{prefix}_edges": {"word_a": words[a], "word_b": words[b], "weight": graph.weights},
-        f"{prefix}_word_frequencies": {"word": words[by_count], "count": counts[by_count]},
-        f"{prefix}_centrality": {"word": words[ranked], "centrality": values[ranked]},
+        f"{prefix}_edges": textnet.edge_rows(graph),
+        f"{prefix}_word_frequencies": textnet.word_frequencies(graph),
+        f"{prefix}_centrality": {"word": graph.words[ranked], "centrality": values[ranked]},
     }
     paths = [
         _write_report(out, name, args.format, columns) for name, columns in reports.items()
@@ -483,7 +476,7 @@ def cmd_textnet(args) -> int:
     dot_path.write_text(textnet.to_dot(graph), encoding="utf-8")
     paths.append(dot_path)
     print(
-        f"{len(sources)} outliers, {len(words)} words, "
+        f"{len(sources)} outliers, {len(graph.words)} words, "
         f"{len(graph.edges)} edges -> {', '.join(str(p) for p in paths)}"
     )
     return 0

@@ -1,12 +1,18 @@
 """Exception types raised while parsing crosswalks and computing scores, and
 the readers of user input, which load no numpy: of numbers, of every input
-file's bytes (the crosswalk, the reference map, the side tables and the rank
-files of ``corr``) and of CSV tables (the side tables and CSV rank files)."""
+file's bytes from a path or bytes (the crosswalk, the reference map, the
+side tables and the rank files of ``corr``), of UTF-8 text (the side tables
+and rank files), whose undecodable byte is reported with its line, and of
+CSV tables (the side tables and CSV rank files). Lines end at LF, CRLF or a
+lone CR in every input."""
 
 import io
+import re
 from itertools import compress, count
 from operator import itemgetter
 from pathlib import Path
+
+LINE_BREAK = re.compile(rb"\r\n?|\n")
 
 
 class GemError(Exception):
@@ -71,23 +77,22 @@ def parse_number(text: str) -> float:
 
 
 def read_source(source, filename=None):
-    """(filename, bytes) of a path, bytes or an open binary or text stream,
-    past a leading UTF-8 byte order mark. A path names the file unless
-    ``filename`` does; a text stream's text is encoded as UTF-8, lone
-    surrogates kept (``surrogatepass``), and a stream that cannot decode its
-    bytes raises a ParseError naming the file."""
+    """(filename, bytes) of a path or bytes, past a leading UTF-8 byte order
+    mark. A path names the file unless ``filename`` does."""
     if isinstance(source, (str, Path)):
-        filename, data = filename or str(source), Path(source).read_bytes()
-    elif isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    else:
-        try:
-            data = source.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8: {exc.reason}", filename) from None
-        if isinstance(data, str):
-            data = data.encode("utf-8", "surrogatepass")
-    return filename, data.removeprefix(b"\xef\xbb\xbf")
+        filename, source = filename or str(source), Path(source).read_bytes()
+    return filename, bytes(source).removeprefix(b"\xef\xbb\xbf")
+
+
+def decode(data: bytes, filename) -> str:
+    """The text of UTF-8 bytes; an undecodable byte raises a ParseError that
+    names its line and the byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(LINE_BREAK.findall(data, 0, exc.start)) + 1
+        raise ParseError(f"not UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})",
+                         filename, line) from None
 
 
 def read_table(source, filename, header, missing=None):
@@ -102,11 +107,7 @@ def read_table(source, filename, header, missing=None):
     import csv  # not for the crosswalk
 
     filename, data = read_source(source, filename)
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})",
-                         filename, data.count(b"\n", 0, exc.start) + 1) from None
+    decode(data, filename)
     # decoded a chunk at a time: a StringIO would hold 4 bytes per character
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     got, rows, lines, failure = (), [], [1], None  # lines[i]: the first line of row i

@@ -1,8 +1,8 @@
 """Crosswalk (GEM) file ingestion as columns.
 
 A crosswalk holds one ``SOURCE TARGET FLAG5`` line per candidate target.
-:func:`parse_gem_file` reads a file into a :class:`GemLines` table with one
-row per non-blank line, stored as arrays:
+:func:`parse_gem_file` reads a file, from its path or bytes, into a
+:class:`GemLines` table with one row per non-blank line, stored as arrays:
 
 * ``sources``, ``targets``: rows x 8 uint8, the upper-cased ASCII code,
   NUL-padded, so that a row read as ``S8`` is the code (the entropy kernel,
@@ -60,7 +60,6 @@ load into dicts.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count
@@ -68,7 +67,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ParseError, StructuralError, parse_number, read_source, read_table
+from .errors import (
+    LINE_BREAK, ParseError, StructuralError, parse_number, read_source, read_table,
+)
 
 MAX_CODE = 8
 
@@ -77,7 +78,6 @@ NO_MATCH_SENTINELS = frozenset({"NODX", "NOPCS"})
 
 UNCLASSIFIED = "unclassified"
 
-_LINE_BREAK = re.compile(rb"\r\n?|\n")
 # Bytes per parse block: a block's working arrays peak at about 11 bytes per
 # input byte, 3 MB for 256 KiB, where a whole 2.8 MB file in one block takes
 # 32 MB (tracemalloc peaks).
@@ -321,19 +321,19 @@ def _read_block(data: bytes, filename, first_line: int) -> tuple[GemLines, int]:
 def parse_gem_file(source, filename: str | None = None) -> GemLines:
     """Parse a crosswalk file into a :class:`GemLines` table in file order.
 
-    ``source`` may be a path, bytes, or an open text/binary stream, read by
-    ``errors.read_source``. Lines hold three whitespace-separated fields:
-    source code, target code, 5-digit flag. Blank lines are skipped;
-    anything else malformed raises with file and line context. The bytes
-    are read a block at a time (see the module docstring for the grammar).
-    A block ends just after the first line break that starts at or after
-    its ``_PARSE_BLOCK``-th byte, so no line (and no CRLF) spans two
-    blocks, and its first line follows the breaks of the blocks before it.
+    ``source`` is a path or bytes, read by ``errors.read_source``. Lines
+    hold three whitespace-separated fields: source code, target code, 5-digit
+    flag. Blank lines are skipped; anything else malformed raises with file
+    and line context. The bytes are read a block at a time (see the module
+    docstring for the grammar). A block ends just after the first line break
+    (``errors.LINE_BREAK``) that starts at or after its ``_PARSE_BLOCK``-th
+    byte, so no line (and no CRLF) spans two blocks, and its first line
+    follows the breaks of the blocks before it.
     """
     filename, data = read_source(source, filename)
     lo, blocks, first_line = 0, [], 0
     while not blocks or lo < len(data):
-        cut = _LINE_BREAK.search(data, lo + _PARSE_BLOCK - 1)
+        cut = LINE_BREAK.search(data, lo + _PARSE_BLOCK - 1)
         hi = cut.end() if cut else len(data)
         lines, n_breaks = _read_block(data[lo:hi], filename, first_line)
         blocks.append(lines)

@@ -187,16 +187,18 @@ def eigenvector_centrality(
     raise ConvergenceError(residual, max_iterations)
 
 
-def word_frequencies(graph: WordGraph) -> list[tuple[str, int]]:
-    """Word counts, most frequent first, ties alphabetical."""
+def word_frequencies(graph: WordGraph) -> dict[str, np.ndarray]:
+    """The word frequency report's ``word`` and ``count`` columns, most
+    frequent first, ties alphabetical."""
     order = np.argsort(-graph.counts, kind="stable")
-    return list(zip(graph.words[order].tolist(), graph.counts[order].tolist()))
+    return {"word": graph.words[order], "count": graph.counts[order]}
 
 
-def edge_rows(graph: WordGraph) -> list[tuple[str, str, int]]:
-    """Edges as (word_a, word_b, weight) rows in lexicographic order."""
+def edge_rows(graph: WordGraph) -> dict[str, np.ndarray]:
+    """The edge report's ``word_a``, ``word_b`` and ``weight`` columns, edges
+    in lexicographic order."""
     a, b = graph.edges.T
-    return list(zip(graph.words[a].tolist(), graph.words[b].tolist(), graph.weights.tolist()))
+    return {"word_a": graph.words[a], "word_b": graph.words[b], "weight": graph.weights}
 
 
 def to_dot(graph: WordGraph) -> str:

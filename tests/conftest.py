@@ -41,7 +41,7 @@ CODE_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 @pytest.fixture
 def reference_entries():
-    return gem_io.parse_gem_file(io.StringIO(REFERENCE_MAP_LINES), "<reference>")
+    return gem_io.parse_gem_file(REFERENCE_MAP_LINES.encode(), "<reference>")
 
 
 @pytest.fixture
@@ -320,7 +320,9 @@ def _read_csv(source, filename, expected_header):
             raise ParseError(
                 f"not UTF-8: {exc.reason} (byte 0x{data[at]:02x})",
                 filename,
-                data.count(b"\n", 0, at) + 1,
+                # lines end at LF, CRLF or a lone CR, as the CSV reader ends them
+                # (the parent counted LF alone)
+                len(re.findall(rb"\r\n?|\n", data[:at])) + 1,
             ) from None
     reader = csv.reader(source)
     start = 1

@@ -6,7 +6,6 @@ them). The data-dependent reproduction (criterion 7) needs the freely
 downloadable 2015 GEM files and skips with instructions when absent.
 """
 
-import io
 import math
 import time
 
@@ -47,7 +46,7 @@ def _score_file(path):
 
 def test_criterion_1_worked_example_golden():
     started = time.perf_counter()
-    maps = group_maps(parse_gem_file(io.StringIO(REFERENCE_MAP_LINES)))
+    maps = group_maps(parse_gem_file(REFERENCE_MAP_LINES.encode()))
     scores = score_one(maps)
     columns, _ = column_entropies(maps)
     elapsed = time.perf_counter() - started
@@ -112,7 +111,7 @@ def test_criterion_3_entropy_property_suite():
     # one-row maps score zero everywhere
     for i in range(500):
         text = f"X {'ABC123'[: rng.integers(1, 7)]} 00000\n"
-        scores = score_one(group_maps(parse_gem_file(io.StringIO(text))))
+        scores = score_one(group_maps(parse_gem_file(text.encode())))
         assert (scores.h_a, scores.h_b, scores.ur) == (0.0, 0.0, 0.0)
 
     # uniform weights reduce the weighted entropy to H(A)/n

@@ -502,11 +502,14 @@ def _oracle_edge_list_centrality(nodes, edges, tolerance=1e-10, max_iterations=1
 
 
 def _oracle_word_frequencies(nodes):
-    return sorted(nodes.items(), key=lambda item: (-item[1], item[0]))
+    ranked = sorted(nodes.items(), key=lambda item: (-item[1], item[0]))
+    return {"word": [w for w, _ in ranked], "count": [c for _, c in ranked]}
 
 
 def _oracle_edge_rows(edges):
-    return [(a, b, w) for (a, b), w in sorted(edges.items())]
+    ordered = sorted(edges.items())
+    return {"word_a": [a for (a, _), _ in ordered], "word_b": [b for (_, b), _ in ordered],
+            "weight": [w for _, w in ordered]}
 
 
 def _oracle_to_dot(nodes, edges):
@@ -597,7 +600,7 @@ _O9A = ("O00", "O9A")
 
 
 def _class_csv(rows):
-    return io.StringIO("low,high,label\n" + "".join(f"{lo},{hi},{lab}\n" for lo, hi, lab in rows))
+    return ("low,high,label\n" + "".join(f"{lo},{hi},{lab}\n" for lo, hi, lab in rows)).encode()
 
 
 @st.composite
@@ -1379,10 +1382,12 @@ def test_graph_matches_dict_graph(token_lists, max_iterations):
     words; centralities bit-equal to the edge-list kernel over the dict."""
     nodes, edges = _oracle_graph(token_lists)
     graph = textnet.build_cooccurrence_graph(token_lists)
-    rows = textnet.edge_rows(graph)
-    assert textnet.word_frequencies(graph) == _oracle_word_frequencies(nodes)
-    assert rows == _oracle_edge_rows(edges)
+    columns = {name: c.tolist() for name, c in textnet.edge_rows(graph).items()}
+    frequencies = {name: c.tolist() for name, c in textnet.word_frequencies(graph).items()}
+    assert frequencies == _oracle_word_frequencies(nodes)
+    assert columns == _oracle_edge_rows(edges)
     assert len(graph.edges) == len(edges)
+    rows = list(zip(*columns.values()))
     assert [rows[i] for i in graph.first_order] == [(*pair, w) for pair, w in edges.items()]
     component = graph.words[textnet.largest_component(graph)].tolist()
     assert component == _oracle_largest_component(nodes, edges)
@@ -1586,23 +1591,6 @@ def _outcome(load, source):
     return table.ids, table.labels, [(a.dtype.kind, a.tolist()) for a in arrays]
 
 
-def _sources(data):
-    """(source, bytes it reads as) of the file as bytes, as a text stream
-    decoding it 4 bytes at a time and, when it is UTF-8, as text streams
-    with and without universal newlines; the last reads as its text with
-    every line end made LF. Each call builds fresh streams."""
-    yield data, data
-    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-    stream._CHUNK_SIZE = 4
-    yield stream, data
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return
-    yield io.StringIO(text, newline=""), data
-    yield io.StringIO(text), io.StringIO(text).read().encode()
-
-
 @settings(max_examples=1500, deadline=None)
 @given(_side_table_files())
 @example(("descriptions", b"code,description\nA1,x\nA1,y\nB2,\"z\n"))  # read error wins
@@ -1616,21 +1604,12 @@ def _sources(data):
 @example(("classes", b"low,high,label\nA_,B_,\n"))  # range low before range high
 @example(("frequencies", b"code,probability\nA1,0.5\na1,x\nB_,2\n"))  # duplicate first
 def test_side_tables_match_frozen_loaders(file):
-    """Whatever the kind of source, the frozen loader's outcome on the bytes
-    it reads as: the same table in the same order, or the same error type,
-    text, file and line; of several errors in a file, the same one wins. A
-    text stream over bytes that are not UTF-8 fails as it is read, naming
-    the file alone."""
+    """The frozen loader's outcome: the same table in the same order, or the
+    same error type, text, file and line; of several errors in a file, the
+    same one wins."""
     kind, data = file
     load, oracle = _LOADERS[kind]
-    for source, read in _sources(data):
-        expected = _outcome(oracle, read)
-        if not isinstance(source, bytes):
-            try:
-                read.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                expected = ParseError, f"t.csv: not UTF-8: {exc.reason}", "t.csv", None
-        assert _outcome(load, source) == expected
+    assert _outcome(load, data) == _outcome(oracle, data)
 
 
 @settings(max_examples=400, deadline=None)
@@ -1741,7 +1720,7 @@ def _rank_expected(data, plain, path):
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         assert frozen == f"{path}: not UTF-8: {exc.reason}"
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = len(re.findall(rb"\r\n?|\n", data[: exc.start])) + 1  # LF, CRLF or CR
         return f"{path}:{line}: not UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})"
     path.write_bytes(plain)
     frozen = _rank_outcome(frozen_read_rank_file, path)

@@ -682,6 +682,23 @@ class TestCorr:
         assert capsys.readouterr().err.splitlines()[0] == f"error: {tmp_path / name}{message}"
 
     @pytest.mark.parametrize(
+        "name, data, line",
+        [
+            ("bad.csv", b"class_id,score\rA,1\rcaf\xe9,3\r", 3),
+            ("bad.json", b'[{"class_id": "A", "score": 1},\n {"class_id": "caf\xe9", "score": 2}]', 2),
+        ],
+        ids=["csv-cr-breaks", "json"],
+    )
+    def test_undecodable_byte_names_its_line(self, tmp_path, capsys, name, data, line):
+        """A byte that is not UTF-8 is worded as in a side table, on its line
+        (each LF, CRLF or lone CR ends one), in a JSON rank file too."""
+        self._write_rank(tmp_path / "good.csv", {"A": 3.0, "B": 1.0})
+        (tmp_path / name).write_bytes(data)
+        assert _run(["corr", tmp_path / "good.csv", tmp_path / name, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"error: {tmp_path / name}:{line}: not UTF-8: invalid continuation byte (byte 0xe9)")
+
+    @pytest.mark.parametrize(
         "data",
         [
             b"Class_ID,Score\nA ,3\nB,1\n",
@@ -748,25 +765,33 @@ class TestCorr:
         assert f"{tmp_path / 'r1.csv'} and {tmp_path / 'r2.csv'}: " in err and message in err
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_files_sharing_a_stem(self, tmp_path, capsys, fmt):
+    def test_files_sharing_a_stem(self, tmp_path, capsys, monkeypatch, fmt):
         """Rank files of one name from two directories keep both columns,
-        labelled by their paths as given."""
+        labelled by their paths as given; a file given as ``ranking``, the
+        row-label header, is labelled ``./ranking``, so no header repeats."""
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         self._write_rank(tmp_path / "a" / "r.csv", {"A": 3.0, "B": 2.0, "C": 1.0})
         self._write_rank(tmp_path / "b" / "r.csv", {"A": 1.0, "B": 2.0, "C": 3.0})
-        first, second = str(tmp_path / "a" / "r.csv"), str(tmp_path / "b" / "r.csv")
-        args = ["corr", first, second, "--format", fmt, "--out", tmp_path]
-        assert _run(args) == 0
-        if fmt == "csv":
-            rows = _read_csv(tmp_path / "corr.csv")
-        else:
-            rows = json.loads((tmp_path / "corr.json").read_text())
-        assert [list(row) for row in rows] == [["ranking", first, second]] * 2
-        assert [row["ranking"] for row in rows] == [first, second]
-        assert [float(row[second]) for row in rows] == [-1.0, 1.0]
-        assert [float(row[first]) for row in rows] == [1.0, -1.0]
-        assert f"{first}:  1.000  -1.000" in capsys.readouterr().out
+        self._write_rank(tmp_path / "ranking", {"A": 3.0, "B": 2.0, "C": 1.0})
+        monkeypatch.chdir(tmp_path)
+        second = str(tmp_path / "b" / "r.csv")
+        cases = [(str(tmp_path / "a" / "r.csv"),) * 2, ("ranking", "./ranking")]
+        for i, (given, first) in enumerate(cases):
+            out = tmp_path / f"out{i}"
+            args = ["corr", given, second, "--format", fmt, "--out", out]
+            assert _run(args) == 0
+            if fmt == "csv":
+                rows = _read_csv(out / "corr.csv")
+                header = (out / "corr.csv").read_text().splitlines()[0]
+                assert header == f"ranking,{first},{second}"
+            else:
+                rows = json.loads((out / "corr.json").read_text())
+            assert [list(row) for row in rows] == [["ranking", first, second]] * 2
+            assert [row["ranking"] for row in rows] == [first, second]
+            assert [float(row[second]) for row in rows] == [-1.0, 1.0]
+            assert [float(row[first]) for row in rows] == [1.0, -1.0]
+            assert f"{first}:  1.000  -1.000" in capsys.readouterr().out
 
     def test_same_file_twice_rejected(self, tmp_path, capsys):
         self._write_rank(tmp_path / "r.csv", {"A": 3.0, "B": 2.0})

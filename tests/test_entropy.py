@@ -1,5 +1,4 @@
 import csv
-import io
 import math
 from unittest import mock
 
@@ -33,7 +32,7 @@ from conftest import (
 
 
 def _maps(text):
-    return gem_io.group_maps(gem_io.parse_gem_file(io.StringIO(text)))
+    return gem_io.group_maps(gem_io.parse_gem_file(text.encode()))
 
 
 def _column(chars):
@@ -319,14 +318,14 @@ class TestScoreMaps:
 
     def test_separates_excluded(self):
         text = "A1 X1 00000\nA2 NODX 11000\nA3 Y1 00000\n"
-        records = gem_io.group_maps(gem_io.parse_gem_file(io.StringIO(text)))
+        records = gem_io.group_maps(gem_io.parse_gem_file(text.encode()))
         scores, excluded = score_maps(records)
         assert [s.source for s in scores] == ["A1", "A3"]
         assert [r.source for r in excluded] == ["A2"]
 
     @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
     def test_weights_finite_positive(self, bad):
-        records = gem_io.group_maps(gem_io.parse_gem_file(io.StringIO("A1 X1 00000\n")))
+        records = gem_io.group_maps(gem_io.parse_gem_file(b"A1 X1 00000\n"))
         with pytest.raises(ValueError, match="finite positive"):
             score_maps(records, weights=[1.0, bad])
 
@@ -337,7 +336,7 @@ class TestScoreMaps:
 
     def test_weights_cover_widest(self):
         text = "A1 X1 00000\nA2 Y1234567 00000\n"
-        records = gem_io.group_maps(gem_io.parse_gem_file(io.StringIO(text)))
+        records = gem_io.group_maps(gem_io.parse_gem_file(text.encode()))
         with pytest.raises(ValueError, match="widest"):
             score_maps(records, weights=[1.0, 1.0])
 
@@ -383,7 +382,7 @@ class TestScoreMaps:
 
     def test_all_excluded(self):
         records = gem_io.group_maps(
-            gem_io.parse_gem_file(io.StringIO("A1 NODX 11000\n"))
+            gem_io.parse_gem_file(b"A1 NODX 11000\n")
         )
         scores, excluded = score_maps(records)
         assert list(scores) == [] and len(excluded) == 1

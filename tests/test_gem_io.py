@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import re
 import time
 import tracemalloc
@@ -44,7 +43,7 @@ def _class_ids(codes, table):
 
 def _classes(rows):
     """The class table of ``low,high,label`` CSV rows."""
-    return load_class_defs(io.StringIO("low,high,label\n" + "".join(rows)))
+    return load_class_defs(("low,high,label\n" + "".join(rows)).encode())
 
 
 def _flag(text, filename=None, lines=()):
@@ -113,13 +112,13 @@ class TestParseFlag:
 
 class TestParseGemFile:
     def test_single_line(self):
-        entries = parse_gem_file(io.StringIO("0052 02H43JZ 10000\n"))
+        entries = parse_gem_file(b"0052 02H43JZ 10000\n")
         assert list(entries) == [
             gem_io.GemEntry("0052", "02H43JZ", Flag(True, False, False, 0, 0), 1)
         ]
 
     def test_empty_stream(self):
-        assert list(parse_gem_file(io.StringIO(""))) == []
+        assert list(parse_gem_file(b"")) == []
 
     def test_reference_fixture_order(self, reference_entries):
         assert len(reference_entries) == 8
@@ -129,7 +128,7 @@ class TestParseGemFile:
 
     def test_blank_lines_and_tabs(self):
         text = "0052\t02H43JZ   10000\n\n   \n86 0HB 00000  \n"
-        entries = parse_gem_file(io.StringIO(text))
+        entries = parse_gem_file(text.encode())
         assert [e.line_number for e in entries] == [1, 4]
 
     def test_windows_line_endings(self, tmp_path):
@@ -140,7 +139,7 @@ class TestParseGemFile:
         assert entries[1].target == "NODX" and entries[1].is_no_match
 
     def test_lowercase_uppercased(self):
-        entries = parse_gem_file(io.StringIO("e999 a001 00000\n"))
+        entries = parse_gem_file(b"e999 a001 00000\n")
         assert entries[0].source == "E999"
         assert entries[0].target == "A001"
 
@@ -150,20 +149,20 @@ class TestParseGemFile:
 
     def test_wrong_field_count(self):
         with pytest.raises(ParseError, match=r"gems\.txt:2"):
-            parse_gem_file(io.StringIO("0052 02H43JZ 10000\n0052 10000\n"), "gems.txt")
+            parse_gem_file(b"0052 02H43JZ 10000\n0052 10000\n", "gems.txt")
 
     @pytest.mark.parametrize("code", ["00.52", "0052X9A7Z", "", "Ü123"])
     def test_invalid_code_characters(self, code):
         with pytest.raises(ParseError):
-            parse_gem_file(io.StringIO(f"{code} 02H43JZ 10000\n"))
+            parse_gem_file(f"{code} 02H43JZ 10000\n".encode())
 
     def test_no_map_flag_with_regular_target(self):
         with pytest.raises(StructuralError):
-            parse_gem_file(io.StringIO("0052 02H43JZ 11000\n"))
+            parse_gem_file(b"0052 02H43JZ 11000\n")
 
     def test_sentinel_with_combination_flag(self):
         with pytest.raises(StructuralError):
-            parse_gem_file(io.StringIO("0052 NOPCS 10111\n"))
+            parse_gem_file(b"0052 NOPCS 10111\n")
 
     def test_targets_are_upper_case_code_bytes(self):
         """Targets are stored as sources are: a row read as ``S8`` is the
@@ -194,7 +193,7 @@ class TestParseGemFile:
         rng = np.random.default_rng(7)
         entries = make_map_entries(rng, "ABC1")
         text = "\n".join(map(gem_line, entries))
-        reparsed = parse_gem_file(io.StringIO(text))
+        reparsed = parse_gem_file(text.encode())
         assert [(e.source, e.target, e.flag) for e in reparsed] == [
             (e.source, e.target, e.flag) for e in entries
         ]
@@ -215,7 +214,7 @@ class TestAsciiGrammar:
     def test_non_ascii_line_rejected(self, line):
         text = f"0052 02H43JZ 10000\n{line}\n"
         with pytest.raises(ParseError, match=r"^gems\.txt:2: "):
-            parse_gem_file(io.StringIO(text), "gems.txt")
+            parse_gem_file(text.encode(), "gems.txt")
 
     @pytest.mark.parametrize("field", ["source", "target", "flag"])
     def test_every_byte_value_in_each_field(self, field):
@@ -244,14 +243,14 @@ class TestAsciiGrammar:
     def test_side_table_code_must_be_ascii(self):
         with pytest.raises(ParseError, match=r"descriptions\.csv:2: "):
             load_descriptions(
-                io.StringIO("code,description\n\ufb01x,fixation\n"), "descriptions.csv"
+                "code,description\n\ufb01x,fixation\n".encode(), "descriptions.csv"
             )
 
 
 class TestSideTableErrors:
     def test_rows_numbered_by_first_line(self):
         text = 'code,description\nA1,"two\nlines"\n\nB2,one\n'
-        assert errors.read_table(io.StringIO(text), "d.csv", ("code", "description")) == (
+        assert errors.read_table(text.encode(), "d.csv", ("code", "description")) == (
             "d.csv",
             [["A1", "B2"], ["two\nlines", "one"]],
             [2, 5],
@@ -262,11 +261,10 @@ class TestSideTableErrors:
         with pytest.raises(ParseError, match=r"^d\.csv:4: not UTF-8: .*0xe9"):
             load_descriptions(data, "d.csv")
 
-    def test_csv_error_from_stream(self):
-        """A text stream reads as the bytes of its text: the lone CR ends a
-        line, which holds one cell."""
+    def test_csv_error_after_lone_cr(self):
+        """A lone CR ends a line, which holds one cell."""
         with pytest.raises(ParseError, match=r"^f\.csv:3: expected 2 columns, got 1$"):
-            load_frequencies(io.StringIO("code,probability\n86,0.5\rx\n"), "f.csv")
+            load_frequencies(b"code,probability\n86,0.5\rx\n", "f.csv")
 
 
 class TestReadSource:
@@ -280,33 +278,26 @@ class TestReadSource:
         assert errors.read_source(path) == (str(path), want)
         assert errors.read_source(str(path), "named.csv") == ("named.csv", want)
         assert errors.read_source(bytearray(data), "d.csv") == ("d.csv", want)
-        assert errors.read_source(io.BytesIO(data), "d.csv") == ("d.csv", want)
-        text = data.decode()
-        assert errors.read_source(io.StringIO(text, newline=""), "d.csv") == ("d.csv", want)
-        # one BOM is skipped, of a text too
-        two_boms = io.StringIO("\ufeff" + text)
-        assert errors.read_source(two_boms, None) == (None, "\ufeff".encode() + want)
+        assert errors.read_source(data, "d.csv") == ("d.csv", want)
+        # one BOM is skipped
+        assert errors.read_source(data[:3] + data, None) == (None, data)
 
-    def test_lone_surrogate_kept_as_its_bytes(self):
-        """A lone surrogate in a text stream is encoded as it stands, so the
-        side-table reader rejects it with its line and byte."""
-        stream = io.StringIO("code,description\nA1,caf\udce9\n")
-        assert errors.read_source(stream, "f.csv")[1].endswith(b"caf\xed\xb3\xa9\n")
-        with pytest.raises(ParseError, match=r"^f\.csv:2: not UTF-8: .* \(byte 0xed\)$"):
-            load_descriptions(io.StringIO("code,description\nA1,caf\udce9\n"), "f.csv")
-
-    @pytest.mark.parametrize("load, data", [
-        (parse_gem_file, b"A1 B2 10000\nA2 B\xe9 10000\n"),
-        (load_class_defs, b"low,high,label\n10,19,caf\xe9\n"),
-        (load_descriptions, b"code,description\nA1,caf\xe9\n"),
-        (load_frequencies, b"code,probability\nA1,0.5\nB\xe9,0.5\n"),
-    ], ids=["crosswalk", "classes", "descriptions", "frequencies"])
-    def test_undecodable_text_stream_names_the_file(self, load, data):
-        """A text stream over bytes that are not UTF-8 fails as it is read,
-        before any line is known: a ParseError naming the file alone."""
-        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-        with pytest.raises(ParseError, match=r"^g\.txt: not UTF-8: invalid continuation byte$"):
-            load(stream, "g.txt")
+    @pytest.mark.parametrize("load, data, line", [
+        (parse_gem_file, b"A1 B2 10000\nA2 B\xe9 10000\n", 2),
+        (load_class_defs, b"low,high,label\n10,19,caf\xe9\n", 2),
+        (load_descriptions, b"code,description\nA1,caf\xe9\n", 2),
+        (load_frequencies, b"code,probability\nA1,0.5\nB\xe9,0.5\n", 3),
+        (load_descriptions, b"code,description\rA1,x\rB2,caf\xe9\r", 3),
+        (load_descriptions, b"code,description\r\nA1,x\rB2,y\nC3,caf\xe9\n", 4),
+    ], ids=["crosswalk", "classes", "descriptions", "frequencies", "cr-breaks", "mixed-breaks"])
+    def test_undecodable_byte_names_its_line(self, load, data, line):
+        """A byte that is not UTF-8 (not a code byte in a crosswalk) fails on
+        its line, counted as the CSV reader counts lines: each LF, CRLF or
+        lone CR ends one."""
+        with pytest.raises(ParseError, match=rf"^g\.txt:{line}: ") as err:
+            load(data, "g.txt")
+        if load is not parse_gem_file:
+            assert str(err.value).endswith(": not UTF-8: invalid continuation byte (byte 0xe9)")
 
 
 class TestByteOrderMark:
@@ -327,25 +318,16 @@ class TestByteOrderMark:
     def test_side_table_bytes(self):
         data = "\ufeffcode,probability\n86,0.5\n".encode("utf-8")
         assert load_frequencies(data) == {"86": 0.5}
-
-    @pytest.mark.parametrize("stream", [
-        lambda text: io.StringIO(text),
-        lambda text: io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8"),
-    ], ids=["StringIO", "TextIOWrapper"])
-    def test_side_table_text_streams(self, stream):
-        """A text stream opened without "utf-8-sig" keeps the BOM in its
-        text; every loader skips it as it does for bytes and paths."""
-        descriptions = load_descriptions(stream("\ufeffcode,description\nA1,x\n"), "d.csv")
-        frequencies = load_frequencies(stream("\ufeffcode,probability\nA1,0.5\n"), "f.csv")
-        classes = gem_io.load_class_defs(stream("\ufefflow,high,label\n10,19,A\n"), "c.csv")
-        assert descriptions == {"A1": "x"} and frequencies == {"A1": 0.5}
+        descriptions = load_descriptions("\ufeffcode,description\nA1,x\n".encode(), "d.csv")
+        classes = gem_io.load_class_defs("\ufefflow,high,label\n10,19,A\n".encode(), "c.csv")
+        assert descriptions == {"A1": "x"}
         assert (classes.ids, classes.labels) == (["10-19"], ["A"])
 
     def test_side_table_only_one_bom_skipped(self):
         with pytest.raises(ParseError, match=r"got '\\ufeffcode,description'$"):
-            load_descriptions(io.StringIO("\ufeff\ufeffcode,description\n"), "d.csv")
+            load_descriptions("\ufeff\ufeffcode,description\n".encode(), "d.csv")
         with pytest.raises(ParseError, match=r"^d\.csv:1: file is empty"):
-            load_descriptions(io.StringIO("\ufeff"), "d.csv")
+            load_descriptions("\ufeff".encode(), "d.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -428,37 +410,37 @@ class TestGroupMaps:
         assert r.standalone_codes == ("02H43JZ", "02H43KZ", "02H43MZ")
 
     def test_single_exact_entry(self):
-        records = group_maps(parse_gem_file(io.StringIO("86 0HB 00000\n")))
+        records = group_maps(parse_gem_file(b"86 0HB 00000\n"))
         assert (records[0].m, records[0].m0, records[0].scenarios) == (1, 1, ())
 
     def test_no_map_record(self):
-        records = group_maps(parse_gem_file(io.StringIO("0099 NOPCS 11000\n")))
+        records = group_maps(parse_gem_file(b"0099 NOPCS 11000\n"))
         assert records[0].is_excluded
         assert records[0].m == 0
         assert records[0].standalone_codes == ()
 
     def test_sentinel_target_without_flag_marks_no_match(self):
-        records = group_maps(parse_gem_file(io.StringIO("0099 NODX 10000\n")))
+        records = group_maps(parse_gem_file(b"0099 NODX 10000\n"))
         assert records[0].is_excluded
 
     def test_mixed_no_map_and_regular(self):
         text = "0099 NOPCS 11000\n0099 02H43JZ 10000\n"
         with pytest.raises(StructuralError, match="0099"):
-            group_maps(parse_gem_file(io.StringIO(text)))
+            group_maps(parse_gem_file(text.encode()))
 
     def test_scenario_gap(self):
         text = "0052 02H43KZ 10121\n0052 02PA0MZ 10122\n"
         with pytest.raises(StructuralError, match="0052"):
-            group_maps(parse_gem_file(io.StringIO(text)))
+            group_maps(parse_gem_file(text.encode()))
 
     def test_choice_list_gap(self):
         text = "0052 02H43KZ 10112\n"
         with pytest.raises(StructuralError, match="0052"):
-            group_maps(parse_gem_file(io.StringIO(text)))
+            group_maps(parse_gem_file(text.encode()))
 
     def test_grouping_preserves_first_appearance_order(self):
         text = "B1 X1 00000\nA1 Y1 00000\nB1 X2 10000\n"
-        records = group_maps(parse_gem_file(io.StringIO(text)))
+        records = group_maps(parse_gem_file(text.encode()))
         assert [r.source for r in records] == ["B1", "A1"]
         assert records[0].standalone_codes == ("X1", "X2")
 
@@ -480,14 +462,14 @@ class TestGroupMaps:
 
     def test_no_match_lines_accounted_separately(self):
         text = "A1 X1 00000\nA2 NODX 11000\nA3 NOPCS 11000\n"
-        records = group_maps(parse_gem_file(io.StringIO(text)))
+        records = group_maps(parse_gem_file(text.encode()))
         scored = sum(r.m for r in records)
         no_match = sum(len(r.entries) for r in records if r.is_excluded)
         assert scored + no_match == 3
 
 
 def _maps(text):
-    return group_maps(parse_gem_file(io.StringIO(text)))
+    return group_maps(parse_gem_file(text.encode()))
 
 
 class TestBuildMatrix:
@@ -557,12 +539,12 @@ O00,O9A,Pregnancy and Childbirth
 
 class TestClassDefs:
     def test_load_and_assign(self):
-        table = load_class_defs(io.StringIO(CLASS_CSV))
+        table = load_class_defs(CLASS_CSV.encode())
         assert table.ids == ["76-84", "E000-E999", "O00-O9A"]
         assert _class_ids(["7655"], table) == ["76-84"]
 
     def test_assign_spec_examples(self):
-        table = load_class_defs(io.StringIO(CLASS_CSV))
+        table = load_class_defs(CLASS_CSV.encode())
         assert _class_ids(["E9990"], table) == ["E000-E999"]
         assert _class_ids(["O9A12"], table) == ["O00-O9A"]
 
@@ -591,7 +573,7 @@ class TestClassDefs:
     def test_overlap_rejected_listing_both(self):
         csv_text = "low,high,label\n76,84,A\n80,90,B\n"
         with pytest.raises(StructuralError, match="76-84.*80-90"):
-            load_class_defs(io.StringIO(csv_text))
+            load_class_defs(csv_text.encode())
 
     def test_overlap_names_file_and_later_line(self, tmp_path):
         path = tmp_path / "classes.csv"
@@ -624,18 +606,18 @@ class TestClassDefs:
     def test_overlap_across_prefix_lengths(self):
         csv_text = "low,high,label\n760,769,A\n76,77,B\n"
         with pytest.raises(StructuralError):
-            load_class_defs(io.StringIO(csv_text))
+            load_class_defs(csv_text.encode())
 
     def test_inverted_range_rejected(self):
         with pytest.raises(StructuralError):
-            load_class_defs(io.StringIO("low,high,label\n84,76,A\n"))
+            load_class_defs(b"low,high,label\n84,76,A\n")
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
-            load_class_defs(io.StringIO("lo,hi,name\n76,84,A\n"))
+            load_class_defs(b"lo,hi,name\n76,84,A\n")
 
     def test_assignment_is_a_function(self):
-        table = load_class_defs(io.StringIO(CLASS_CSV))
+        table = load_class_defs(CLASS_CSV.encode())
         one_class_tables = [_classes([row + "\n"]) for row in CLASS_CSV.splitlines()[1:]]
         rng = np.random.default_rng(13)
         chars = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -654,36 +636,34 @@ class TestClassDefs:
 class TestSideTables:
     def test_descriptions(self):
         table = load_descriptions(
-            io.StringIO(
-                "code,description\n8609,other incision of skin and subcutaneous tissue\n"
-            )
+            b"code,description\n8609,other incision of skin and subcutaneous tissue\n"
         )
         assert table["8609"] == "other incision of skin and subcutaneous tissue"
 
     def test_duplicate_description_code(self):
         text = "code,description\n86,a\n86,b\n"
         with pytest.raises(ParseError, match="duplicate"):
-            load_descriptions(io.StringIO(text))
+            load_descriptions(text.encode())
 
     def test_frequencies_zero_kept(self):
-        table = load_frequencies(io.StringIO("code,probability\n0052,0.0\n"))
+        table = load_frequencies(b"code,probability\n0052,0.0\n")
         assert table["0052"] == 0.0
 
     def test_frequency_out_of_range(self):
         with pytest.raises(ParseError, match=r"\[0, 1\]"):
-            load_frequencies(io.StringIO("code,probability\n0052,1.5\n"))
+            load_frequencies(b"code,probability\n0052,1.5\n")
 
     def test_frequency_not_a_number(self):
         with pytest.raises(ParseError):
-            load_frequencies(io.StringIO("code,probability\n0052,often\n"))
+            load_frequencies(b"code,probability\n0052,often\n")
         # float alone reads PEP 515 underscores ("0.0_1" as 0.01, "1_0e-1" as
         # 1.0) and non-ASCII digits ("０.５" as 0.5, "٠.٢" as 0.2)
         for prob in ("0.0_1", "1_0e-1", "０.５", "٠.٢"):
             with pytest.raises(ParseError) as err:
-                load_frequencies(io.StringIO(f"code,probability\n0052,{prob}\n"), "f.csv")
+                load_frequencies(f"code,probability\n0052,{prob}\n".encode(), "f.csv")
             assert str(err.value) == f"f.csv:2: probability '{prob}' is not a number"
 
     def test_duplicate_frequency_code(self):
         text = "code,probability\n86,0.5\n86,0.25\n"
         with pytest.raises(ParseError, match="duplicate"):
-            load_frequencies(io.StringIO(text))
+            load_frequencies(text.encode())

@@ -110,7 +110,7 @@ def tables(draw):
     width = draw(st.integers(1, 4))
     kinds = [_float_column, _int_column, _object_column, _text_column]
     columns = [draw(draw(st.sampled_from(kinds))(n)) for _ in range(width)]
-    header = draw(st.lists(NAME, min_size=width, max_size=width))
+    header = draw(st.lists(NAME, min_size=width, max_size=width, unique=True))
     return header, columns
 
 
@@ -138,7 +138,7 @@ def run_tables(draw):
             columns.append(draw(draw(st.sampled_from(numeric))(n)))
     if draw(st.booleans()):
         columns.append(draw(draw(st.sampled_from(other))(n)))
-    header = draw(st.lists(NAME, min_size=len(columns), max_size=len(columns)))
+    header = draw(st.lists(NAME, min_size=len(columns), max_size=len(columns), unique=True))
     return header, columns
 
 
@@ -149,11 +149,8 @@ def _check_against_oracle(tmp: Path, header, columns):
         want = _write_table_oracle(tmp / "old", "t", fmt, header, rows).read_bytes()
         for block in BLOCKS:
             with mock.patch.object(cli, "_REPORT_BLOCK", block):
-                got = _write_report(tmp / "new", "t", fmt, list(zip(header, columns)))
+                got = _write_report(tmp / "new", "t", fmt, dict(zip(header, columns)))
                 assert got.read_bytes() == want
-                if len(set(header)) == len(header):
-                    as_dict = _write_report(tmp / "dict", "t", fmt, dict(zip(header, columns)))
-                    assert as_dict.read_bytes() == want
 
 
 @settings(max_examples=400, deadline=None)
@@ -199,17 +196,16 @@ def test_long_runs_renumber_at_the_limit(tmp_path, make):
         (["a"], [np.zeros(0)]),  # no rows
         (["a", ""], [[], ()]),
         ([""], [["", "", "x", "", "", "", "", ""]]),  # one column: "" is quoted
-        (["", ""], [[""] * 3, [""] * 3]),
+        (["", "b"], [[""] * 3, [""] * 3]),
         # no rows: numeric runs beside a text column
         (["a", "b", "c", "d"], [np.zeros(0), np.zeros(0, np.int64), [], np.zeros(0)]),
         # one numeric column
         ([""], [np.array([0.0, -0.0, math.nan, 1.0, 0.0])]),
         (["a,b"], [np.array([3, -3, 3, 2**63 - 1], dtype=np.int64)]),
-        # repeated headers: JSON keeps a header's first place and last column,
-        # which joins or splits runs
-        (["a", "b", "a"], [np.zeros(3), ["x", "y", "z"], np.arange(3)]),
-        (["a", "b", "a", "c"], [["x"] * 3, np.ones(3), np.arange(3), np.full(3, 0.5)]),
-        (["a", "a", "b", "a"], [np.ones(2), [None, 1], np.arange(2), np.zeros(2)]),
+        # numeric runs cut by a text or None column
+        (["a", "b", "c"], [np.zeros(3), ["x", "y", "z"], np.arange(3)]),
+        (["a", "b", "c", "d"], [["x"] * 3, np.ones(3), np.arange(3), np.full(3, 0.5)]),
+        (["a", "b", "c", "d"], [np.ones(2), [None, 1], np.arange(2), np.zeros(2)]),
         # -0.0 beside 0.0 and NaNs of several payloads in one run: equal values
         # of different bits are different rows of the same text or not
         (

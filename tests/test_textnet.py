@@ -19,14 +19,20 @@ from conftest import word_graph
 EMPTY = build_cooccurrence_graph([])
 
 
+def _lists(columns):
+    """A report's columns as lists."""
+    return {name: column.tolist() for name, column in columns.items()}
+
+
 def _nodes(graph):
     """Word -> description count."""
-    return dict(word_frequencies(graph))
+    return dict(zip(*_lists(word_frequencies(graph)).values()))
 
 
 def _edges(graph):
     """(word_a, word_b) -> weight."""
-    return {(a, b): w for a, b, w in edge_rows(graph)}
+    a, b, weight = _lists(edge_rows(graph)).values()
+    return dict(zip(zip(a, b), weight))
 
 
 class TestTokenize:
@@ -104,8 +110,10 @@ class TestGraph:
 
     def test_edges_in_lexicographic_and_first_occurrence_order(self):
         g = build_cooccurrence_graph([["c", "d"], ["b", "a", "c"]])
-        assert edge_rows(g) == [("a", "b", 1), ("a", "c", 1), ("b", "c", 1), ("c", "d", 1)]
-        assert [edge_rows(g)[i][:2] for i in g.first_order] == [
+        edges = _lists(edge_rows(g))
+        assert edges == {"word_a": ["a", "a", "b", "c"], "word_b": ["b", "c", "c", "d"],
+                         "weight": [1, 1, 1, 1]}
+        assert [(edges["word_a"][i], edges["word_b"][i]) for i in g.first_order] == [
             ("c", "d"), ("a", "b"), ("a", "c"), ("b", "c")
         ]
         assert len(g.edges) == 4
@@ -199,14 +207,14 @@ class TestEigenvectorCentrality:
 class TestExports:
     def test_word_frequencies(self):
         g = build_cooccurrence_graph([["a", "b"], ["a"]])
-        assert word_frequencies(g) == [("a", 2), ("b", 1)]
+        assert _lists(word_frequencies(g)) == {"word": ["a", "b"], "count": [2, 1]}
 
     def test_word_frequencies_empty(self):
-        assert word_frequencies(EMPTY) == []
+        assert _lists(word_frequencies(EMPTY)) == {"word": [], "count": []}
 
     def test_frequency_tie_order(self):
         g = build_cooccurrence_graph([["b", "a"]])
-        assert word_frequencies(g) == [("a", 1), ("b", 1)]
+        assert _lists(word_frequencies(g)) == {"word": ["a", "b"], "count": [1, 1]}
 
     def test_dot_round_trips_edge_list(self):
         g = build_cooccurrence_graph([["a", "b", "c"], ["a", "b"]])
@@ -218,8 +226,8 @@ class TestExports:
                 right, attrs = rest.split("[")
                 weight = int(attrs.split("=")[1].rstrip("];"))
                 parsed.add((left.strip().strip('"'), right.strip().strip('"'), weight))
-        assert parsed == set(edge_rows(g))
+        assert parsed == set(zip(*_lists(edge_rows(g)).values()))
 
     def test_edge_rows_deterministic(self):
         g = build_cooccurrence_graph([["c", "a"], ["b", "a"]])
-        assert edge_rows(g) == [("a", "b", 1), ("a", "c", 1)]
+        assert _lists(edge_rows(g)) == {"word_a": ["a", "a"], "word_b": ["b", "c"], "weight": [1, 1]}
