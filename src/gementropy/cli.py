@@ -304,6 +304,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    import numpy as np
+
     from . import analysis, gem_io
 
     normalized = _normalize(_score(args)[0], args.denominator)
@@ -317,11 +319,11 @@ def cmd_rank(args) -> int:
         scores = classes.value(measure)[order]
         picked = order.tolist()
         columns = {
-            "rank": range(1, len(order) + 1),
+            "rank": np.arange(1, len(order) + 1),
             "class_id": [classes.ids[k] for k in picked],
             "label": [classes.labels[k] for k in picked],
             "score": scores,
-            "avg_rank": analysis.average_ranks(scores.tolist()),
+            "avg_rank": np.array(analysis.average_ranks(scores.tolist())),
             "member_count": counts[order],
         }
         paths.append(_write_report(out, f"rank_{measure}", args.format, columns))

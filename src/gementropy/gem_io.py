@@ -207,6 +207,7 @@ class GemLines(RowTable):
     target_len: np.ndarray
     flags: np.ndarray
     line: np.ndarray
+    filename: str | None = None  # the file read, which group errors name
 
     def __len__(self) -> int:
         return len(self.line)
@@ -341,7 +342,7 @@ def parse_gem_file(source, filename: str | None = None) -> GemLines:
     return GemLines(*(
         np.concatenate(parts)
         for parts in zip(*((b.sources, b.targets, b.target_len, b.flags, b.line) for b in blocks))
-    ))
+    ), filename)
 
 
 def _make_record(source: str, group: Sequence[GemEntry]) -> MapRecord:
@@ -432,12 +433,13 @@ def _build_maps(lines: GemLines, map_id: np.ndarray, first_row: np.ndarray) -> M
     bad = ~excluded & ((n_no_match > 0) | gap)
     source = lines.sources[first_row].astype(np.uint32).view("U8")[:, 0]
     if bad.any():
-        # the first bad map's error: mixed no-match first, then the numbering
-        # of its scenarios, then of each scenario's choice lists in order
+        # the first bad map's error, on its first row's line: mixed no-match first,
+        # then the numbering of its scenarios, then of each scenario's choice lists
         k = int(np.argmax(bad))
-        name = str(source[k])
+        name, at = str(source[k]), (lines.filename, int(lines.line[first_row[k]]))
         if n_no_match[k]:
-            raise StructuralError(f"source {name} mixes no-match and regular entries", source=name)
+            raise StructuralError(f"source {name} mixes no-match and regular entries", *at,
+                                  source=name)
         scenarios = scen_keys[scen_map == k]
         numberings = [(f"source {name} has non-contiguous scenario numbers", scenarios)] + [
             (f"source {name} scenario {s % 10} has non-contiguous choice lists",
@@ -445,7 +447,7 @@ def _build_maps(lines: GemLines, map_id: np.ndarray, first_row: np.ndarray) -> M
             for s in scenarios.tolist()
         ]
         text, ids = next((text, ids % 10) for text, ids in numberings if ids[-1] % 10 != len(ids))
-        raise StructuralError(f"{text} {ids.tolist()}", source=name)
+        raise StructuralError(f"{text} {ids.tolist()}", *at, source=name)
 
     m = np.where(excluded, 0, sizes)
     m0 = np.where(excluded, 0, sizes - np.bincount(map_id[comb], minlength=n_maps))

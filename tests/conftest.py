@@ -1,8 +1,7 @@
 """Shared fixtures: the bundled reference map, synthetic map generators,
 crosswalk text strategies, the frozen scalar crosswalk grammar, the frozen
-side-table loaders, the frozen rank-file reader of ``corr``, the frozen
-per-block column entropies, tables built from rows, and discovery of the
-optional 2015 GEM data files."""
+description and frequency loaders, the frozen rank-file reader of ``corr``,
+tables built from rows, and discovery of the optional 2015 GEM data files."""
 
 from __future__ import annotations
 
@@ -26,14 +25,7 @@ from gementropy import analysis, entropy, gem_io
 from gementropy.analysis import ClassTable
 from gementropy.cli import REFERENCE_MAP_LINES
 from gementropy.errors import GemError, ParseError, StructuralError, parse_number
-from gementropy.gem_io import (
-    MAX_CODE,
-    NO_MATCH_SENTINELS,
-    ClassRanges,
-    Flag,
-    GemEntry,
-    MapRecord,
-)
+from gementropy.gem_io import NO_MATCH_SENTINELS, Flag, GemEntry, MapRecord
 from gementropy.textnet import WordGraph
 
 CODE_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -129,14 +121,16 @@ _LINE = st.one_of(
     st.sampled_from(["", " ", "\t\x0b "]),  # blank lines
 )
 LINE_BREAK = st.sampled_from(["\n", "\r\n", "\r"])
-BAD_LINE = st.sampled_from([
-    "X1", "X1 A1 00000 Z", "X.1 A1 00000", "X1 A\u00e91 00000", "ABCDEFGHI A1 00000",
-    "X1 A1 0000x", "X1 A1 20000", "X1 A1 10102", "X1 NODX 10111", "X1 A1 01000",
+BAD_LINES = [
+    "X1", "X1 A1", "X1 A1 00000 Z", "X.1 A1 00000", "X1 A\u00e91 00000", "ABCDEFGHI A1 00000",
+    "X1 A-1 00000", "X1 A1 0000x", "X1 A1 20000", "X1 A1 00010", "X1 A1 00001", "X1 A1 10102",
+    "X1 A1 10120", "X1 A1 11100", "X1 NODX 10111", "X1 NOPCS 10121", "X1 A1 01000",
     "X\x001 A1 00000", "X1 A1\x00 00000", "X1 A1 00\x0000",  # a NUL byte in a field
     "X1 A1 000\u00e9", "X1 A1 \u00e9000",  # bytes >= 0x80 in a five-byte flag
     "ABCDEFG. A1 00000", "X1 ABCDEFG- 00000",  # a bad last byte of 8
     "X1 ABCDEFGHI 00000", "X1 A1 0000", "X1 A1 000000",
-])
+]
+BAD_LINE = st.sampled_from(BAD_LINES)
 
 
 @st.composite
@@ -160,13 +154,15 @@ def parsed_columns(data: bytes, block: int = gem_io._PARSE_BLOCK):
     return [
         (a.dtype, a.shape, a.tobytes())
         for a in (getattr(lines, f.name) for f in dataclasses.fields(lines))
+        if isinstance(a, np.ndarray)
     ]
 
 
 # ---------------------------------------------------------------------------
 # Frozen scalar crosswalk grammar: the per-line and per-map checks that
 # worded the reader's errors before the line rules and group checks of
-# ``gem_io`` did, kept as they were, as the oracle of those error texts
+# ``gem_io`` did, kept as the oracle of those error texts; a map's error
+# names the file and the line of the map's first entry
 
 _CODE_RE = re.compile(r"[A-Za-z0-9]{1,8}")
 
@@ -252,12 +248,15 @@ def _parse_line(raw: bytes, filename, line_number) -> GemEntry:
     return GemEntry(src, tgt, flag, line_number)
 
 
-def _make_record(source: str, group: Sequence[GemEntry]) -> MapRecord:
-    """One map's record from its entries, running every group check."""
+def _make_record(source: str, group: Sequence[GemEntry], filename=None) -> MapRecord:
+    """One map's record from its entries in file order, running every group
+    check."""
+    at = (filename, group[0].line_number)
     no_match = [e for e in group if e.is_no_match]
     if no_match and len(no_match) != len(group):
         raise StructuralError(
             f"source {source} mixes no-match and regular entries",
+            *at,
             source=source,
         )
     if no_match:
@@ -275,6 +274,7 @@ def _make_record(source: str, group: Sequence[GemEntry]) -> MapRecord:
         raise StructuralError(
             f"source {source} has non-contiguous scenario numbers "
             f"{scenario_ids}",
+            *at,
             source=source,
         )
     scenarios = []
@@ -284,6 +284,7 @@ def _make_record(source: str, group: Sequence[GemEntry]) -> MapRecord:
             raise StructuralError(
                 f"source {source} scenario {s} has non-contiguous "
                 f"choice lists {list_ids}",
+                *at,
                 source=source,
             )
         scenarios.append(tuple(tuple(buckets[(s, c)]) for c in list_ids))
@@ -297,12 +298,11 @@ def _make_record(source: str, group: Sequence[GemEntry]) -> MapRecord:
 
 # ---------------------------------------------------------------------------
 # Frozen side-table loaders: the numbered row reader, the per-cell code check
-# and per-row loops that read the class, description and frequency tables
-# before one reader and column checks did, kept as they were, as the oracle
-# of those tables and error texts. ``load_descriptions`` is kept without its
-# one-pass reader of well-formed files, which gave the same table as this
-# numbered path (its own differential test checked that) or handed over to
-# it.
+# and the per-row loops that read the description and frequency tables before
+# one reader and column checks did, kept as they were, as the oracle of those
+# tables and error texts. The class table's oracle, which also reads its rows
+# through ``_read_csv``, compares every pair of ranges
+# (``test_array_oracles._oracle_load_class_defs``).
 
 
 def _read_csv(source, filename, expected_header):
@@ -355,57 +355,6 @@ def _read_csv(source, filename, expected_header):
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8: {exc.reason}", filename) from None
     return filename, rows
-
-
-def _range_interval(low: str, high: str) -> tuple[bytes, bytes]:
-    """The closed interval of 8-character codes a class range covers: [low
-    padded with '0', high padded with '0' to the longer bound's length k,
-    then with 'Z']. A code's first k characters ('0'-padded) lie between the
-    bounds '0'-padded to k exactly when the code, '0'-padded, lies in it."""
-    k = max(len(low), len(high))
-    return low.ljust(MAX_CODE, "0").encode(), high.ljust(k, "0").ljust(MAX_CODE, "Z").encode()
-
-
-def load_class_defs(source, filename: str | None = None) -> ClassRanges:
-    """Load clinical classes from `low,high,label` CSV rows into a
-    :class:`ClassRanges`, rejecting overlapping classes."""
-    filename, rows = _read_csv(source, filename, ("low", "high", "label"))
-    by_label: dict[str, tuple[int, list[str]]] = {}  # class index, "low-high" ranges
-    ranges = [(b"", b"", -1)]  # [0, 0], then (low, high, class, line, range) per row
-    for line_number, (low, high, label) in rows:
-        low = _validate_code(low, "range low", filename, line_number)
-        high = _validate_code(high, "range high", filename, line_number)
-        interval = _range_interval(low, high)
-        if interval[0] > interval[1]:
-            raise StructuralError(
-                f"range low {low!r} exceeds high {high!r} after padding",
-                filename,
-                line_number,
-            )
-        if not label:
-            raise ParseError("class label is empty", filename, line_number)
-        k, names = by_label.setdefault(label, (len(by_label), []))
-        names.append(f"{low}-{high}")
-        ranges.append((*interval, k, line_number, (low, high)))
-
-    ranges.sort()
-    words = np.array([r[:2] for r in ranges], dtype="S8").view(">u8")
-    table = ClassRanges(
-        ["+".join(names) for _, names in by_label.values()], list(by_label),
-        words[:, 0], words[:, 1], np.array([r[2] for r in ranges]),
-    )
-    top, k = table.top, table.classes
-    clash = np.flatnonzero((table.lows[1:] <= top[:-1]) & (k[1:] != k[table.holder[:-1]]))
-    if len(clash):
-        pair = (table.holder[clash[0]], clash[0] + 1)
-        (a, line_a, ra), (b, line_b, rb) = sorted(ranges[j][2:] for j in pair)
-        raise StructuralError(
-            f"class {table.ids[a]!r} ({table.labels[a]}) overlaps class "
-            f"{table.ids[b]!r} ({table.labels[b]}) on ranges {ra} and {rb}",
-            filename,
-            max(line_a, line_b),
-        )
-    return table
 
 
 def load_descriptions(source, filename: str | None = None) -> dict[str, str]:
@@ -499,46 +448,7 @@ def read_rank_file(path: str) -> analysis.RankTable:
 
 
 # ---------------------------------------------------------------------------
-# Frozen scoring pass: ``column_entropies`` that re-derived its repeats and
-# two-row masks per block of maps, kept as it was, as the oracle of the pass
-# that replaced it (and of its kernel calls, one per block).
-
-
-def column_entropies(maps: gem_io.MapTable) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column entropies (bits) of every map's padded code matrix, and
-    each map's width n: one- and two-row maps in closed form, and per block
-    of ``entropy._KERNEL_BLOCK`` maps, the repeats of its heights, its
-    two-row masks and gathers, and one kernel call on its maps of three or
-    more rows."""
-    widths = np.maximum.reduceat(
-        maps.lines.target_len[maps.rows], maps.starts[:-1]
-    ).astype(np.int64)
-    col_starts = gem_io.offsets(widths)
-    cols = np.zeros(int(col_starts[-1]))
-    words = maps.lines.targets.view("<u8")[:, 0]  # a padded row as one word
-    position = np.arange(gem_io.MAX_CODE)
-    for k in range(0, len(maps), entropy._KERNEL_BLOCK):
-        heights = maps.m[k : k + entropy._KERNEL_BLOCK]
-        block_widths = widths[k : k + entropy._KERNEL_BLOCK]
-        block_cols = cols[col_starts[k] : col_starts[k + len(heights)]]
-        col_height = np.repeat(heights, block_widths)
-        rows = maps.rows[maps.starts[k] : maps.starts[k + len(heights)]]
-        row_height = np.repeat(heights, heights)
-        # two-row maps: rows in pairs, bytes that differ, cut to the map's width
-        pairs = words[rows[row_height == 2]].view(np.uint8).reshape(-1, 2, gem_io.MAX_CODE)
-        differ = pairs[:, 0] != pairs[:, 1]
-        block_cols[col_height == 2] = differ[position < block_widths[heights == 2][:, None]]
-        # maps of three or more rows: each row cut to its map's width, row-major,
-        # as the kernel's symbols
-        many = heights > 2
-        cut = position < np.repeat(block_widths[many], heights[many])[:, None]
-        cells = words[rows[row_height > 2]].view(np.uint8).reshape(-1, gem_io.MAX_CODE)[cut]
-        flat = entropy._kernels.SYMBOL[cells]
-        del pairs, differ, cut, cells  # before the kernel's arrays
-        block_cols[col_height > 2] = entropy._kernels.batch_column_entropies(
-            flat, heights[many], block_widths[many]
-        )
-    return cols, widths
+# Maps, scores, class tables and graphs built from rows
 
 
 def make_map(rng: np.random.Generator, source: str = "SRC", **kwargs):

@@ -363,8 +363,19 @@ class TestProcessEntry:
         )
         assert (good.returncode, good.stderr) == (0, "")
         (workspace / "bad.txt").write_text("0052 02H43JZ 10000\n0052 02H43KZ 1x000\n")
-        # a GemError, then an OSError
-        for gems, text in (("bad.txt", ":2: flag must be"), ("missing.txt", "No such file")):
+        (workspace / "mixed.txt").write_text("0099 NOPCS 11000\n0099 02H43JZ 10000\n")
+        (workspace / "gap.txt").write_text(
+            "0010 A1 10000\n0052 02H43JZ 10111\n0052 02H43KZ 10131\n")
+        (workspace / "choice-gap.txt").write_text("0010 A1 10000\n0052 02H43KZ 10112\n")
+        # GemErrors, a bad map's on the line of its first row, then an OSError
+        for gems, text in (
+            ("bad.txt", ":2: flag must be"),
+            ("mixed.txt", "mixed.txt:1: source 0099 mixes no-match and regular entries"),
+            ("gap.txt", "gap.txt:2: source 0052 has non-contiguous scenario numbers [1, 3]"),
+            ("choice-gap.txt",
+             "choice-gap.txt:2: source 0052 scenario 1 has non-contiguous choice lists [2]"),
+            ("missing.txt", "No such file"),
+        ):
             failed = _fresh_process(
                 "-m", "gementropy.cli", "score", "--gems", workspace / gems, "--out", workspace
             )

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import time
 import tracemalloc
@@ -386,7 +385,8 @@ def _transients(n_lines: int) -> tuple[int, int]:
     concatenated into it (as large again)."""
     data = _generated_crosswalk(n_lines)
     lines, parse_peak = _traced_peak(lambda: parse_gem_file(data))
-    lines_bytes = sum(getattr(lines, f.name).nbytes for f in dataclasses.fields(lines))
+    lines_bytes = sum(a.nbytes for a in (lines.sources, lines.targets, lines.target_len,
+                                         lines.flags, lines.line))
     maps = group_maps(lines)
     (cols, widths), kernel_peak = _traced_peak(lambda: column_entropies(maps))
     return parse_peak - 2 * lines_bytes, kernel_peak - 2 * cols.nbytes - widths.nbytes
