@@ -17,21 +17,24 @@ Kendall tau-b needs no numpy, so a ``corr`` process never imports numpy;
 the report writer uses numpy only for columns that already are numpy arrays.
 
 ``run()`` is the process entry point, of ``python -m gementropy.cli`` and of
-the ``gementropy`` console script: it calls ``main()``, then ``gc.freeze()``,
-then exits with its code. Interpreter finalization would otherwise run the
-cyclic garbage collector over every object still alive, numpy's modules
-among them, although the process frees all its memory when it ends; frozen
-objects are left out of that pass (about 20 ms of a ``rank`` or ``textnet``
-process). ``main()`` returns the exit code and never freezes, for callers
-that run commands in-process. What escapes ``main()`` (argparse's usage
-error, an uncaught exception, ``KeyboardInterrupt``) ends the process as
-before, without the freeze.
+the ``gementropy`` console script. It sets ``OPENBLAS_NUM_THREADS`` to 1
+unless the caller set it, before any layer imports numpy (a batch command
+gains nothing from BLAS threads, and starting them takes numpy's import
+time), and calls ``main()``. It then flushes stdout and stderr and ends the
+process with ``os._exit``: interpreter finalization would otherwise tear
+down every module and object still alive, numpy's among them, although the
+process frees all its memory when it ends. Reports are closed files by
+then. A flush that raises (a closed pipe) exits through ``sys.exit``
+instead, as Python reports it. ``main()`` returns the exit code, for callers
+that run commands in-process, and builds the parser of the command its argv
+starts with alone. What escapes ``main()`` (argparse's usage error, an
+uncaught exception, ``KeyboardInterrupt``) ends the process as before,
+through finalization.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import itertools
 import math
 import os
@@ -556,66 +559,75 @@ def _add_outlier_options(parser):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("score", "stats", "rank", "corr", "outliers", "textnet", "verify-example")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone, for an argv
+    that starts with that command: such an argv reaches no other command's
+    parser and no top-level help, and the top-level usage line still names
+    every command."""
     parser = argparse.ArgumentParser(
         prog="gementropy",
         description="Entropy-based complexity analysis of medical code crosswalks",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # with one parser built, the metavar lists the commands in the usage
+    # line; the full parser sets none, which would rename the argument in
+    # its errors about a missing or unknown command
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("score", help="per-map measures and z-scores")
-    _add_io_options(p)
-    p.add_argument(
-        "--weights",
-        help="finite positive weights, comma-separated, one per position of the widest code",
-    )
-    _add_denominator_option(p)
-    p.add_argument("--frequencies", help="code,probability CSV; adds adjusted z-scores")
-    p.set_defaults(func=cmd_score)
+    def add(name, help_text, func):
+        """The parser of command ``name``, or None if it is not built."""
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("stats", help="descriptive statistics of the raw measures")
-    _add_io_options(p)
-    p.set_defaults(func=cmd_stats)
+    if p := add("score", "per-map measures and z-scores", cmd_score):
+        _add_io_options(p)
+        p.add_argument(
+            "--weights",
+            help="finite positive weights, comma-separated, one per position of the widest code",
+        )
+        _add_denominator_option(p)
+        p.add_argument("--frequencies", help="code,probability CSV; adds adjusted z-scores")
 
-    p = sub.add_parser("rank", help="clinical-class rankings per measure")
-    _add_io_options(p)
-    p.add_argument("--classes", required=True, help="low,high,label CSV of classes")
-    _add_denominator_option(p)
-    p.set_defaults(func=cmd_rank)
+    if p := add("stats", "descriptive statistics of the raw measures", cmd_stats):
+        _add_io_options(p)
 
-    p = sub.add_parser("corr", help="Kendall tau matrix between rank files")
-    p.add_argument("rank_files", nargs="+", help="two or more rank report files")
-    _add_io_options(p, gems=False)
-    p.set_defaults(func=cmd_corr)
+    if p := add("rank", "clinical-class rankings per measure", cmd_rank):
+        _add_io_options(p)
+        p.add_argument("--classes", required=True, help="low,high,label CSV of classes")
+        _add_denominator_option(p)
 
-    p = sub.add_parser("outliers", help="maps whose z-score exceeds a threshold")
-    _add_io_options(p)
-    _add_denominator_option(p)
-    _add_outlier_options(p)
-    p.add_argument("--descriptions", help="code,description CSV")
-    p.set_defaults(func=cmd_outliers)
+    if p := add("corr", "Kendall tau matrix between rank files", cmd_corr):
+        p.add_argument("rank_files", nargs="+", help="two or more rank report files")
+        _add_io_options(p, gems=False)
 
-    p = sub.add_parser(
-        "textnet", help="word co-occurrence network of outlier descriptions"
-    )
-    _add_io_options(p)
-    _add_denominator_option(p)
-    _add_outlier_options(p)
-    p.add_argument("--descriptions", required=True, help="code,description CSV")
-    p.set_defaults(func=cmd_textnet)
+    if p := add("outliers", "maps whose z-score exceeds a threshold", cmd_outliers):
+        _add_io_options(p)
+        _add_denominator_option(p)
+        _add_outlier_options(p)
+        p.add_argument("--descriptions", help="code,description CSV")
 
-    p = sub.add_parser(
-        "verify-example", help="check the bundled reference map against known values"
-    )
-    p.set_defaults(func=cmd_verify_example)
+    if p := add("textnet", "word co-occurrence network of outlier descriptions", cmd_textnet):
+        _add_io_options(p)
+        _add_denominator_option(p)
+        _add_outlier_options(p)
+        p.add_argument("--descriptions", required=True, help="code,description CSV")
 
+    add("verify-example", "check the bundled reference map against known values",
+        cmd_verify_example)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "corr" and len(args.rank_files) < 2:
+    if args.command == "corr" and len(args.rank_files) < 2:
         parser.error("corr needs at least two rank files")
     try:
         return args.func(args)
@@ -625,11 +637,18 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Run ``main()`` on ``sys.argv`` and exit with its code, after freezing
-    every live object so that the exit skips a final collection."""
+    """Run ``main()`` on ``sys.argv`` with one BLAS thread unless the caller
+    chose a number, flush the standard streams and end the process with its
+    code, skipping interpreter teardown; a flush that fails (a closed pipe)
+    exits through ``sys.exit`` instead, as Python reports it."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe or stream
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

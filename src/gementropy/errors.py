@@ -57,7 +57,8 @@ class DegenerateMeasureError(GemError):
 
 
 class ConvergenceError(GemError):
-    """Power iteration failed to converge within the iteration budget."""
+    """The centrality solve did not converge within its budget of
+    matrix-vector products."""
 
     def __init__(self, residual, iterations):
         self.residual = residual

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -142,6 +143,17 @@ class TestEigenvectorCentrality:
         assert scores["b"] == pytest.approx(math.sqrt(2.0) / norm, abs=1e-8)
         assert scores["c"] == pytest.approx(1.0 / norm, abs=1e-8)
 
+    def test_even_path_converges_unshifted(self):
+        # a path of 6 words is bipartite: its spectrum, cos(k pi / 7) once
+        # scaled, is symmetric about 0, and its Perron vector is sin(i pi / 7)
+        words = ["p1", "p2", "p3", "p4", "p5", "p6"]
+        g = build_cooccurrence_graph([[a, b] for a, b in zip(words, words[1:])])
+        scores = eigenvector_centrality(g)
+        perron = np.sin(np.arange(1, 7) * math.pi / 7)
+        perron /= np.linalg.norm(perron)
+        # within 2 tolerance / (cos(pi / 7) - cos(2 pi / 7)) = 7.2e-10
+        assert [scores[w] for w in words] == pytest.approx(perron.tolist(), abs=1e-9)
+
     def test_unit_norm_and_range(self):
         g = build_cooccurrence_graph([["a", "b", "c"], ["b", "c", "d"]])
         scores = eigenvector_centrality(g)
@@ -191,6 +203,21 @@ class TestEigenvectorCentrality:
         g = build_cooccurrence_graph([["a", "b"], ["b", "c"]])
         with pytest.raises(ConvergenceError):
             eigenvector_centrality(g, max_iterations=1)
+
+    def test_budget_counts_matrix_vector_products(self):
+        # a 31-word path with one chord, whose small spectral gap takes
+        # several restarts; every weighted bincount after the first, which
+        # sums the degrees, is one product
+        g = build_cooccurrence_graph(
+            [[f"w{i:02d}", f"w{i + 1:02d}"] for i in range(30)] + [["w03", "w17"]]
+        )
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+            expected = eigenvector_centrality(g)
+        products = sum("weights" in call.kwargs for call in bincount.call_args_list) - 1
+        assert products > 2 * 16
+        assert eigenvector_centrality(g, max_iterations=products) == expected
+        with pytest.raises(ConvergenceError, match=f"after {products - 1} iterations"):
+            eigenvector_centrality(g, max_iterations=products - 1)
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
