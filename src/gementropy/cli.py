@@ -42,7 +42,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import GemError, decode, parse_number, read_source, read_table
+from .errors import DegenerateMeasureError, GemError, decode, parse_number, read_source, read_table
 
 if TYPE_CHECKING:
     from . import analysis, entropy
@@ -228,15 +228,19 @@ def _score(args, weights=None):
     return entropy.score_maps(gem_io.group_maps(entries), weights)
 
 
-def _normalize(scores, denominator: str) -> entropy.ZScoreTable:
-    """Corpus z-scores; too few maps or a constant measure is an error."""
+def _normalize(scores, args) -> entropy.ZScoreTable:
+    """Corpus z-scores of the crosswalk ``args.gems``; too few maps or a
+    constant measure is an error that names it."""
     from . import entropy
 
     if not scores:
-        raise GemError("no scorable maps in the input file")
+        raise GemError(f"{args.gems}: no scorable maps in the input file")
     if len(scores) < 2:
-        raise GemError("need at least 2 scored maps to normalize")
-    return entropy.normalize_scores(scores, denominator)
+        raise GemError(f"{args.gems}: need at least 2 scored maps to normalize")
+    try:
+        return entropy.normalize_scores(scores, args.denominator)
+    except DegenerateMeasureError as exc:
+        raise GemError(f"{args.gems}: {exc}") from None
 
 
 def _excluded_columns(excluded) -> dict:
@@ -264,7 +268,7 @@ def cmd_score(args) -> int:
     normalized = None
     if scores:
         try:
-            normalized = _normalize(scores, args.denominator)
+            normalized = _normalize(scores, args)
         except GemError as exc:
             _warn(f"{exc}; normalization skipped")
     if normalized is not None:
@@ -287,7 +291,7 @@ def cmd_stats(args) -> int:
 
     scores, excluded = _score(args)
     if not scores:
-        raise GemError("no scorable maps in the input file")
+        raise GemError(f"{args.gems}: no scorable maps in the input file")
     stats = {
         field: analysis.descriptive_stats(getattr(scores, field))
         for field in ("h_a", "h_b", "ur")
@@ -311,7 +315,7 @@ def cmd_rank(args) -> int:
 
     from . import analysis, gem_io
 
-    normalized = _normalize(_score(args)[0], args.denominator)
+    normalized = _normalize(_score(args)[0], args)
     defs = gem_io.load_class_defs(args.classes)
     classes = analysis.aggregate_by_class(normalized, defs)
     counts = classes.starts[1:] - classes.starts[:-1]
@@ -351,8 +355,12 @@ def _read_rank_file(path: str) -> analysis.RankTable:
         import json
         try:  # an undecodable byte raises a ParseError, which is no ValueError
             records = json.loads(decode(read_source(path)[1], path))
-        except ValueError as exc:
+        except json.JSONDecodeError as exc:
+            raise GemError(f"{path}:{exc.lineno}: rank file is not valid JSON: {exc}") from None
+        except ValueError as exc:  # an integer of more digits than int() reads
             raise GemError(f"{path}: rank file is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise GemError(f"{path}: rank file nests too deeply to read") from None
         if not isinstance(records, list):
             raise GemError(f"{path}: rank file must hold a list of records")
         located = [(f": record {i}", record) for i, record in enumerate(records)]
@@ -423,7 +431,7 @@ def _outlier_columns(args) -> dict:
     """The source and score columns of the outlier maps, highest first."""
     from . import analysis
 
-    normalized = _normalize(_score(args)[0], args.denominator)
+    normalized = _normalize(_score(args)[0], args)
     selected = analysis.detect_outliers(
         normalized, args.measure, threshold=args.threshold, top_fraction=args.top_fraction
     )

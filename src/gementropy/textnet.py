@@ -8,15 +8,12 @@ DOT and edge-list CSV for that purpose.
 
 The graph is a :class:`WordGraph` of arrays: the words sorted, and each
 edge a pair of word indices. Every token gets its word's index, and one
-argsort counts the word pairs as int64 keys ``a * n + b``, so the edges
-come out in lexicographic order, the order of every report. The
-centrality solve, a restarted Lanczos iteration without shift, sums in
-floating point and reads the edges in the order they first occur instead:
-description by description, each description's pairs in
-``itertools.combinations`` order of its sorted words; any other order
-moves centralities in the last bits. The largest component comes from
-min-label propagation over the edges; of equal-sized components, the one
-holding the alphabetically first word wins.
+``np.unique`` counts the word pairs as int64 keys ``a * n + b``, so the
+edges come out in lexicographic order, the order of every report and of
+the centrality solve, a restarted Lanczos iteration without shift. The
+largest component comes from min-label propagation over the edges; of
+equal-sized components, the one holding the alphabetically first word
+wins.
 """
 
 from __future__ import annotations
@@ -56,16 +53,14 @@ class WordGraph(NamedTuple):
     ``words`` holds the distinct words, sorted, and ``counts`` the number of
     descriptions containing each. ``edges`` holds one (a, b) row of word
     indices per co-occurring pair, a < b, in lexicographic order, and
-    ``weights`` the number of descriptions containing both ends;
-    ``first_order`` lists the edge indices in the order the edges first
-    occur. No self-loops.
+    ``weights`` the number of descriptions containing both ends. No
+    self-loops.
     """
 
     words: np.ndarray
     counts: np.ndarray
     edges: np.ndarray
     weights: np.ndarray
-    first_order: np.ndarray
 
 
 def tokenize(description: str) -> list[str]:
@@ -77,19 +72,6 @@ def tokenize(description: str) -> list[str]:
     """
     dropped = _dropped_words()
     return [w for w in dict.fromkeys(_WORD_RE.findall(description.lower())) if w not in dropped]
-
-
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_index=True, return_counts=True)`` of int keys:
-    the distinct keys, ascending, the index of each one's first occurrence and
-    its count. One unstable argsort groups equal keys, and the first
-    occurrence of a key is the smallest index in its run of the order."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    starts = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))
-    if not len(starts):  # reduceat takes no empty index list
-        return ordered, order, order
-    return ordered[starts], np.minimum.reduceat(order, starts), np.diff(starts, append=len(order))
 
 
 def build_cooccurrence_graph(token_lists: Iterable[Sequence[str]]) -> WordGraph:
@@ -106,22 +88,18 @@ def build_cooccurrence_graph(token_lists: Iterable[Sequence[str]]) -> WordGraph:
     # would import numpy.ma, 19 ms, on its first call)
     keys = np.sort(np.repeat(np.arange(len(sizes)), sizes) * n + word_id)
     description, ids = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-    # each word pairs with the later words of its description, which gives
-    # the pairs of every description in itertools.combinations order: the
-    # k-th pair overall is (t, t + 1 + k - the pairs of the words before t)
+    # each word pairs with the later words of its description: the k-th pair
+    # overall is (t, t + 1 + k - the pairs of the words before t)
     position = np.arange(len(ids))
     run_end = np.flatnonzero(np.diff(description, append=-1)) + 1
     partners = np.repeat(run_end, np.diff(np.r_[0, run_end])) - position - 1
     before = np.cumsum(partners) - partners
     pair_keys = ids[np.repeat(position, partners)] * n
     pair_keys += ids[np.arange(len(pair_keys)) + np.repeat(position + 1 - before, partners)]
-    keys, first, weights = _distinct(pair_keys)
+    # np.unique with return_counts, unlike a plain one, imports no numpy.ma
+    keys, weights = np.unique(pair_keys, return_counts=True)
     return WordGraph(
-        words,
-        np.bincount(ids, minlength=len(words)),
-        np.stack(np.divmod(keys, n), axis=1),
-        weights,
-        np.argsort(first),
+        words, np.bincount(ids, minlength=len(words)), np.stack(np.divmod(keys, n), axis=1), weights
     )
 
 
@@ -175,11 +153,11 @@ def eigenvector_centrality(
 
     The adjacency is held as a symmetric edge list, its weights divided by
     the largest weighted degree so the tolerance is scale-free. Each
-    matrix-vector product is one ``bincount`` over the edge ends, taken in
-    first-occurrence order, through one reused buffer: memory grows with the
-    edges, not with the words squared. The solve holds an orthonormal Krylov
-    basis of at most ``_BASIS`` vectors, reorthogonalised in full, and no
-    product of the adjacency with it. It restarts from the Ritz vector of
+    matrix-vector product is one ``bincount`` over the edge ends, in the
+    order of ``graph.edges``, through one reused buffer: memory grows with
+    the edges, not with the words squared. The solve holds an orthonormal
+    Krylov basis of at most ``_BASIS`` vectors, reorthogonalised in full,
+    and no product of the adjacency with it. It restarts from the Ritz vector of
     the largest Ritz value once the basis is full or that vector's estimated
     residual is below half the tolerance, computes each restart vector's
     residual ||A x - lambda x||, lambda = x.Ax, and stops once it is at most
@@ -200,11 +178,11 @@ def eigenvector_centrality(
     n = len(component)
     position = np.full(len(graph.words), -1)
     position[component] = np.arange(n)
-    # the edges in first-occurrence order; one end in the component means both
-    ends = position[graph.edges[graph.first_order]]
-    inside = ends[:, 0] >= 0
-    rows, cols = np.concatenate([ends[inside], ends[inside, ::-1]]).T.copy()
-    weights = np.tile(graph.weights[graph.first_order][inside].astype(np.float64), 2)
+    # one end in the component means both
+    inside = position[graph.edges[:, 0]] >= 0
+    a, b = position[graph.edges[inside]].T
+    rows, cols = np.concatenate([a, b]), np.concatenate([b, a])
+    weights = np.tile(graph.weights[inside].astype(np.float64), 2)
     scale = float(np.bincount(rows, weights=weights, minlength=n).max(initial=0.0))
     if scale == 0.0:  # no words, or a single isolated word
         scores[component] = 1.0

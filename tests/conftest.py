@@ -394,7 +394,8 @@ def load_frequencies(source, filename: str | None = None) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # Frozen rank-file reader: ``corr``'s reader of a rank file, whose CSV branch
 # read through ``csv.DictReader``, kept as it was, as the oracle of the
-# side-table reader that splits CSV rank files now.
+# side-table reader that splits CSV rank files now; its JSON errors are
+# worded as ``corr`` words them.
 
 
 def read_rank_file(path: str) -> analysis.RankTable:
@@ -404,8 +405,12 @@ def read_rank_file(path: str) -> analysis.RankTable:
             import json
             try:
                 records = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise GemError(f"{path}:{exc.lineno}: rank file is not valid JSON: {exc}") from None
             except ValueError as exc:
                 raise GemError(f"{path}: rank file is not valid JSON: {exc}") from None
+            except RecursionError:
+                raise GemError(f"{path}: rank file nests too deeply to read") from None
             if not isinstance(records, list):
                 raise GemError(f"{path}: rank file must hold a list of records")
             located = [(f": record {i}", record) for i, record in enumerate(records)]
@@ -525,14 +530,14 @@ def outlier_pairs(normalized, measure: str, **cut) -> list[tuple[str, float]]:
 
 def word_graph(nodes: dict[str, int], edges: dict[tuple[str, str], int]) -> WordGraph:
     """The graph of word counts and of edge weights keyed by sorted (a, b)
-    word pairs, the edges first occurring in the order of ``edges``."""
+    word pairs, the edges in lexicographic order."""
     words = np.array(sorted(nodes), dtype=object)
     index = {w: i for i, w in enumerate(words)}
-    ends = np.array([(index[a], index[b]) for a, b in edges], dtype=np.intp).reshape(-1, 2)
-    lexical = np.lexsort(ends.T[::-1])
-    weights = np.array(list(edges.values()), dtype=np.int64)[lexical]
+    pairs = sorted(edges)
+    ends = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
+    weights = np.array([edges[pair] for pair in pairs], dtype=np.int64)
     counts = np.array([nodes[w] for w in words], dtype=np.int64)
-    return WordGraph(words, counts, ends[lexical], weights, np.argsort(lexical))
+    return WordGraph(words, counts, ends, weights)
 
 
 def brute_force_valid_representations(record) -> int:

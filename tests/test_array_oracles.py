@@ -20,9 +20,9 @@ as they were; the rest are plain Python. By layer:
   ``average_ranks``;
 * Kendall tau-b: the n x n pair signs;
 * text network: the dict word graph (its ``combinations`` loop, depth-first
-  component search and report rows), the ``np.unique`` of its pair keys,
-  ``np.linalg.eigh`` of the dense scaled adjacency for
-  ``eigenvector_centrality`` and the filtered letter runs of ``tokenize``;
+  component search and report rows), ``np.linalg.eigh`` of the dense scaled
+  adjacency for ``eigenvector_centrality`` and the filtered letter runs of
+  ``tokenize``;
 * outliers: the row sort of ``detect_outliers``;
 * side tables and rank files: the frozen description and frequency loaders
   and the frozen rank-file reader of ``corr`` (in ``conftest``).
@@ -355,8 +355,7 @@ def _oracle_tau_b(xs, ys, pair):
 
 
 def _oracle_graph(token_lists):
-    """Word -> description count, and sorted (a, b) -> weight with the
-    edges in the order they first occur."""
+    """Word -> description count, and sorted (a, b) -> weight."""
     nodes, edges = {}, {}
     for tokens in token_lists:
         unique = sorted(dict.fromkeys(tokens))
@@ -1399,30 +1398,13 @@ def test_graph_matches_dict_graph(token_lists, max_iterations):
     assert frequencies == _oracle_word_frequencies(nodes)
     assert columns == _oracle_edge_rows(edges)
     assert len(graph.edges) == len(edges)
-    rows = list(zip(*columns.values()))
-    assert [rows[i] for i in graph.first_order] == [(*pair, w) for pair, w in edges.items()]
     component = graph.words[textnet.largest_component(graph)].tolist()
     assert component == _oracle_largest_component(nodes, edges)
     assert textnet.to_dot(graph) == _oracle_to_dot(nodes, edges)
     rebuilt = word_graph(nodes, edges)
-    for name in ("words", "counts", "edges", "weights", "first_order"):
+    for name in ("words", "counts", "edges", "weights"):
         assert getattr(rebuilt, name).tolist() == getattr(graph, name).tolist()
     _check_centrality(graph, nodes, edges, max_iterations)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 2**62), max_size=40) | st.lists(st.integers(-3, 3), max_size=40)
-       | st.builds(lambda k, n: [k] * n, st.integers(-2**63, 2**63 - 1), st.integers(0, 40)))
-@example([]).via("no pairs")
-@example([-2**63] * 3).via("all equal, at the int64 minimum")
-def test_distinct_pairs_match_unique(keys):
-    """Distinct keys, first indices and counts as ``np.unique`` gives them:
-    no keys, all keys equal and the int64 extremes among them."""
-    keys = np.array(keys, dtype=np.int64)
-    expected = np.unique(keys, return_index=True, return_counts=True)
-    got = textnet._distinct(keys)
-    for want, have in zip(expected, got):
-        assert have.dtype == want.dtype and have.tolist() == want.tolist()
 
 
 def test_graph_memory_grows_with_pairs():

@@ -81,8 +81,8 @@ class TestScore:
     def test_single_map_skips_normalization(self, workspace, capsys):
         (workspace / "one.txt").write_text("0052 02H43JZ 10000\n")
         assert _run(["score", "--gems", workspace / "one.txt", "--out", workspace]) == 0
-        err = capsys.readouterr().err
-        assert "normalization skipped" in err
+        assert capsys.readouterr().err == (f"warning: {workspace / 'one.txt'}: need at least 2 "
+                                           "scored maps to normalize; normalization skipped\n")
         rows = _read_csv(workspace / "scores.csv")
         assert "z_alpha" not in rows[0]
         # one row: every column is constant, so H(A) is 0, not -0
@@ -241,21 +241,6 @@ class TestStats:
         rows = _read_csv(workspace / "stats.csv")
         assert all(r["count"] == "1" for r in rows)
 
-    def test_numpy_ma_not_imported(self, workspace):
-        """``np.quantile`` imports ``numpy.ma`` on its first call; ``stats``
-        takes its quartiles without it."""
-        argv = ["stats", "--gems", str(workspace / "gems.txt"), "--out", str(workspace)]
-        code = (
-            "import sys; from gementropy import cli; "
-            f"rc = cli.main({argv!r}); print(rc, 'numpy.ma' in sys.modules)"
-        )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
-        assert out.stdout.splitlines()[-1] == "0 False", out.stderr
-
 
 def _fresh_process(*args, env=(), unbuffered=True, **kwargs):
     """A fresh interpreter run on ``args`` that imports gementropy from this
@@ -298,6 +283,42 @@ def test_corr_runs_without_numpy(tmp_path):
     lines = _fresh_python(code)
     assert lines[0] == "False" and lines[-1] == "0 []"
     assert (tmp_path / "corr.csv").exists()
+
+
+@pytest.mark.parametrize("command, data, message", [
+    (["stats"], "A1 NODX 11000\n", "no scorable maps in the input file"),
+    (["rank", "--classes", "classes.csv"], "A1 NODX 11000\n",
+     "no scorable maps in the input file"),
+    (["outliers", "--threshold", "0"], "0052 02H43JZ 10000\n",
+     "need at least 2 scored maps to normalize"),
+    (["rank", "--classes", "classes.csv"], "A1 X1 00000\nB2 Y2 00000\n",
+     "measure 'h_a' is constant across all maps; z-scores are undefined"),
+], ids=["stats-no-maps", "rank-no-maps", "outliers-one-map", "rank-constant"])
+def test_corpus_errors_name_the_crosswalk(workspace, capsys, command, data, message):
+    (workspace / "bad.txt").write_text(data)
+    argv = [command[0], "--gems", workspace / "bad.txt", "--out", workspace]
+    argv += [workspace / arg if arg.endswith(".csv") else arg for arg in command[1:]]
+    assert _run(argv) == 2
+    assert capsys.readouterr().err == f"error: {workspace / 'bad.txt'}: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["score"],
+    ["stats"],
+    ["rank", "--classes", "classes.csv"],
+    ["outliers", "--top-fraction", "1"],
+    ["textnet", "--descriptions", "descriptions.csv", "--top-fraction", "1"],
+], ids=lambda command: command[0])
+def test_numpy_ma_not_imported(workspace, command):
+    """Importing ``numpy.ma`` takes about 10 ms, and ``np.quantile`` or a plain
+    ``np.unique`` imports it on its first call; no command does."""
+    argv = [command[0], "--gems", str(workspace / "gems.txt"), "--out", str(workspace)]
+    argv += [str(workspace / arg) if arg.endswith(".csv") else arg for arg in command[1:]]
+    code = (
+        "import sys; from gementropy import cli; "
+        f"rc = cli.main({argv!r}); print(rc, 'numpy.ma' in sys.modules)"
+    )
+    assert _fresh_python(code)[-1] == "0 False"
 
 
 def test_score_imports_only_its_layers(workspace):
@@ -704,12 +725,17 @@ class TestCorr:
              "bad.csv:2: expected 2 columns, got 3"),
             ("bad.csv", "rank,class_id,score\n1,A,3\n2,B,1,,\n",
              "bad.csv:3: expected 3 columns, got 5"),
+            ("bad.json", '[{"class_id": "A", "score": 1},\n {"class_id": "B" "score": 2}]',
+             "bad.json:2: rank file is not valid JSON: Expecting ',' delimiter: "
+             "line 2 column 19 (char 50)"),
+            ("deep.json", "[" * 200_000, "deep.json: rank file nests too deeply to read"),
         ],
         ids=[
             "json-missing-key", "json-object", "csv-missing-cell", "csv-non-numeric",
             "csv-field-too-large", "csv-nan", "csv-inf", "csv-minus-inf", "json-nan",
             "json-infinity", "json-true", "json-false", "json-string", "json-int-past-float",
             "csv-digit-underscore", "csv-non-ascii-digit", "csv-extra-cell", "csv-extra-cells",
+            "json-syntax-line", "json-deep-nesting",
         ],
     )
     def test_malformed_rank_file(self, tmp_path, capsys, name, text, where):

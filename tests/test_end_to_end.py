@@ -1,14 +1,16 @@
-"""End-to-end differential test: ``cli.main``, run in-process on random small
+"""End-to-end differential tests: ``cli.main``, run in-process on random small
 corpora of the benchmark's generator, checked step by step against the
-benchmark's independent pure-Python oracle, as the benchmark checks it.
+benchmark's independent pure-Python oracle, as the benchmark checks it, and
+``outliers`` against the oracle's z-scores, sorted and cut here.
 
 ``perfbench/run.py`` is imported read-only for its workloads (each step's
 argv and check) and its ``reference``. Where the oracle divides by zero, the
 CLI's documented outcome is asserted instead: with fewer than 2 scored maps
-or a constant measure, ``score`` exits 0 without z-score columns and
-``rank`` exits 2 with its first error; with a rank file of one class or a
-constant ranking, ``corr`` exits 2. The ``textnet`` step is left out: the
-oracle asks for a unit-norm centrality even when the component is empty.
+or a constant measure, ``score`` exits 0 without z-score columns, and
+``rank`` and ``outliers`` exit 2 with an error that names the crosswalk;
+with a rank file of one class or a constant ranking, ``corr`` exits 2. The
+``textnet`` step is left out: the oracle asks for a unit-norm centrality
+even when the component is empty.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import importlib.util
 import io
+import math
 import re
 import sys
 import tempfile
@@ -40,8 +43,8 @@ STEPS = {
     name: [step for step in workload.steps if step.name != "textnet"]
     for name, workload in run.WORKLOADS.items()
 }
-RANK_ERRORS = re.compile(
-    r"error: (no scorable maps in the input file|need at least 2 scored maps to normalize"
+CORPUS_ERRORS = (
+    r"(no scorable maps in the input file|need at least 2 scored maps to normalize"
     r"|measure '\w+' is constant across all maps; z-scores are undefined)$"
 )
 CORR_ERRORS = re.compile(
@@ -111,5 +114,68 @@ def test_cli_matches_oracle(shape, n_maps, seed):
                 assert code == 0
                 _check_degenerate_score(out, step, stderr)
             else:  # rank: nothing to correlate after it
-                assert code == 2 and RANK_ERRORS.match(stderr[0]), stderr
+                gems = re.escape(str(corpus_dir / "gems.txt"))
+                assert code == 2 and re.match(f"error: {gems}: {CORPUS_ERRORS}", stderr[0]), stderr
                 break
+
+
+TIE = 1e-9  # z-scores this close may order either way: the oracle sums with math.fsum
+
+
+def _check_outliers(got: list, z: dict, threshold=None, top_fraction=None) -> None:
+    """The (source, score) rows of an outliers report against the oracle's
+    z-scores ``z`` by source, sorted by (-z, source) and cut as
+    ``detect_outliers`` documents: the maps above the threshold, or above the
+    z-score at 0-based rank floor(fraction * N), at most that many. A map may
+    stand in for the expected one only where their z-scores are within TIE,
+    and a list may end early or late only at z-scores within TIE of the cut;
+    the report's own scores tie by source."""
+    ranked = sorted(z.items(), key=lambda item: (-item[1], item[0]))
+    if top_fraction is not None:
+        allowed = int(top_fraction * len(ranked))
+        assert len(got) <= allowed
+        threshold = ranked[allowed][1] if allowed < len(ranked) else -math.inf
+    want = [(source, value) for source, value in ranked if value > threshold]
+
+    def near(a, b):
+        return abs(a - b) <= TIE * max(1.0, abs(b))
+
+    assert len({source for source, _ in got}) == len(got)
+    assert got == sorted(got, key=lambda row: (-row[1], row[0]))
+    for source, score in got:
+        assert abs(score - z[source]) <= run.oracle.FULL_TOL * max(1.0, abs(z[source])), source
+    for i in range(max(len(got), len(want))):
+        if i < min(len(got), len(want)):
+            assert got[i][0] == want[i][0] or near(z[got[i][0]], want[i][1]), (i, got, want)
+        else:
+            assert near(z[(got if i < len(got) else want)[i][0]], threshold), (i, got, want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(run.WORKLOADS)), st.integers(1, 300), st.integers(0, 2**32 - 1),
+       st.floats(-3, 3), st.floats(0, 1, exclude_min=True))
+@example("narrow-score", 1, 0, 0.0, 1.0)  # one scored map: no z-scores
+@example("classes-textnet", 40, 7, 0.5, 0.5)  # cuts inside the list
+def test_outliers_match_oracle(shape, n_maps, seed, threshold, top_fraction):
+    """``outliers`` on every measure, with a threshold and with a top
+    fraction, in JSON, whose scores keep full precision."""
+    with tempfile.TemporaryDirectory() as tmp:
+        gems = Path(tmp) / "gems.txt"
+        gems.write_bytes(run.corpus.generate(shape, n_maps, seed)["gems.txt"])
+        try:
+            maps = run.oracle.score_corpus(gems.read_text(encoding="utf-8"))["maps"]
+        except ZeroDivisionError:
+            maps = None
+        for measure in run.oracle.Z_NAMES:
+            z = maps and {row["source"]: row[measure] for row in maps}
+            for cut, value in (("threshold", threshold), ("top-fraction", top_fraction)):
+                out = Path(tmp) / f"{measure}-{cut}"
+                code, stderr = _main(["outliers", "--gems", str(gems), "--measure", measure,
+                                      f"--{cut}={value!r}", "--format", "json", "--out", str(out)])
+                if maps is None:
+                    errors = f"error: {re.escape(str(gems))}: {CORPUS_ERRORS}"
+                    assert code == 2 and re.match(errors, stderr[0]), stderr
+                    continue
+                assert (code, stderr) == (0, [])
+                _, rows = run.oracle.read_table(out / f"outliers_{measure}.json")
+                _check_outliers(rows, z, **{cut.replace("-", "_"): value})

@@ -34,7 +34,7 @@ RECORDS = [
     ),
     (analysis.Stats, ("count", "mean", "std", "min", "q25", "q50", "q75", "max"), {}),
     (analysis.RankTable, ("name", "scores"), {}),
-    (textnet.WordGraph, ("words", "counts", "edges", "weights", "first_order"), {}),
+    (textnet.WordGraph, ("words", "counts", "edges", "weights"), {}),
 ]
 RECORD_IDS = [record_type.__name__ for record_type, _, _ in RECORDS]
 TABLES = [gem_io.GemLines, gem_io.MapTable, entropy.ScoreTable, entropy.ZScoreTable]

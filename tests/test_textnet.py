@@ -109,14 +109,10 @@ class TestGraph:
             g = build_cooccurrence_graph(lists)
             assert g.words[largest_component(g)].tolist() == ["b", "y"]
 
-    def test_edges_in_lexicographic_and_first_occurrence_order(self):
+    def test_edges_in_lexicographic_order(self):
         g = build_cooccurrence_graph([["c", "d"], ["b", "a", "c"]])
-        edges = _lists(edge_rows(g))
-        assert edges == {"word_a": ["a", "a", "b", "c"], "word_b": ["b", "c", "c", "d"],
-                         "weight": [1, 1, 1, 1]}
-        assert [(edges["word_a"][i], edges["word_b"][i]) for i in g.first_order] == [
-            ("c", "d"), ("a", "b"), ("a", "c"), ("b", "c")
-        ]
+        assert _lists(edge_rows(g)) == {"word_a": ["a", "a", "b", "c"],
+                                        "word_b": ["b", "c", "c", "d"], "weight": [1, 1, 1, 1]}
         assert len(g.edges) == 4
 
 
