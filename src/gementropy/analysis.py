@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -30,8 +31,10 @@ if TYPE_CHECKING:
     from .entropy import ZScoreTable
     from .gem_io import ClassRanges
 
-RANK_MEASURES = ("z_alpha", "z_beta", "z_ur", "total")
+# entropy.MEASURES' z-scores, spelled out: corr loads this module without
+# numpy, which importing entropy would load
 OUTLIER_MEASURES = ("z_alpha", "z_beta", "z_ur")
+RANK_MEASURES = (*OUTLIER_MEASURES, "total")
 
 
 class Stats(NamedTuple):
@@ -52,7 +55,8 @@ class ClassTable:
     first-member order.
 
     ``ids`` and ``labels`` are lists (a ``<U`` array would drop trailing
-    NULs) and the sums float64 arrays. ``members`` holds map indices, class
+    NULs). ``sums`` maps each of ``OUTLIER_MEASURES``, in that order, to the
+    float64 array of the classes' sums. ``members`` holds map indices, class
     by class and in map order within a class: class k's members are
     ``members[starts[k]:starts[k + 1]]``. Its length is the class count.
 
@@ -61,18 +65,9 @@ class ClassTable:
     for this class, about 10 ms per process.
     """
 
-    def __init__(
-        self,
-        ids: list[str],
-        labels: list[str],
-        sum_z_alpha: np.ndarray,
-        sum_z_beta: np.ndarray,
-        sum_z_ur: np.ndarray,
-        members: np.ndarray,
-        starts: np.ndarray,
-    ):
-        self.ids, self.labels = ids, labels
-        self.sum_z_alpha, self.sum_z_beta, self.sum_z_ur = sum_z_alpha, sum_z_beta, sum_z_ur
+    def __init__(self, ids: list[str], labels: list[str], sums: dict[str, np.ndarray],
+                 members: np.ndarray, starts: np.ndarray):
+        self.ids, self.labels, self.sums = ids, labels, sums
         self.members, self.starts = members, starts
 
     def __len__(self) -> int:
@@ -91,10 +86,10 @@ class ClassTable:
 
     def value(self, measure: str) -> np.ndarray:
         """The class sums of one of ``RANK_MEASURES``; ``total`` adds the
-        three."""
+        others' in order, ``(z_alpha + z_beta) + z_ur``."""
         if measure == "total":
-            return self.sum_z_alpha + self.sum_z_beta + self.sum_z_ur
-        return getattr(self, f"sum_{measure}")
+            return functools.reduce(operator.add, self.sums.values())
+        return self.sums[measure]
 
 
 class RankTable(NamedTuple):
@@ -131,17 +126,9 @@ def descriptive_stats(values: Sequence[float]) -> Stats:
         raise ValueError("cannot summarize an empty list")
     # sorting fixes the reduction order, making results permutation-invariant
     arr = np.sort(arr)
-    q25, q50, q75 = _quartiles(arr)
-    return Stats(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        min=float(arr.min()),
-        q25=float(q25),
-        q50=float(q50),
-        q75=float(q75),
-        max=float(arr.max()),
-    )
+    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    low, high = float(arr.min()), float(arr.max())
+    return Stats(int(arr.size), float(arr.mean()), std, low, *map(float, _quartiles(arr)), high)
 
 
 def aggregate_by_class(normalized: ZScoreTable, table: ClassRanges) -> ClassTable:
@@ -165,11 +152,10 @@ def aggregate_by_class(normalized: ZScoreTable, table: ClassRanges) -> ClassTabl
     place = place[index]  # each map's class, numbered in first-member order
     ids = table.ids + [UNCLASSIFIED]
     labels = table.labels + ["Unclassified"]
-    zs = (normalized.z_alpha, normalized.z_beta, normalized.z_ur)
     return ClassTable(
         [ids[k] for k in kept],
         [labels[k] for k in kept],
-        *(np.bincount(place, weights=z) for z in zs),
+        {z: np.bincount(place, weights=getattr(normalized, z)) for z in OUTLIER_MEASURES},
         np.argsort(place, kind="stable"),
         np.concatenate([[0], np.cumsum(np.bincount(place))]),
     )

@@ -3,10 +3,11 @@ analysis -> deterministic CSV/JSON reports.
 
 Subcommands: score, stats, rank, corr, outliers, textnet, verify-example.
 Only ``score`` takes ``--weights`` (adds ``h_a_weighted``) and ``--frequencies``
-(adds the frequency-adjusted z-scores); ``rank``, ``outliers`` and ``textnet``
-report plain z-scores and take ``--denominator`` alone. The analysis layer
-returns columns and indices, so ``rank``, ``outliers`` and ``textnet`` write
-their reports by indexing the z-score table and the class table.
+(adds the frequency-adjusted z-scores, which no z-score table holds); ``rank``,
+``outliers`` and ``textnet`` report plain z-scores and take ``--denominator``
+alone. The analysis layer returns columns and indices, so ``rank``,
+``outliers`` and ``textnet`` write their reports by indexing the z-score table
+and the class table.
 
 Importing this module loads only the standard library, not even ``json``
 (for JSON files only). Each command imports the layers it runs when it
@@ -120,7 +121,7 @@ def _run_blocks(run: list, fmt: str, sep: str, blocks: range):
     argsort of a hash of the columns' int64 bit patterns (-0.0 and NaN keep their text)
     brings equal rows together; a row unlike the one before it starts a group (a hash
     collision only splits one), joined by ``sep`` once from each column's distinct
-    values among one row of each group, formatted once and, numbers, never quoted."""
+    values among one row of each group, each formatted once as a cell."""
     import numpy as np
 
     bits = [column.view(np.int64) for _, column in run]
@@ -135,10 +136,10 @@ def _run_blocks(run: list, fmt: str, sep: str, blocks: range):
         ordered = column[order]
         first[1:] |= ordered[1:] != ordered[:-1]
     some_row = order[first]  # a row of each distinct row, in sorted order
+    cell = _json_cell if fmt == "json" else _csv_cell
     cells = []
     for (prefix, column), column_bits in zip(run, bits):
         distinct, inverse = np.unique(column_bits[some_row], return_inverse=True)
-        cell = _json_cell if fmt == "json" else "{:.6g}".format if column.dtype.kind == "f" else str
         texts = [prefix + cell(value) for value in distinct.view(column.dtype).tolist()]
         cells.append(np.array(texts, dtype=object)[inverse].tolist())
     rows = np.array(list(map(sep.join, zip(*cells))), dtype=object)
@@ -261,23 +262,19 @@ def cmd_score(args) -> int:
     scores, excluded = _score(args, weights)
     excluded = _excluded_columns(excluded)  # frees its lines: the whole parsed crosswalk
     freqs = gem_io.load_frequencies(args.frequencies) if args.frequencies else None
-    names = ["source", "m", "m0", "v", "h_a", "h_b", "ur"]
+    names = ["source", "m", "m0", "v", *entropy.MEASURES]
     if weights is not None:
         names.append("h_a_weighted")
     columns = {name: getattr(scores, name) for name in names}
-    normalized = None
     if scores:
         try:
             normalized = _normalize(scores, args)
         except GemError as exc:
             _warn(f"{exc}; normalization skipped")
-    if normalized is not None:
-        if freqs is not None:
-            normalized = entropy.adjust_by_frequency(normalized, freqs)
-        z_names = ["z_alpha", "z_beta", "z_ur"]
-        if normalized.adjusted_z_alpha is not None:
-            z_names += ["adjusted_z_alpha", "adjusted_z_beta", "adjusted_z_ur"]
-        columns.update((name, getattr(normalized, name)) for name in z_names)
+        else:
+            columns.update((z, getattr(normalized, z)) for z in entropy.MEASURES.values())
+            if freqs is not None:
+                columns.update(entropy.adjust_by_frequency(normalized, freqs) or {})
     out = Path(args.out)
     path = _write_report(out, "scores", args.format, columns)
     excl_path = _write_report(out, "excluded", args.format, excluded)
@@ -287,25 +284,17 @@ def cmd_score(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    from . import analysis
+    from . import analysis, entropy
 
     scores, excluded = _score(args)
     if not scores:
         raise GemError(f"{args.gems}: no scorable maps in the input file")
-    stats = {
-        field: analysis.descriptive_stats(getattr(scores, field))
-        for field in ("h_a", "h_b", "ur")
-    }
-    columns = {"measure": list(stats)}
-    for name in ("count", "mean", "std", "min", "q25", "q50", "q75", "max"):
-        columns[name] = [getattr(st, name) for st in stats.values()]
-    path = _write_report(Path(args.out), "stats", args.format, columns)
-    for field, st in stats.items():
-        print(
-            f"{field}: count={st.count} mean={st.mean:.2f} std={st.std:.2f} "
-            f"min={st.min:.2f} q25={st.q25:.2f} q50={st.q50:.2f} "
-            f"q75={st.q75:.2f} max={st.max:.2f}"
-        )
+    stats = {name: analysis.descriptive_stats(getattr(scores, name)) for name in entropy.MEASURES}
+    columns = dict(zip(analysis.Stats._fields, map(list, zip(*stats.values()))))
+    path = _write_report(Path(args.out), "stats", args.format, {"measure": list(stats), **columns})
+    for name, st in stats.items():
+        spread = " ".join(f"{field}={getattr(st, field):.2f}" for field in st._fields[1:])
+        print(f"{name}: count={st.count} {spread}")
     print(f"({len(excluded)} no-match maps excluded) -> {path}")
     return 0
 
@@ -338,9 +327,7 @@ def cmd_rank(args) -> int:
     columns = {
         "class_id": [c for c, n in zip(classes.ids, counts.tolist()) for _ in range(n)],
         "source": normalized.source[members],
-        "z_alpha": normalized.z_alpha[members],
-        "z_beta": normalized.z_beta[members],
-        "z_ur": normalized.z_ur[members],
+        **{z: getattr(normalized, z)[members] for z in analysis.OUTLIER_MEASURES},
     }
     paths.append(_write_report(out, "class_members", args.format, columns))
     print(f"ranked {len(classes)} classes -> {', '.join(str(p) for p in paths)}")
@@ -549,15 +536,30 @@ def _add_denominator_option(parser):
     )
 
 
+class _NegativeNumber:
+    """argparse's test of whether a text that starts with ``-`` is a value,
+    not an option: every number ``parse_number`` reads is (Python's own test,
+    in 3.10 and 3.11, passes only ``-5`` and ``-.5``, not ``-1e-05`` or ``-inf``)."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            parse_number(text)
+        except ValueError:
+            return False
+        return True
+
+
 def _add_outlier_options(parser):
     parser.add_argument(
         "--measure",
-        choices=("z_alpha", "z_beta", "z_ur"),  # analysis.OUTLIER_MEASURES, not imported
+        choices=("z_alpha", "z_beta", "z_ur"),  # analysis.OUTLIER_MEASURES, no layer imported
         default="z_alpha",
         help="normalized measure to scan",
     )
     # type=float reads with parse_number; argparse still says "invalid float value"
     parser.register("type", float, parse_number)
+    parser._negative_number_matcher = _NegativeNumber
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--threshold", type=float, help="keep scores strictly above")
     group.add_argument(

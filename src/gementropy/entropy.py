@@ -21,17 +21,18 @@ splits the scored maps from the excluded ones with one row mask and scores
 them: it sums each scored map's columns, and m, m0 and v come from the
 table. It returns a :class:`ScoreTable` of columns, which
 :func:`normalize_scores` turns into corpus z-scores (a
-:class:`ZScoreTable`). Both tables read as sequences of
-:class:`MapScores` and :class:`NormalizedScores` built on access;
-:func:`adjust_by_frequency` adds the optional frequency-adjusted columns to
-a :class:`ZScoreTable`. A single map is scored as a table of one.
+:class:`ZScoreTable`), one per entry of :data:`MEASURES`. Both tables read
+as sequences of :class:`MapScores` and :class:`NormalizedScores` built on
+access. :func:`adjust_by_frequency` returns the frequency-adjusted z-scores,
+which only ``score`` reports, as columns of their own. A single map is
+scored as a table of one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -64,15 +65,12 @@ class MapScores(NamedTuple):
 
 
 class NormalizedScores(NamedTuple):
-    """Corpus-normalized z-scores of one map, optionally frequency-adjusted."""
+    """Corpus-normalized z-scores of one map."""
 
     source: str
     z_alpha: float
     z_beta: float
     z_ur: float
-    adjusted_z_alpha: float | None = None
-    adjusted_z_beta: float | None = None
-    adjusted_z_ur: float | None = None
 
 
 class _Columns(RowTable):
@@ -110,17 +108,14 @@ class ScoreTable(_Columns):
 
 @dataclass(eq=False, repr=False)
 class ZScoreTable(_Columns):
-    """Corpus z-scores, one array per :class:`NormalizedScores` field; the
-    adjusted ones come from :func:`adjust_by_frequency` (None: no frequency)."""
+    """Corpus z-scores, one array per :class:`NormalizedScores` field: the
+    columns that ``score``, ``rank``, ``outliers`` and ``textnet`` all read."""
 
     _type = NormalizedScores
     source: np.ndarray
     z_alpha: np.ndarray
     z_beta: np.ndarray
     z_ur: np.ndarray
-    adjusted_z_alpha: np.ndarray | None = None
-    adjusted_z_beta: np.ndarray | None = None
-    adjusted_z_ur: np.ndarray | None = None
 
 
 def column_entropies(maps: MapTable) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +186,10 @@ def score_maps(
     """
     maps, excluded = maps.split(maps.m > 0)
     cols, widths = column_entropies(maps)
+    col_starts = offsets(widths)[:-1]
+    h_a = np.add.reduceat(cols, col_starts)
 
+    h_a_weighted = None
     if weights is not None:
         wfull = np.asarray(weights, dtype=np.float64)
         if wfull.ndim != 1 or not np.all(np.isfinite(wfull) & (wfull > 0)):
@@ -202,12 +200,6 @@ def score_maps(
                 f"{wfull.shape[0]} weights cannot cover the widest map "
                 f"({widest} positions)"
             )
-
-    col_starts = offsets(widths)[:-1]
-    h_a = np.add.reduceat(cols, col_starts)
-
-    h_a_weighted = None
-    if weights is not None:
         flat_w = wfull[np.arange(len(cols)) - np.repeat(col_starts, widths)]
         h_a_weighted = np.add.reduceat(cols * flat_w, col_starts) / np.add.reduceat(
             flat_w, col_starts
@@ -228,7 +220,8 @@ def score_maps(
     return scores, excluded
 
 
-_MEASURES = (("h_a", "z_alpha"), ("h_b", "z_beta"), ("ur", "z_ur"))
+# Each raw measure and the name of its z-score, in report order.
+MEASURES = {"h_a": "z_alpha", "h_b": "z_beta", "ur": "z_ur"}
 
 
 def normalize_scores(scores: ScoreTable, denominator: str = "std") -> ZScoreTable:
@@ -243,7 +236,7 @@ def normalize_scores(scores: ScoreTable, denominator: str = "std") -> ZScoreTabl
     if len(scores) < 2:
         raise ValueError("normalization needs at least 2 scored maps")
     z_columns = {}
-    for field, z_name in _MEASURES:
+    for field, z_name in MEASURES.items():
         values = getattr(scores, field)
         var = float(np.var(values, ddof=1))
         denom = math.sqrt(var) if denominator == "std" else var
@@ -253,22 +246,20 @@ def normalize_scores(scores: ScoreTable, denominator: str = "std") -> ZScoreTabl
     return ZScoreTable(source=scores.source, **z_columns)
 
 
-def adjust_by_frequency(z: ZScoreTable, p: Mapping[str, float]) -> ZScoreTable:
+def adjust_by_frequency(z: ZScoreTable, p: Mapping[str, float]) -> dict[str, np.ndarray] | None:
     """Scale z-scores by the probability, in [0, 1], of each map's concept.
 
-    ``p`` maps sources to probabilities; maps it lacks keep None adjusted
-    scores (the table is returned as is if all do).
+    ``p`` maps sources to probabilities. Returns the ``adjusted_<z>`` object
+    column of each z-score of :data:`MEASURES`, None where ``p`` lacks the
+    source, or None when ``p`` covers no source.
     """
     covered = np.array([source in p for source in z.source.tolist()])
     if not covered.any():
-        return z
-    probs = np.array([p[source] for source in z.source[covered].tolist()], dtype=np.float64)
+        return None
+    probs = np.zeros(len(z))
+    probs[covered] = [p[source] for source in z.source[covered].tolist()]
     bad = ~((probs >= 0.0) & (probs <= 1.0))
     if bad.any():
         raise ValueError(f"probability {probs[bad][0]} outside [0, 1]")
-    adjusted = {}
-    for name in ("z_alpha", "z_beta", "z_ur"):
-        column = np.full(len(z), None, dtype=object)
-        column[covered] = (getattr(z, name)[covered] * probs).tolist()
-        adjusted[f"adjusted_{name}"] = column
-    return replace(z, **adjusted)
+    return {f"adjusted_{name}": np.where(covered, getattr(z, name) * probs, None)
+            for name in MEASURES.values()}

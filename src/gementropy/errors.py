@@ -16,34 +16,25 @@ LINE_BREAK = re.compile(rb"\r\n?|\n")
 
 
 class GemError(Exception):
-    """Base class for all gementropy errors."""
+    """Base class for all gementropy errors. A file and a line, when given,
+    prefix the message as ``file:line: ``; an absent part is left out, and
+    so is the prefix when both are."""
 
-
-def _located(message, filename, line):
-    """The message behind a ``file:line: `` prefix; an absent part is left
-    out, and so is the prefix when both are."""
-    prefix = "".join(f"{part}:" for part in (filename, line) if part is not None)
-    return f"{prefix} {message}" if prefix else message
+    def __init__(self, message, filename=None, line=None):
+        self.filename = filename
+        self.line = line
+        prefix = "".join(f"{part}:" for part in (filename, line) if part is not None)
+        super().__init__(f"{prefix} {message}" if prefix else message)
 
 
 class ParseError(GemError):
     """A line or field could not be parsed. Carries file/line context."""
 
-    def __init__(self, message, filename=None, line=None):
-        self.filename = filename
-        self.line = line
-        super().__init__(_located(message, filename, line))
-
 
 class StructuralError(GemError):
     """Parsed values violate a structural invariant (flag combinations,
-    scenario numbering gaps, mixed no-match sources, overlapping classes)."""
-
-    def __init__(self, message, filename=None, line=None, source=None):
-        self.filename = filename
-        self.line = line
-        self.source = source
-        super().__init__(_located(message, filename, line))
+    scenario numbering gaps, mixed no-match sources, overlapping classes).
+    Carries file/line context."""
 
 
 class DegenerateMeasureError(GemError):

@@ -438,8 +438,7 @@ def _build_maps(lines: GemLines, map_id: np.ndarray, first_row: np.ndarray) -> M
         k = int(np.argmax(bad))
         name, at = str(source[k]), (lines.filename, int(lines.line[first_row[k]]))
         if n_no_match[k]:
-            raise StructuralError(f"source {name} mixes no-match and regular entries", *at,
-                                  source=name)
+            raise StructuralError(f"source {name} mixes no-match and regular entries", *at)
         scenarios = scen_keys[scen_map == k]
         numberings = [(f"source {name} has non-contiguous scenario numbers", scenarios)] + [
             (f"source {name} scenario {s % 10} has non-contiguous choice lists",
@@ -447,7 +446,7 @@ def _build_maps(lines: GemLines, map_id: np.ndarray, first_row: np.ndarray) -> M
             for s in scenarios.tolist()
         ]
         text, ids = next((text, ids % 10) for text, ids in numberings if ids[-1] % 10 != len(ids))
-        raise StructuralError(f"{text} {ids.tolist()}", *at, source=name)
+        raise StructuralError(f"{text} {ids.tolist()}", *at)
 
     m = np.where(excluded, 0, sizes)
     m0 = np.where(excluded, 0, sizes - np.bincount(map_id[comb], minlength=n_maps))

@@ -257,7 +257,6 @@ def _make_record(source: str, group: Sequence[GemEntry], filename=None) -> MapRe
         raise StructuralError(
             f"source {source} mixes no-match and regular entries",
             *at,
-            source=source,
         )
     if no_match:
         return MapRecord(source, tuple(group), (), (), m=0, m0=0)
@@ -275,7 +274,6 @@ def _make_record(source: str, group: Sequence[GemEntry], filename=None) -> MapRe
             f"source {source} has non-contiguous scenario numbers "
             f"{scenario_ids}",
             *at,
-            source=source,
         )
     scenarios = []
     for s in scenario_ids:
@@ -285,7 +283,6 @@ def _make_record(source: str, group: Sequence[GemEntry], filename=None) -> MapRe
                 f"source {source} scenario {s} has non-contiguous "
                 f"choice lists {list_ids}",
                 *at,
-                source=source,
             )
         scenarios.append(tuple(tuple(buckets[(s, c)]) for c in list_ids))
 
@@ -498,7 +495,7 @@ def class_rows(classes: ClassTable, normalized) -> list[ClassRow]:
     z_names = ("z_alpha", "z_beta", "z_ur")
     rows = list(zip(normalized.source.tolist(), *(getattr(normalized, z).tolist() for z in z_names)))
     members, starts = classes.members.tolist(), classes.starts.tolist()
-    sums = [getattr(classes, f"sum_{z}").tolist() for z in z_names]
+    sums = [classes.sums[z].tolist() for z in z_names]
     return [
         ClassRow(class_id, label, *class_sums, [rows[i] for i in members[lo:hi]])
         for class_id, label, *class_sums, lo, hi in zip(
@@ -508,11 +505,12 @@ def class_rows(classes: ClassTable, normalized) -> list[ClassRow]:
 
 
 def class_table(sums: dict[str, tuple[float, float, float]]) -> ClassTable:
-    """A table of classes without members, from class id -> (sum_z_alpha,
-    sum_z_beta, sum_z_ur); each class's label is its id."""
+    """A table of classes without members, from class id -> its sums of
+    (z_alpha, z_beta, z_ur); each class's label is its id."""
     ids = list(sums)
     columns = np.array([sums[c] for c in ids], dtype=np.float64).reshape(-1, 3).T
-    return ClassTable(ids, ids, *columns, np.zeros(0, np.intp), np.zeros(len(ids) + 1, np.int64))
+    return ClassTable(ids, ids, dict(zip(analysis.OUTLIER_MEASURES, columns)),
+                      np.zeros(0, np.intp), np.zeros(len(ids) + 1, np.int64))
 
 
 def ranking(classes: ClassTable, measure: str) -> tuple[list[str], list[float]]:

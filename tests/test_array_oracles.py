@@ -182,7 +182,7 @@ def _oracle_build_maps(lines, map_id, first_row):
     if bad.any():
         k = int(np.argmax(bad))
         _make_record(str(source[k]), lines._rows(rows[map_id[rows] == k]), lines.filename)
-        raise StructuralError(f"source {source[k]} failed a group check", source=str(source[k]))
+        raise StructuralError(f"source {source[k]} failed a group check")
 
     m = np.where(excluded, 0, sizes)
     m0 = np.where(excluded, 0, sizes - np.bincount(map_id[comb], minlength=n_maps))
@@ -620,17 +620,19 @@ _class_ids = st.lists(st.sampled_from(["a", "a\x00", "ab", "B", "b", "é", ""]) 
     st.sampled_from(RANK_MEASURES),
 )
 @example(data=None, ids=["b", "a", "c", "a"], measure="total").via("ties and -0.0")
+@example(data=None, ids=[], measure="z_alpha").via("no classes")
 def test_rank_matches_row_sort(data, ids, measure):
     """The class order of one Python sort by (-value, id), ties, -0.0
     against 0.0 and repeated ids included; the same scores, signs too, and
     average ranks, the ``total`` measure included; no classes is an
     error."""
     if data is None:  # 0.0 against -0.0, both ways, and a tie between different ids
-        sums = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [1.0, -1.0, 0.0], [0.0, -0.0, 0.0]]
+        sums = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [1.0, -1.0, 0.0], [0.0, -0.0, 0.0]][: len(ids)]
     else:
         sums = data.draw(st.lists(st.tuples(_sum, _sum, _sum), min_size=len(ids),
                                   max_size=len(ids)))
-    classes = ClassTable(ids, ids, *np.array(sums, dtype=np.float64).reshape(-1, 3).T,
+    columns = np.array(sums, dtype=np.float64).reshape(-1, 3).T
+    classes = ClassTable(ids, ids, dict(zip(OUTLIER_MEASURES, columns)),
                          np.zeros(0, np.intp), np.zeros(len(ids) + 1, np.intp))
     if not ids:
         with pytest.raises(ValueError, match="no class scores to rank"):

@@ -983,10 +983,33 @@ class TestSideTables:
 
 class TestOutliers:
     def test_nan_threshold_rejected(self, workspace, capsys):
-        args = ["outliers", "--gems", workspace / "gems.txt", "--threshold", "nan"]
-        assert _run(args + ["--out", workspace]) == 2
-        assert "threshold must be a number" in capsys.readouterr().err
-        assert not (workspace / "outliers_z_alpha.csv").exists()
+        for value in ("nan", "-nan"):  # "-nan" is a value too, not an option
+            args = ["outliers", "--gems", workspace / "gems.txt", "--threshold", value]
+            assert _run(args + ["--out", workspace]) == 2
+            assert capsys.readouterr().err == "error: threshold must be a number, got nan\n"
+            assert not (workspace / "outliers_z_alpha.csv").exists()
+
+    @pytest.mark.parametrize("command", ["outliers", "textnet"])
+    @pytest.mark.parametrize("value", ["-1e-05", "-1E3", "-.5e1", "-inf", "-Infinity", "-0.5"])
+    def test_negative_threshold_is_a_value(self, workspace, command, value):
+        """Every negative number that parse_number reads follows --threshold
+        as its value, as it does after "=" (argparse before Python 3.13 reads
+        "-5" and "-.5" alone as numbers, the rest as options)."""
+        args = [command, "--gems", workspace / "gems.txt", "--descriptions",
+                workspace / "descriptions.csv"]
+        assert _run(args + ["--threshold", value, "--out", workspace / "apart"]) == 0
+        assert _run(args + [f"--threshold={value}", "--out", workspace / "joined"]) == 0
+        reports = sorted(path.name for path in (workspace / "joined").iterdir())
+        assert sorted(path.name for path in (workspace / "apart").iterdir()) == reports
+        for name in reports:
+            assert (workspace / "apart" / name).read_bytes() == (
+                workspace / "joined" / name
+            ).read_bytes()
+        if value in ("-1E3", "-inf", "-Infinity"):  # below every z-score: every scored map
+            assert _run(["score", "--gems", workspace / "gems.txt", "--out", workspace]) == 0
+            scored = [row["source"] for row in _read_csv(workspace / "scores.csv")]
+            listed = _read_csv(workspace / "apart" / "outliers_z_alpha.csv")
+            assert sorted(row["source"] for row in listed) == sorted(scored)
 
     @pytest.mark.parametrize(
         "option, value",

@@ -1,7 +1,8 @@
 """End-to-end differential tests: ``cli.main``, run in-process on random small
 corpora of the benchmark's generator, checked step by step against the
-benchmark's independent pure-Python oracle, as the benchmark checks it, and
-``outliers`` against the oracle's z-scores, sorted and cut here.
+benchmark's independent pure-Python oracle, as the benchmark checks it,
+``outliers`` against the oracle's z-scores, sorted and cut here, and ``stats``
+against the oracle's raw measures, summarized here.
 
 ``perfbench/run.py`` is imported read-only for its workloads (each step's
 argv and check) and its ``reference``. Where the oracle divides by zero, the
@@ -23,6 +24,7 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -171,7 +173,8 @@ def test_outliers_match_oracle(shape, n_maps, seed, threshold, top_fraction):
             for cut, value in (("threshold", threshold), ("top-fraction", top_fraction)):
                 out = Path(tmp) / f"{measure}-{cut}"
                 code, stderr = _main(["outliers", "--gems", str(gems), "--measure", measure,
-                                      f"--{cut}={value!r}", "--format", "json", "--out", str(out)])
+                                      f"--{cut}", repr(value), "--format", "json",
+                                      "--out", str(out)])
                 if maps is None:
                     errors = f"error: {re.escape(str(gems))}: {CORPUS_ERRORS}"
                     assert code == 2 and re.match(errors, stderr[0]), stderr
@@ -179,3 +182,54 @@ def test_outliers_match_oracle(shape, n_maps, seed, threshold, top_fraction):
                 assert (code, stderr) == (0, [])
                 _, rows = run.oracle.read_table(out / f"outliers_{measure}.json")
                 _check_outliers(rows, z, **{cut.replace("-", "_"): value})
+
+
+def _summary(values: list[float]) -> dict:
+    """count, mean, sample std (n-1; 0.0 for one value), min, linear
+    quartiles (numpy's default method) and max of ``values``."""
+    n, ordered = len(values), sorted(values)
+    mean = math.fsum(values) / n
+    std = math.sqrt(math.fsum((x - mean) ** 2 for x in values) / (n - 1)) if n > 1 else 0.0
+    quartiles = {}
+    for name, q in (("q25", 0.25), ("q50", 0.5), ("q75", 0.75)):
+        position = (n - 1) * q
+        lo = math.floor(position)
+        hi = min(lo + 1, n - 1)
+        quartiles[name] = ordered[lo] + (ordered[hi] - ordered[lo]) * (position - lo)
+    return {"count": n, "mean": mean, "std": std, "min": ordered[0], **quartiles,
+            "max": ordered[-1]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(run.WORKLOADS)), st.integers(1, 300), st.integers(0, 2**32 - 1))
+@example("narrow-score", 1, 0)  # one scored map: std 0.0
+@example("narrow-score", 1, 32)  # one no-match map: nothing to describe
+def test_stats_matches_oracle(shape, n_maps, seed):
+    """``stats`` in JSON, whose values keep full precision, against the
+    oracle's h_a, h_b and ur of every scored map."""
+    with tempfile.TemporaryDirectory() as tmp:
+        gems = Path(tmp) / "gems.txt"
+        gems.write_bytes(run.corpus.generate(shape, n_maps, seed)["gems.txt"])
+        # the raw measures alone: the oracle's z-scores divide by zero below
+        # 2 maps and on a constant measure, which stats never normalizes
+        with mock.patch.object(run.oracle, "z_scores", lambda values: [0.0] * len(values)):
+            maps = run.oracle.score_corpus(gems.read_text(encoding="utf-8"))["maps"]
+        out = Path(tmp) / "out"
+        code, stderr = _main(["stats", "--gems", str(gems), "--format", "json", "--out", str(out)])
+        if not maps:
+            assert (code, stderr) == (2, [f"error: {gems}: no scorable maps in the input file"])
+            return
+        assert (code, stderr) == (0, [])
+        header, rows = run.oracle.read_table(out / "stats.json")
+        assert header == ["measure", "count", "mean", "std", "min", "q25", "q50", "q75", "max"]
+        assert [row[0] for row in rows] == list(run.oracle.MEASURES)
+        for row, measure in zip(rows, run.oracle.MEASURES):
+            want = _summary([m[measure] for m in maps])
+            got = dict(zip(header[1:], row[1:]))
+            # the oracle adds a map's column entropies in another order, so
+            # its h_a can differ in the last bits; its logarithms are the CLI's
+            for name in ("count",) if measure == "h_a" else ("count", "min", "max"):
+                assert got[name] == want[name], (measure, name, got, want)
+            for name, value in want.items():
+                assert abs(got[name] - value) <= run.oracle.FULL_TOL * max(1.0, abs(value)), (
+                    measure, name, got, want)

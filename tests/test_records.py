@@ -28,9 +28,8 @@ RECORDS = [
     ),
     (
         entropy.NormalizedScores,
-        ("source", "z_alpha", "z_beta", "z_ur",
-         "adjusted_z_alpha", "adjusted_z_beta", "adjusted_z_ur"),
-        {"adjusted_z_alpha": None, "adjusted_z_beta": None, "adjusted_z_ur": None},
+        ("source", "z_alpha", "z_beta", "z_ur"),
+        {},
     ),
     (analysis.Stats, ("count", "mean", "std", "min", "q25", "q50", "q75", "max"), {}),
     (analysis.RankTable, ("name", "scores"), {}),
@@ -81,10 +80,11 @@ def test_column_tables_stay_dataclasses(table_type):
 
 def test_class_table_length_is_its_class_count():
     sums = np.array([1.0, 2.0])
-    table = analysis.ClassTable(["A", "B"], ["a", "b"], sums, 2 * sums, 4 * sums, [0, 1], [0, 1, 2])
+    columns = dict(zip(analysis.OUTLIER_MEASURES, (sums, 2 * sums, 4 * sums)))
+    table = analysis.ClassTable(["A", "B"], ["a", "b"], columns, [0, 1], [0, 1, 2])
     assert len(table) == 2 and not dataclasses.is_dataclass(table)
     assert table.value("total").tolist() == [7.0, 14.0]
-    assert table.value("z_beta") is table.sum_z_beta
+    assert table.value("z_beta") is columns["z_beta"]
 
 
 def test_class_ranges_length_is_its_class_count():
