@@ -262,10 +262,8 @@ def cmd_score(args) -> int:
     scores, excluded = _score(args, weights)
     excluded = _excluded_columns(excluded)  # frees its lines: the whole parsed crosswalk
     freqs = gem_io.load_frequencies(args.frequencies) if args.frequencies else None
-    names = ["source", "m", "m0", "v", *entropy.MEASURES]
-    if weights is not None:
-        names.append("h_a_weighted")
-    columns = {name: getattr(scores, name) for name in names}
+    # MapScores' fields in order; h_a_weighted is None without weights
+    columns = {name: c for name in scores._fields if (c := getattr(scores, name)) is not None}
     if scores:
         try:
             normalized = _normalize(scores, args)

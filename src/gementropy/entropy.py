@@ -21,18 +21,18 @@ splits the scored maps from the excluded ones with one row mask and scores
 them: it sums each scored map's columns, and m, m0 and v come from the
 table. It returns a :class:`ScoreTable` of columns, which
 :func:`normalize_scores` turns into corpus z-scores (a
-:class:`ZScoreTable`), one per entry of :data:`MEASURES`. Both tables read
-as sequences of :class:`MapScores` and :class:`NormalizedScores` built on
-access. :func:`adjust_by_frequency` returns the frequency-adjusted z-scores,
-which only ``score`` reports, as columns of their own. A single map is
-scored as a table of one.
+:class:`ZScoreTable`), one per entry of :data:`MEASURES`. Each table
+holds one column per field of its row type, :class:`MapScores` or
+:class:`NormalizedScores`, named by that type's ``_fields``, and reads as a
+sequence of those rows built on access. :func:`adjust_by_frequency` returns
+the frequency-adjusted z-scores, which only ``score`` reports, as columns of
+their own. A single map is scored as a table of one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -74,8 +74,8 @@ class NormalizedScores(NamedTuple):
 
 
 class _Columns(RowTable):
-    """A dataclass of one array per leading field of the row type ``_type``
-    (None for an absent optional field), read as rows of ``_type``."""
+    """One array per field of the row type ``_type`` (None for an absent
+    optional field), named by its ``_fields``; read as rows of ``_type``."""
 
     _type: type
 
@@ -83,39 +83,26 @@ class _Columns(RowTable):
         return len(self.source)
 
     def _rows(self, part: slice):
-        columns = [getattr(self, f.name) for f in fields(self)]
+        columns = [getattr(self, name) for name in self._fields]
         return itertools.starmap(
             self._type,
             zip(*(itertools.repeat(None) if c is None else c[part].tolist() for c in columns)),
         )
 
 
-@dataclass(eq=False, repr=False)
 class ScoreTable(_Columns):
     """Raw measures of the scored maps, one array per :class:`MapScores`
-    field; ``v`` is int64, or Python ints when a count exceeds int64."""
+    field; ``v`` is int64, or Python ints when a count exceeds int64, and
+    ``h_a_weighted`` is None when no weights were given."""
 
-    _type = MapScores
-    source: np.ndarray
-    m: np.ndarray
-    m0: np.ndarray
-    v: np.ndarray
-    h_a: np.ndarray
-    h_b: np.ndarray
-    ur: np.ndarray
-    h_a_weighted: np.ndarray | None = None
+    _type, _fields = MapScores, MapScores._fields
 
 
-@dataclass(eq=False, repr=False)
 class ZScoreTable(_Columns):
     """Corpus z-scores, one array per :class:`NormalizedScores` field: the
     columns that ``score``, ``rank``, ``outliers`` and ``textnet`` all read."""
 
-    _type = NormalizedScores
-    source: np.ndarray
-    z_alpha: np.ndarray
-    z_beta: np.ndarray
-    z_ur: np.ndarray
+    _type, _fields = NormalizedScores, NormalizedScores._fields
 
 
 def column_entropies(maps: MapTable) -> tuple[np.ndarray, np.ndarray]:

@@ -41,9 +41,9 @@ checks (mixed no-match sources, scenario and choice-list numbering) are
 masks too; ``_build_maps`` words the first failing map's error from the
 same arrays.
 
-Both tables are sized sequences that build :class:`GemEntry` and
-:class:`MapRecord` objects on access, so per-object code reads them like
-lists while scoring reads the arrays.
+Both tables are :class:`RowTable` columns named by their ``_fields``, read
+as sequences of :class:`GemEntry` and :class:`MapRecord` objects built on
+access, so per-object code reads them like lists while scoring reads arrays.
 
 The grammar is ASCII: codes are 1-8 characters of [A-Za-z0-9] (upper-cased),
 flags are 5 ASCII digits, fields are separated by ASCII whitespace, lines
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, NamedTuple
 
@@ -143,15 +142,21 @@ class MapRecord(NamedTuple):
     m: int
     m0: int
 
-    @property
-    def is_excluded(self) -> bool:
-        """True for no-match sources (m = 0), which cannot be scored."""
-        return self.m == 0
-
 
 class RowTable(Sequence):
-    """Equal-length columns read as a sequence of row objects, each built
-    when it is accessed."""
+    """Equal-length columns, one attribute per name of ``_fields``, given by
+    position or by name (None when left out), read as a sequence of row
+    objects, each built when it is accessed. Tables compare by identity."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *columns, **named):
+        given = dict(zip(self._fields, columns))
+        if len(columns) > len(self._fields) or not named.keys() <= set(self._fields) - given.keys():
+            raise TypeError(f"{type(self).__name__} takes the columns {', '.join(self._fields)}; "
+                            f"got {len(columns)} by position and {list(named)} by name")
+        given.update(named)
+        self.__dict__.update((name, given.get(name)) for name in self._fields)
 
     def _rows(self, part: slice) -> Iterable:
         """The row objects of a slice of the table."""
@@ -196,18 +201,12 @@ def _strings(rows: np.ndarray) -> list[str]:
 _SENTINEL_KEYS = np.array(sorted(NO_MATCH_SENTINELS), dtype="S8").view("<u8")
 
 
-@dataclass(eq=False, repr=False)
 class GemLines(RowTable):
     """The rows of a crosswalk as arrays (see the module docstring), targets
-    stored as sources are, as code bytes; reads as a sequence of
-    :class:`GemEntry`."""
+    stored as sources are, as code bytes, and ``filename``, the file read,
+    which group errors name; reads as a sequence of :class:`GemEntry`."""
 
-    sources: np.ndarray
-    targets: np.ndarray
-    target_len: np.ndarray
-    flags: np.ndarray
-    line: np.ndarray
-    filename: str | None = None  # the file read, which group errors name
+    _fields = ("sources", "targets", "target_len", "flags", "line", "filename")
 
     def __len__(self) -> int:
         return len(self.line)
@@ -339,10 +338,8 @@ def parse_gem_file(source, filename: str | None = None) -> GemLines:
         lines, n_breaks = _read_block(data[lo:hi], filename, first_line)
         blocks.append(lines)
         lo, first_line = hi, first_line + n_breaks
-    return GemLines(*(
-        np.concatenate(parts)
-        for parts in zip(*((b.sources, b.targets, b.target_len, b.flags, b.line) for b in blocks))
-    ), filename)
+    *arrays, _ = GemLines._fields  # every column but the file name
+    return GemLines(*(np.concatenate([getattr(b, a) for b in blocks]) for a in arrays), filename)
 
 
 def _make_record(source: str, group: Sequence[GemEntry]) -> MapRecord:
@@ -365,7 +362,6 @@ def _make_record(source: str, group: Sequence[GemEntry]) -> MapRecord:
     )
 
 
-@dataclass(eq=False, repr=False)
 class MapTable(RowTable):
     """Maps of a crosswalk as arrays; reads as a sequence of
     :class:`MapRecord`.
@@ -376,13 +372,7 @@ class MapTable(RowTable):
     a count does not fit in int64.
     """
 
-    lines: GemLines
-    rows: np.ndarray
-    starts: np.ndarray
-    source: np.ndarray
-    m: np.ndarray
-    m0: np.ndarray
-    v: np.ndarray
+    _fields = ("lines", "rows", "starts", "source", "m", "m0", "v")
 
     def __len__(self) -> int:
         return len(self.source)

@@ -36,6 +36,9 @@ _WORD_RE = re.compile(r"[a-z]{%d,}" % MIN_TOKEN_LENGTH)
 
 # Krylov vectors the centrality solve holds at once: 0.44 MB at 3,401 words
 _BASIS = 16
+# The centrality solve's residual bound and its budget of matrix-vector products
+_TOLERANCE = 1e-10
+_MAX_ITERATIONS = 1000
 
 
 @functools.cache
@@ -143,11 +146,7 @@ def _top_eigenvector(projected: np.ndarray) -> np.ndarray:
     return power[:, j] / np.sqrt(power[j, j])
 
 
-def eigenvector_centrality(
-    graph: WordGraph,
-    tolerance: float = 1e-10,
-    max_iterations: int = 1000,
-) -> dict[str, float]:
+def eigenvector_centrality(graph: WordGraph) -> dict[str, float]:
     """Eigenvector centrality of the largest component by a restarted
     Lanczos solve.
 
@@ -159,20 +158,19 @@ def eigenvector_centrality(
     Krylov basis of at most ``_BASIS`` vectors, reorthogonalised in full,
     and no product of the adjacency with it. It restarts from the Ritz vector of
     the largest Ritz value once the basis is full or that vector's estimated
-    residual is below half the tolerance, computes each restart vector's
+    residual is below half of ``_TOLERANCE``, computes each restart vector's
     residual ||A x - lambda x||, lambda = x.Ax, and stops once it is at most
-    ``tolerance``. ``max_iterations`` counts the matrix-vector products. No
-    shift is needed: the adjacency of a connected component is nonnegative
-    and irreducible, so its largest algebraic eigenvalue is the simple
-    Perron one, bipartite components included (their -lambda is the
-    smallest), and the all-ones start is not orthogonal to its vector.
+    ``_TOLERANCE``. After ``_MAX_ITERATIONS`` matrix-vector products it raises
+    a ``ConvergenceError``. No shift is needed: the adjacency of a connected
+    component is nonnegative and irreducible, so its largest algebraic
+    eigenvalue is the simple Perron one, bipartite components included (their
+    -lambda is the smallest), and the all-ones start is not orthogonal to its
+    vector.
 
     The returned scores, keyed in the order of ``graph.words``, have unit
     Euclidean norm and positive sign over the component; words outside it
     score 0.
     """
-    if not tolerance > 0:  # NaN as well: it fails every comparison
-        raise ValueError("tolerance must be positive")
     component = largest_component(graph)
     scores = np.zeros(len(graph.words))
     n = len(component)
@@ -195,14 +193,14 @@ def eigenvector_centrality(
     projected = np.zeros((len(basis), len(basis)))  # basis A basis^T, tridiagonal
     k = 0  # basis vectors in use
     residual = np.inf
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         np.take(basis[k], cols, out=product, mode="clip")  # "raise" buffers
         product *= weights
         w = np.bincount(rows, weights=product, minlength=n)
         if k == 0:  # a restart vector: check it
             x = basis[0]
             residual = float(np.linalg.norm(w - float(x @ w) * x))
-            if residual <= tolerance:
+            if residual <= _TOLERANCE:
                 scores[component] = x if x.sum() > 0 else -x
                 return dict(zip(graph.words.tolist(), scores.tolist()))
         k += 1
@@ -213,7 +211,7 @@ def eigenvector_centrality(
         beta = float(np.linalg.norm(w))
         ritz = _top_eigenvector(projected[:k, :k])
         # beta |last entry| is the Ritz vector's residual in exact arithmetic
-        if k == len(basis) or beta * abs(ritz[-1]) <= tolerance / 2:
+        if k == len(basis) or beta * abs(ritz[-1]) <= _TOLERANCE / 2:
             x = ritz @ basis[:k]
             basis[0] = x / np.linalg.norm(x)
             projected[:] = 0.0
@@ -221,7 +219,7 @@ def eigenvector_centrality(
         else:
             projected[k, k - 1] = projected[k - 1, k] = beta
             basis[k] = w / beta
-    raise ConvergenceError(residual, max_iterations)
+    raise ConvergenceError(residual, _MAX_ITERATIONS)
 
 
 def word_frequencies(graph: WordGraph) -> dict[str, np.ndarray]:

@@ -1,12 +1,13 @@
 """Shared fixtures: the bundled reference map, synthetic map generators,
 crosswalk text strategies, the frozen scalar crosswalk grammar, the frozen
 description and frequency loaders, the frozen rank-file reader of ``corr``,
-tables built from rows, and discovery of the optional 2015 GEM data files."""
+tables built from rows, an in-process CLI call, and discovery of the
+optional 2015 GEM data files."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import dataclasses
 import io
 import itertools
 import math
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from gementropy import analysis, entropy, gem_io
+from gementropy import analysis, cli, entropy, gem_io
 from gementropy.analysis import ClassTable
 from gementropy.cli import REFERENCE_MAP_LINES
 from gementropy.errors import GemError, ParseError, StructuralError, parse_number
@@ -153,7 +154,7 @@ def parsed_columns(data: bytes, block: int = gem_io._PARSE_BLOCK):
             return type(err), str(err), err.line
     return [
         (a.dtype, a.shape, a.tobytes())
-        for a in (getattr(lines, f.name) for f in dataclasses.fields(lines))
+        for a in (getattr(lines, name) for name in lines._fields)
         if isinstance(a, np.ndarray)
     ]
 
@@ -471,10 +472,10 @@ def table_of(table_type, rows):
     field, and None for an optional field that no row sets."""
     rows = list(rows)
     columns = {}
-    for field in dataclasses.fields(table_type):
-        values = [getattr(row, field.name) for row in rows]
-        if field.default is dataclasses.MISSING or any(v is not None for v in values):
-            columns[field.name] = np.array(values)
+    for name in table_type._fields:
+        values = [getattr(row, name) for row in rows]
+        if name not in table_type._type._field_defaults or any(v is not None for v in values):
+            columns[name] = np.array(values)
     return table_type(**columns)
 
 
@@ -557,6 +558,14 @@ GEM_FILE_CANDIDATES = {
     "forward_diagnosis": ("2015_I9gem.txt", "i9gem.txt", "gem_i9cm.txt"),
     "backward_diagnosis": ("2015_I10gem.txt", "i10gem.txt", "gem_i10cm.txt"),
 }
+
+
+def run_cli(argv: list[str]) -> tuple[int, list[str]]:
+    """The exit code and stderr lines of one in-process CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue().splitlines()
 
 
 def gem_data_dir() -> Path:

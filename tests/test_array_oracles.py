@@ -396,7 +396,8 @@ def _check_centrality(graph, nodes, edges, max_iterations):
     ``edges``) against ``np.linalg.eigh`` of the dense adjacency of the
     largest component, scaled by its largest weighted degree.
 
-    A budget too small raises a ``ConvergenceError`` that names the budget
+    With the budget ``_MAX_ITERATIONS`` patched to ``max_iterations``, a
+    budget too small raises a ``ConvergenceError`` that names the budget
     and a residual above the tolerance, and the default budget converges; a
     budget that suffices gives the default budget's scores bit for bit. The
     scores are keyed by the sorted words, 0 outside the component, of unit
@@ -408,7 +409,8 @@ def _check_centrality(graph, nodes, edges, max_iterations):
     2 (1e-10 + 1e-13) / gap.
     """
     try:
-        got = textnet.eigenvector_centrality(graph, max_iterations=max_iterations)
+        with mock.patch.object(textnet, "_MAX_ITERATIONS", max_iterations):
+            got = textnet.eigenvector_centrality(graph)
     except ConvergenceError as err:
         assert (err.iterations, str(err)) == (max_iterations, (
             f"eigenvector centrality did not converge after {max_iterations} "

@@ -16,9 +16,7 @@ even when the component is empty.
 
 from __future__ import annotations
 
-import contextlib
 import importlib.util
-import io
 import math
 import re
 import sys
@@ -29,7 +27,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gementropy import cli
+from conftest import run_cli
 
 
 def _load_run():
@@ -52,14 +50,6 @@ CORPUS_ERRORS = (
 CORR_ERRORS = re.compile(
     r"error: .*(need at least 2 classes to correlate, got 1|tau undefined: one ranking is constant)$"
 )
-
-
-def _main(argv: list[str]) -> tuple[int, list[str]]:
-    """The exit code and stderr lines of one in-process CLI call."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, err.getvalue().splitlines()
 
 
 def _taus_defined(rank_dir: Path) -> bool:
@@ -106,7 +96,7 @@ def test_cli_matches_oracle(shape, n_maps, seed):
         except ZeroDivisionError:
             expected = None
         for step in STEPS[shape]:
-            code, stderr = _main(step.args(corpus_dir, out))
+            code, stderr = run_cli(step.args(corpus_dir, out))
             if step.name == "corr" and not _taus_defined(out / "rank"):
                 assert code == 2 and CORR_ERRORS.match(stderr[0]), stderr
             elif expected is not None:
@@ -172,9 +162,9 @@ def test_outliers_match_oracle(shape, n_maps, seed, threshold, top_fraction):
             z = maps and {row["source"]: row[measure] for row in maps}
             for cut, value in (("threshold", threshold), ("top-fraction", top_fraction)):
                 out = Path(tmp) / f"{measure}-{cut}"
-                code, stderr = _main(["outliers", "--gems", str(gems), "--measure", measure,
-                                      f"--{cut}", repr(value), "--format", "json",
-                                      "--out", str(out)])
+                code, stderr = run_cli(["outliers", "--gems", str(gems), "--measure", measure,
+                                        f"--{cut}", repr(value), "--format", "json",
+                                        "--out", str(out)])
                 if maps is None:
                     errors = f"error: {re.escape(str(gems))}: {CORPUS_ERRORS}"
                     assert code == 2 and re.match(errors, stderr[0]), stderr
@@ -215,7 +205,8 @@ def test_stats_matches_oracle(shape, n_maps, seed):
         with mock.patch.object(run.oracle, "z_scores", lambda values: [0.0] * len(values)):
             maps = run.oracle.score_corpus(gems.read_text(encoding="utf-8"))["maps"]
         out = Path(tmp) / "out"
-        code, stderr = _main(["stats", "--gems", str(gems), "--format", "json", "--out", str(out)])
+        code, stderr = run_cli(
+            ["stats", "--gems", str(gems), "--format", "json", "--out", str(out)])
         if not maps:
             assert (code, stderr) == (2, [f"error: {gems}: no scorable maps in the input file"])
             return

@@ -415,13 +415,12 @@ class TestGroupMaps:
 
     def test_no_map_record(self):
         records = group_maps(parse_gem_file(b"0099 NOPCS 11000\n"))
-        assert records[0].is_excluded
         assert records[0].m == 0
         assert records[0].standalone_codes == ()
 
     def test_sentinel_target_without_flag_marks_no_match(self):
         records = group_maps(parse_gem_file(b"0099 NODX 10000\n"))
-        assert records[0].is_excluded
+        assert records[0].m == 0
 
     def test_mixed_no_map_and_regular(self):
         text = "0099 NOPCS 11000\n0099 02H43JZ 10000\n"
@@ -464,7 +463,7 @@ class TestGroupMaps:
         text = "A1 X1 00000\nA2 NODX 11000\nA3 NOPCS 11000\n"
         records = group_maps(parse_gem_file(text.encode()))
         scored = sum(r.m for r in records)
-        no_match = sum(len(r.entries) for r in records if r.is_excluded)
+        no_match = sum(len(r.entries) for r in records if r.m == 0)
         assert scored + no_match == 3
 
 

@@ -1,6 +1,7 @@
 """The record types are named tuples: their fields, defaults, immutability and
 value equality, pinned as they were when the records were frozen dataclasses.
-The column tables stay dataclasses, which ``dataclasses.fields`` reads; the
+The column tables are ``RowTable`` s named by their ``_fields`` (the score
+tables take those of their row types), built by position or by name; the
 class tables are plain classes whose length is their class count."""
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ RECORDS = [
     (textnet.WordGraph, ("words", "counts", "edges", "weights"), {}),
 ]
 RECORD_IDS = [record_type.__name__ for record_type, _, _ in RECORDS]
-TABLES = [gem_io.GemLines, gem_io.MapTable, entropy.ScoreTable, entropy.ZScoreTable]
 
 
 def _sample(record_type, fields):
@@ -69,13 +69,34 @@ def test_record_properties():
     assert gem_io.GemEntry("A1", "B2", flag, 1).is_no_match
     assert gem_io.GemEntry("A1", "NODX", flag._replace(no_map=False), 1).is_no_match
     assert not gem_io.GemEntry("A1", "B2", flag._replace(no_map=False), 1).is_no_match
-    assert gem_io.MapRecord("A1", (), (), (), m=0, m0=0).is_excluded
-    assert not gem_io.MapRecord("A1", (), ("B2",), (), m=1, m0=1).is_excluded
 
 
-@pytest.mark.parametrize("table_type", TABLES, ids=lambda t: t.__name__)
-def test_column_tables_stay_dataclasses(table_type):
-    assert dataclasses.is_dataclass(table_type)
+# (table type, its fields in order)
+TABLES = [
+    (gem_io.GemLines, ("sources", "targets", "target_len", "flags", "line", "filename")),
+    (gem_io.MapTable, ("lines", "rows", "starts", "source", "m", "m0", "v")),
+    (entropy.ScoreTable, entropy.MapScores._fields),
+    (entropy.ZScoreTable, entropy.NormalizedScores._fields),
+]
+
+
+@pytest.mark.parametrize("table_type, fields", TABLES, ids=[t.__name__ for t, _ in TABLES])
+def test_column_table_constructor(table_type, fields):
+    assert table_type._fields == fields and not dataclasses.is_dataclass(table_type)
+    columns = [np.arange(k, k + 2) for k in range(len(fields))]
+    by_position, by_name = table_type(*columns), table_type(**dict(zip(fields, columns)))
+    mixed = table_type(*columns[:2], **dict(zip(fields[2:], columns[2:])))
+    for table in (by_position, by_name, mixed):
+        assert all(getattr(table, name) is c for name, c in zip(fields, columns))
+        assert table != table_type(*columns) and table == table
+        assert repr(table) == f"<{table_type.__name__} of 2 rows>"
+    # a column left out is None
+    last = table_type(*columns[:-1])
+    assert getattr(last, fields[-1]) is None and getattr(last, fields[0]) is columns[0]
+    assert all(getattr(table_type(), name) is None for name in fields)
+    for args, named in (((), {"not_a_field": 1}), ((1,), {fields[0]: 1}), ((1,) * 9, {})):
+        with pytest.raises(TypeError, match=f"^{table_type.__name__} takes the columns "):
+            table_type(*args, **named)
 
 
 def test_class_table_length_is_its_class_count():

@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from gementropy import textnet
 from gementropy.errors import ConvergenceError
 from gementropy.textnet import (
     build_cooccurrence_graph,
@@ -197,8 +198,8 @@ class TestEigenvectorCentrality:
 
     def test_nonconvergence_raises(self):
         g = build_cooccurrence_graph([["a", "b"], ["b", "c"]])
-        with pytest.raises(ConvergenceError):
-            eigenvector_centrality(g, max_iterations=1)
+        with mock.patch.object(textnet, "_MAX_ITERATIONS", 1), pytest.raises(ConvergenceError):
+            eigenvector_centrality(g)
 
     def test_budget_counts_matrix_vector_products(self):
         # a 31-word path with one chord, whose small spectral gap takes
@@ -211,17 +212,12 @@ class TestEigenvectorCentrality:
             expected = eigenvector_centrality(g)
         products = sum("weights" in call.kwargs for call in bincount.call_args_list) - 1
         assert products > 2 * 16
-        assert eigenvector_centrality(g, max_iterations=products) == expected
-        with pytest.raises(ConvergenceError, match=f"after {products - 1} iterations"):
-            eigenvector_centrality(g, max_iterations=products - 1)
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            eigenvector_centrality(EMPTY, tolerance=0.0)
-        # NaN fails every comparison: it would run the whole iteration budget
-        g = build_cooccurrence_graph([["a", "b"], ["b", "c"]])
-        with pytest.raises(ValueError, match="^tolerance must be positive$"):
-            eigenvector_centrality(g, tolerance=float("nan"))
+        with mock.patch.object(textnet, "_MAX_ITERATIONS", products):
+            assert eigenvector_centrality(g) == expected
+        with mock.patch.object(textnet, "_MAX_ITERATIONS", products - 1), pytest.raises(
+            ConvergenceError, match=f"after {products - 1} iterations"
+        ):
+            eigenvector_centrality(g)
 
     def test_empty_graph(self):
         assert eigenvector_centrality(EMPTY) == {}
