@@ -245,13 +245,13 @@ def _normalize(scores, args) -> entropy.ZScoreTable:
 
 
 def _excluded_columns(excluded) -> dict:
-    """Source, entry count and first line of each excluded map; a map read
-    from a file has at least one line."""
+    """Source, entry count and first line (int64, as the report's other numbers)
+    of each excluded map; a map read from a file has at least one line."""
     starts = excluded.starts
     return {
         "source": excluded.source,
         "entry_count": starts[1:] - starts[:-1],
-        "first_line": excluded.lines.line[excluded.rows[starts[:-1]]],
+        "first_line": excluded.lines.line[excluded.rows[starts[:-1]]].astype("int64"),
     }
 
 

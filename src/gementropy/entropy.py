@@ -13,13 +13,12 @@ Three per-map measures, all in bits:
 of the maps of a :class:`~gementropy.gem_io.MapTable`. A one-row map's
 columns are +0.0, and a two-row map's column is 1.0 where its two rows
 differ and +0.0 where they agree: these are the kernel's values bit for bit,
-since their terms (0.0 and -0.5) sum exactly. The widths, each map's kind by
-height and the two-row columns are computed once per table; only the maps of
-three or more rows are laid into a flat buffer for the column kernel, one
-gather and one call per block of ``_KERNEL_BLOCK`` maps. :func:`score_maps`
-splits the scored maps from the excluded ones with one row mask and scores
-them: it sums each scored map's columns, and m, m0 and v come from the
-table. It returns a :class:`ScoreTable` of columns, which
+since their terms (0.0 and -0.5) sum exactly. Only the maps of three or more
+rows are laid into a flat buffer for the column kernel, one gather and one
+call per block of ``_KERNEL_BLOCK`` maps. :func:`score_maps` splits the
+table at its first no-match map into two views (the excluded maps come last)
+and sums each block's columns into H(A) as the block is done; m, m0 and v
+come from the table. It returns a :class:`ScoreTable` of columns, which
 :func:`normalize_scores` turns into corpus z-scores (a
 :class:`ZScoreTable`), one per entry of :data:`MEASURES`. Each table
 holds one column per field of its row type, :class:`MapScores` or
@@ -105,6 +104,35 @@ class ZScoreTable(_Columns):
     _type, _fields = NormalizedScores, NormalizedScores._fields
 
 
+def _block_columns(maps: MapTable, widths: np.ndarray):
+    """Each block of ``_KERNEL_BLOCK`` maps: its slice and its columns (see
+    :func:`column_entropies`); no block is held during the next one's kernel."""
+    words = maps.lines.targets.view("<u8")[:, 0]  # a padded row as one word
+    position = np.arange(MAX_CODE)
+    for k in range(0, len(maps), _KERNEL_BLOCK):
+        part = slice(k, min(k + _KERNEL_BLOCK, len(maps)))
+        m, n = maps.m[part], widths[part]
+        rows = maps.rows[maps.starts[k] : maps.starts[part.stop]]
+        # each map's kind by its height (3: three rows or more), over its rows
+        kind = np.minimum(m, 3).astype(np.uint8)
+        row_kind = np.repeat(kind, m)
+        # maps of three or more rows: their rows, each cut to its map's width,
+        # row-major, as the kernel's symbols
+        many = kind == 3
+        cut = position < np.repeat(n[many], m[many])[:, None]
+        flat = _kernels.SYMBOL[words[rows[row_kind == 3]].view(np.uint8).reshape(-1, MAX_CODE)[cut]]
+        del cut  # before the kernel's arrays
+        entropies = _kernels.batch_column_entropies(flat, m[many], n[many])
+        col_kind = np.repeat(kind, n)
+        cols = np.zeros(len(col_kind))
+        cols[col_kind == 3] = entropies
+        # two-row maps: rows in pairs, bytes that differ, cut to the map's width
+        pairs = words[rows[row_kind == 2]].view(np.uint8).reshape(-1, 2, MAX_CODE)
+        cols[col_kind == 2] = (pairs[:, 0] != pairs[:, 1])[position < n[kind == 2][:, None]]
+        yield part, cols
+        del cols, entropies, pairs
+
+
 def column_entropies(maps: MapTable) -> tuple[np.ndarray, np.ndarray]:
     """Per-column entropies (bits) of every map's padded code matrix, and
     each map's width n.
@@ -119,62 +147,37 @@ def column_entropies(maps: MapTable) -> tuple[np.ndarray, np.ndarray]:
     columns are ``0.0 - 1.0 * log2(1.0)`` = +0.0, and a two-row map's column
     is +0.0 where its two padded rows agree and ``0.0 - (-0.5 + -0.5)`` =
     1.0 where they differ, which their bytes tell without the kernel's
-    symbols (``_kernels.SYMBOL``). Once per table: the widths, each map's
-    kind by height over its rows and columns, and the two-row columns. Once
-    per block of ``_KERNEL_BLOCK`` maps: the gather of its cells of maps of
-    three or more rows and one kernel call, an empty batch included. A
-    column's entropy depends on its own cells alone, so the blocks give the
-    values of one call bit for bit.
+    symbols (``_kernels.SYMBOL``). The maps are taken a block of
+    ``_KERNEL_BLOCK`` at a time: the gather of the cells of its maps of three
+    or more rows and one kernel call, an empty batch included, then its
+    two-row columns. A column's entropy depends on its own cells alone, so
+    the blocks give the values of one call bit for bit.
     """
-    widths = np.maximum.reduceat(
-        maps.lines.target_len[maps.rows], maps.starts[:-1]
-    ).astype(np.int64)
-    col_starts = offsets(widths)
-    cols = np.zeros(int(col_starts[-1]))
-    words = maps.lines.targets.view("<u8")[:, 0]  # a padded row as one word
-    position = np.arange(MAX_CODE)
-    # each map's kind by its height (3: three rows or more), over its rows and columns
-    kind = np.minimum(maps.m, 3).astype(np.uint8)
-    row_kind, col_kind = np.repeat(kind, maps.m), np.repeat(kind, widths)
-    # two-row maps: rows in pairs, bytes that differ, cut to the map's width
-    pairs = words[maps.rows[row_kind == 2]].view(np.uint8).reshape(-1, 2, MAX_CODE)
-    cols[col_kind == 2] = (pairs[:, 0] != pairs[:, 1])[position < widths[kind == 2][:, None]]
-    del pairs
-    # maps of three or more rows, a block of maps at a time: their rows, each
-    # cut to its map's width, row-major, as the kernel's symbols
-    for k in range(0, len(maps), _KERNEL_BLOCK):
-        end = min(k + _KERNEL_BLOCK, len(maps))
-        r, c = slice(maps.starts[k], maps.starts[end]), slice(col_starts[k], col_starts[end])
-        many = kind[k:end] == 3
-        heights, many_widths = maps.m[k:end][many], widths[k:end][many]
-        cut = position < np.repeat(many_widths, heights)[:, None]
-        rows = maps.rows[r][row_kind[r] == 3]
-        flat = _kernels.SYMBOL[words[rows].view(np.uint8).reshape(-1, MAX_CODE)[cut]]
-        del rows, cut  # before the kernel's arrays
-        cols[c][col_kind[c] == 3] = _kernels.batch_column_entropies(flat, heights, many_widths)
-    return cols, widths
+    widths = np.maximum.reduceat(maps.lines.target_len[maps.rows], maps.starts[:-1])
+    blocks = [cols for _, cols in _block_columns(maps, widths)]
+    return np.concatenate([np.zeros(0)] + blocks), widths.astype(np.int64)
 
 
 def _log2(counts: np.ndarray) -> np.ndarray:
     """``math.log2`` of each count (Python ints past int64 included), taken
     once per distinct count."""
-    distinct, inverse = np.unique(counts, return_inverse=True)
-    return np.array(list(map(math.log2, distinct.tolist())), dtype=np.float64)[inverse]
+    distinct = np.unique(counts, return_counts=True)[0]  # a plain np.unique imports numpy.ma
+    logs = np.array(list(map(math.log2, distinct.tolist())), dtype=np.float64)
+    return logs[np.searchsorted(distinct, counts)]
 
 
 def score_maps(
     maps: MapTable, weights: WeightVector | None = None
 ) -> tuple[ScoreTable, MapTable]:
-    """Score every map of a corpus in one batched kernel pass.
+    """Score every map of a corpus, summing each block's columns into H(A).
 
-    Returns (scores for maps with m >= 1, excluded no-match maps). When
-    ``weights`` is given it must cover the widest map; each map uses its
-    first n positions.
+    Returns (scores for maps with m >= 1, excluded no-match maps), views of
+    the table split at its first no-match map. When ``weights`` is given it
+    must cover the widest map; each map uses its first n positions.
     """
-    maps, excluded = maps.split(maps.m > 0)
-    cols, widths = column_entropies(maps)
-    col_starts = offsets(widths)[:-1]
-    h_a = np.add.reduceat(cols, col_starts)
+    maps, excluded = maps.split(int(np.count_nonzero(maps.m)))
+    widths = np.maximum.reduceat(maps.lines.target_len[maps.rows], maps.starts[:-1])  # uint8
+    h_a = np.empty(len(maps))
 
     h_a_weighted = None
     if weights is not None:
@@ -187,11 +190,16 @@ def score_maps(
                 f"{wfull.shape[0]} weights cannot cover the widest map "
                 f"({widest} positions)"
             )
-        flat_w = wfull[np.arange(len(cols)) - np.repeat(col_starts, widths)]
-        h_a_weighted = np.add.reduceat(cols * flat_w, col_starts) / np.add.reduceat(
-            flat_w, col_starts
-        )
-    del cols  # before the logarithms' arrays
+        h_a_weighted = np.empty(len(maps))
+    for part, cols in _block_columns(maps, widths):
+        col_starts = offsets(widths[part])[:-1]
+        h_a[part] = np.add.reduceat(cols, col_starts)
+        if weights is not None:
+            flat_w = wfull[np.arange(len(cols)) - np.repeat(col_starts, widths[part])]
+            h_a_weighted[part] = (np.add.reduceat(cols * flat_w, col_starts)
+                                  / np.add.reduceat(flat_w, col_starts))
+            del flat_w
+        del cols  # before the next block's kernel
 
     scores = ScoreTable(
         source=maps.source,

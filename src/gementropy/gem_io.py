@@ -9,22 +9,22 @@ A crosswalk holds one ``SOURCE TARGET FLAG5`` line per candidate target.
   :mod:`gementropy._kernels`, owns the symbol alphabet);
 * ``target_len``: the target code lengths;
 * ``flags``: rows x 5 uint8 flag digits;
-* ``line``: the line numbers.
+* ``line``: the line numbers, uint32 (int64 past 2**32 - 1 lines).
 
-The bytes are split, checked and coded in blocks of about
-``_PARSE_BLOCK`` bytes, each cut just after a line break, so the working
-arrays stay the size of one block whatever the size of the file; the blocks'
-columns are then concatenated. The line ends bound each line's tokens: one
-search of the breaks among the token starts gives every line's first token
-and token count, and a line of no token is blank. A field of up to 8 bytes
-is read as one 8-byte word: the block, padded with 8 zero bytes, is viewed
-as a little-endian word at every byte offset. A 256-byte ``bytes.translate``
-table maps each byte of the word at a field's start to its code (the
-upper-case code character, or the flag digit), or to a byte with the high
-bit set where it may not stand in that field; one ``translate`` per field
-and block codes the bytes of all its words. The coded word is masked to the
-field's length, and one test of its high bits per row checks every byte of
-the field.
+The bytes are split, checked and coded in blocks of about ``_PARSE_BLOCK``
+bytes, each cut just after a line break, so the working arrays stay the size
+of one block whatever the size of the file; each block's rows go into
+columns sized once from the file's line breaks. The line ends bound each
+line's tokens: one search of the breaks among the token starts gives every
+line's first token and token count, and a line of no token is blank. A field
+of up to 8 bytes is read as one 8-byte word: the block, padded with 8 zero
+bytes, is viewed as a little-endian word at every byte offset. A 256-byte
+``bytes.translate`` table maps each byte of the word at a field's start to
+its code (the upper-case code character, or the flag digit), or to a byte
+with the high bit set where it may not stand in that field; one
+``translate`` per field and block codes the bytes of all its words. The
+coded word is masked to the field's length, and one test of its high bits
+per row checks every byte of the field.
 
 The line grammar is one table of rules in ``_read_block``, each a vectorized
 mask over a block's rows with its error type and message template, in the
@@ -33,13 +33,13 @@ its field count if it does not hold three fields, or else the first rule set
 on its row, worded from its fields; messages name the file and line.
 
 :func:`group_maps` groups the rows by source code into a :class:`MapTable`:
-maps in first-appearance order, each map's rows in file order, and m, m0 and
-v (the number of valid representations) from segment reductions over runs:
-of equal consecutive sources (one per map in a file sorted by source), and of
-the combination rows' sorted (map, scenario, choice list) keys. The group
-checks (mixed no-match sources, scenario and choice-list numbering) are
-masks too; ``_build_maps`` words the first failing map's error from the
-same arrays.
+scored maps, then excluded (no-match) ones, each in first-appearance order,
+each map's rows in file order, and m, m0 and v (the number of valid
+representations) from segment reductions over runs: of equal consecutive
+sources (one per map in a file sorted by source), and of the combination
+rows' sorted (map, scenario, choice list) keys. The group checks (mixed
+no-match sources, scenario and choice-list numbering) are masks too; the
+first failing map's error is worded from the same arrays.
 
 Both tables are :class:`RowTable` columns named by their ``_fields``, read
 as sequences of :class:`GemEntry` and :class:`MapRecord` objects built on
@@ -328,18 +328,28 @@ def parse_gem_file(source, filename: str | None = None) -> GemLines:
     docstring for the grammar). A block ends just after the first line break
     (``errors.LINE_BREAK``) that starts at or after its ``_PARSE_BLOCK``-th
     byte, so no line (and no CRLF) spans two blocks, and its first line
-    follows the breaks of the blocks before it.
+    follows the breaks of the blocks before it; its rows fill columns sized once.
     """
     filename, data = read_source(source, filename)
-    lo, blocks, first_line = 0, [], 0
-    while not blocks or lo < len(data):
+    # a row per line: one more than the LFs (counted a block at a time) and lone CRs
+    buf = np.frombuffer(data, dtype=np.uint8)
+    n = 1 + sum(np.count_nonzero(buf[i : i + _PARSE_BLOCK] == 10)
+                for i in range(0, len(data), _PARSE_BLOCK))
+    if b"\r" in data:
+        n += data.count(b"\r") - data.count(b"\r\n")
+    out = GemLines(np.empty((n, MAX_CODE), np.uint8), np.empty((n, MAX_CODE), np.uint8),
+                   np.empty(n, np.uint8), np.empty((n, 5), np.uint8),
+                   np.empty(n, np.uint32 if n < 1 << 32 else np.int64), filename)
+    *arrays, _ = GemLines._fields  # every column but the file name
+    lo = rows = first_line = 0
+    while lo < len(data):
         cut = LINE_BREAK.search(data, lo + _PARSE_BLOCK - 1)
         hi = cut.end() if cut else len(data)
-        lines, n_breaks = _read_block(data[lo:hi], filename, first_line)
-        blocks.append(lines)
-        lo, first_line = hi, first_line + n_breaks
-    *arrays, _ = GemLines._fields  # every column but the file name
-    return GemLines(*(np.concatenate([getattr(b, a) for b in blocks]) for a in arrays), filename)
+        block, n_breaks = _read_block(data[lo:hi], filename, first_line)
+        for a in arrays:
+            getattr(out, a)[rows : rows + len(block)] = getattr(block, a)
+        lo, rows, first_line = hi, rows + len(block), first_line + n_breaks
+    return GemLines(*(getattr(out, a)[:rows] for a in arrays), filename)
 
 
 def _make_record(source: str, group: Sequence[GemEntry]) -> MapRecord:
@@ -369,7 +379,7 @@ class MapTable(RowTable):
     ``rows[starts[k]:starts[k + 1]]`` are the :class:`GemLines` rows of map
     k in entry order. ``m`` and ``m0`` are 0 for excluded (no-match) maps,
     and so is ``v``, which is int64, or Python ints in an object array when
-    a count does not fit in int64.
+    a count does not fit in int64. Excluded maps come after the scored ones.
     """
 
     _fields = ("lines", "rows", "starts", "source", "m", "m0", "v")
@@ -382,33 +392,59 @@ class MapTable(RowTable):
             rows = self.rows[self.starts[k] : self.starts[k + 1]]
             yield _make_record(str(self.source[k]), self.lines._rows(rows))
 
-    def split(self, keep: np.ndarray) -> tuple[MapTable, MapTable]:
-        """The maps where the boolean mask ``keep`` is set, and the others,
-        each in order."""
-        sizes = np.diff(self.starts)
-        rows = np.repeat(keep, sizes)
-        return tuple(
-            MapTable(self.lines, self.rows[r], offsets(sizes[k]), self.source[k],
-                     self.m[k], self.m0[k], self.v[k])
-            for k, r in ((keep, rows), (~keep, ~rows))
-        )
+    def split(self, k: int) -> tuple[MapTable, MapTable]:
+        """The first ``k`` maps and the others, as views of this table's
+        columns (the others' ``starts`` a copy, counted from 0)."""
+        at = self.starts[k]
+        return (MapTable(self.lines, self.rows[:at], self.starts[: k + 1], self.source[:k],
+                         self.m[:k], self.m0[:k], self.v[:k]),
+                MapTable(self.lines, self.rows[at:], self.starts[k:] - at, self.source[k:],
+                         self.m[k:], self.m0[k:], self.v[k:]))
 
 
-def _build_maps(lines: GemLines, map_id: np.ndarray, first_row: np.ndarray) -> MapTable:
-    """Group the rows by ``map_id`` (maps numbered in output order; map k's
-    first row is ``first_row[k]``), check every group and count m, m0, v."""
-    n_maps = len(first_row)
-    sizes = np.bincount(map_id, minlength=n_maps)
-    rows = np.argsort(map_id, kind="stable")
+def _map_ids(sources: np.ndarray, no_match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's map and each map's source code: maps with a row not ``no_match``
+    first, then the rest, each in first-appearance order. One key per run of
+    equal consecutive sources; big-endian words order as the codes do, so a
+    sorted file's keys are sorted, and np.unique's stable sort is linear."""
+    words = sources.view(">u8")[:, 0]
+    run, run_size = runs(words)
+    _, first, inverse = np.unique(words[run], return_index=True, return_inverse=True)
+    # a map is scored when one of its runs holds fewer no-match rows than rows
+    in_run = np.searchsorted(run, np.flatnonzero(no_match), "right") - 1
+    scored = np.zeros(len(first), dtype=bool)
+    scored[inverse[np.bincount(in_run, minlength=len(run)) < run_size]] = True
+    order = np.lexsort((first, ~scored))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    source = sources[run[first[order]]].astype(np.uint32).view("U8")[:, 0]
+    return np.repeat(rank[inverse], run_size), source
+
+
+def group_maps(lines: GemLines) -> MapTable:
+    """Group the rows of a crosswalk by source code into a :class:`MapTable`.
+
+    Scored maps come first, then excluded (no-match) ones, each in
+    first-appearance order; entry order inside a map is preserved.
+    Stand-alone entries (no combination flag) fill ``standalone_codes``;
+    combination entries are bucketed by their (scenario, choice list)
+    digits, which must number contiguously from 1.
+    """
     no_match = (lines.flags[:, 1] == 1) | lines.sentinel()
+    map_id, source = _map_ids(lines.sources, no_match)
+    n_maps = len(source)
+    sizes = np.bincount(map_id, minlength=n_maps)
     n_no_match = np.bincount(map_id[no_match], minlength=n_maps)
     excluded = n_no_match == sizes
+    comb = lines.flags[:, 2] == 1
+    comb_map = map_id[comb]
+    rows = np.argsort(map_id, kind="stable")
+    del no_match, map_id
+    starts = offsets(sizes)
 
     # combination rows as (map, scenario, choice list) keys, sorted once; the
     # runs of equal keys are the lists, of equal key // 10 the scenarios
-    comb = lines.flags[:, 2] == 1
-    flags = lines.flags[comb].astype(np.int64)
-    keys = np.sort((map_id[comb] * 10 + flags[:, 3]) * 10 + flags[:, 4])
+    keys = np.sort((comb_map * 10 + lines.flags[comb, 3]) * 10 + lines.flags[comb, 4])
     first, list_size = runs(keys)
     keys = keys[first]
     scen_first, n_lists = runs(keys // 10)
@@ -421,12 +457,11 @@ def _build_maps(lines: GemLines, map_id: np.ndarray, first_row: np.ndarray) -> M
     gap[map_keys] = scen_keys[map_first + n_scen - 1] % 10 != n_scen
     gap[scen_map[keys[scen_first + n_lists - 1] % 10 != n_lists]] = True
     bad = ~excluded & ((n_no_match > 0) | gap)
-    source = lines.sources[first_row].astype(np.uint32).view("U8")[:, 0]
     if bad.any():
         # the first bad map's error, on its first row's line: mixed no-match first,
         # then the numbering of its scenarios, then of each scenario's choice lists
         k = int(np.argmax(bad))
-        name, at = str(source[k]), (lines.filename, int(lines.line[first_row[k]]))
+        name, at = str(source[k]), (lines.filename, int(lines.line[rows[starts[k]]]))
         if n_no_match[k]:
             raise StructuralError(f"source {name} mixes no-match and regular entries", *at)
         scenarios = scen_keys[scen_map == k]
@@ -438,8 +473,10 @@ def _build_maps(lines: GemLines, map_id: np.ndarray, first_row: np.ndarray) -> M
         text, ids = next((text, ids % 10) for text, ids in numberings if ids[-1] % 10 != len(ids))
         raise StructuralError(f"{text} {ids.tolist()}", *at)
 
-    m = np.where(excluded, 0, sizes)
-    m0 = np.where(excluded, 0, sizes - np.bincount(map_id[comb], minlength=n_maps))
+    del n_no_match, gap, bad
+    m = sizes
+    m[excluded] = 0
+    m0 = m - np.bincount(comb_map, minlength=n_maps)  # a no-match row is no combination row
     v = m0.copy()
     if len(keys):
         scen_product = np.multiply.reduceat(list_size, scen_first)
@@ -450,32 +487,7 @@ def _build_maps(lines: GemLines, map_id: np.ndarray, first_row: np.ndarray) -> M
             v = m0.astype(object)
             for k, sizes_k in zip(scen_map.tolist(), np.split(list_size, scen_first[1:])):
                 v[k] += math.prod(sizes_k.tolist())
-    return MapTable(lines, rows, offsets(sizes), source, m, m0, v)
-
-
-def _map_ids(sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's map (numbered in first-appearance order) and each map's
-    first row, from one key per run of equal consecutive sources. Big-endian
-    words order as the codes do, so a file sorted by source gives sorted
-    keys, which the stable sort of np.unique runs through in linear time."""
-    words = sources.view(">u8")[:, 0]
-    run, run_size = runs(words)
-    _, first, inverse = np.unique(words[run], return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return np.repeat(rank[inverse.reshape(-1)], run_size), run[first[order]]
-
-
-def group_maps(lines: GemLines) -> MapTable:
-    """Group the rows of a crosswalk by source code into a :class:`MapTable`.
-
-    Maps follow first-appearance order; entry order inside a map is
-    preserved. Stand-alone entries (no combination flag) fill
-    ``standalone_codes``; combination entries are bucketed by their
-    (scenario, choice list) digits, which must number contiguously from 1.
-    """
-    return _build_maps(lines, *_map_ids(lines.sources))  # ids' working arrays freed first
+    return MapTable(lines, rows, starts, source, m, m0, v)
 
 
 def _raise_rule(rules, row: int, filename, line, **fields):
